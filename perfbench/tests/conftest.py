@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the package under test importable."""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
