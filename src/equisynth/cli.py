@@ -57,7 +57,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lar-cap", type=int, default=500_000, help="record product node cap")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +129,6 @@ def cmd_build(args) -> int:
         "command": "build",
         "game": args.game,
         "comm": args.comm,
-        "seed": args.seed,
         "stats": {
             "eve_states": bounds["eve_states"],
             "eve_bound": bounds["eve_bound"],
@@ -232,7 +230,6 @@ def cmd_solve(args) -> int:
         "comm": args.comm,
         "predicate": args.predicate,
         "main_inf": sorted(main_inf) if main_inf else None,
-        "seed": args.seed,
     }
     if result is None:
         report["status"] = "not-found"
@@ -303,7 +300,6 @@ def cmd_verify(args) -> int:
         "game": args.game,
         "comm": args.comm,
         "profile": args.profile,
-        "seed": args.seed,
         "payoff": [str(q) for q in strategy.payoff],
         "checks": checks,
         "check_failures": failures,

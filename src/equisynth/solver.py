@@ -6,32 +6,38 @@ where the protagonist must keep every surviving suspect at or below its
 component of p on the recurring vertices.  Suspect sets only shrink, so the
 region splits into layers ordered by the suspect set; each layer becomes a
 parity game through a latest-appearance record over the layer's vertices,
-grouped into payoff-equivalence classes (the grouping is verified
-exhaustively against the acceptance predicate before use).  Exits to smaller
-layers are sinks whose winner is already known.
+grouped into payoff-equivalence classes (the grouping is checked against a
+per-layer acceptance table before use).  Exits to smaller layers are sinks
+whose winner is already known.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
-lasso over p-safe moves whose recurring vertex set evaluates to exactly p;
-candidate recurring sets are enumerated per strongly connected component of
-the p-safe graph, smallest first.
+lasso over p-safe moves whose recurring vertex set evaluates to exactly p.
+Lasso candidates are color sets, not state subsets: each payoff atom is its
+own color and every other vertex shares one color (with a required
+recurring set, every vertex is its own color and that set is the only
+candidate).  There is no size cap: each candidate costs one SCC
+decomposition of the reachable p-safe graph.
 
 `model_check_strategy` re-verifies any strategy against the epistemic game:
 the unique complying outcome must pay exactly p, and every recurring color
 set reachable in the deviated product must satisfy the bound for every
-surviving suspect.  Recurring color sets are enumerated exactly: a set CC
-recurs iff, after restricting a component to CC-colored nodes, some strongly
-connected part with an edge still shows every color of CC.
+surviving suspect.
+
+Both searches share `recurring_witness`: a color set CC can recur iff, after
+restricting the graph to CC-colored nodes, some strongly connected part with
+an edge still shows every color of CC (the SCC-restriction step of generic
+Emerson-Lei emptiness checks).
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .epistemic import EpistemicGame, EveAction, state_key
-from .errors import CapExceeded, InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
+from .errors import InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
 from .game import ConcurrentGame
 from .lar import LarState, initial_record, lar_priority, lar_step
 from .parity import ParityGame, solve_parity
@@ -102,6 +108,29 @@ def strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[in
     return comps
 
 
+def recurring_witness(nodes, succ, color, cc) -> Optional[list]:
+    """Nodes of a strongly connected part with an edge, inside the nodes whose
+    color lies in `cc`, that shows every color of `cc`; None if there is none.
+
+    `succ[v]` and `color[v]` give a node's successors and color; successors
+    outside `nodes` are ignored."""
+    keep = [v for v in nodes if color[v] in cc]
+    ids = {v: i for i, v in enumerate(keep)}
+    adj = [[ids[t] for t in succ[v] if t in ids] for v in keep]
+    for comp in strongly_connected_components(len(keep), adj):
+        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
+            continue
+        if len({color[keep[i]] for i in comp}) == len(cc):
+            return [keep[i] for i in comp]
+    return None
+
+
+def _color_sets(colors: Sequence) -> Iterable[frozenset]:
+    """Nonempty subsets of `colors`, in binary-counting order."""
+    for mask in range(1, 1 << len(colors)):
+        yield frozenset(c for k, c in enumerate(colors) if mask >> k & 1)
+
+
 # ---------------------------------------------------------------------------
 # Punishment region, layer by layer.
 
@@ -112,9 +141,10 @@ class LayerTable:
     classes: tuple[tuple[str, ...], ...]  # color id -> vertices of that class
     entries: dict[tuple[int, LarState], int]  # (eve id, record) -> adam id
     win: frozenset[int]
+    class_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def class_of(self) -> dict[str, int]:
-        return {v: ci for ci, cls in enumerate(self.classes) for v in cls}
+    def __post_init__(self):
+        self.class_of = {v: ci for ci, cls in enumerate(self.classes) for v in cls}
 
     def entry_state(self, color: int) -> LarState:
         return lar_step(LarState(initial_record(len(self.classes)), 0), color)
@@ -130,56 +160,63 @@ class PunishmentSolution:
 def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey,
                          layer_vertices: list[str]):
     """Partition the layer's vertices so the acceptance predicate depends only
-    on which classes recur; verified over every vertex subset, then coarsened
-    greedily while the verification keeps passing."""
+    on which classes recur; return the classes in vertex order and the
+    acceptance table, keyed by sets of class ids.
+
+    The seed partition puts each payoff atom in a class of its own and all
+    other vertices in one class.  The predicate depends only on the atoms
+    that recur, so it is evaluated once per nonempty set of seed classes,
+    into the layer's acceptance table.  Pairs of classes are then merged
+    greedily while every two seed patterns that the merged partition maps to
+    the same key still agree in that table; a merge only regroups its keys.
+    """
     dev_idx = [game.player_index[d] for d in dev]
     atoms = game.payoff.atoms()
     vorder = {v: i for i, v in enumerate(game.vertices)}
 
-    def accepted(subset: frozenset[str]) -> bool:
-        vec = game.payoff.value(subset)
-        return all(vec[i] <= p[i] for i in dev_idx)
+    seed = [[v] for v in layer_vertices if v in atoms]
+    rest = [v for v in layer_vertices if v not in atoms]
+    if rest:
+        seed.append(rest)
+    seed.sort(key=lambda cls: vorder[cls[0]])
+    accepted: dict[frozenset[int], bool] = {}
+    for pattern in _color_sets(range(len(seed))):
+        vec = game.payoff.value(v for si in pattern for v in seed[si])
+        accepted[pattern] = all(vec[i] <= p[i] for i in dev_idx)
 
-    def verify(partition: list[list[str]]):
-        cls_of = {v: ci for ci, cls in enumerate(partition) for v in cls}
+    def regroup(groups: list[list[int]]):
+        group_of = {si: gi for gi, grp in enumerate(groups) for si in grp}
         table: dict[frozenset[int], bool] = {}
-        n = len(layer_vertices)
-        for mask in range(1, 1 << n):
-            subset = frozenset(
-                v for i, v in enumerate(layer_vertices) if mask >> i & 1
-            )
-            key = frozenset(cls_of[v] for v in subset)
-            val = accepted(subset)
+        for pattern, val in accepted.items():
+            key = frozenset(group_of[si] for si in pattern)
             if table.setdefault(key, val) != val:
                 return None
         return table
 
-    partition = [[v] for v in layer_vertices if v in atoms]
-    rest = [v for v in layer_vertices if v not in atoms]
-    if rest:
-        partition.append(rest)
-    partition.sort(key=lambda cls: vorder[cls[0]])
-    table = verify(partition)
-    if table is None:  # cannot happen: atom singletons decide the payoff
-        raise RuntimeError("payoff-class seed partition inconsistent")
+    # Groups of seed ids; seeds are in vertex order, so sorting the groups
+    # sorts the classes by their first vertex.
+    groups = [[si] for si in range(len(seed))]
+    table = regroup(groups)
     merged = True
     while merged:
         merged = False
-        for i in range(len(partition)):
-            for j in range(i + 1, len(partition)):
-                cand = [cls for k, cls in enumerate(partition) if k not in (i, j)]
-                cand.append(sorted(partition[i] + partition[j], key=vorder.__getitem__))
-                cand.sort(key=lambda cls: vorder[cls[0]])
-                t = verify(cand)
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                cand = [grp for k, grp in enumerate(groups) if k not in (i, j)]
+                cand.append(sorted(groups[i] + groups[j]))
+                cand.sort()
+                t = regroup(cand)
                 if t is not None:
-                    partition, table = cand, t
+                    groups, table = cand, t
                     merged = True
                     break
             if merged:
                 break
-    classes = tuple(tuple(cls) for cls in partition)
-    cls_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
-    return classes, cls_of, table
+    classes = tuple(
+        tuple(sorted((v for si in grp for v in seed[si]), key=vorder.__getitem__))
+        for grp in groups
+    )
+    return classes, table
 
 
 def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],
@@ -189,14 +226,10 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     layer_vertices = sorted(
         {eg.eve_states[e].vertex for e in layer_eves}, key=vorder.__getitem__
     )
-    classes, cls_of, acc_table = _layer_color_classes(game, p, dev, layer_vertices)
-    k = len(classes)
+    classes, acc_table = _layer_color_classes(game, p, dev, layer_vertices)
+    table = LayerTable(dev=dev, classes=classes, entries={}, win=frozenset())
+    cls_of = table.class_of
     accept = acc_table.__getitem__
-
-    base = LarState(initial_record(k), 0)
-
-    def entry_ls(e: int) -> LarState:
-        return lar_step(base, cls_of[eg.eve_states[e].vertex])
 
     layer_set = set(layer_eves)
     owner: list[int] = [0, 1]  # 0: win sink, 1: lose sink
@@ -227,7 +260,10 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
         return i
 
     queue: deque = deque()
-    entry_nodes = {e: ("e", e, entry_ls(e)) for e in layer_eves}
+    entry_nodes = {
+        e: ("e", e, table.entry_state(cls_of[eg.eve_states[e].vertex]))
+        for e in layer_eves
+    }
     for e in layer_eves:
         intern(entry_nodes[e])
     while queue:
@@ -247,7 +283,6 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
                     succ[nid].append(WIN if sid in global_win else LOSE)
 
     w0, _w1, s0, _s1 = solve_parity(ParityGame(owner, priority, succ))
-    entries: dict[tuple[int, LarState], int] = {}
     for node, nid in index.items():
         if node[0] != "e" or nid not in w0:
             continue
@@ -255,11 +290,11 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
         if choice is None:
             raise RuntimeError(f"missing strategy on won node {node}")
         target = labels[choice]
-        entries[(node[1], node[2])] = target[1]
-    win = frozenset(
+        table.entries[(node[1], node[2])] = target[1]
+    table.win = frozenset(
         e for e in layer_eves if index[entry_nodes[e]] in w0
     )
-    return LayerTable(dev=dev, classes=classes, entries=entries, win=win)
+    return table
 
 
 def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> PunishmentSolution:
@@ -333,7 +368,7 @@ class EveStrategy:
         _tag, dev, ls = mem
         if nxt.deviators() == dev:
             table = self.layers[dev]
-            color = table.class_of()[nxt.vertex]
+            color = table.class_of[nxt.vertex]
             return ("p", dev, lar_step(ls, color))
         return self._enter_layer(next_eve_id)
 
@@ -343,7 +378,7 @@ class EveStrategy:
         table = self.layers.get(dev)
         if table is None:
             raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        color = table.class_of()[state.vertex]
+        color = table.class_of[state.vertex]
         return ("p", dev, table.entry_state(color))
 
     # -- serialization ----------------------------------------------------
@@ -459,18 +494,6 @@ class SolveResult:
     candidates_tried: list[Vector]
 
 
-def _subsets_smallest_first(members: list[int], limit: int = 20) -> Iterable[tuple[int, ...]]:
-    from itertools import combinations
-
-    if len(members) > limit:
-        raise CapExceeded(
-            f"recurring-set search over a {len(members)}-state component "
-            f"exceeds the {limit}-state cap"
-        )
-    for size in range(1, len(members) + 1):
-        yield from combinations(members, size)
-
-
 def solve(
     eg: EpistemicGame,
     query=None,
@@ -535,51 +558,24 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
                 seen.add(t)
                 queue.append(t)
 
-    ids = {e: i for i, e in enumerate(reach)}
-    adj = [[ids[t] for t in sorted(safe_succ[e])] for e in reach]
-    for comp in strongly_connected_components(len(reach), adj):
-        members = [reach[i] for i in comp]
-        for subset in _subsets_smallest_first(members):
-            sub = set(subset)
-            if not _strongly_connected_with_edge(sub, safe_succ):
-                continue
-            verts = frozenset(states[e].vertex for e in subset)
-            if eg.game.payoff.value(verts) != p:
-                continue
-            if main_inf is not None and verts != main_inf:
-                continue
-            return _build_lasso(eg, safe_succ, sub)
+    verts = {e: states[e].vertex for e in reach}
+    if main_inf is not None:
+        if eg.game.payoff.value(main_inf) != p:
+            return None
+        color, candidates = verts, [main_inf]
+    else:
+        atoms = eg.game.payoff.atoms()
+        color = {e: v if v in atoms else None for e, v in verts.items()}
+        colors = sorted(set(color.values()), key=lambda c: (c is None, c))
+        candidates = (
+            cc for cc in _color_sets(colors)
+            if eg.game.payoff.value(c for c in cc if c is not None) == p
+        )
+    for cc in candidates:
+        witness = recurring_witness(reach, safe_succ, color, cc)
+        if witness is not None:
+            return _build_lasso(eg, safe_succ, set(witness))
     return None
-
-
-def _strongly_connected_with_edge(sub: set[int], safe_succ) -> bool:
-    edges_in = {e: [t for t in safe_succ[e] if t in sub] for e in sub}
-    if not any(edges_in.values()):
-        return False
-    if len(sub) == 1:
-        (e,) = sub
-        return e in edges_in[e]
-    start = next(iter(sorted(sub)))
-    for mapping in (edges_in, _reversed(edges_in)):
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for t in mapping[x]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        if seen != sub:
-            return False
-    return True
-
-
-def _reversed(mapping: dict[int, list[int]]) -> dict[int, list[int]]:
-    rev: dict[int, list[int]] = {e: [] for e in mapping}
-    for e, ts in mapping.items():
-        for t in ts:
-            rev[t].append(e)
-    return rev
 
 
 def _bfs_path(src: int, dst, succ_of) -> list[int]:
@@ -705,6 +701,8 @@ def model_check_strategy(
 
     # Deviated product region: exact recurring-color-set analysis.
     atoms = eg.game.payoff.atoms()
+    vertex = [states[eve_id].vertex for eve_id, _mem in nodes]
+    color = [v if v in atoms else None for v in vertex]
     deviated = [i for i in range(len(nodes)) if states[nodes[i][0]].deviated]
     dev_ids = {i: n for n, i in enumerate(deviated)}
     sub_adj = [
@@ -712,49 +710,11 @@ def model_check_strategy(
     ]
     for comp in strongly_connected_components(len(deviated), sub_adj):
         comp_nodes = [deviated[i] for i in comp]
-        has_edge = any(
-            dev_ids[t] in set(comp)
-            for i in comp_nodes
-            for t in succ[i]
-            if t in dev_ids
-        )
-        if not has_edge:
-            continue
         dev = states[nodes[comp_nodes[0]][0]].deviators()
         dev_idx = [eg.game.player_index[d] for d in dev]
-
-        def color(i: int):
-            v = states[nodes[i][0]].vertex
-            return v if v in atoms else None
-
-        comp_set = set(comp_nodes)
-        colors = sorted({color(i) for i in comp_nodes}, key=lambda c: (c is None, c))
-        for mask in range(1, 1 << len(colors)):
-            cc = frozenset(c for k, c in enumerate(colors) if mask >> k & 1)
-            restricted = [i for i in comp_nodes if color(i) in cc]
-            if not restricted:
-                continue
-            rid = {i: n for n, i in enumerate(restricted)}
-            radj = [
-                [rid[t] for t in succ[i] if t in rid and t in comp_set]
-                for i in restricted
-            ]
-            realizable = False
-            for sub in strongly_connected_components(len(restricted), radj):
-                sub_nodes = [restricted[i] for i in sub]
-                sub_set = set(sub)
-                sub_edge = any(
-                    rid[t] in sub_set
-                    for i in sub_nodes
-                    for t in succ[i]
-                    if t in rid and t in comp_set
-                )
-                if not sub_edge:
-                    continue
-                if {color(i) for i in sub_nodes} == set(cc):
-                    realizable = True
-                    break
-            if not realizable:
+        colors = sorted({color[i] for i in comp_nodes}, key=lambda c: (c is None, c))
+        for cc in _color_sets(colors):
+            if recurring_witness(comp_nodes, succ, color, cc) is None:
                 continue
             verts = frozenset(c for c in cc if c is not None)
             vec = eg.game.payoff.value(verts)

@@ -147,6 +147,98 @@ def random_lasso(rng: random.Random, color_count: int):
 
 
 # ---------------------------------------------------------------------------
+# Recurring sets by node-subset enumeration.
+
+
+def strongly_connected_with_edge(sub: set, succ) -> bool:
+    """Is the subgraph induced by `sub` strongly connected with an edge?"""
+    edges_in = {v: [t for t in succ[v] if t in sub] for v in sub}
+    if not any(edges_in.values()):
+        return False
+    start = min(sub)
+    reverse: dict = {v: [] for v in sub}
+    for v, ts in edges_in.items():
+        for t in ts:
+            reverse[t].append(v)
+    for mapping in (edges_in, reverse):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for t in mapping[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if seen != sub:
+            return False
+    return True
+
+
+def brute_force_recurring_color_sets(nodes, succ, color) -> set[frozenset]:
+    """Color sets of every node subset that is strongly connected with an
+    edge: exactly the color sets some infinite path can visit forever."""
+    nodes = list(nodes)
+    out = set()
+    for mask in range(1, 1 << len(nodes)):
+        sub = {v for i, v in enumerate(nodes) if mask >> i & 1}
+        if strongly_connected_with_edge(sub, succ):
+            out.add(frozenset(color[v] for v in sub))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Payoff-equivalence classes of a punishment layer, checked over every
+# vertex subset.
+
+
+def vertex_subset_table(game: ConcurrentGame, p, dev, layer_vertices, partition):
+    """Acceptance table over sets of class ids if the predicate "every
+    suspect's payoff is at most p" depends only on which classes of
+    `partition` a vertex subset meets; None otherwise."""
+    dev_idx = [game.player_index[d] for d in dev]
+    cls_of = {v: ci for ci, cls in enumerate(partition) for v in cls}
+    table: dict[frozenset[int], bool] = {}
+    for mask in range(1, 1 << len(layer_vertices)):
+        subset = frozenset(v for i, v in enumerate(layer_vertices) if mask >> i & 1)
+        vec = game.payoff.value(subset)
+        val = all(vec[i] <= p[i] for i in dev_idx)
+        key = frozenset(cls_of[v] for v in subset)
+        if table.setdefault(key, val) != val:
+            return None
+    return table
+
+
+def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
+    """Atom singletons plus one class of the other vertices, then merge the
+    first pair of classes (in vertex order) that `vertex_subset_table` still
+    accepts, until no pair can merge.  Returns (classes, table)."""
+    atoms = game.payoff.atoms()
+    vorder = {v: i for i, v in enumerate(game.vertices)}
+    partition = [[v] for v in layer_vertices if v in atoms]
+    rest = [v for v in layer_vertices if v not in atoms]
+    if rest:
+        partition.append(rest)
+    partition.sort(key=lambda cls: vorder[cls[0]])
+    table = vertex_subset_table(game, p, dev, layer_vertices, partition)
+    assert table is not None, "atom singletons always decide the payoff"
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(partition)):
+            for j in range(i + 1, len(partition)):
+                cand = [cls for k, cls in enumerate(partition) if k not in (i, j)]
+                cand.append(sorted(partition[i] + partition[j], key=vorder.__getitem__))
+                cand.sort(key=lambda cls: vorder[cls[0]])
+                t = vertex_subset_table(game, p, dev, layer_vertices, cand)
+                if t is not None:
+                    partition, table = cand, t
+                    merged = True
+                    break
+            if merged:
+                break
+    return tuple(tuple(cls) for cls in partition), table
+
+
+# ---------------------------------------------------------------------------
 # Comm-graph helper reused by a few suites.
 
 

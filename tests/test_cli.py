@@ -67,16 +67,44 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_solve_found(capsys):
-    code, out, _ = run(
-        capsys, "solve", "--game", GAME, "--comm", G1,
-        "--predicate", "p[2]=1 & p[3]=1 & p[4]=1",
-    )
-    assert code == 0
-    assert "status: found" in out
-    assert "payoff: (0,0,1,1,1)" in out
-    assert "(v0 v1)^w" in out
-    assert "re-verification: pass" in out
+RING = [f"r{i}" for i in range(21)]
+
+
+def ring_files(tmp_path) -> tuple[str, str]:
+    """Two players on the ring r0 -> r1 -> ... -> r20 -> r0 that pays (1,1)
+    when r0 recurs: the only complying cycle passes all 21 vertices."""
+    game = {
+        "players": ["0", "1"],
+        "actions": ["a"],
+        "vertices": RING,
+        "init": "r0",
+        "transitions": {
+            v: [{"pattern": "*", "to": RING[(i + 1) % len(RING)]}]
+            for i, v in enumerate(RING)
+        },
+        "payoff": {"rules": [{"if": "inf(r0)", "then": [1, 1]}], "default": [0, 0]},
+    }
+    game_path, comm_path = tmp_path / "ring.json", tmp_path / "ring_comm.json"
+    game_path.write_text(json.dumps(game))
+    comm_path.write_text(json.dumps({"edges": [["0", "1"]]}))
+    return str(game_path), str(comm_path)
+
+
+def test_solve_found(capsys, tmp_path):
+    ring_game, ring_comm = ring_files(tmp_path)
+    cases = [
+        (("--game", GAME, "--comm", G1, "--predicate", "p[2]=1 & p[3]=1 & p[4]=1"),
+         "(0,0,1,1,1)", "(v0 v1)^w"),
+        (("--game", ring_game, "--comm", ring_comm),
+         "(1,1)", "(" + " ".join(RING) + ")^w"),
+    ]
+    for argv, payoff, cycle in cases:
+        code, out, _ = run(capsys, "solve", *argv)
+        assert code == 0
+        assert "status: found" in out
+        assert f"payoff: {payoff}" in out
+        assert cycle in out
+        assert "re-verification: pass" in out
 
 
 def test_solve_not_found(capsys):

@@ -2,6 +2,7 @@
 search, strategy serialization, and the product model check."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,20 @@ from equisynth.errors import InvalidInput, LarCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
     EveStrategy,
+    _layer_color_classes,
     candidate_payoffs,
     model_check_strategy,
     punishment_region,
+    recurring_witness,
     solve,
     strongly_connected_components,
+)
+
+from conftest import random_game
+from oracles import (
+    brute_force_color_classes,
+    brute_force_recurring_color_sets,
+    strongly_connected_with_edge,
 )
 
 ALL_A = ("a",) * 5
@@ -43,6 +53,39 @@ def test_strongly_connected_components():
     assert sorted(map(tuple, comps)) == [(0, 1, 2), (3, 4)]
     comps = strongly_connected_components(3, [[1], [2], []])
     assert sorted(map(tuple, comps)) == [(0,), (1,), (2,)]
+
+
+def test_recurring_sets_and_color_classes_match_enumeration():
+    rng = random.Random(20261018)
+    witnessed = 0
+    for _ in range(250):
+        n = rng.randint(1, 10)
+        succ = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+        palette = list(range(rng.randint(1, 4)))
+        color = [rng.choice(palette) for _ in range(n)]
+        oracle = brute_force_recurring_color_sets(range(n), succ, color)
+        for mask in range(1, 1 << len(palette)):
+            cc = frozenset(c for c in palette if mask >> c & 1)
+            witness = recurring_witness(range(n), succ, color, cc)
+            assert (witness is not None) == (cc in oracle), (succ, color, cc)
+            if witness is not None:
+                witnessed += 1
+                assert strongly_connected_with_edge(set(witness), succ)
+                assert {color[v] for v in witness} == cc
+    assert witnessed > 200
+
+    layers = 0
+    while layers < 300:
+        game = random_game(rng)
+        dev = tuple(sorted(rng.sample(game.players, rng.randint(1, len(game.players))),
+                           key=game.player_index.__getitem__))
+        vertices = [v for v in game.vertices if rng.random() < 0.7]
+        if not vertices:
+            continue
+        for p in candidate_payoffs(game):
+            assert _layer_color_classes(game, p, dev, vertices) == \
+                brute_force_color_classes(game, p, dev, vertices)
+            layers += 1
 
 
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
