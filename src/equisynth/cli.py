@@ -27,9 +27,7 @@ from .epistemic import (
 )
 from .errors import (
     CapExceeded,
-    IncompatibleSuccessor,
     InvalidInput,
-    KnowledgeMismatch,
     NormednessViolation,
     ProfileInputRejected,
     StrategyUndefined,
@@ -163,7 +161,6 @@ _CHECK_ERRORS = (
     StrategyUndefined,
     ProfileInputRejected,
     NormednessViolation,
-    IncompatibleSuccessor,
 )
 
 
@@ -335,7 +332,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (KnowledgeMismatch, *_CHECK_ERRORS) as exc:
+    except _CHECK_ERRORS as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

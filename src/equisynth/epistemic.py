@@ -9,9 +9,10 @@ which continuations of which suspects are consistent with the observed play.
 Knowledge sets (who player a thinks could have deviated) are never stored:
 they are derived on demand from the (d, I_d) entries, which is sound because
 informed players know the deviator exactly and uninformed players suspect
-precisely the deviators that would not have informed them yet.  A debug
-oracle recomputes knowledge with the literal step-by-step update rules and
-the construction aborts on any divergence.
+precisely the deviators that would not have informed them yet.  The test
+suite recomputes knowledge with the literal step-by-step update rules on the
+bundled example and on every random test instance, and checks the derived
+sets against it.
 
 Eve states are (vertex, situations); Adam states pair an Eve state with a
 suggested joint move (no suspects) or with a per-suspect move function
@@ -22,16 +23,11 @@ same labelled successor set are merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
-from .errors import (
-    IncompatibleSuccessor,
-    InvalidInput,
-    KnowledgeMismatch,
-    StateCapExceeded,
-)
+from .errors import InvalidInput, StateCapExceeded
 from .game import CommGraph, ConcurrentGame, Move, substitute
 
 # A per-suspect move suggestion, canonically sorted by player order.
@@ -100,11 +96,12 @@ def derive_knowledge(state: EveState, deviator: str, player: str) -> frozenset[s
     )
 
 
-def knowledge_violations(state: EveState, knowledge=None) -> list[str]:
+def knowledge_violations(state: EveState, players, knowledge=None) -> list[str]:
     """Check a single Eve state against the knowledge characterization.
 
-    `knowledge` maps deviator -> player -> frozenset; when omitted the derived
-    sets are used (then only structural properties can fail).
+    `players` are the game's players.  `knowledge` maps deviator -> player ->
+    frozenset; when omitted the derived sets are used (then only structural
+    properties can fail).
     """
     out: list[str] = []
     if not state.deviated:
@@ -117,10 +114,8 @@ def knowledge_violations(state: EveState, knowledge=None) -> list[str]:
         if d not in inf:
             out.append(f"{state_key(state)}: deviator {d} missing from own informed set")
     k = knowledge or {
-        d: {a: derive_knowledge(state, d, a) for a in _players_of(state)}
-        for d in devs
+        d: {a: derive_knowledge(state, d, a) for a in players} for d in devs
     }
-    players = sorted({a for per in k.values() for a in per})
     for d in devs:
         for a in players:
             got = k[d][a]
@@ -145,18 +140,8 @@ def knowledge_violations(state: EveState, knowledge=None) -> list[str]:
     return out
 
 
-def _players_of(state: EveState) -> tuple[str, ...]:
-    # Best effort when no game context is around: players mentioned in the state.
-    seen: list[str] = []
-    for s in state.situations:
-        for a in (s.deviator, *s.informed):
-            if a not in seen:
-                seen.append(a)
-    return tuple(seen)
-
-
 # ---------------------------------------------------------------------------
-# State updates.
+# Successors.
 
 
 def _sorted_players(game: ConcurrentGame, players) -> tuple[str, ...]:
@@ -171,133 +156,46 @@ def _make_state(game: ConcurrentGame, vertex: str, informed: dict[str, set[str]]
     return EveState(vertex, situations)
 
 
-def update_from_empty(
-    game: ConcurrentGame, graph: CommGraph, vertex: str, move: Move, target: str
-) -> EveState:
-    """Successor Eve state after suggesting `move` at (vertex, no suspects)
-    and observing `target`.  Complying (or invisibly deviating) plays keep the
-    suspect set empty; a visible deviation starts one situation per player
-    that could have caused it, informing exactly its direct observers."""
-    comply = game.tab[vertex][move]
-    if target == comply:
-        return EveState(target, ())
-    devs = _possible_deviators(game, vertex, move, target)
-    if not devs:
-        raise IncompatibleSuccessor(
-            f"{target!r} unreachable by single deviations from {move} at {vertex!r}"
-        )
-    informed = {d: set(graph.informed_by[d]) for d in devs}
-    return _make_state(game, target, informed)
-
-
-def _possible_deviators(game, vertex, move, target) -> list[str]:
-    out = []
+def deviation_reach(game: ConcurrentGame, vertex: str, move: Move, d: str) -> frozenset[str]:
+    """The vertices hypothesis `d` can reach from `vertex` by changing its own
+    action in `move`, the suggested action included."""
+    i = game.player_index[d]
     row = game.tab[vertex]
-    for i, d in enumerate(game.players):
-        for alt in game.allow[vertex][d]:
-            if row[substitute(move, i, alt)] == target:
-                out.append(d)
-                break
-    return out
+    return frozenset(row[substitute(move, i, alt)] for alt in game.allow[vertex][d])
 
 
-def update_from_nonempty(
+def successors(
     game: ConcurrentGame,
     graph: CommGraph,
     state: EveState,
-    action: DevFunction,
-    target: str,
-) -> EveState:
-    """Successor Eve state after suggesting per-suspect moves at a deviated
-    state and observing `target`: suspects that could not have continued to
-    `target` are dropped, and every informed set grows by one communication
-    step."""
-    f = dict(action)
-    survivors = []
-    for d in state.deviators():
-        idx = game.player_index[d]
-        row = game.tab[state.vertex]
-        if any(
-            row[substitute(f[d], idx, alt)] == target
-            for alt in game.allow[state.vertex][d]
-        ):
-            survivors.append(d)
-    if not survivors:
-        raise IncompatibleSuccessor(
-            f"{target!r} unreachable by any tracked deviator at {state_key(state)}"
-        )
-    informed = {}
-    for d in survivors:
-        cur = state.informed(d)
-        grown = set(cur)
-        for b in cur:
-            grown.update(graph.informed_by[b])
-        informed[d] = grown
-    return _make_state(game, target, informed)
-
-
-# ---------------------------------------------------------------------------
-# Literal knowledge oracle (debug cross-check of the derived sets).
-
-
-def literal_knowledge_from_empty(
-    game: ConcurrentGame, graph: CommGraph, vertex: str, move: Move, new_state: EveState
-) -> dict[str, dict[str, frozenset[str]]]:
-    devs = frozenset(new_state.deviators())
-    informed = new_state.informed_map()
-    out: dict[str, dict[str, frozenset[str]]] = {}
-    for d in devs:
-        per: dict[str, frozenset[str]] = {}
-        for a in game.players:
-            if a in informed[d]:
-                per[a] = frozenset((d,))
-            else:
-                per[a] = devs - frozenset(graph.vois[a])
-        out[d] = per
-    return out
-
-
-def literal_knowledge_from_nonempty(
-    game: ConcurrentGame,
-    graph: CommGraph,
-    state: EveState,
-    prev_k: dict[str, dict[str, frozenset[str]]],
     reach: dict[str, frozenset[str]],
-    new_state: EveState,
-) -> dict[str, dict[str, frozenset[str]]]:
-    """Literal one-step knowledge update.
+    comply: Optional[str] = None,
+) -> list[tuple[str, EveState]]:
+    """Labelled successors of `state`, in vertex order, when each hypothesis
+    d continues to the vertices `reach[d]`.
 
-    For an uninformed player a, the new suspicion set keeps the previously
-    suspected players whose continuation matches the observed vertex, minus
-    every suspect whose signal would have reached a by now (one step beyond
-    the spread recorded in its informed set).  The spread bound is only
-    defined for tracked suspects, which is also all the minuend can contain.
+    A target keeps the hypotheses that reach it, and every informed set grows
+    by one communication step.  At a non-deviated state every player is a
+    fresh hypothesis whose informed set starts at (d,), so one step informs
+    exactly its direct observers; there `comply`, the vertex the suggested
+    move leads to, is followed by the non-deviated state, since no deviation
+    that ends there is visible.
     """
-    target = new_state.vertex
-    old_informed = state.informed_map()
-    new_informed = new_state.informed_map()
-    dist = graph.dist
-    spread_plus_one: dict[str, float] = {}
-    for c in state.deviators():
-        spread = max(dist[(c, x)] for x in old_informed[c])
-        spread_plus_one[c] = spread + 1
-    out: dict[str, dict[str, frozenset[str]]] = {}
-    for d in new_state.deviators():
-        per: dict[str, frozenset[str]] = {}
-        for a in game.players:
-            if a in new_informed[d]:
-                per[a] = frozenset((d,))
-            else:
-                kept = frozenset(
-                    b for b in prev_k[d][a] if target in reach[b]
-                )
-                ruled_out = frozenset(
-                    c
-                    for c in state.deviators()
-                    if dist[(c, a)] <= spread_plus_one[c]
-                )
-                per[a] = kept - ruled_out
-        out[d] = per
+    hyps = state.situations or tuple(Situation(d, (d,)) for d in game.players)
+    grown: dict[str, set[str]] = {}
+    for s in hyps:
+        g = set(s.informed)
+        for b in s.informed:
+            g.update(graph.informed_by[b])
+        grown[s.deviator] = g
+    targets = sorted({t for r in reach.values() for t in r}, key=game.vertex_index.__getitem__)
+    out = []
+    for t in targets:
+        if t == comply:
+            out.append((t, EveState(t, ())))
+        else:
+            informed = {d: g for d, g in grown.items() if t in reach[d]}
+            out.append((t, _make_state(game, t, informed)))
     return out
 
 
@@ -305,7 +203,7 @@ def literal_knowledge_from_nonempty(
 # Enabled Eve actions.
 
 
-def _slots(game: ConcurrentGame, vertex: str, state: EveState):
+def _slots(game: ConcurrentGame, state: EveState):
     """Decompose move-function components into one shared slot per player that
     is uninformed under some hypothesis, plus per-(player, suspect) free slots."""
     informed = state.informed_map()
@@ -313,52 +211,6 @@ def _slots(game: ConcurrentGame, vertex: str, state: EveState):
     shared = [a for a in game.players if any(a not in informed[d] for d in devs)]
     private = {d: [a for a in game.players if a in informed[d]] for d in devs}
     return shared, private
-
-
-def enabled_eve_actions(
-    game: ConcurrentGame, graph: CommGraph, state: EveState
-) -> Iterator[EveAction]:
-    """All actions Eve may take: joint moves when no suspect is tracked,
-    otherwise every per-suspect move function whose components agree for any
-    player uninformed under both of two hypotheses."""
-    v = state.vertex
-    if not state.deviated:
-        yield from game.moves(v)
-        return
-    informed = state.informed_map()
-    devs = state.deviators()
-    shared, private = _slots(game, v, state)
-    for st in product(*(game.allow[v][a] for a in shared)):
-        st_map = dict(zip(shared, st))
-        per_dev_moves = []
-        for d in devs:
-            opts = []
-            for pr in product(*(game.allow[v][a] for a in private[d])):
-                pr_map = dict(zip(private[d], pr))
-                move = tuple(
-                    pr_map[a] if a in informed[d] else st_map[a]
-                    for a in game.players
-                )
-                opts.append(move)
-            per_dev_moves.append(opts)
-        for combo in product(*per_dev_moves):
-            yield tuple(zip(devs, combo))
-
-
-def count_enabled_eve_actions(
-    game: ConcurrentGame, graph: CommGraph, state: EveState
-) -> int:
-    v = state.vertex
-    if not state.deviated:
-        return game.move_count(v)
-    shared, private = _slots(game, v, state)
-    n = 1
-    for a in shared:
-        n *= len(game.allow[v][a])
-    for d in state.deviators():
-        for a in private[d]:
-            n *= len(game.allow[v][a])
-    return n
 
 
 def _check_enabled(game, state: EveState, action: EveAction) -> None:
@@ -391,6 +243,40 @@ def _check_enabled(game, state: EveState, action: EveAction) -> None:
                         )
 
 
+def _distinct_actions(game: ConcurrentGame, state: EveState, reach_of):
+    """Eve's enabled actions at `state` up to equal reach sets, each as
+    (action, reach map, complying vertex or None).
+
+    With suspects present the move functions are enumerated through their
+    per-suspect reach sets (shared components once, private components per
+    suspect), never one function at a time."""
+    v = state.vertex
+    if not state.deviated:
+        for move in game.moves(v):
+            reach = {d: reach_of(v, move, d) for d in game.players}
+            yield move, reach, game.tab[v][move]
+        return
+    devs = state.deviators()
+    informed = state.informed_map()
+    shared, private = _slots(game, state)
+    for st in product(*(game.allow[v][a] for a in shared)):
+        st_map = dict(zip(shared, st))
+        per_dev: list[list[tuple[frozenset[str], Move]]] = []
+        for d in devs:
+            opts: dict[frozenset[str], Move] = {}
+            for pr in product(*(game.allow[v][a] for a in private[d])):
+                pr_map = dict(zip(private[d], pr))
+                move = tuple(
+                    pr_map[a] if a in informed[d] else st_map[a]
+                    for a in game.players
+                )
+                opts.setdefault(reach_of(v, move, d), move)
+            per_dev.append(list(opts.items()))
+        for combo in product(*per_dev):
+            action: DevFunction = tuple((d, m) for d, (_r, m) in zip(devs, combo))
+            yield action, {d: r for d, (r, _m) in zip(devs, combo)}, None
+
+
 # ---------------------------------------------------------------------------
 # Reachable epistemic game.
 
@@ -412,9 +298,6 @@ class EpistemicGame:
     eve_succ: list[tuple[int, ...]]
     adam_nodes: list[AdamNode]
     init: int
-    step_cap: int
-    dev_steps: list[frozenset[int]]
-    literal_k: list[Optional[dict]]
     _sig_index: list[dict]
     _action_index: list[dict]
 
@@ -461,79 +344,35 @@ class EpistemicGame:
 
 
 def _signature(game, graph, eve_index, state: EveState, action: EveAction):
-    """Successor signature of an action, used to merge Adam nodes.
+    """Successor signature of an enabled action, used to merge Adam nodes.
 
     Uses existing Eve ids; unknown successors mean the action cannot belong
     to the built game (callers treat that as an error)."""
-    if not state.deviated:
-        succ = _empty_action_successors(game, graph, state.vertex, action)
+    v = state.vertex
+    if state.deviated:
+        reach = {d: deviation_reach(game, v, m, d) for d, m in action}
+        comply = None
     else:
-        reach = {}
-        f = dict(action)
-        for d in state.deviators():
-            idx = game.player_index[d]
-            reach[d] = frozenset(
-                game.tab[state.vertex][substitute(f[d], idx, alt)]
-                for alt in game.allow[state.vertex][d]
-            )
-        succ = _nonempty_action_successors(game, graph, state, reach)
+        reach = {d: deviation_reach(game, v, action, d) for d in game.players}
+        comply = game.tab[v][action]
     out = []
-    for v2, st2 in succ:
+    for t, st2 in successors(game, graph, state, reach, comply):
         i = eve_index.get(st2)
         if i is None:
             raise InvalidInput("successor state not present in the built game")
-        out.append((v2, i))
+        out.append((t, i))
     return tuple(out)
-
-
-def _empty_action_successors(game, graph, vertex, move) -> list[tuple[str, EveState]]:
-    comply = game.tab[vertex][move]
-    targets: dict[str, list[str]] = {}
-    for i, d in enumerate(game.players):
-        for alt in game.allow[vertex][d]:
-            t = game.tab[vertex][substitute(move, i, alt)]
-            if t != comply:
-                targets.setdefault(t, []).append(d)
-    order = {v: i for i, v in enumerate(game.vertices)}
-    out = [(comply, EveState(comply, ()))]
-    for t in sorted(targets, key=order.__getitem__):
-        devs = sorted(set(targets[t]), key=game.player_index.__getitem__)
-        informed = {d: set(graph.informed_by[d]) for d in devs}
-        out.append((t, _make_state(game, t, informed)))
-    out.sort(key=lambda pair: order[pair[0]])
-    return out
-
-
-def _nonempty_action_successors(game, graph, state, reach) -> list[tuple[str, EveState]]:
-    order = {v: i for i, v in enumerate(game.vertices)}
-    union = sorted({t for r in reach.values() for t in r}, key=order.__getitem__)
-    grown: dict[str, set[str]] = {}
-    for d in state.deviators():
-        cur = state.informed(d)
-        g = set(cur)
-        for b in cur:
-            g.update(graph.informed_by[b])
-        grown[d] = g
-    out = []
-    for t in union:
-        informed = {d: grown[d] for d in state.deviators() if t in reach[d]}
-        out.append((t, _make_state(game, t, informed)))
-    return out
 
 
 def build_reachable(
     game: ConcurrentGame,
     graph: CommGraph,
     state_cap: int = 1_000_000,
-    k_oracle: bool = True,
 ) -> EpistemicGame:
     """Breadth-first construction of the reachable epistemic game.
 
-    Adam nodes are merged by successor signature; with suspects present the
-    enabled move functions are enumerated through their per-suspect reach
-    sets (shared components once, private components per suspect), never one
-    function at a time.  With `k_oracle` the literal knowledge update runs
-    alongside and any divergence from the derived sets aborts the build.
+    Adam nodes are merged by successor signature; each keeps the first
+    action (in enumeration order) that produced it.
     """
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
@@ -541,7 +380,6 @@ def build_reachable(
     eve_index: dict[EveState, int] = {}
     eve_succ: list[tuple[int, ...]] = []
     adam_nodes: list[AdamNode] = []
-    literal_k: list[Optional[dict]] = []
     sig_index: list[dict] = []
 
     def intern(state: EveState) -> int:
@@ -554,133 +392,37 @@ def build_reachable(
             i = len(eve_states)
             eve_states.append(state)
             eve_index[state] = i
-            literal_k.append(None)
             sig_index.append({})
         return i
 
-    def record_literal(eid: int, k: dict) -> None:
-        if not k_oracle:
-            return
-        stored = literal_k[eid]
-        if stored is None:
-            literal_k[eid] = k
-            return
-        if stored != k:
-            raise KnowledgeMismatch(
-                f"literal knowledge oracle diverged at {state_key(eve_states[eid])}"
-            )
+    reach_cache: dict[tuple, frozenset[str]] = {}
+
+    def reach_of(v: str, move: Move, d: str) -> frozenset[str]:
+        i = game.player_index[d]
+        key = (v, d, move[:i], move[i + 1 :])
+        r = reach_cache.get(key)
+        if r is None:
+            r = reach_cache[key] = deviation_reach(game, v, move, d)
+        return r
 
     init = intern(EveState(game.init_vertex, ()))
-    reach_cache: dict[tuple, frozenset[str]] = {}
     cursor = 0
     while cursor < len(eve_states):
         eid = cursor
         cursor += 1
         state = eve_states[eid]
-        v = state.vertex
-        row = game.tab[v]
         sigs = sig_index[eid]
         out_edges: list[int] = []
-        if not state.deviated:
-            for move in game.moves(v):
-                succ_states = _empty_action_successors(game, graph, v, move)
-                ids = []
-                comply_id = None
-                for t, st2 in succ_states:
-                    sid = intern(st2)
-                    ids.append((t, sid))
-                    if not st2.deviated:
-                        comply_id = sid
-                    elif k_oracle:
-                        record_literal(
-                            sid,
-                            literal_knowledge_from_empty(game, graph, v, move, st2),
-                        )
-                sig = tuple(ids)
-                aid = sigs.get(sig)
-                if aid is None:
-                    aid = len(adam_nodes)
-                    adam_nodes.append(AdamNode(eid, move, sig, comply_id))
-                    sigs[sig] = aid
-                    out_edges.append(aid)
-        else:
-            devs = state.deviators()
-            informed = state.informed_map()
-            shared, private = _slots(game, v, state)
-            dev_idx = {d: game.player_index[d] for d in devs}
-            for st in product(*(game.allow[v][a] for a in shared)):
-                st_map = dict(zip(shared, st))
-                per_dev: list[list[tuple[frozenset[str], Move]]] = []
-                for d in devs:
-                    opts: dict[frozenset[str], Move] = {}
-                    for pr in product(*(game.allow[v][a] for a in private[d])):
-                        pr_map = dict(zip(private[d], pr))
-                        move = tuple(
-                            pr_map[a] if a in informed[d] else st_map[a]
-                            for a in game.players
-                        )
-                        key = (v, d, move[:dev_idx[d]], move[dev_idx[d] + 1 :])
-                        r = reach_cache.get(key)
-                        if r is None:
-                            r = frozenset(
-                                row[substitute(move, dev_idx[d], alt)]
-                                for alt in game.allow[v][d]
-                            )
-                            reach_cache[key] = r
-                        if r not in opts:
-                            opts[r] = move
-                    per_dev.append(list(opts.items()))
-                for combo in product(*per_dev):
-                    reach = {d: r for d, (r, _m) in zip(devs, combo)}
-                    succ_states = _nonempty_action_successors(game, graph, state, reach)
-                    ids = tuple((t, intern(st2)) for t, st2 in succ_states)
-                    aid = sigs.get(ids)
-                    if aid is None:
-                        action: DevFunction = tuple(
-                            (d, m) for d, (_r, m) in zip(devs, combo)
-                        )
-                        aid = len(adam_nodes)
-                        adam_nodes.append(AdamNode(eid, action, ids, None))
-                        sigs[ids] = aid
-                        out_edges.append(aid)
-                        if k_oracle:
-                            prev = literal_k[eid]
-                            for t, sid in ids:
-                                record_literal(
-                                    sid,
-                                    literal_knowledge_from_nonempty(
-                                        game, graph, state, prev, reach, eve_states[sid]
-                                    ),
-                                )
+        for action, reach, comply in _distinct_actions(game, state, reach_of):
+            ids = tuple(
+                (t, intern(st2)) for t, st2 in successors(game, graph, state, reach, comply)
+            )
+            if ids not in sigs:
+                aid = sigs[ids] = len(adam_nodes)
+                comply_id = None if comply is None else eve_index[EveState(comply, ())]
+                adam_nodes.append(AdamNode(eid, action, ids, comply_id))
+                out_edges.append(aid)
         eve_succ.append(tuple(out_edges))
-
-    # Deviation step counters, saturating one past any informative value.
-    cap = graph.diameter + 2
-    dev_steps: list[set[int]] = [set() for _ in eve_states]
-    queue: list[tuple[int, int]] = []
-    for aid, node in enumerate(adam_nodes):
-        if not eve_states[node.origin].deviated:
-            for _t, sid in node.succ:
-                if eve_states[sid].deviated and 1 not in dev_steps[sid]:
-                    dev_steps[sid].add(1)
-                    queue.append((sid, 1))
-    qi = 0
-    while qi < len(queue):
-        eid, step = queue[qi]
-        qi += 1
-        nxt = min(step + 1, cap)
-        for aid in eve_succ[eid]:
-            for _t, sid in adam_nodes[aid].succ:
-                if nxt not in dev_steps[sid]:
-                    dev_steps[sid].add(nxt)
-                    queue.append((sid, nxt))
-
-    if k_oracle:
-        for eid, state in enumerate(eve_states):
-            if state.deviated and literal_k[eid] is None:
-                raise KnowledgeMismatch(
-                    f"no literal knowledge recorded for {state_key(state)}"
-                )
 
     return EpistemicGame(
         game=game,
@@ -690,9 +432,6 @@ def build_reachable(
         eve_succ=eve_succ,
         adam_nodes=adam_nodes,
         init=init,
-        step_cap=cap,
-        dev_steps=[frozenset(s) for s in dev_steps],
-        literal_k=literal_k,
         _sig_index=sig_index,
         _action_index=[{} for _ in eve_states],
     )
@@ -703,31 +442,49 @@ def build_reachable(
 
 
 def check_knowledge_invariant(eg: EpistemicGame) -> list[str]:
-    """Knowledge characterization on every reachable deviated Eve state,
-    against the literal oracle when the build recorded one."""
+    """Knowledge characterization on every reachable deviated Eve state."""
     out: list[str] = []
-    for eid, state in enumerate(eg.eve_states):
-        if not state.deviated:
-            continue
-        k = eg.literal_k[eid]
-        if k is not None:
-            k = {d: {a: k[d][a] for a in eg.game.players} for d in state.deviators()}
-        out.extend(knowledge_violations(state, k))
+    for state in eg.eve_states:
+        out.extend(knowledge_violations(state, eg.game.players))
     return out
 
 
 def check_distance_characterization(eg: EpistemicGame) -> list[str]:
     """After r steps, a player is informed of a suspect iff it sits within
-    communication distance r of it (finite reachability once saturated)."""
+    communication distance r of it (finite reachability once saturated).
+
+    The step counts r at which each deviated state occurs come from a
+    breadth-first walk from the first visible deviations, saturating one past
+    any informative value (the diameter plus two)."""
+    cap = eg.graph.diameter + 2
+    dev_steps: list[set[int]] = [set() for _ in eg.eve_states]
+    queue: list[tuple[int, int]] = []
+    for node in eg.adam_nodes:
+        if not eg.eve_states[node.origin].deviated:
+            for _t, sid in node.succ:
+                if eg.eve_states[sid].deviated and 1 not in dev_steps[sid]:
+                    dev_steps[sid].add(1)
+                    queue.append((sid, 1))
+    qi = 0
+    while qi < len(queue):
+        eid, step = queue[qi]
+        qi += 1
+        nxt = min(step + 1, cap)
+        for aid in eg.eve_succ[eid]:
+            for _t, sid in eg.adam_nodes[aid].succ:
+                if nxt not in dev_steps[sid]:
+                    dev_steps[sid].add(nxt)
+                    queue.append((sid, nxt))
+
     out: list[str] = []
     dist = eg.graph.dist
     for eid, state in enumerate(eg.eve_states):
         if not state.deviated:
             continue
         informed = state.informed_map()
-        for r in sorted(eg.dev_steps[eid]):
+        for r in sorted(dev_steps[eid]):
             for d in state.deviators():
-                if r >= eg.step_cap:
+                if r >= cap:
                     expected = frozenset(
                         a for a in eg.game.players if dist[(d, a)] != math.inf
                     )

@@ -5,13 +5,31 @@ exit 3, verification failures exit 4.
 """
 from __future__ import annotations
 
+import functools
+
 
 class InvalidInput(ValueError):
     """Malformed game/comm-graph/predicate/profile input."""
 
 
-class IncompatibleSuccessor(ValueError):
-    """Successor vertex not reachable by any single-player deviation."""
+def rejects_malformed(what: str):
+    """Decorate a reader of decoded JSON so that a document of the wrong
+    shape (a list where an object belongs, a missing key, text where a
+    number belongs, ...) raises InvalidInput instead of a bare Python error."""
+
+    def decorate(read):
+        @functools.wraps(read)
+        def wrapper(*args, **kwargs):
+            try:
+                return read(*args, **kwargs)
+            except InvalidInput:
+                raise
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise InvalidInput(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+        return wrapper
+
+    return decorate
 
 
 class CapExceeded(RuntimeError):
@@ -24,10 +42,6 @@ class StateCapExceeded(CapExceeded):
 
 class LarCapExceeded(CapExceeded):
     pass
-
-
-class KnowledgeMismatch(RuntimeError):
-    """Derived knowledge disagrees with the literal update oracle."""
 
 
 class ProfileInputRejected(ValueError):

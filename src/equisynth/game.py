@@ -138,18 +138,6 @@ class PayoffSpec:
         return seen
 
 
-def payoff_of_lasso(spec: PayoffSpec, prefix, cycle) -> tuple[Fraction, ...]:
-    """Payoff of the ultimately-periodic play prefix . cycle^omega.
-
-    Only the cycle determines the Inf set; the prefix is accepted for
-    interface symmetry and ignored.  The cycle must be nonempty.
-    """
-    cycle = tuple(cycle)
-    if not cycle:
-        raise InvalidInput("lasso cycle must be nonempty")
-    return spec.value(frozenset(cycle))
-
-
 # ---------------------------------------------------------------------------
 # Communication graphs.
 
@@ -249,6 +237,10 @@ class ConcurrentGame:
         return {a: i for i, a in enumerate(self.players)}
 
     @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def action_index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.actions)}
 
@@ -316,7 +308,7 @@ class ConcurrentGame:
 
 
 # ---------------------------------------------------------------------------
-# Histories and their player projections.
+# Histories.
 
 # A message is either None (silence) or the id of the blamed player.
 Message = Optional[str]
@@ -335,40 +327,3 @@ class FullHistory:
             raise InvalidInput("history needs exactly one more vertex than steps")
         if len(self.moves) != len(self.messages):
             raise InvalidInput("one message vector per move required")
-
-    def validate(self, game: ConcurrentGame) -> None:
-        for i, (v, m) in enumerate(zip(self.vertices, self.moves)):
-            for a, act in zip(game.players, m):
-                if act not in game.allow[v][a]:
-                    raise InvalidInput(f"step {i}: action {act!r} not allowed for {a!r}")
-            if game.tab[v][m] != self.vertices[i + 1]:
-                raise InvalidInput(f"step {i}: successor inconsistent with tab")
-
-    def extend(self, move: Move, messages: tuple[Message, ...], vertex: str) -> "FullHistory":
-        return FullHistory(
-            self.vertices + (vertex,),
-            self.moves + (move,),
-            self.messages + (messages,),
-        )
-
-
-@dataclass(frozen=True)
-class LocalHistory:
-    """What one player has observed: vertices plus per-step observations,
-    each restricted to the player's in-neighbourhood (canonical order)."""
-
-    player: str
-    vois: tuple[str, ...]
-    vertices: tuple[str, ...]
-    observations: tuple[tuple[tuple[str, str, Message], ...], ...]
-
-
-def project_history(h: FullHistory, player: str, game: ConcurrentGame, graph: CommGraph) -> LocalHistory:
-    """Project a full history to what `player` observes under `graph`."""
-    vois = graph.vois[player]
-    idx = [game.player_index[b] for b in vois]
-    obs = tuple(
-        tuple((b, move[i], msgs[i]) for b, i in zip(vois, idx))
-        for move, msgs in zip(h.moves, h.messages)
-    )
-    return LocalHistory(player, vois, h.vertices, obs)

@@ -11,7 +11,7 @@ rejected one therefore turns any Muller condition into a max-parity one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 Record = tuple[int, ...]  # permutation of color indices, most recent first
 
@@ -38,36 +38,3 @@ def lar_priority(state: LarState, accept: Callable[[frozenset[int]], bool]) -> i
         return 0
     prefix = frozenset(state.record[: state.hit])
     return 2 * state.hit if accept(prefix) else 2 * state.hit + 1
-
-
-def muller_accepts_lasso(prefix: Sequence[int], cycle: Sequence[int],
-                         accept: Callable[[frozenset[int]], bool]) -> bool:
-    """Direct evaluation: the recurring colors are exactly the cycle's."""
-    if not cycle:
-        raise ValueError("lasso cycle must be nonempty")
-    return accept(frozenset(cycle))
-
-
-def parity_accepts_lasso(prefix: Sequence[int], cycle: Sequence[int],
-                         color_count: int,
-                         accept: Callable[[frozenset[int]], bool]) -> bool:
-    """Evaluate the same lasso through the record construction: run the
-    record over the prefix, pump the cycle until the (cycle position, record)
-    pair repeats, and check the parity of the highest priority on the loop."""
-    if not cycle:
-        raise ValueError("lasso cycle must be nonempty")
-    state = LarState(initial_record(color_count), 0)
-    for c in prefix:
-        state = lar_step(state, c)
-    seen: dict[tuple[int, LarState], int] = {}
-    trace: list[LarState] = []
-    pos = 0
-    while (pos, state) not in seen:
-        seen[(pos, state)] = len(trace)
-        state = lar_step(state, cycle[pos])
-        pos = (pos + 1) % len(cycle)
-        trace.append(state)
-    start = seen[(pos, state)]
-    loop = trace[start:]
-    top = max(lar_priority(s, accept) for s in loop)
-    return top % 2 == 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidInput
+from .errors import InvalidInput, rejects_malformed
 from .game import (
     And,
     CommGraph,
@@ -297,6 +297,7 @@ def _pattern_matcher(pattern, players, actions, allow_at, vertex):
     return sets
 
 
+@rejects_malformed("game file")
 def game_from_dict(data: dict) -> ConcurrentGame:
     for key in ("players", "actions", "vertices", "init", "transitions", "payoff"):
         if key not in data:
@@ -445,6 +446,7 @@ def serialize_game(game: ConcurrentGame) -> str:
 # Comm graph files.
 
 
+@rejects_malformed("comm graph file")
 def comm_graph_from_dict(data: dict, players: tuple[str, ...]) -> CommGraph:
     if "edges" not in data:
         raise InvalidInput("comm graph file missing 'edges'")

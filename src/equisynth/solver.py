@@ -37,7 +37,13 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .epistemic import EpistemicGame, EveAction, state_key
-from .errors import InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
+from .errors import (
+    InvalidInput,
+    LarCapExceeded,
+    StateCapExceeded,
+    StrategyUndefined,
+    rejects_malformed,
+)
 from .game import ConcurrentGame
 from .lar import LarState, initial_record, lar_priority, lar_step
 from .parity import ParityGame, solve_parity
@@ -435,6 +441,7 @@ class EveStrategy:
         }
 
     @staticmethod
+    @rejects_malformed("profile")
     def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
         if data.get("format") != "equisynth-profile-v1":
             raise InvalidInput("unknown profile format")
@@ -461,6 +468,8 @@ class EveStrategy:
             return tuple(out)
 
         payoff = tuple(Fraction(x) for x in data["payoff"])
+        if len(payoff) != len(eg.game.players):
+            raise InvalidInput("profile payoff does not give one value per player")
         prefix = comply_of(data["comply"]["prefix"])
         cycle = comply_of(data["comply"]["cycle"])
         if not cycle:

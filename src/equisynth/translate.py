@@ -161,38 +161,6 @@ def _advance_all(game, graph, profile, mstates, msgs, next_vertex):
     )
 
 
-def main_outcome(
-    game: ConcurrentGame, graph: CommGraph, profile, limit: int = 10_000
-):
-    """Run the profile without interference until the machine product cycles.
-
-    Returns (vertices, cycle_start, history): the visited vertices, the index
-    where the cycle begins, and the corresponding full history.
-    """
-    v = game.init_vertex
-    mstates = tuple(profile.initial(a) for a in game.players)
-    seen: dict = {}
-    verts = [v]
-    moves: list[Move] = []
-    messages: list[tuple[Message, ...]] = []
-    while (v, mstates) not in seen:
-        if len(verts) > limit:
-            raise InvalidInput(f"no cycle within {limit} steps of the main outcome")
-        seen[(v, mstates)] = len(verts) - 1
-        outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
-        move = tuple(o[0] for o in outs)
-        msgs = tuple(o[1] for o in outs)
-        v2 = game.successor(v, move)
-        mstates = _advance_all(game, graph, profile, mstates, msgs, v2)
-        verts.append(v2)
-        moves.append(move)
-        messages.append(msgs)
-        v = v2
-    start = seen[(v, mstates)]
-    history = FullHistory(tuple(verts), tuple(moves), tuple(messages))
-    return verts, start, history
-
-
 # ---------------------------------------------------------------------------
 # Profile -> protagonist strategy.
 

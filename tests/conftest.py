@@ -118,8 +118,8 @@ def random_game(rng: random.Random) -> ConcurrentGame:
 def random_instances():
     """At least 100 built random instances (game, graph, epistemic game).
 
-    The literal knowledge oracle runs during each build, so constructing
-    these already cross-checks the derived sets on every reachable state.
+    Criterion 4 replays the literal knowledge update over every one of them
+    and checks the derived sets on every reachable state against it.
     """
     rng = random.Random(20260814)
     out = []

@@ -1,20 +1,217 @@
-"""Independent reference implementations the tests check the package against.
+"""Reference implementations the tests check the package against.
 
-Everything here is deliberately written the slow, obvious way and shares no
-code with the package internals beyond public data types.
+Everything here is deliberately written the slow, obvious way.  Beyond
+public data types, only two helpers use package code: `successor_map` takes
+one step through the package's successor function, and
+`literal_knowledge_violations` reads reach sets the package's way and checks
+its literal recomputation with the package's knowledge characterization.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
 
-from equisynth.game import CommGraph, ConcurrentGame
-from equisynth.epistemic import EveState
+from equisynth.epistemic import (
+    EveState,
+    deviation_reach,
+    knowledge_violations,
+    state_key,
+    successors,
+)
+from equisynth.errors import InvalidInput
+from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move
+from equisynth.lar import LarState, initial_record, lar_priority, lar_step
 from equisynth.parity import ParityGame
 
 
 # ---------------------------------------------------------------------------
-# Enabled move functions, enumerated over the full function space.
+# One epistemic step, outside any built game.
+
+
+def successor_map(game: ConcurrentGame, graph: CommGraph, state: EveState, action):
+    """Target vertex -> successor Eve state after Eve suggests `action` (a
+    joint move, or a per-suspect move function) at `state`.  A vertex no
+    single deviation can reach is absent."""
+    v = state.vertex
+    if state.deviated:
+        reach = {d: deviation_reach(game, v, m, d) for d, m in action}
+        comply = None
+    else:
+        reach = {d: deviation_reach(game, v, action, d) for d in game.players}
+        comply = game.tab[v][action]
+    return dict(successors(game, graph, state, reach, comply))
+
+
+# ---------------------------------------------------------------------------
+# Literal knowledge update rules, replayed over a built game.
+
+
+def literal_knowledge_from_empty(
+    game: ConcurrentGame, graph: CommGraph, new_state: EveState
+) -> dict[str, dict[str, frozenset[str]]]:
+    """Knowledge after the first visible deviation: an uninformed player
+    suspects every possible deviator it does not observe directly."""
+    devs = frozenset(new_state.deviators())
+    informed = new_state.informed_map()
+    out: dict[str, dict[str, frozenset[str]]] = {}
+    for d in devs:
+        per: dict[str, frozenset[str]] = {}
+        for a in game.players:
+            if a in informed[d]:
+                per[a] = frozenset((d,))
+            else:
+                per[a] = devs - frozenset(graph.vois[a])
+        out[d] = per
+    return out
+
+
+def literal_knowledge_from_nonempty(
+    game: ConcurrentGame,
+    graph: CommGraph,
+    state: EveState,
+    prev_k: dict[str, dict[str, frozenset[str]]],
+    reach: dict[str, frozenset[str]],
+    new_state: EveState,
+) -> dict[str, dict[str, frozenset[str]]]:
+    """Literal one-step knowledge update.
+
+    For an uninformed player a, the new suspicion set keeps the previously
+    suspected players whose continuation matches the observed vertex, minus
+    every suspect whose signal would have reached a by now (one step beyond
+    the spread recorded in its informed set).  The spread bound is only
+    defined for tracked suspects, which is also all the minuend can contain.
+    """
+    target = new_state.vertex
+    old_informed = state.informed_map()
+    new_informed = new_state.informed_map()
+    dist = graph.dist
+    spread_plus_one: dict[str, float] = {}
+    for c in state.deviators():
+        spread = max(dist[(c, x)] for x in old_informed[c])
+        spread_plus_one[c] = spread + 1
+    out: dict[str, dict[str, frozenset[str]]] = {}
+    for d in new_state.deviators():
+        per: dict[str, frozenset[str]] = {}
+        for a in game.players:
+            if a in new_informed[d]:
+                per[a] = frozenset((d,))
+            else:
+                kept = frozenset(
+                    b for b in prev_k[d][a] if target in reach[b]
+                )
+                ruled_out = frozenset(
+                    c
+                    for c in state.deviators()
+                    if dist[(c, a)] <= spread_plus_one[c]
+                )
+                per[a] = kept - ruled_out
+        out[d] = per
+    return out
+
+
+def literal_knowledge_violations(eg) -> list[str]:
+    """Recompute the knowledge sets of every deviated state of a built game
+    with the literal update rules and check them against the knowledge
+    characterization.
+
+    Eve states are visited in id order, so each state's knowledge is known
+    before its own successors are updated (every deviated state is first
+    reached from a smaller id).  An Adam node stands for all actions merged
+    into it; they share its successors, and at a non-deviated state the
+    literal rule does not depend on the move, so its stored action gives the
+    same update as any of them.  Disagreeing recomputations of one state,
+    and a deviated state never reached, are reported too."""
+    game, graph = eg.game, eg.graph
+    known: list = [None] * eg.eve_count()
+    out: list[str] = []
+
+    def record(sid: int, k: dict) -> None:
+        if known[sid] is None:
+            known[sid] = k
+        elif known[sid] != k:
+            out.append(f"literal knowledge oracle diverged at {state_key(eg.eve_states[sid])}")
+
+    for eid, state in enumerate(eg.eve_states):
+        v = state.vertex
+        for aid in eg.eve_succ[eid]:
+            node = eg.adam_nodes[aid]
+            if state.deviated:
+                reach = {d: deviation_reach(game, v, m, d) for d, m in node.action}
+            for _t, sid in node.succ:
+                new_state = eg.eve_states[sid]
+                if not state.deviated:
+                    if new_state.deviated:
+                        record(sid, literal_knowledge_from_empty(game, graph, new_state))
+                else:
+                    record(sid, literal_knowledge_from_nonempty(
+                        game, graph, state, known[eid], reach, new_state))
+    for eid, state in enumerate(eg.eve_states):
+        if not state.deviated:
+            continue
+        if known[eid] is None:
+            out.append(f"no literal knowledge recorded for {state_key(state)}")
+        else:
+            out.extend(knowledge_violations(state, game.players, known[eid]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Enabled move functions: the slot decomposition, and the full function
+# space filtered pairwise.
+
+
+def _slots(game: ConcurrentGame, state: EveState):
+    informed = state.informed_map()
+    devs = state.deviators()
+    shared = [a for a in game.players if any(a not in informed[d] for d in devs)]
+    private = {d: [a for a in game.players if a in informed[d]] for d in devs}
+    return shared, private
+
+
+def enabled_eve_actions(game: ConcurrentGame, state: EveState):
+    """All actions Eve may take: joint moves when no suspect is tracked,
+    otherwise every per-suspect move function whose components agree for any
+    player uninformed under both of two hypotheses.  Each player uninformed
+    under some hypothesis gets one shared component; a player informed of
+    suspect d gets a free component in d's move."""
+    v = state.vertex
+    if not state.deviated:
+        yield from game.moves(v)
+        return
+    informed = state.informed_map()
+    devs = state.deviators()
+    shared, private = _slots(game, state)
+    for st in product(*(game.allow[v][a] for a in shared)):
+        st_map = dict(zip(shared, st))
+        per_dev_moves = []
+        for d in devs:
+            opts = []
+            for pr in product(*(game.allow[v][a] for a in private[d])):
+                pr_map = dict(zip(private[d], pr))
+                move = tuple(
+                    pr_map[a] if a in informed[d] else st_map[a]
+                    for a in game.players
+                )
+                opts.append(move)
+            per_dev_moves.append(opts)
+        for combo in product(*per_dev_moves):
+            yield tuple(zip(devs, combo))
+
+
+def count_enabled_eve_actions(game: ConcurrentGame, state: EveState) -> int:
+    v = state.vertex
+    if not state.deviated:
+        return game.move_count(v)
+    shared, private = _slots(game, state)
+    n = 1
+    for a in shared:
+        n *= len(game.allow[v][a])
+    for d in state.deviators():
+        for a in private[d]:
+            n *= len(game.allow[v][a])
+    return n
+
 
 
 def brute_force_devfunctions(game: ConcurrentGame, state: EveState):
@@ -132,7 +329,49 @@ def check_positional_strategy(pg: ParityGame, win0: set[int], s0: dict[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Random communication lassos for the record-reduction suite.
+# Lassos: payoffs, and recurrence read directly or through the record.
+
+
+def payoff_of_lasso(spec, prefix, cycle):
+    """Payoff of the ultimately-periodic play prefix . cycle^omega.
+
+    Only the cycle determines the Inf set; the prefix is accepted for
+    interface symmetry and ignored.  The cycle must be nonempty.
+    """
+    cycle = tuple(cycle)
+    if not cycle:
+        raise InvalidInput("lasso cycle must be nonempty")
+    return spec.value(frozenset(cycle))
+
+
+def muller_accepts_lasso(prefix, cycle, accept) -> bool:
+    """Direct evaluation: the recurring colors are exactly the cycle's."""
+    if not cycle:
+        raise ValueError("lasso cycle must be nonempty")
+    return accept(frozenset(cycle))
+
+
+def parity_accepts_lasso(prefix, cycle, color_count: int, accept) -> bool:
+    """Evaluate the same lasso through the record construction: run the
+    record over the prefix, pump the cycle until the (cycle position, record)
+    pair repeats, and check the parity of the highest priority on the loop."""
+    if not cycle:
+        raise ValueError("lasso cycle must be nonempty")
+    state = LarState(initial_record(color_count), 0)
+    for c in prefix:
+        state = lar_step(state, c)
+    seen: dict[tuple[int, LarState], int] = {}
+    trace: list[LarState] = []
+    pos = 0
+    while (pos, state) not in seen:
+        seen[(pos, state)] = len(trace)
+        state = lar_step(state, cycle[pos])
+        pos = (pos + 1) % len(cycle)
+        trace.append(state)
+    start = seen[(pos, state)]
+    loop = trace[start:]
+    top = max(lar_priority(s, accept) for s in loop)
+    return top % 2 == 0
 
 
 def random_lasso(rng: random.Random, color_count: int):
@@ -236,6 +475,77 @@ def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
             if merged:
                 break
     return tuple(tuple(cls) for cls in partition), table
+
+
+# ---------------------------------------------------------------------------
+# Histories: validation, player projections, and the main outcome of a
+# profile.
+
+
+def validate_history(h: FullHistory, game: ConcurrentGame) -> None:
+    """Every step uses allowed actions and follows the transition table."""
+    for i, (v, m) in enumerate(zip(h.vertices, h.moves)):
+        for a, act in zip(game.players, m):
+            if act not in game.allow[v][a]:
+                raise InvalidInput(f"step {i}: action {act!r} not allowed for {a!r}")
+        if game.tab[v][m] != h.vertices[i + 1]:
+            raise InvalidInput(f"step {i}: successor inconsistent with tab")
+
+
+@dataclass(frozen=True)
+class LocalHistory:
+    """What one player has observed: vertices plus per-step observations,
+    each restricted to the player's in-neighbourhood (canonical order)."""
+
+    player: str
+    vois: tuple[str, ...]
+    vertices: tuple[str, ...]
+    observations: tuple[tuple[tuple[str, str, Message], ...], ...]
+
+
+def project_history(h: FullHistory, player: str, game: ConcurrentGame, graph: CommGraph) -> LocalHistory:
+    """Project a full history to what `player` observes under `graph`."""
+    vois = graph.vois[player]
+    idx = [game.player_index[b] for b in vois]
+    obs = tuple(
+        tuple((b, move[i], msgs[i]) for b, i in zip(vois, idx))
+        for move, msgs in zip(h.moves, h.messages)
+    )
+    return LocalHistory(player, vois, h.vertices, obs)
+
+
+def main_outcome(game: ConcurrentGame, graph: CommGraph, profile, limit: int = 10_000):
+    """Run the profile without interference until the machine product cycles.
+
+    Returns (vertices, cycle_start, history): the visited vertices, the index
+    where the cycle begins, and the corresponding full history.
+    """
+    v = game.init_vertex
+    mstates = tuple(profile.initial(a) for a in game.players)
+    seen: dict = {}
+    verts = [v]
+    moves: list[Move] = []
+    messages: list[tuple[Message, ...]] = []
+    while (v, mstates) not in seen:
+        if len(verts) > limit:
+            raise InvalidInput(f"no cycle within {limit} steps of the main outcome")
+        seen[(v, mstates)] = len(verts) - 1
+        outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
+        move = tuple(o[0] for o in outs)
+        msgs = tuple(o[1] for o in outs)
+        v2 = game.successor(v, move)
+        msg_map = dict(zip(game.players, msgs))
+        mstates = tuple(
+            profile.advance(a, ms, {b: msg_map[b] for b in graph.vois[a]}, v2)
+            for a, ms in zip(game.players, mstates)
+        )
+        verts.append(v2)
+        moves.append(move)
+        messages.append(msgs)
+        v = v2
+    start = seen[(v, mstates)]
+    history = FullHistory(tuple(verts), tuple(moves), tuple(messages))
+    return verts, start, history
 
 
 # ---------------------------------------------------------------------------

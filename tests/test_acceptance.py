@@ -20,13 +20,10 @@ from equisynth.epistemic import (
     check_distance_characterization,
     check_knowledge_invariant,
     derive_knowledge,
-    enabled_eve_actions,
     knowledge_violations,
-    update_from_empty,
 )
 from equisynth.parity import solve_parity
 from equisynth.parsing import parse_query
-from equisynth.lar import muller_accepts_lasso, parity_accepts_lasso
 from equisynth.solver import model_check_strategy, solve
 from equisynth.translate import (
     check_deviation_resistance,
@@ -41,8 +38,13 @@ from oracles import (
     check_positional_strategy,
     complete_graph,
     edgeless_graph,
+    enabled_eve_actions,
+    literal_knowledge_violations,
+    muller_accepts_lasso,
+    parity_accepts_lasso,
     random_lasso,
     random_parity_game,
+    successor_map,
 )
 
 ALL_A = ("a", "a", "a", "a", "a")
@@ -84,7 +86,7 @@ def _announce(num, label, ok, elapsed, limit):
 
 @criterion(1, "golden suspect state after one deviated step", limit=1.0)
 def test_criterion_01_golden_state(game5, g1):
-    state = update_from_empty(game5, g1, "v0", ALL_A, "v1p")
+    state = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     assert state.vertex == "v1p"
     assert state.deviators() == ("2", "3", "4")
     assert state.informed("2") == ("2",)
@@ -127,20 +129,21 @@ def test_criterion_02_solve_verdicts(tmp_path):
 
 @criterion(3, "enabled move functions match brute force", limit=5.0)
 def test_criterion_03_enabled_functions(game5, g1):
-    deviated = update_from_empty(game5, g1, "v0", ALL_A, "v1p")
+    deviated = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     state = EveState("v0", deviated.situations)
-    enabled = set(enabled_eve_actions(game5, g1, state))
+    enabled = set(enabled_eve_actions(game5, state))
     assert enabled == brute_force_devfunctions(game5, state)
     assert len(enabled) == 1024
 
 
 @criterion(4, "knowledge invariant on random games", limit=120.0)
 def test_criterion_04_knowledge_invariant(random_instances):
-    # The instances were built with the literal knowledge oracle enabled, so
-    # any derived/recomputed disagreement would already have aborted the build.
+    # The literal knowledge update is replayed over every built instance and
+    # its sets are checked against the characterization the build relies on.
     assert len(random_instances) >= 100
     for _, _, eg in random_instances:
         assert check_knowledge_invariant(eg) == []
+        assert literal_knowledge_violations(eg) == []
 
 
 @criterion(5, "informed-set distance characterization", limit=120.0)
@@ -216,7 +219,8 @@ def test_criterion_10_extreme_graphs(game5):
     for state in deviated:
         for situation in state.situations:
             assert situation.informed == (situation.deviator,)
-        assert knowledge_violations(state) == []
+        assert knowledge_violations(state, game5.players) == []
+    assert literal_knowledge_violations(edgeless) == []
 
     everyone = tuple(game5.players)
     complete = build_reachable(game5, complete_graph(game5.players))
@@ -225,4 +229,5 @@ def test_criterion_10_extreme_graphs(game5):
     for state in deviated:
         for situation in state.situations:
             assert situation.informed == everyone
-        assert knowledge_violations(state) == []
+        assert knowledge_violations(state, game5.players) == []
+    assert literal_knowledge_violations(complete) == []

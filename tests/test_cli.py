@@ -66,6 +66,22 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
 
+    # Files that parse as JSON but have the wrong shape are input errors too.
+    game = json.loads(asset_path("five_player_game.json").read_text())
+    string_entry = {**game, "transitions": {**game["transitions"], "v0": ["v1"]}}
+    bad_games = [string_entry, {**game, "players": 5}]
+    for i, data in enumerate(bad_games):
+        path = tmp_path / f"game{i}.json"
+        path.write_text(json.dumps(data))
+        for command in ("build", "solve"):
+            code, _, err = run(capsys, command, "--game", str(path), "--comm", G1)
+            assert (code, err.startswith("error:")) == (2, True), (i, command, err)
+    comm = tmp_path / "comm.json"
+    comm.write_text(json.dumps({"edges": 3}))
+    for command in ("build", "solve"):
+        code, _, err = run(capsys, command, "--game", GAME, "--comm", str(comm))
+        assert (code, err.startswith("error:")) == (2, True), (command, err)
+
 
 RING = [f"r{i}" for i in range(21)]
 
@@ -213,12 +229,32 @@ def test_verify_main_inf_mismatch(capsys, report_path):
     assert "--main-inf" in out
 
 
-def test_verify_garbage_profile(capsys, tmp_path):
+def test_verify_garbage_profile(capsys, report_path, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text('{"hello": 3}')
     code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
     assert code == 2
     assert err.startswith("error:")
+
+    profile = json.loads(report_path.read_text())["profile"]
+
+    def edited(change):
+        data = json.loads(json.dumps(profile))
+        change(data)
+        return data
+
+    garbage = {
+        "list": [profile],
+        "no payoff": edited(lambda p: p.pop("payoff")),
+        "text payoff": edited(lambda p: p.update(payoff=["x"] * 5)),
+        "short payoff": edited(lambda p: p.update(payoff=p["payoff"][:3])),
+        "text eve id": edited(lambda p: p["comply"]["cycle"][0].update(eve="zz")),
+        "text hit": edited(lambda p: p["punish"][0]["entries"][0].update(hit="h")),
+    }
+    for label, data in garbage.items():
+        junk.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
+        assert (code, err.startswith("error:")) == (2, True), (label, err)
 
 
 def test_logging_stays_on_stderr():

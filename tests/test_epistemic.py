@@ -2,6 +2,7 @@
 reachable construction and its invariants."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
@@ -13,27 +14,28 @@ from equisynth.epistemic import (
     build_reachable,
     check_distance_characterization,
     check_knowledge_invariant,
-    count_enabled_eve_actions,
     derive_knowledge,
-    enabled_eve_actions,
     knowledge_violations,
-    literal_knowledge_from_empty,
     state_key,
-    update_from_empty,
-    update_from_nonempty,
 )
-from equisynth.errors import (
-    IncompatibleSuccessor,
-    InvalidInput,
-    StateCapExceeded,
-)
+from equisynth.errors import InvalidInput, StateCapExceeded
 from equisynth.game import CommGraph, ConcurrentGame
 from equisynth.parsing import game_from_dict
 
 from conftest import random_game
-from oracles import brute_force_devfunctions, complete_graph, edgeless_graph
+from oracles import (
+    brute_force_devfunctions,
+    complete_graph,
+    count_enabled_eve_actions,
+    edgeless_graph,
+    enabled_eve_actions,
+    literal_knowledge_from_empty,
+    literal_knowledge_violations,
+    successor_map,
+)
 
 ALL_A = ("a",) * 5
+AT_V0 = EveState("v0", ())
 
 GOLDEN_KNOWLEDGE = {
     "2": {"0": {"2", "3"}, "1": {"2", "3", "4"}, "3": {"2", "4"}, "4": {"2"}},
@@ -44,7 +46,7 @@ GOLDEN_KNOWLEDGE = {
 
 @pytest.fixture(scope="module")
 def golden_state(game5, g1):
-    return update_from_empty(game5, g1, "v0", ALL_A, "v1p")
+    return successor_map(game5, g1, AT_V0, ALL_A)["v1p"]
 
 
 def test_visible_deviation_situations(game5, g1, golden_state):
@@ -68,19 +70,18 @@ def test_derived_knowledge_table(golden_state):
 
 
 def test_complying_step_keeps_no_suspects(game5, g1):
-    state = update_from_empty(game5, g1, "v0", ALL_A, "v1")
+    state = successor_map(game5, g1, AT_V0, ALL_A)["v1"]
     assert not state.deviated
     assert state_key(state) == "v1|-"
 
 
 def test_unreachable_target_rejected(game5, g1):
-    with pytest.raises(IncompatibleSuccessor):
-        update_from_empty(game5, g1, "v0", ALL_A, "v3")
+    assert "v3" not in successor_map(game5, g1, AT_V0, ALL_A)
 
 
 def test_informed_sets_grow_one_hop(game5, g1, golden_state):
     f = tuple((d, ALL_A) for d in golden_state.deviators())
-    nxt = update_from_nonempty(game5, g1, golden_state, f, "v0")
+    nxt = successor_map(game5, g1, golden_state, f)["v0"]
     assert nxt.deviators() == ("2", "3", "4")
     assert nxt.informed("2") == ("2",)
     assert nxt.informed("3") == ("0", "3", "4")
@@ -90,23 +91,22 @@ def test_informed_sets_grow_one_hop(game5, g1, golden_state):
 def test_nonempty_update_drops_impossible_suspects(game5, g1):
     state = EveState("v1p", (Situation("2", ("2",)),))
     f = (("2", ALL_A),)
-    with pytest.raises(IncompatibleSuccessor):
-        update_from_nonempty(game5, g1, state, f, "v3")
+    assert "v3" not in successor_map(game5, g1, state, f)
 
 
 def test_edgeless_graph_freezes_informed_sets(game5):
     graph = edgeless_graph(game5.players)
-    state = update_from_empty(game5, graph, "v0", ALL_A, "v1p")
+    state = successor_map(game5, graph, AT_V0, ALL_A)["v1p"]
     for target in ("v0", "v1", "v0"):
         assert all(state.informed(d) == (d,) for d in state.deviators())
         f = tuple((d, ALL_A) for d in state.deviators())
-        state = update_from_nonempty(game5, graph, state, f, target)
+        state = successor_map(game5, graph, state, f)[target]
     assert all(state.informed(d) == (d,) for d in state.deviators())
 
 
 def test_complete_graph_informs_everyone_at_once(game5):
     graph = complete_graph(game5.players)
-    state = update_from_empty(game5, graph, "v0", ALL_A, "v1p")
+    state = successor_map(game5, graph, AT_V0, ALL_A)["v1p"]
     everyone = tuple(game5.players)
     for d in state.deviators():
         assert state.informed(d) == everyone
@@ -114,30 +114,36 @@ def test_complete_graph_informs_everyone_at_once(game5):
             assert derive_knowledge(state, d, a) == frozenset({d})
 
 
-def test_corrupted_informed_set_is_caught(game5, g1, golden_state):
-    assert knowledge_violations(golden_state) == []
+def test_corrupted_informed_set_is_caught(game5, g1, golden_state, eg1):
+    assert knowledge_violations(golden_state, game5.players) == []
     situations = tuple(
         Situation(s.deviator, ("4",)) if s.deviator == "4" else s
         for s in golden_state.situations
     )
     corrupted = EveState(golden_state.vertex, situations)
-    literal = literal_knowledge_from_empty(game5, g1, "v0", ALL_A, corrupted)
-    assert knowledge_violations(corrupted, literal)
+    literal = literal_knowledge_from_empty(game5, g1, corrupted)
+    assert knowledge_violations(corrupted, game5.players, literal)
+    # The same corruption inside a built game: the literal walk reports it.
+    states = list(eg1.eve_states)
+    states[eg1.eve_index[golden_state]] = corrupted
+    broken = dataclasses.replace(eg1, eve_states=states)
+    found = literal_knowledge_violations(broken)
+    assert any(v.startswith(state_key(corrupted) + ":") for v in found), found
 
 
 def test_enabled_actions_match_brute_force(game5, g1, golden_state):
     at_v0 = EveState("v0", golden_state.situations)
-    enabled = set(enabled_eve_actions(game5, g1, at_v0))
+    enabled = set(enabled_eve_actions(game5, at_v0))
     expected = brute_force_devfunctions(game5, at_v0)
     assert enabled == expected
-    assert count_enabled_eve_actions(game5, g1, at_v0) == len(expected) == 1024
+    assert count_enabled_eve_actions(game5, at_v0) == len(expected) == 1024
 
 
 def test_enabled_actions_equality_families(game5, g1, golden_state):
     # The pairwise-uninformed constraint collapses to four component families:
     # f(2)(0)=f(3)(0); f(2)(1)=f(3)(1)=f(4)(1); f(3)(2)=f(4)(2); f(2)(3)=f(4)(3).
     at_v0 = EveState("v0", golden_state.situations)
-    for action in enabled_eve_actions(game5, g1, at_v0):
+    for action in enabled_eve_actions(game5, at_v0):
         f = dict(action)
         assert f["2"][0] == f["3"][0]
         assert f["2"][1] == f["3"][1] == f["4"][1]
@@ -147,14 +153,14 @@ def test_enabled_actions_equality_families(game5, g1, golden_state):
 
 def test_enabled_actions_empty_state(game5, g1):
     state = EveState("v0", ())
-    assert set(enabled_eve_actions(game5, g1, state)) == set(game5.moves("v0"))
-    assert count_enabled_eve_actions(game5, g1, state) == 32
+    assert set(enabled_eve_actions(game5, state)) == set(game5.moves("v0"))
+    assert count_enabled_eve_actions(game5, state) == 32
 
 
 def test_enabled_actions_fully_informed_are_independent(game5):
     graph = complete_graph(game5.players)
-    state = update_from_empty(game5, graph, "v0", ALL_A, "v1p")
-    n = count_enabled_eve_actions(game5, graph, state)
+    state = successor_map(game5, graph, AT_V0, ALL_A)["v1p"]
+    n = count_enabled_eve_actions(game5, state)
     assert n == 32 ** len(state.deviators())
 
 
@@ -169,9 +175,10 @@ def test_singleton_allow_single_move():
             "payoff": {"rules": [], "default": [0, 0]},
         }
     )
-    graph = edgeless_graph(game.players)
     state = EveState("s", ())
-    assert list(enabled_eve_actions(game, graph, state)) == [("a", "a")]
+    assert list(enabled_eve_actions(game, state)) == [("a", "a")]
+    eg = build_reachable(game, edgeless_graph(game.players))
+    assert [n.action for n in eg.adam_nodes] == [("a", "a")]
 
 
 def test_build_reachable_asset_counts(eg1, eg2, eg3):
@@ -219,12 +226,14 @@ def test_one_player_game_structure():
     for eid in eg.deviated_ids():
         assert eg.eve_states[eid].deviators() == ("0",)
     assert check_knowledge_invariant(eg) == []
+    assert literal_knowledge_violations(eg) == []
     assert check_distance_characterization(eg) == []
 
 
 def test_whole_game_checks_on_examples(eg1, eg2, eg3):
     for eg in (eg1, eg2, eg3):
         assert check_knowledge_invariant(eg) == []
+        assert literal_knowledge_violations(eg) == []
         assert check_distance_characterization(eg) == []
         b = eg.size_bounds()
         assert b["eve_states"] <= b["eve_bound"]
@@ -253,9 +262,13 @@ def test_random_enabled_counts_agree(random_instances):
             state = eg.eve_states[eid]
             if game.move_count(state.vertex) ** len(state.deviators()) > 50_000:
                 continue
-            enabled = set(enabled_eve_actions(game, graph, state))
+            enabled = set(enabled_eve_actions(game, state))
             assert enabled == brute_force_devfunctions(game, state)
-            assert len(enabled) == count_enabled_eve_actions(game, graph, state)
+            assert len(enabled) == count_enabled_eve_actions(game, state)
+            # The build enumerates actions up to equal reach sets; every
+            # enabled action must still resolve to one of its Adam nodes.
+            for action in enabled:
+                assert eg.adam_nodes[eg.adam_for_action(eid, action)].origin == eid
             checked += 1
     assert checked >= 30
 

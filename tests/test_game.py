@@ -8,17 +8,11 @@ from fractions import Fraction
 import pytest
 
 from equisynth.errors import InvalidInput
-from equisynth.game import (
-    CommGraph,
-    FullHistory,
-    PayoffRule,
-    PayoffSpec,
-    payoff_of_lasso,
-    project_history,
-)
+from equisynth.game import CommGraph, FullHistory, PayoffRule, PayoffSpec
 from equisynth.parsing import parse_condition
 
 from conftest import random_comm
+from oracles import payoff_of_lasso, project_history, validate_history
 
 
 def F(*xs):
@@ -114,7 +108,7 @@ def test_history_shape_and_validation(game5):
         ((("a",) * 5), (("a",) * 5)),
         ((None,) * 5, (None,) * 5),
     )
-    h.validate(game5)
+    validate_history(h, game5)
     with pytest.raises(InvalidInput):
         FullHistory(("v0",), ((("a",) * 5),), ())
     bad = FullHistory(
@@ -123,7 +117,7 @@ def test_history_shape_and_validation(game5):
         ((None,) * 5,),
     )
     with pytest.raises(InvalidInput):
-        bad.validate(game5)
+        validate_history(bad, game5)
 
 
 def test_projection_hides_invisible_deviations(game5, g3):
@@ -140,8 +134,8 @@ def test_projection_hides_invisible_deviations(game5, g3):
         (("a", "a", "a", "b", "a"),),
         ((None, None, None, "3", None),),
     )
-    by2.validate(game5)
-    by3.validate(game5)
+    validate_history(by2, game5)
+    validate_history(by3, game5)
     assert g3.vois["1"] == ("0", "1")
     p2 = project_history(by2, "1", game5, g3)
     p3 = project_history(by3, "1", game5, g3)

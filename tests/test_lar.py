@@ -3,16 +3,9 @@ from __future__ import annotations
 
 import random
 
-from equisynth.lar import (
-    LarState,
-    initial_record,
-    lar_priority,
-    lar_step,
-    muller_accepts_lasso,
-    parity_accepts_lasso,
-)
+from equisynth.lar import LarState, initial_record, lar_priority, lar_step
 
-from oracles import random_lasso
+from oracles import muller_accepts_lasso, parity_accepts_lasso, random_lasso
 
 
 def test_record_moves_color_to_front():

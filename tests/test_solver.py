@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from equisynth.epistemic import EveState, state_key, update_from_empty
+from equisynth.epistemic import EveState, state_key
 from equisynth.errors import InvalidInput, LarCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
@@ -26,6 +26,7 @@ from oracles import (
     brute_force_color_classes,
     brute_force_recurring_color_sets,
     strongly_connected_with_edge,
+    successor_map,
 )
 
 ALL_A = ("a",) * 5
@@ -89,11 +90,11 @@ def test_recurring_sets_and_color_classes_match_enumeration():
 
 
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
-    golden = update_from_empty(game5, g1, "v0", ALL_A, "v1p")
+    golden = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     sol1 = punishment_region(eg1, P_MAIN)
     assert eg1.eve_index[golden] in sol1.win
 
-    golden_g3 = update_from_empty(game5, g3, "v0", ALL_A, "v1p")
+    golden_g3 = successor_map(game5, g3, EveState("v0", ()), ALL_A)["v1p"]
     assert state_key(golden_g3) == "v1p|2:2;3:3;4:0,4"
     sol3 = punishment_region(eg3, P_MAIN)
     assert eg3.eve_index[golden_g3] not in sol3.win

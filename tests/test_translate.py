@@ -16,11 +16,12 @@ from equisynth.translate import (
     DeviationScript,
     check_deviation_resistance,
     check_normed,
-    main_outcome,
     omega,
     simulate,
     upsilon,
 )
+
+from oracles import main_outcome, validate_history
 
 MAIN_INF = frozenset({"v0", "v1"})
 
@@ -69,7 +70,7 @@ def test_main_outcome_is_silent(game5, g1, profile1):
     verts, start, history = main_outcome(game5, g1, profile1)
     assert verts == ["v0", "v1", "v0"]
     assert start == 0
-    history.validate(game5)
+    validate_history(history, game5)
     assert all(m is None for msgs in history.messages for m in msgs)
 
 
@@ -98,7 +99,7 @@ def test_simulate_punishes_visible_deviator(game5, g1, profile1):
     assert sim.history.vertices[:4] == ("v0", "v1p", "v0", "v3")
     assert set(sim.history.vertices[sim.cycle_start :]) == {"v3"}
     assert sim.payoff == F(0, 0, 2, 0, 2)
-    sim.history.validate(game5)
+    validate_history(sim.history, game5)
 
 
 def test_simulate_epidemic_message_spread(game5, g1, profile1):
