@@ -302,6 +302,9 @@ def game_from_dict(data: dict) -> ConcurrentGame:
     for key in ("players", "actions", "vertices", "init", "transitions", "payoff"):
         if key not in data:
             raise InvalidInput(f"game file missing {key!r}")
+    for key in ("players", "actions", "vertices"):
+        if not isinstance(data[key], list):
+            raise InvalidInput(f"game file {key!r} must be a JSON list")
     players = tuple(str(a) for a in data["players"])
     actions = tuple(str(a) for a in data["actions"])
     vertices = tuple(str(v) for v in data["vertices"])

@@ -446,16 +446,21 @@ class EveStrategy:
         if data.get("format") != "equisynth-profile-v1":
             raise InvalidInput("unknown profile format")
 
+        def move_of(raw) -> tuple[str, ...]:
+            if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
+                raise InvalidInput("profile action must be a JSON list of action names")
+            return tuple(raw)
+
         def action_of(raw, eve_id) -> EveAction:
             state = eg.eve_states[eve_id]
             if isinstance(raw, dict):
                 try:
                     return tuple(
-                        (d, tuple(raw[d])) for d in state.deviators()
+                        (d, move_of(raw[d])) for d in state.deviators()
                     )
                 except KeyError as exc:
                     raise InvalidInput(f"profile action misses suspect {exc}") from exc
-            return tuple(raw)
+            return move_of(raw)
 
         def comply_of(rows):
             out = []

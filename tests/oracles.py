@@ -242,13 +242,15 @@ def brute_force_devfunctions(game: ConcurrentGame, state: EveState):
 
 
 # ---------------------------------------------------------------------------
-# Max-parity games: random generation and positional-strategy enumeration.
+# Max-parity games: random generation, positional-strategy enumeration and
+# the plain recursive solver.
 
 
-def random_parity_game(rng: random.Random, max_nodes: int = 8) -> ParityGame:
+def random_parity_game(rng: random.Random, max_nodes: int = 8,
+                       max_priority: int = 5) -> ParityGame:
     n = rng.randint(1, max_nodes)
     owner = [rng.randint(0, 1) for _ in range(n)]
-    priority = [rng.randint(0, 5) for _ in range(n)]
+    priority = [rng.randint(0, max_priority) for _ in range(n)]
     succ = []
     for _ in range(n):
         deg = rng.randint(0, 2) if rng.random() < 0.2 else rng.randint(1, 2)
@@ -326,6 +328,121 @@ def check_positional_strategy(pg: ParityGame, win0: set[int], s0: dict[int, int]
     """The returned strategy must beat every player-1 behaviour from every
     node of the claimed region."""
     return all(not _player1_response_wins(pg, s0, v) for v in win0)
+
+
+def _reference_attractor(pg: ParityGame, region: set[int], target: set[int],
+                         player: int, strategy: dict[int, int]) -> set[int]:
+    """Player-`player` attractor of `target` within `region`, with the
+    predecessor map rebuilt over the whole region; records a move towards
+    the target for the player's newly attracted nodes."""
+    pred: dict[int, list[int]] = {v: [] for v in region}
+    out_deg = {}
+    for v in region:
+        live = [w for w in pg.succ[v] if w in region]
+        out_deg[v] = len(live)
+        for w in live:
+            pred[w].append(v)
+    attracted = set(target)
+    queue = list(target)
+    while queue:
+        w = queue.pop()
+        for v in pred[w]:
+            if v in attracted:
+                continue
+            if pg.owner[v] == player:
+                attracted.add(v)
+                if v not in strategy:
+                    strategy[v] = w
+                queue.append(v)
+            else:
+                out_deg[v] -= 1
+                if out_deg[v] == 0:
+                    attracted.add(v)
+                    queue.append(v)
+    return attracted
+
+
+def _reference_solve(pg: ParityGame, region: set[int]):
+    w0: set[int] = set()
+    w1: set[int] = set()
+    s0: dict[int, int] = {}
+    s1: dict[int, int] = {}
+    if not region:
+        return w0, w1, s0, s1
+
+    # Nodes stuck without a move lose for their owner; peel them (and the
+    # opponent attractors they seed) off first, in every call.
+    while True:
+        stuck0 = {v for v in region if pg.owner[v] == 0
+                  and not any(w in region for w in pg.succ[v])}
+        stuck1 = {v for v in region if pg.owner[v] == 1
+                  and not any(w in region for w in pg.succ[v])}
+        if not stuck0 and not stuck1:
+            break
+        if stuck0:
+            a = _reference_attractor(pg, region, stuck0, 1, s1)
+            w1 |= a
+            region = region - a
+        if stuck1:
+            a = _reference_attractor(pg, region, stuck1, 0, s0)
+            w0 |= a
+            region = region - a
+    if not region:
+        return w0, w1, s0, s1
+
+    p = max(pg.priority[v] for v in region)
+    player = p % 2
+    strat_winner: dict[int, int] = {}
+    top = {v for v in region if pg.priority[v] == p}
+    a = _reference_attractor(pg, region, top, player, strat_winner)
+    sub0, sub1, sub_s0, sub_s1 = _reference_solve(pg, region - a)
+    opp_sub = sub1 if player == 0 else sub0
+    if not opp_sub:
+        # Winner takes everything: arbitrary in-region move on the top nodes.
+        for v in top:
+            if pg.owner[v] == player and v not in strat_winner:
+                for w in pg.succ[v]:
+                    if w in region:
+                        strat_winner[v] = w
+                        break
+        if player == 0:
+            w0 |= region
+            s0.update(sub_s0)
+            s0.update(strat_winner)
+            s1.update(sub_s1)
+        else:
+            w1 |= region
+            s1.update(sub_s1)
+            s1.update(strat_winner)
+            s0.update(sub_s0)
+        return w0, w1, s0, s1
+
+    strat_opp: dict[int, int] = dict(sub_s1 if player == 0 else sub_s0)
+    b = _reference_attractor(pg, region, set(opp_sub), 1 - player, strat_opp)
+    r0, r1, rs0, rs1 = _reference_solve(pg, region - b)
+    if player == 0:
+        w1 |= b | r1
+        s1.update(strat_opp)
+        s1.update(rs1)
+        w0 |= r0
+        s0.update(rs0)
+    else:
+        w0 |= b | r0
+        s0.update(strat_opp)
+        s0.update(rs0)
+        w1 |= r1
+        s1.update(rs1)
+    return w0, w1, s0, s1
+
+
+def reference_solve_parity(pg: ParityGame):
+    """The plain recursive Zielonka solver: same contract as
+    `equisynth.parity.solve_parity`.  It recurses about twice per node, so
+    it is meant for games of up to a few hundred nodes."""
+    w0, w1, s0, s1 = _reference_solve(pg, set(range(pg.node_count())))
+    s0 = {v: w for v, w in s0.items() if v in w0 and pg.owner[v] == 0}
+    s1 = {v: w for v, w in s1.items() if v in w1 and pg.owner[v] == 1}
+    return w0, w1, s0, s1
 
 
 # ---------------------------------------------------------------------------

@@ -24,3 +24,10 @@ def test_runtime_imports_are_stdlib_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_sources_leave_the_recursion_limit_alone():
+    # The recursion limit is interpreter-wide state; the package must not
+    # change it behind its caller's back.
+    for path in Path(equisynth.__file__).parent.glob("*.py"):
+        assert "setrecursionlimit" not in path.read_text(), path.name

@@ -1,7 +1,9 @@
-"""Zero-sum max-parity solving against exhaustive positional enumeration."""
+"""Zero-sum max-parity solving against exhaustive positional enumeration
+and the plain recursive solver."""
 from __future__ import annotations
 
 import random
+import sys
 
 from equisynth.parity import ParityGame, solve_parity
 
@@ -9,6 +11,7 @@ from oracles import (
     brute_force_parity_regions,
     check_positional_strategy,
     random_parity_game,
+    reference_solve_parity,
 )
 
 
@@ -68,3 +71,41 @@ def test_against_positional_enumeration():
         assert w1 == expected1
         assert check_positional_strategy(pg, w0, s0), (pg, s0)
         games += 1
+
+
+def test_against_reference_solver():
+    rng = random.Random(20261018)
+    small = 0
+    for k in range(600):
+        pg = random_parity_game(rng, max_nodes=8 if k % 3 == 0 else 60, max_priority=9)
+        w0, w1, s0, s1 = solve_parity(pg)
+        ref0, ref1, _, _ = reference_solve_parity(pg)
+        assert (w0, w1) == (ref0, ref1), pg
+        for player, won, strategy in ((0, w0, s0), (1, w1, s1)):
+            assert set(strategy) == {v for v in won if pg.owner[v] == player}, pg
+            assert all(w in pg.succ[v] and w in won for v, w in strategy.items()), pg
+        if pg.node_count() <= 8:
+            small += 1
+            assert check_positional_strategy(pg, w0, s0), pg
+            # Player 1's strategy, checked as player 0's in the dual game.
+            dual = ParityGame([1 - o for o in pg.owner], [p + 1 for p in pg.priority],
+                              pg.succ)
+            assert check_positional_strategy(dual, w1, s1), pg
+    assert small >= 150
+
+
+def test_deep_chain_leaves_the_recursion_limit_alone():
+    # v -> v + 1, the last node loops, priorities fall along the chain: each
+    # level of Zielonka's recursion takes one node off, 5,000 levels in all.
+    n = 5000
+    pg = ParityGame(
+        [v % 2 for v in range(n)],
+        [2 * (n - v) for v in range(n)],
+        [[v + 1] for v in range(n - 1)] + [[n - 1]],
+    )
+    limit = sys.getrecursionlimit()
+    assert limit < n
+    w0, w1, s0, s1 = solve_parity(pg)
+    assert w0 == set(range(n)) and not w1
+    assert s0 == {v: v + 1 for v in range(0, n - 1, 2)}
+    assert sys.getrecursionlimit() == limit
