@@ -19,6 +19,15 @@ suggested joint move (no suspects) or with a per-suspect move function
 (suspects present).  Move functions must suggest the same action to any
 player uninformed under both of two hypotheses; Adam states that induce the
 same labelled successor set are merged.
+
+The build works on integers: a state's key is (vertex index, ((deviator
+index, informed mask), ...)), with informed sets as player bitmasks, reach
+sets as vertex bitmasks, and each player's direct observers as one
+precomputed mask.  Per expanded state the grown informed masks are computed
+once, an action whose reach tuple was already seen is skipped, and the
+successor id is memoised per (target, surviving hypotheses).  The string
+`EveState` that solver, translation and reports read is made once, when a
+new key is interned.
 """
 from __future__ import annotations
 
@@ -141,76 +150,132 @@ def knowledge_violations(state: EveState, players, knowledge=None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Integer encoding.
+
+# The build's key for an Eve state: the vertex index and one
+# (deviator index, informed mask) pair per hypothesis, in player order; bit b
+# of a mask stands for the b-th player.
+StateKey = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Encoding:
+    """Integer view of a game and its communication graph: vertices and
+    players by position, informed sets as player bitmasks and reach sets as
+    vertex bitmasks."""
+
+    def __init__(self, game: ConcurrentGame, graph: CommGraph):
+        self.game = game
+        index = game.player_index
+        self.observers = tuple(
+            sum(1 << index[b] for b in graph.informed_by[a]) for a in game.players
+        )
+        self._moves: dict[int, dict[Move, tuple[int, tuple[int, ...]]]] = {}
+
+    def moves(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
+        """Each allowed joint move at vertex `v`, in canonical order, mapped to
+        its target and, per player d, the vertices d reaches by changing its
+        own action in the move (the suggested action included)."""
+        table = self._moves.get(v)
+        if table is None:
+            game = self.game
+            name = game.vertices[v]
+            row, allow, vidx = game.tab[name], game.allow[name], game.vertex_index
+            table = {}
+            for move in game.moves(name):
+                reach = tuple(
+                    sum(1 << t for t in {
+                        vidx[row[substitute(move, i, alt)]] for alt in allow[d]
+                    })
+                    for i, d in enumerate(game.players)
+                )
+                table[move] = (vidx[row[move]], reach)
+            self._moves[v] = table
+        return table
+
+    def state(self, key: StateKey) -> EveState:
+        v, pairs = key
+        players = self.game.players
+        return EveState(self.game.vertices[v], tuple(
+            Situation(players[d], tuple(players[b] for b in _bits(m))) for d, m in pairs
+        ))
+
+
+# ---------------------------------------------------------------------------
 # Successors.
 
 
-def _sorted_players(game: ConcurrentGame, players) -> tuple[str, ...]:
-    return tuple(sorted(players, key=game.player_index.__getitem__))
-
-
-def _make_state(game: ConcurrentGame, vertex: str, informed: dict[str, set[str]]) -> EveState:
-    situations = tuple(
-        Situation(d, _sorted_players(game, informed[d]))
-        for d in _sorted_players(game, informed)
-    )
-    return EveState(vertex, situations)
-
-
-def deviation_reach(game: ConcurrentGame, vertex: str, move: Move, d: str) -> frozenset[str]:
-    """The vertices hypothesis `d` can reach from `vertex` by changing its own
-    action in `move`, the suggested action included."""
-    i = game.player_index[d]
-    row = game.tab[vertex]
-    return frozenset(row[substitute(move, i, alt)] for alt in game.allow[vertex][d])
-
-
-def successors(
-    game: ConcurrentGame,
-    graph: CommGraph,
-    state: EveState,
-    reach: dict[str, frozenset[str]],
-    comply: Optional[str] = None,
-) -> list[tuple[str, EveState]]:
-    """Labelled successors of `state`, in vertex order, when each hypothesis
-    d continues to the vertices `reach[d]`.
-
-    A target keeps the hypotheses that reach it, and every informed set grows
-    by one communication step.  At a non-deviated state every player is a
-    fresh hypothesis whose informed set starts at (d,), so one step informs
-    exactly its direct observers; there `comply`, the vertex the suggested
-    move leads to, is followed by the non-deviated state, since no deviation
-    that ends there is visible.
-    """
-    hyps = state.situations or tuple(Situation(d, (d,)) for d in game.players)
-    grown: dict[str, set[str]] = {}
-    for s in hyps:
-        g = set(s.informed)
-        for b in s.informed:
-            g.update(graph.informed_by[b])
-        grown[s.deviator] = g
-    targets = sorted({t for r in reach.values() for t in r}, key=game.vertex_index.__getitem__)
+def expand(enc: Encoding, key: StateKey) -> list[tuple[int, int]]:
+    """The hypotheses the successors of `key` continue: each deviator with
+    its informed mask grown by one communication step.  At a non-deviated
+    state every player is a fresh hypothesis informed only of itself, so one
+    step informs exactly its direct observers."""
     out = []
-    for t in targets:
-        if t == comply:
-            out.append((t, EveState(t, ())))
-        else:
-            informed = {d: g for d, g in grown.items() if t in reach[d]}
-            out.append((t, _make_state(game, t, informed)))
+    for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))]:
+        grown = m
+        for b in _bits(m):
+            grown |= enc.observers[b]
+        out.append((d, grown))
     return out
+
+
+def action_reach(enc: Encoding, key: StateKey, action: EveAction):
+    """(reach masks, complying target or -1) of an enabled action at `key`:
+    a joint move at a non-deviated state, else a move function in
+    hypothesis order."""
+    table = enc.moves(key[0])
+    if not key[1]:
+        comply, reach = table[action]
+        return reach, comply
+    index = enc.game.player_index
+    return tuple(table[m][1][index[d]] for d, m in action), -1
+
+
+def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
+    """Labelled successors, in vertex order, of a state whose hypotheses
+    (`grown`, from `expand`) continue to the vertex masks `reach`:
+    (vertex name, resolve(successor key)) pairs.
+
+    A target keeps the hypotheses that reach it, with their grown masks.
+    `comply`, the vertex index the suggested move leads to at a non-deviated
+    state (-1 elsewhere), is followed by the non-deviated state, since no
+    deviation that ends there is visible.  `memo` maps a target and its
+    surviving hypotheses to the resolved successor; it may be shared by the
+    calls for one state."""
+    if memo is None:
+        memo = {}
+    names = enc.game.vertices
+    nv = len(names)
+    union = 0
+    for r in reach:
+        union |= r
+    out = []
+    while union:
+        bit = union & -union
+        union ^= bit
+        t = bit.bit_length() - 1
+        survivors = 0
+        if t != comply:
+            for j, r in enumerate(reach):
+                if r & bit:
+                    survivors |= 1 << j
+        slot = t + nv * survivors
+        sid = memo.get(slot)
+        if sid is None:
+            sid = memo[slot] = resolve((t, tuple(grown[j] for j in _bits(survivors))))
+        out.append((names[t], sid))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Enabled Eve actions.
-
-
-def _slots(game: ConcurrentGame, state: EveState):
-    """Decompose move-function components into one shared slot per player that
-    is uninformed under some hypothesis, plus per-(player, suspect) free slots."""
-    informed = state.informed_map()
-    devs = state.deviators()
-    shared = [a for a in game.players if any(a not in informed[d] for d in devs)]
-    private = {d: [a for a in game.players if a in informed[d]] for d in devs}
-    return shared, private
 
 
 def _check_enabled(game, state: EveState, action: EveAction) -> None:
@@ -243,38 +308,63 @@ def _check_enabled(game, state: EveState, action: EveAction) -> None:
                         )
 
 
-def _distinct_actions(game: ConcurrentGame, state: EveState, reach_of):
-    """Eve's enabled actions at `state` up to equal reach sets, each as
-    (action, reach map, complying vertex or None).
+def _distinct_actions(enc: Encoding, key: StateKey):
+    """Eve's enabled actions at the state `key`, the first of each distinct
+    reach tuple (and complying target) in enumeration order, each as
+    (action, reach masks in hypothesis order, complying target or -1).
 
     With suspects present the move functions are enumerated through their
-    per-suspect reach sets (shared components once, private components per
-    suspect), never one function at a time."""
-    v = state.vertex
-    if not state.deviated:
-        for move in game.moves(v):
-            reach = {d: reach_of(v, move, d) for d in game.players}
-            yield move, reach, game.tab[v][move]
+    per-suspect reach sets: one shared component per player uninformed under
+    some hypothesis, private components per suspect for the players informed
+    of it.  A suspect's options depend only on the shared components of the
+    players it leaves uninformed, so they are computed once per such
+    choice."""
+    v, pairs = key
+    table = enc.moves(v)
+    if not pairs:
+        seen = set()
+        for move, (target, reach) in table.items():
+            if (target, reach) not in seen:
+                seen.add((target, reach))
+                yield move, reach, target
         return
-    devs = state.deviators()
-    informed = state.informed_map()
-    shared, private = _slots(game, state)
-    for st in product(*(game.allow[v][a] for a in shared)):
-        st_map = dict(zip(shared, st))
-        per_dev: list[list[tuple[frozenset[str], Move]]] = []
-        for d in devs:
-            opts: dict[frozenset[str], Move] = {}
-            for pr in product(*(game.allow[v][a] for a in private[d])):
-                pr_map = dict(zip(private[d], pr))
-                move = tuple(
-                    pr_map[a] if a in informed[d] else st_map[a]
-                    for a in game.players
-                )
-                opts.setdefault(reach_of(v, move, d), move)
-            per_dev.append(list(opts.items()))
-        for combo in product(*per_dev):
-            action: DevFunction = tuple((d, m) for d, (_r, m) in zip(devs, combo))
-            yield action, {d: r for d, (r, _m) in zip(devs, combo)}, None
+    game = enc.game
+    players = game.players
+    allow = game.allow[game.vertices[v]]
+    shared = [a for a in range(len(players)) if any(not m >> a & 1 for _, m in pairs)]
+    plans = []
+    for d, m in pairs:
+        private = [a for a in range(len(players)) if m >> a & 1]
+        reads = [q for q, a in enumerate(shared) if not m >> a & 1]
+        # A move is read off (private components) + (the shared ones it reads).
+        order = [
+            private.index(a) if m >> a & 1 else len(private) + reads.index(shared.index(a))
+            for a in range(len(players))
+        ]
+        plans.append((d, [allow[players[a]] for a in private], reads, order, {}))
+    names = tuple(players[d] for d, _m in pairs)
+    seen_options = set()
+    seen = set()
+    for st in product(*(allow[players[a]] for a in shared)):
+        options = []
+        for d, private_allow, reads, order, cache in plans:
+            read = tuple(map(st.__getitem__, reads))
+            opts = cache.get(read)
+            if opts is None:
+                opts = cache[read] = {}
+                for pr in product(*private_allow):
+                    source = pr + read
+                    move = tuple(map(source.__getitem__, order))
+                    opts.setdefault(table[move][1][d], move)
+            options.append(opts)
+        signature = tuple(tuple(opts) for opts in options)
+        if signature in seen_options:
+            continue
+        seen_options.add(signature)
+        for reach in product(*options):
+            if reach not in seen:
+                seen.add(reach)
+                yield tuple(zip(names, map(dict.__getitem__, options, reach))), reach, -1
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +384,12 @@ class EpistemicGame:
     game: ConcurrentGame
     graph: CommGraph
     eve_states: list[EveState]
-    eve_index: dict[EveState, int]
     eve_succ: list[tuple[int, ...]]
     adam_nodes: list[AdamNode]
     init: int
+    _encoding: Encoding
+    _keys: list[StateKey]
+    _key_index: dict[StateKey, int]
     _sig_index: list[dict]
     _action_index: list[dict]
 
@@ -317,8 +409,7 @@ class EpistemicGame:
             return cached
         state = self.eve_states[eve_id]
         _check_enabled(self.game, state, action)
-        sig = _signature(self.game, self.graph, self.eve_index, state, action)
-        aid = self._sig_index[eve_id].get(sig)
+        aid = self._sig_index[eve_id].get(self._signature(eve_id, action))
         if aid is None:
             raise InvalidInput(
                 f"action {action_key(action)} at {state_key(state)} resolves to "
@@ -326,6 +417,20 @@ class EpistemicGame:
             )
         self._action_index[eve_id][action] = aid
         return aid
+
+    def _signature(self, eve_id: int, action: EveAction):
+        """Successor signature of an enabled action, used to merge Adam nodes.
+
+        Unknown successors mean the action cannot belong to the built game."""
+        enc, key = self._encoding, self._keys[eve_id]
+
+        def resolve(successor: StateKey) -> int:
+            sid = self._key_index.get(successor)
+            if sid is None:
+                raise InvalidInput("successor state not present in the built game")
+            return sid
+
+        return successors(enc, expand(enc, key), *action_reach(enc, key, action), resolve)
 
     def size_bounds(self) -> dict:
         g = self.game
@@ -343,27 +448,6 @@ class EpistemicGame:
         }
 
 
-def _signature(game, graph, eve_index, state: EveState, action: EveAction):
-    """Successor signature of an enabled action, used to merge Adam nodes.
-
-    Uses existing Eve ids; unknown successors mean the action cannot belong
-    to the built game (callers treat that as an error)."""
-    v = state.vertex
-    if state.deviated:
-        reach = {d: deviation_reach(game, v, m, d) for d, m in action}
-        comply = None
-    else:
-        reach = {d: deviation_reach(game, v, action, d) for d in game.players}
-        comply = game.tab[v][action]
-    out = []
-    for t, st2 in successors(game, graph, state, reach, comply):
-        i = eve_index.get(st2)
-        if i is None:
-            raise InvalidInput("successor state not present in the built game")
-        out.append((t, i))
-    return tuple(out)
-
-
 def build_reachable(
     game: ConcurrentGame,
     graph: CommGraph,
@@ -376,51 +460,44 @@ def build_reachable(
     """
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
+    enc = Encoding(game, graph)
+    keys: list[StateKey] = []
+    key_index: dict[StateKey, int] = {}
     eve_states: list[EveState] = []
-    eve_index: dict[EveState, int] = {}
     eve_succ: list[tuple[int, ...]] = []
     adam_nodes: list[AdamNode] = []
     sig_index: list[dict] = []
 
-    def intern(state: EveState) -> int:
-        i = eve_index.get(state)
+    def intern(key: StateKey) -> int:
+        i = key_index.get(key)
         if i is None:
-            if len(eve_states) >= state_cap:
+            if len(keys) >= state_cap:
                 raise StateCapExceeded(
-                    f"epistemic construction exceeded {state_cap} Eve states"
+                    f"epistemic build exceeded {state_cap} Eve states: "
+                    f"{len(keys)} states interned, {len(eve_succ)} states expanded, "
+                    f"{len(adam_nodes)} Adam nodes made"
                 )
-            i = len(eve_states)
-            eve_states.append(state)
-            eve_index[state] = i
+            i = key_index[key] = len(keys)
+            keys.append(key)
+            eve_states.append(enc.state(key))
             sig_index.append({})
         return i
 
-    reach_cache: dict[tuple, frozenset[str]] = {}
-
-    def reach_of(v: str, move: Move, d: str) -> frozenset[str]:
-        i = game.player_index[d]
-        key = (v, d, move[:i], move[i + 1 :])
-        r = reach_cache.get(key)
-        if r is None:
-            r = reach_cache[key] = deviation_reach(game, v, move, d)
-        return r
-
-    init = intern(EveState(game.init_vertex, ()))
-    cursor = 0
-    while cursor < len(eve_states):
-        eid = cursor
-        cursor += 1
-        state = eve_states[eid]
+    init = intern((game.vertex_index[game.init_vertex], ()))
+    while len(eve_succ) < len(keys):
+        eid = len(eve_succ)
+        key = keys[eid]
+        grown = expand(enc, key)
+        memo: dict[int, int] = {}
         sigs = sig_index[eid]
         out_edges: list[int] = []
-        for action, reach, comply in _distinct_actions(game, state, reach_of):
-            ids = tuple(
-                (t, intern(st2)) for t, st2 in successors(game, graph, state, reach, comply)
-            )
-            if ids not in sigs:
-                aid = sigs[ids] = len(adam_nodes)
-                comply_id = None if comply is None else eve_index[EveState(comply, ())]
-                adam_nodes.append(AdamNode(eid, action, ids, comply_id))
+        for action, reach, comply in _distinct_actions(enc, key):
+            sig = successors(enc, grown, reach, comply, intern, memo)
+            if sig not in sigs:
+                aid = sigs[sig] = len(adam_nodes)
+                adam_nodes.append(
+                    AdamNode(eid, action, sig, memo[comply] if comply >= 0 else None)
+                )
                 out_edges.append(aid)
         eve_succ.append(tuple(out_edges))
 
@@ -428,10 +505,12 @@ def build_reachable(
         game=game,
         graph=graph,
         eve_states=eve_states,
-        eve_index=eve_index,
         eve_succ=eve_succ,
         adam_nodes=adam_nodes,
         init=init,
+        _encoding=enc,
+        _keys=keys,
+        _key_index=key_index,
         _sig_index=sig_index,
         _action_index=[{} for _ in eve_states],
     )

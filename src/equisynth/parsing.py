@@ -260,6 +260,13 @@ def _as_rational(value) -> Fraction:
     raise InvalidInput(f"bad rational {value!r}")
 
 
+def _json_list(value, what: str) -> list:
+    """`value` if it is a JSON list; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise InvalidInput(f"game file {what} must be a JSON list")
+    return value
+
+
 def _is_catch_all(pattern) -> bool:
     if pattern == "*":
         return True
@@ -302,12 +309,9 @@ def game_from_dict(data: dict) -> ConcurrentGame:
     for key in ("players", "actions", "vertices", "init", "transitions", "payoff"):
         if key not in data:
             raise InvalidInput(f"game file missing {key!r}")
-    for key in ("players", "actions", "vertices"):
-        if not isinstance(data[key], list):
-            raise InvalidInput(f"game file {key!r} must be a JSON list")
-    players = tuple(str(a) for a in data["players"])
-    actions = tuple(str(a) for a in data["actions"])
-    vertices = tuple(str(v) for v in data["vertices"])
+    players = tuple(str(a) for a in _json_list(data["players"], "'players'"))
+    actions = tuple(str(a) for a in _json_list(data["actions"], "'actions'"))
+    vertices = tuple(str(v) for v in _json_list(data["vertices"], "'vertices'"))
     init = str(data["init"])
 
     allow_in = data.get("allow", {})
@@ -320,6 +324,7 @@ def game_from_dict(data: dict) -> ConcurrentGame:
             if acts is None:
                 row[a] = actions
             else:
+                _json_list(acts, f"allow({v!r}, {a!r})")
                 row[a] = tuple(act for act in actions if act in set(acts))
                 if len(row[a]) != len(acts):
                     raise InvalidInput(
@@ -366,9 +371,10 @@ def game_from_dict(data: dict) -> ConcurrentGame:
     for rule in payoff_in.get("rules", []):
         if "if" not in rule or "then" not in rule:
             raise InvalidInput("payoff rule needs 'if' and 'then'")
-        vector = tuple(_as_rational(x) for x in rule["then"])
+        vector = tuple(_as_rational(x) for x in _json_list(rule["then"], "payoff 'then'"))
         rules.append(PayoffRule(parse_condition(str(rule["if"])), vector))
-    payoff = PayoffSpec(tuple(rules), tuple(_as_rational(x) for x in payoff_in["default"]))
+    default = _json_list(payoff_in["default"], "payoff 'default'")
+    payoff = PayoffSpec(tuple(rules), tuple(_as_rational(x) for x in default))
 
     game = ConcurrentGame(
         vertices=vertices,

@@ -3,24 +3,29 @@
 Everything here is deliberately written the slow, obvious way.  Beyond
 public data types, only two helpers use package code: `successor_map` takes
 one step through the package's successor function, and
-`literal_knowledge_violations` reads reach sets the package's way and checks
-its literal recomputation with the package's knowledge characterization.
+`literal_knowledge_violations` checks its literal recomputation with the
+package's knowledge characterization.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from equisynth.epistemic import (
+    AdamNode,
+    Encoding,
     EveState,
-    deviation_reach,
+    Situation,
+    action_reach,
+    expand,
     knowledge_violations,
     state_key,
     successors,
 )
 from equisynth.errors import InvalidInput
-from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move
+from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
 from equisynth.lar import LarState, initial_record, lar_priority, lar_step
 from equisynth.parity import ParityGame
 
@@ -31,16 +36,147 @@ from equisynth.parity import ParityGame
 
 def successor_map(game: ConcurrentGame, graph: CommGraph, state: EveState, action):
     """Target vertex -> successor Eve state after Eve suggests `action` (a
-    joint move, or a per-suspect move function) at `state`.  A vertex no
-    single deviation can reach is absent."""
+    joint move, or a per-suspect move function) at `state`, through the
+    package's integer successor function.  A vertex no single deviation can
+    reach is absent."""
+    enc = Encoding(game, graph)
+    index = game.player_index
+    key = (game.vertex_index[state.vertex], tuple(
+        (index[s.deviator], sum(1 << index[b] for b in s.informed))
+        for s in state.situations
+    ))
+    return dict(successors(enc, expand(enc, key), *action_reach(enc, key, action), enc.state))
+
+
+# ---------------------------------------------------------------------------
+# The epistemic build on strings: frozenset reach sets, dict informed sets
+# and one EveState per successor, the way the package built it before its
+# integer encoding.
+
+
+def deviation_reach(game: ConcurrentGame, vertex: str, move: Move, d: str) -> frozenset[str]:
+    """The vertices hypothesis `d` can reach from `vertex` by changing its own
+    action in `move`, the suggested action included."""
+    i = game.player_index[d]
+    row = game.tab[vertex]
+    return frozenset(row[substitute(move, i, alt)] for alt in game.allow[vertex][d])
+
+
+def _sorted_players(game: ConcurrentGame, players) -> tuple[str, ...]:
+    return tuple(sorted(players, key=game.player_index.__getitem__))
+
+
+def _make_state(game: ConcurrentGame, vertex: str, informed: dict[str, set[str]]) -> EveState:
+    situations = tuple(
+        Situation(d, _sorted_players(game, informed[d]))
+        for d in _sorted_players(game, informed)
+    )
+    return EveState(vertex, situations)
+
+
+def reference_successors(
+    game: ConcurrentGame,
+    graph: CommGraph,
+    state: EveState,
+    reach: dict[str, frozenset[str]],
+    comply: Optional[str] = None,
+) -> list[tuple[str, EveState]]:
+    """Labelled successors of `state`, in vertex order, when each hypothesis
+    d continues to the vertices `reach[d]`: a target keeps the hypotheses
+    that reach it, every informed set grows by one communication step, and
+    at a non-deviated state (every player a fresh hypothesis informed of
+    itself) the complying vertex is followed by the non-deviated state."""
+    hyps = state.situations or tuple(Situation(d, (d,)) for d in game.players)
+    grown: dict[str, set[str]] = {}
+    for s in hyps:
+        g = set(s.informed)
+        for b in s.informed:
+            g.update(graph.informed_by[b])
+        grown[s.deviator] = g
+    targets = sorted({t for r in reach.values() for t in r}, key=game.vertex_index.__getitem__)
+    out = []
+    for t in targets:
+        if t == comply:
+            out.append((t, EveState(t, ())))
+        else:
+            informed = {d: g for d, g in grown.items() if t in reach[d]}
+            out.append((t, _make_state(game, t, informed)))
+    return out
+
+
+def _reference_distinct_actions(game: ConcurrentGame, state: EveState):
+    """Enabled actions of `state` with their reach maps and complying
+    vertex, keeping the first move of each reach set per suspect."""
     v = state.vertex
-    if state.deviated:
-        reach = {d: deviation_reach(game, v, m, d) for d, m in action}
-        comply = None
-    else:
-        reach = {d: deviation_reach(game, v, action, d) for d in game.players}
-        comply = game.tab[v][action]
-    return dict(successors(game, graph, state, reach, comply))
+    if not state.deviated:
+        for move in game.moves(v):
+            reach = {d: deviation_reach(game, v, move, d) for d in game.players}
+            yield move, reach, game.tab[v][move]
+        return
+    devs = state.deviators()
+    informed = state.informed_map()
+    shared, private = _slots(game, state)
+    for st in product(*(game.allow[v][a] for a in shared)):
+        st_map = dict(zip(shared, st))
+        per_dev = []
+        for d in devs:
+            opts: dict[frozenset[str], Move] = {}
+            for pr in product(*(game.allow[v][a] for a in private[d])):
+                pr_map = dict(zip(private[d], pr))
+                move = tuple(
+                    pr_map[a] if a in informed[d] else st_map[a] for a in game.players
+                )
+                opts.setdefault(deviation_reach(game, v, move, d), move)
+            per_dev.append(list(opts.items()))
+        for combo in product(*per_dev):
+            action = tuple((d, m) for d, (_r, m) in zip(devs, combo))
+            yield action, {d: r for d, (r, _m) in zip(devs, combo)}, None
+
+
+@dataclass
+class ReferenceGame:
+    eve_states: list[EveState]
+    eve_succ: list[tuple[int, ...]]
+    adam_nodes: list[AdamNode]
+    init: int
+    sig_index: list[dict]
+
+
+def reference_build_reachable(game: ConcurrentGame, graph: CommGraph) -> ReferenceGame:
+    """Breadth-first build of the reachable epistemic game on strings, one
+    EveState per successor of every enabled action; Adam nodes merged by
+    successor signature keep the first action that produced them."""
+    eve_states: list[EveState] = []
+    eve_index: dict[EveState, int] = {}
+    eve_succ: list[tuple[int, ...]] = []
+    adam_nodes: list[AdamNode] = []
+    sig_index: list[dict] = []
+
+    def intern(state: EveState) -> int:
+        i = eve_index.get(state)
+        if i is None:
+            i = eve_index[state] = len(eve_states)
+            eve_states.append(state)
+            sig_index.append({})
+        return i
+
+    init = intern(EveState(game.init_vertex, ()))
+    while len(eve_succ) < len(eve_states):
+        eid = len(eve_succ)
+        state = eve_states[eid]
+        out_edges = []
+        for action, reach, comply in _reference_distinct_actions(game, state):
+            sig = tuple(
+                (t, intern(st2))
+                for t, st2 in reference_successors(game, graph, state, reach, comply)
+            )
+            if sig not in sig_index[eid]:
+                aid = sig_index[eid][sig] = len(adam_nodes)
+                comply_id = None if comply is None else eve_index[EveState(comply, ())]
+                adam_nodes.append(AdamNode(eid, action, sig, comply_id))
+                out_edges.append(aid)
+        eve_succ.append(tuple(out_edges))
+    return ReferenceGame(eve_states, eve_succ, adam_nodes, init, sig_index)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,10 @@ def test_build_state_cap(capsys):
     code, _, err = run(capsys, "build", "--game", GAME, "--comm", G1, "--state-cap", "10")
     assert code == 3
     assert "resource cap" in err
+    # The message names the stage and how far it got.
+    assert "epistemic build exceeded 10 Eve states" in err
+    for progress in ("10 states interned", "0 states expanded", "3 Adam nodes made"):
+        assert progress in err
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):
@@ -74,6 +78,12 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         {**game, "players": 5},
         {**game, "players": "01234"},
         {**game, "vertices": {v: {} for v in game["vertices"]}},
+        # A string where a list belongs would read as its characters.
+        {**game, "allow": {"v0": {"0": "ab"}}},
+        {**game, "payoff": {**game["payoff"], "rules": [
+            {**game["payoff"]["rules"][0], "then": "00111"}, *game["payoff"]["rules"][1:]
+        ]}},
+        {**game, "payoff": {**game["payoff"], "default": "00000"}},
     ]
     for i, data in enumerate(bad_games):
         path = tmp_path / f"game{i}.json"

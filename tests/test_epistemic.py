@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,10 +20,10 @@ from equisynth.epistemic import (
     state_key,
 )
 from equisynth.errors import InvalidInput, StateCapExceeded
-from equisynth.game import CommGraph, ConcurrentGame
+from equisynth.game import CommGraph, ConcurrentGame, PayoffSpec
 from equisynth.parsing import game_from_dict
 
-from conftest import random_game
+from conftest import random_comm, random_game
 from oracles import (
     brute_force_devfunctions,
     complete_graph,
@@ -31,6 +32,7 @@ from oracles import (
     enabled_eve_actions,
     literal_knowledge_from_empty,
     literal_knowledge_violations,
+    reference_build_reachable,
     successor_map,
 )
 
@@ -125,7 +127,7 @@ def test_corrupted_informed_set_is_caught(game5, g1, golden_state, eg1):
     assert knowledge_violations(corrupted, game5.players, literal)
     # The same corruption inside a built game: the literal walk reports it.
     states = list(eg1.eve_states)
-    states[eg1.eve_index[golden_state]] = corrupted
+    states[eg1.eve_states.index(golden_state)] = corrupted
     broken = dataclasses.replace(eg1, eve_states=states)
     found = literal_knowledge_violations(broken)
     assert any(v.startswith(state_key(corrupted) + ":") for v in found), found
@@ -204,7 +206,7 @@ def test_build_is_deterministic(game5, g1, eg1):
 
 
 def test_build_state_cap(game5, g1):
-    with pytest.raises(StateCapExceeded):
+    with pytest.raises(StateCapExceeded, match="epistemic build"):
         build_reachable(game5, g1, state_cap=10)
 
 
@@ -287,3 +289,50 @@ def test_random_games_are_varied():
     rng = random.Random(99)
     sizes = {len(random_game(rng).players) for _ in range(40)}
     assert len(sizes) >= 3
+
+
+def _dense_ring_game(rng: random.Random, players: int, vertices: int) -> tuple:
+    """Every action allowed everywhere, a random full transition table, and
+    the ring communication graph 0 -> 1 -> ... -> 0."""
+    names = tuple(str(i) for i in range(players))
+    verts = tuple(f"v{i}" for i in range(vertices))
+    game = ConcurrentGame(
+        vertices=verts,
+        init_vertex=verts[0],
+        players=names,
+        actions=("a", "b"),
+        allow={v: {p: ("a", "b") for p in names} for v in verts},
+        tab={v: {m: rng.choice(verts) for m in product("ab", repeat=players)} for v in verts},
+        payoff=PayoffSpec((), (Fraction(0),) * players),
+    )
+    ring = frozenset((names[i], names[(i + 1) % players]) for i in range(players))
+    return game, CommGraph(names, ring)
+
+
+def test_build_matches_reference(game5, g1, g2, g3):
+    """The integer build gives the game the string-based reference build
+    gives: the same Eve states in the same order, the same Adam nodes with
+    the same first actions, successors and complying ids, and the same
+    signature tables."""
+    rng = random.Random(20261018)
+    cases = [(game5, g) for g in (g1, g2, g3)]
+    cases += [_dense_ring_game(rng, p, v) for p, v in ((2, 4), (3, 3), (3, 5), (4, 2))]
+    while len(cases) < 110:
+        game = random_game(rng)
+        cases.append((game, random_comm(rng, game.players)))
+    compared = 0
+    for game, graph in cases:
+        try:
+            eg = build_reachable(game, graph, state_cap=150)
+        except StateCapExceeded:
+            continue
+        ref = reference_build_reachable(game, graph)
+        compared += 1
+        assert eg.eve_states == ref.eve_states
+        assert eg.eve_succ == ref.eve_succ
+        assert eg.init == ref.init
+        assert eg.adam_nodes == ref.adam_nodes  # origin, action, succ, comply
+        assert [list(d.items()) for d in eg._sig_index] == [
+            list(d.items()) for d in ref.sig_index
+        ]
+    assert compared >= 100

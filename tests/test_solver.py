@@ -92,12 +92,12 @@ def test_recurring_sets_and_color_classes_match_enumeration():
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
     golden = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     sol1 = punishment_region(eg1, P_MAIN)
-    assert eg1.eve_index[golden] in sol1.win
+    assert eg1.eve_states.index(golden) in sol1.win
 
     golden_g3 = successor_map(game5, g3, EveState("v0", ()), ALL_A)["v1p"]
     assert state_key(golden_g3) == "v1p|2:2;3:3;4:0,4"
     sol3 = punishment_region(eg3, P_MAIN)
-    assert eg3.eve_index[golden_g3] not in sol3.win
+    assert eg3.eve_states.index(golden_g3) not in sol3.win
 
 
 def test_punishment_region_vacuous_bound(eg1):
