@@ -52,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--main-inf", help="comma-separated vertex set the complying outcome must visit infinitely often")
     p.add_argument("--depth", type=int, help="message-rule check depth (default: diameter + |V| + 2)")
     p.add_argument("--state-cap", type=int, default=1_000_000, help="epistemic state cap")
-    p.add_argument("--lar-cap", type=int, default=500_000, help="record product node cap")
+    p.add_argument("--lar-cap", type=int, default=500_000, help="node cap of each punishment layer's parity product")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
 

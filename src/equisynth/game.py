@@ -114,12 +114,17 @@ class PayoffSpec:
     rules: tuple[PayoffRule, ...]
     default: tuple[Fraction, ...]
 
-    def value(self, inf) -> tuple[Fraction, ...]:
+    def first_match(self, inf) -> int:
+        """Index of the rule that decides `inf`; len(rules) for the default."""
         inf = frozenset(inf)
-        for rule in self.rules:
+        for k, rule in enumerate(self.rules):
             if rule.condition.holds(inf):
-                return rule.vector
-        return self.default
+                return k
+        return len(self.rules)
+
+    def value(self, inf) -> tuple[Fraction, ...]:
+        k = self.first_match(inf)
+        return self.rules[k].vector if k < len(self.rules) else self.default
 
     def atoms(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

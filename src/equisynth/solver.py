@@ -4,10 +4,12 @@ coalition can lock in, together with the strategy that enforces it.
 For a candidate vector p the deviated region is solved as a zero-sum game
 where the protagonist must keep every surviving suspect at or below its
 component of p on the recurring vertices.  Suspect sets only shrink, so the
-region splits into layers ordered by the suspect set; each layer becomes a
-parity game through a latest-appearance record over the layer's vertices,
-grouped into payoff-equivalence classes (the grouping is checked against a
-per-layer acceptance table before use).  Exits to smaller layers are sinks
+region splits into layers ordered by the suspect set.  A layer's objective
+is a Muller condition on its color classes (each payoff atom its own color,
+every other vertex one shared color), tabulated once per nonempty class set.
+Each layer becomes a parity game through its product with the Zielonka tree
+of that table, whose leaves are the only memory the punishment needs; with
+one leaf the product is the layer itself.  Exits to smaller layers are sinks
 whose winner is already known.
 
 On top of the punished region, a complying move is p-safe when every visible
@@ -45,7 +47,6 @@ from .errors import (
     rejects_malformed,
 )
 from .game import ConcurrentGame
-from .lar import LarState, initial_record, lar_priority, lar_step
 from .parity import ParityGame, solve_parity
 
 Vector = tuple[Fraction, ...]
@@ -141,19 +142,73 @@ def _color_sets(colors: Sequence) -> Iterable[frozenset]:
 # Punishment region, layer by layer.
 
 
+Tree = tuple[tuple[tuple[int, int], ...], ...]  # [leaf][color] -> (leaf, priority)
+
+
+def zielonka_tree(colors: int, acc: Sequence[bool]) -> Tree:
+    """The Zielonka-tree parity automaton (Zielonka, TCS 1998; Casares,
+    Colcombet, Fijalkow, ICALP 2021) of the Muller condition `acc`, a verdict
+    for every nonempty set of colors in range(colors), indexed by its bitmask.
+
+    The root holds every color, and the children of a node are the maximal
+    color sets below it whose acceptance differs from the node's, so the
+    acceptance alternates with depth.  The automaton's states are the leaves,
+    numbered left to right; leaf 0 is the initial one.  Reading color c at a
+    leaf finds the deepest ancestor n that holds c.  If n is the leaf itself
+    the automaton stays; otherwise it moves to the leftmost leaf below the
+    child of n that follows, cyclically, the child leading to the leaf.  The
+    output is a max-parity priority that falls with the depth of n, even
+    exactly where n accepts: the shallowest node met infinitely often holds
+    the recurring colors and no child does, so it accepts iff they do.
+
+    Returns the (next leaf, priority) pair per leaf and color."""
+    def children(top: int) -> list[int]:
+        # Subsets in decreasing order: a strict superset comes first.
+        kids: list[int] = []
+        sub = (top - 1) & top
+        while sub:
+            if acc[sub] != acc[top] and all(sub & k != sub for k in kids):
+                kids.append(sub)
+            sub = (sub - 1) & top
+        return kids
+
+    full = (1 << colors) - 1
+    paths: list[tuple[int, ...]] = []  # leaves left to right, as paths of node sets
+    stack = [(full,)]
+    while stack:
+        path = stack.pop()
+        kids = children(path[-1])
+        stack.extend(path + (k,) for k in reversed(kids))
+        if not kids:
+            paths.append(path)
+    top = max(map(len, paths)) - 1
+    base = top + (acc[full] != (top % 2 == 0))  # even exactly at accepting nodes
+    step = []
+    for leaf, path in enumerate(paths):
+        row = []
+        for c in range(colors):
+            d = max(i for i, node in enumerate(path) if node >> c & 1)
+            nxt = leaf
+            if d < len(path) - 1:
+                kids = children(path[d])
+                sib = path[:d + 1] + (kids[(kids.index(path[d + 1]) + 1) % len(kids)],)
+                nxt = next(i for i, q in enumerate(paths) if q[:d + 2] == sib)
+            row.append((nxt, base - d))
+        step.append(tuple(row))
+    return tuple(step)
+
+
 @dataclass
 class LayerTable:
     dev: DevKey
     classes: tuple[tuple[str, ...], ...]  # color id -> vertices of that class
-    entries: dict[tuple[int, LarState], int]  # (eve id, record) -> adam id
+    tree: Tree
+    entries: dict[tuple[int, int], int]  # (eve id, leaf) -> adam id
     win: frozenset[int]
     class_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.class_of = {v: ci for ci, cls in enumerate(self.classes) for v in cls}
-
-    def entry_state(self, color: int) -> LarState:
-        return lar_step(LarState(initial_record(len(self.classes)), 0), color)
 
 
 @dataclass
@@ -163,152 +218,124 @@ class PunishmentSolution:
     layers: dict[DevKey, LayerTable]
 
 
+def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
+    """Deviated Eve ids grouped by suspect set."""
+    groups: dict[DevKey, list[int]] = {}
+    for eid in eg.deviated_ids():
+        groups.setdefault(eg.eve_states[eid].deviators(), []).append(eid)
+    return groups
+
+
 def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey,
                          layer_vertices: list[str]):
     """Partition the layer's vertices so the acceptance predicate depends only
     on which classes recur; return the classes in vertex order and the
-    acceptance table, keyed by sets of class ids.
+    acceptance table, indexed by the bitmask of a nonempty set of class ids.
 
-    The seed partition puts each payoff atom in a class of its own and all
-    other vertices in one class.  The predicate depends only on the atoms
-    that recur, so it is evaluated once per nonempty set of seed classes,
-    into the layer's acceptance table.  Pairs of classes are then merged
-    greedily while every two seed patterns that the merged partition maps to
-    the same key still agree in that table; a merge only regroups its keys.
+    Each payoff atom is a class of its own and all other vertices share one
+    class.  The predicate depends only on the atoms that recur, so the payoff
+    is evaluated once per nonempty set of classes, and compared with p once
+    per payoff vector.
     """
     dev_idx = [game.player_index[d] for d in dev]
-    atoms = game.payoff.atoms()
-    vorder = {v: i for i, v in enumerate(game.vertices)}
+    payoff = game.payoff
+    outcomes = [rule.vector for rule in payoff.rules] + [payoff.default]
+    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in outcomes]
+    atoms = payoff.atoms()
+    vorder = game.vertex_index
 
-    seed = [[v] for v in layer_vertices if v in atoms]
-    rest = [v for v in layer_vertices if v not in atoms]
+    classes = [(v,) for v in layer_vertices if v in atoms]
+    rest = tuple(v for v in layer_vertices if v not in atoms)
     if rest:
-        seed.append(rest)
-    seed.sort(key=lambda cls: vorder[cls[0]])
-    accepted: dict[frozenset[int], bool] = {}
-    for pattern in _color_sets(range(len(seed))):
-        vec = game.payoff.value(v for si in pattern for v in seed[si])
-        accepted[pattern] = all(vec[i] <= p[i] for i in dev_idx)
+        classes.append(rest)
+    classes.sort(key=lambda cls: vorder[cls[0]])
+    union = [frozenset()]  # bitmask -> vertices of those classes
+    for mask in range(1, 1 << len(classes)):
+        low = mask & -mask
+        union.append(union[mask ^ low] | frozenset(classes[low.bit_length() - 1]))
+    accepted = [ok[payoff.first_match(vs)] for vs in union]
+    return tuple(classes), accepted
 
-    def regroup(groups: list[list[int]]):
-        group_of = {si: gi for gi, grp in enumerate(groups) for si in grp}
-        table: dict[frozenset[int], bool] = {}
-        for pattern, val in accepted.items():
-            key = frozenset(group_of[si] for si in pattern)
-            if table.setdefault(key, val) != val:
-                return None
-        return table
 
-    # Groups of seed ids; seeds are in vertex order, so sorting the groups
-    # sorts the classes by their first vertex.
-    groups = [[si] for si in range(len(seed))]
-    table = regroup(groups)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                cand = [grp for k, grp in enumerate(groups) if k not in (i, j)]
-                cand.append(sorted(groups[i] + groups[j]))
-                cand.sort()
-                t = regroup(cand)
-                if t is not None:
-                    groups, table = cand, t
-                    merged = True
-                    break
-            if merged:
-                break
-    classes = tuple(
-        tuple(sorted((v for si in grp for v in seed[si]), key=vorder.__getitem__))
-        for grp in groups
+def _layer_setup(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int]):
+    """The color classes and the Zielonka tree of one layer."""
+    vorder = eg.game.vertex_index
+    layer_vertices = sorted(
+        {eg.eve_states[e].vertex for e in layer_eves}, key=vorder.__getitem__
     )
-    return classes, table
+    classes, accepted = _layer_color_classes(eg.game, p, dev, layer_vertices)
+    return classes, zielonka_tree(len(classes), accepted)
 
 
 def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],
                  global_win: set[int], lar_cap: int) -> LayerTable:
-    game = eg.game
-    vorder = {v: i for i, v in enumerate(game.vertices)}
-    layer_vertices = sorted(
-        {eg.eve_states[e].vertex for e in layer_eves}, key=vorder.__getitem__
-    )
-    classes, acc_table = _layer_color_classes(game, p, dev, layer_vertices)
-    table = LayerTable(dev=dev, classes=classes, entries={}, win=frozenset())
-    cls_of = table.class_of
-    accept = acc_table.__getitem__
+    """Solve one layer as a parity game on its product with the Zielonka tree.
 
-    layer_set = set(layer_eves)
-    owner: list[int] = [0, 1]  # 0: win sink, 1: lose sink
-    priority: list[int] = [0, 1]
-    succ: list[list[int]] = [[0], [1]]
-    labels: list = [None, None]
-    index: dict = {}
+    An Eve node is (Eve id, leaf before the state's own color is read), an
+    Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
+    Entering the layer starts at leaf 0; exits to smaller layers are sinks
+    whose winner is already known."""
+    classes, tree = _layer_setup(eg, p, dev, layer_eves)
+    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={}, win=frozenset())
+    adam_nodes, eve_succ, leaves = eg.adam_nodes, eg.eve_succ, len(tree)
+    color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
+
     WIN, LOSE = 0, 1
+    owner, priority, succ = [0, 1], [0, 1], [[WIN], [LOSE]]
+    keys = [-1, -1]  # node -> key
+    eve_index: dict[int, int] = {}  # key -> node
+    adam_index: dict[int, int] = {}
 
-    def intern(node) -> int:
-        i = index.get(node)
-        if i is None:
-            if len(owner) >= lar_cap:
+    def intern(index: dict, ident: int, leaf: int, is_eve: bool) -> int:
+        key = ident * leaves + leaf
+        node = index.get(key)
+        if node is None:
+            node = len(owner)
+            if node >= lar_cap:
                 raise LarCapExceeded(
-                    f"record product exceeded {lar_cap} nodes in layer {dev}"
+                    f"punishment product exceeded {lar_cap} nodes in the layer with "
+                    f"suspects {{{','.join(dev)}}}: {leaves} tree "
+                    f"{'leaf' if leaves == 1 else 'leaves'}, {len(layer_eves)} Eve "
+                    f"states and {sum(len(eve_succ[e]) for e in layer_eves)} Adam "
+                    f"nodes in the layer, {node} product nodes made"
                 )
-            i = len(owner)
-            index[node] = i
-            labels.append(node)
-            if node[0] == "e":
-                owner.append(0)
-                priority.append(lar_priority(node[2], accept))
-            else:
-                owner.append(1)
-                priority.append(0)
+            index[key] = node
+            owner.append(0 if is_eve else 1)
+            priority.append(tree[leaf][color[ident]][1] if is_eve else 0)
             succ.append([])
-            queue.append(node)
-        return i
+            keys.append(key)
+        return node
 
-    queue: deque = deque()
-    entry_nodes = {
-        e: ("e", e, table.entry_state(cls_of[eg.eve_states[e].vertex]))
-        for e in layer_eves
-    }
     for e in layer_eves:
-        intern(entry_nodes[e])
-    while queue:
-        node = queue.popleft()
-        nid = index[node]
-        if node[0] == "e":
-            _, e, ls = node
-            for aid in eg.eve_succ[e]:
-                succ[nid].append(intern(("a", aid, ls)))
+        intern(eve_index, e, 0, True)
+    node = 2
+    while node < len(owner):  # the product grows while it is read
+        ident, leaf = divmod(keys[node], leaves)
+        out = succ[node]
+        if owner[node] == 0:
+            nxt = tree[leaf][color[ident]][0]
+            for aid in eve_succ[ident]:
+                out.append(intern(adam_index, aid, nxt, False))
         else:
-            _, aid, ls = node
-            for _t, sid in eg.adam_nodes[aid].succ:
-                if sid in layer_set:
-                    nxt = ("e", sid, lar_step(ls, cls_of[eg.eve_states[sid].vertex]))
-                    succ[nid].append(intern(nxt))
+            for _t, sid in adam_nodes[ident].succ:
+                if sid in color:
+                    out.append(intern(eve_index, sid, leaf, True))
                 else:
-                    succ[nid].append(WIN if sid in global_win else LOSE)
+                    out.append(WIN if sid in global_win else LOSE)
+        node += 1
 
     w0, _w1, s0, _s1 = solve_parity(ParityGame(owner, priority, succ))
-    for node, nid in index.items():
-        if node[0] != "e" or nid not in w0:
-            continue
-        choice = s0.get(nid)
-        if choice is None:
-            raise RuntimeError(f"missing strategy on won node {node}")
-        target = labels[choice]
-        table.entries[(node[1], node[2])] = target[1]
-    table.win = frozenset(
-        e for e in layer_eves if index[entry_nodes[e]] in w0
-    )
+    for key, node in eve_index.items():
+        if node in w0:
+            table.entries[divmod(key, leaves)] = keys[s0[node]] // leaves
+    table.win = frozenset(e for e in layer_eves if eve_index[e * leaves] in w0)
     return table
 
 
 def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> PunishmentSolution:
     """Deviated Eve states from which the coalition can bound every surviving
     suspect by p on every outcome, with the enforcing strategy tables."""
-    groups: dict[DevKey, list[int]] = {}
-    for eid in eg.deviated_ids():
-        groups.setdefault(eg.eve_states[eid].deviators(), []).append(eid)
+    groups = _layer_groups(eg)
     global_win: set[int] = set()
     layers: dict[DevKey, LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
@@ -321,11 +348,14 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> P
 # ---------------------------------------------------------------------------
 # Full synthesis: p-safe complying lasso + punishment tables.
 
+PROFILE_FORMAT = "equisynth-profile-v2"
+
 
 @dataclass
 class EveStrategy:
     """Finite-memory protagonist strategy: follow the complying lasso, and on
-    any visible deviation switch to the punished layer's record-based table."""
+    any visible deviation switch to the punished layer's table, with the
+    layer's tree leaf as memory."""
 
     eg: EpistemicGame
     payoff: Vector
@@ -350,15 +380,15 @@ class EveStrategy:
                     f"complying track expected state {entry_eve}, got {eve_id}"
                 )
             return self.eg.adam_nodes[aid].action
-        _tag, dev, ls = mem
+        _tag, dev, leaf = mem
         table = self.layers.get(dev)
         if table is None:
             raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        aid = table.entries.get((eve_id, ls))
+        aid = table.entries.get((eve_id, leaf))
         if aid is None:
             raise StrategyUndefined(
                 f"punishment table for {dev} undefined at "
-                f"{state_key(self.eg.eve_states[eve_id])} with record {ls}"
+                f"{state_key(self.eg.eve_states[eve_id])} with leaf {leaf}"
             )
         return self.eg.adam_nodes[aid].action
 
@@ -371,21 +401,18 @@ class EveStrategy:
                     pos = len(self.prefix)
                 return ("c", pos)
             return self._enter_layer(next_eve_id)
-        _tag, dev, ls = mem
+        _tag, dev, leaf = mem
         if nxt.deviators() == dev:
             table = self.layers[dev]
-            color = table.class_of[nxt.vertex]
-            return ("p", dev, lar_step(ls, color))
+            color = table.class_of[self.eg.eve_states[eve_id].vertex]
+            return ("p", dev, table.tree[leaf][color][0])
         return self._enter_layer(next_eve_id)
 
     def _enter_layer(self, eve_id: int):
-        state = self.eg.eve_states[eve_id]
-        dev = state.deviators()
-        table = self.layers.get(dev)
-        if table is None:
+        dev = self.eg.eve_states[eve_id].deviators()
+        if dev not in self.layers:
             raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        color = table.class_of[state.vertex]
-        return ("p", dev, table.entry_state(color))
+        return ("p", dev, 0)
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
@@ -396,42 +423,25 @@ class EveStrategy:
                 return {d: list(m) for d, m in action}
             return list(action)
 
-        def comply_json(entries):
-            return [
-                {
-                    "eve": e,
-                    "key": state_key(eg.eve_states[e]),
-                    "action": action_json(eg.adam_nodes[aid].action),
-                }
-                for e, aid in entries
-            ]
+        def row_json(e: int, aid: int, **extra):
+            return {"eve": e, "key": state_key(eg.eve_states[e]), **extra,
+                    "action": action_json(eg.adam_nodes[aid].action)}
 
-        layers = []
-        for dev in sorted(self.layers):
-            table = self.layers[dev]
-            rows = []
-            for (e, ls), aid in sorted(
-                table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].record, kv[0][1].hit)
-            ):
-                rows.append(
-                    {
-                        "eve": e,
-                        "key": state_key(eg.eve_states[e]),
-                        "record": list(ls.record),
-                        "hit": ls.hit,
-                        "action": action_json(eg.adam_nodes[aid].action),
-                    }
-                )
-            layers.append(
-                {
-                    "dev": list(dev),
-                    "classes": [list(cls) for cls in table.classes],
-                    "win": sorted(table.win),
-                    "entries": rows,
-                }
-            )
+        def comply_json(entries):
+            return [row_json(e, aid) for e, aid in entries]
+
+        layers = [
+            {
+                "dev": list(dev),
+                "classes": [list(cls) for cls in table.classes],
+                "win": sorted(table.win),
+                "entries": [row_json(e, aid, leaf=leaf)
+                            for (e, leaf), aid in sorted(table.entries.items())],
+            }
+            for dev, table in sorted(self.layers.items())
+        ]
         return {
-            "format": "equisynth-profile-v1",
+            "format": PROFILE_FORMAT,
             "payoff": [str(q) for q in self.payoff],
             "comply": {
                 "prefix": comply_json(self.prefix),
@@ -443,8 +453,15 @@ class EveStrategy:
     @staticmethod
     @rejects_malformed("profile")
     def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
-        if data.get("format") != "equisynth-profile-v1":
-            raise InvalidInput("unknown profile format")
+        """Read a profile back.  Each layer's color classes and tree are
+        rebuilt from the game, the payoff and the suspects; a profile whose
+        classes differ from the rebuild, or whose leaves lie outside the tree,
+        is rejected."""
+        if data.get("format") != PROFILE_FORMAT:
+            raise InvalidInput(
+                f"unsupported profile format {data.get('format')!r}: expected "
+                f"{PROFILE_FORMAT}; solve again to get a profile in that format"
+            )
 
         def move_of(raw) -> tuple[str, ...]:
             if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
@@ -462,14 +479,17 @@ class EveStrategy:
                     raise InvalidInput(f"profile action misses suspect {exc}") from exc
             return move_of(raw)
 
+        def eve_of(row) -> int:
+            e = int(row["eve"])
+            if not 0 <= e < eg.eve_count() or state_key(eg.eve_states[e]) != row["key"]:
+                raise InvalidInput("profile does not match the built game")
+            return e
+
         def comply_of(rows):
             out = []
             for row in rows:
-                e = int(row["eve"])
-                if not 0 <= e < eg.eve_count() or state_key(eg.eve_states[e]) != row["key"]:
-                    raise InvalidInput("profile does not match the built game")
-                aid = eg.adam_for_action(e, action_of(row["action"], e))
-                out.append((e, aid))
+                e = eve_of(row)
+                out.append((e, eg.adam_for_action(e, action_of(row["action"], e))))
             return tuple(out)
 
         payoff = tuple(Fraction(x) for x in data["payoff"])
@@ -479,23 +499,32 @@ class EveStrategy:
         cycle = comply_of(data["comply"]["cycle"])
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
+        groups = _layer_groups(eg)
         layers: dict[DevKey, LayerTable] = {}
         for block in data.get("punish", []):
             dev = tuple(block["dev"])
-            classes = tuple(tuple(cls) for cls in block["classes"])
-            entries: dict[tuple[int, LarState], int] = {}
+            suspects = "{" + ",".join(map(str, dev)) + "}"
+            if dev not in groups:
+                raise InvalidInput(f"profile punishes suspects {suspects}, "
+                                   f"a layer the built game does not have")
+            classes, tree = _layer_setup(eg, payoff, dev, groups[dev])
+            if block["classes"] != [list(cls) for cls in classes]:
+                raise InvalidInput(
+                    f"profile color classes for suspects {suspects} differ from "
+                    f"the layer's: expected {[list(cls) for cls in classes]}"
+                )
+            entries: dict[tuple[int, int], int] = {}
             for row in block["entries"]:
-                e = int(row["eve"])
-                if not 0 <= e < eg.eve_count() or state_key(eg.eve_states[e]) != row["key"]:
-                    raise InvalidInput("profile does not match the built game")
-                ls = LarState(tuple(row["record"]), int(row["hit"]))
-                entries[(e, ls)] = eg.adam_for_action(e, action_of(row["action"], e))
-            layers[dev] = LayerTable(
-                dev=dev,
-                classes=classes,
-                entries=entries,
-                win=frozenset(int(x) for x in block.get("win", [])),
-            )
+                e = eve_of(row)
+                leaf = int(row["leaf"])
+                if not 0 <= leaf < len(tree):
+                    raise InvalidInput(
+                        f"profile leaf {leaf} for suspects {suspects} is outside "
+                        f"the layer's tree of {len(tree)} leaves"
+                    )
+                entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
+            win = frozenset(int(x) for x in block.get("win", []))
+            layers[dev] = LayerTable(dev, classes, tree, entries, win)
         return EveStrategy(eg=eg, payoff=payoff, prefix=prefix, cycle=cycle, layers=layers)
 
 

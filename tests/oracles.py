@@ -26,8 +26,7 @@ from equisynth.epistemic import (
 )
 from equisynth.errors import InvalidInput
 from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
-from equisynth.lar import LarState, initial_record, lar_priority, lar_step
-from equisynth.parity import ParityGame
+from equisynth.parity import ParityGame, solve_parity
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +581,44 @@ def reference_solve_parity(pg: ParityGame):
 
 
 # ---------------------------------------------------------------------------
+# Muller-to-parity reduction through latest appearance records.
+#
+# The record is a permutation of the color alphabet, most recently seen color
+# first.  Reading color c moves it to the front; the *hit* is the 1-based
+# position c came from.  Along any run, the largest hit occurring infinitely
+# often equals the number of colors seen infinitely often, and at those
+# moments the record prefix of that length is exactly the set of recurring
+# colors.  Assigning priority 2h to an accepted prefix set and 2h+1 to a
+# rejected one therefore turns any Muller condition into a max-parity one.
+
+Record = tuple[int, ...]  # permutation of color indices, most recent first
+
+
+@dataclass(frozen=True)
+class LarState:
+    record: Record
+    hit: int  # 0 before any color was read
+
+
+def initial_record(color_count: int) -> Record:
+    return tuple(range(color_count))
+
+
+def lar_step(state: LarState, color: int) -> LarState:
+    pos = state.record.index(color)
+    record = (color,) + state.record[:pos] + state.record[pos + 1 :]
+    return LarState(record, pos + 1)
+
+
+def lar_priority(state: LarState, accept) -> int:
+    """Max-parity priority of a record state; even means accepted."""
+    if state.hit == 0:
+        return 0
+    prefix = frozenset(state.record[: state.hit])
+    return 2 * state.hit if accept(prefix) else 2 * state.hit + 1
+
+
+# ---------------------------------------------------------------------------
 # Lassos: payoffs, and recurrence read directly or through the record.
 
 
@@ -699,10 +736,8 @@ def vertex_subset_table(game: ConcurrentGame, p, dev, layer_vertices, partition)
     return table
 
 
-def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
-    """Atom singletons plus one class of the other vertices, then merge the
-    first pair of classes (in vertex order) that `vertex_subset_table` still
-    accepts, until no pair can merge.  Returns (classes, table)."""
+def seed_color_classes(game: ConcurrentGame, layer_vertices) -> list[list[str]]:
+    """Atom singletons plus one class of the other vertices, in vertex order."""
     atoms = game.payoff.atoms()
     vorder = {v: i for i, v in enumerate(game.vertices)}
     partition = [[v] for v in layer_vertices if v in atoms]
@@ -710,6 +745,15 @@ def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
     if rest:
         partition.append(rest)
     partition.sort(key=lambda cls: vorder[cls[0]])
+    return partition
+
+
+def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
+    """The seed classes, then merge the first pair of classes (in vertex
+    order) that `vertex_subset_table` still accepts, until no pair can merge.
+    Returns (classes, table)."""
+    vorder = {v: i for i, v in enumerate(game.vertices)}
+    partition = seed_color_classes(game, layer_vertices)
     table = vertex_subset_table(game, p, dev, layer_vertices, partition)
     assert table is not None, "atom singletons always decide the payoff"
     merged = True
@@ -728,6 +772,57 @@ def brute_force_color_classes(game: ConcurrentGame, p, dev, layer_vertices):
             if merged:
                 break
     return tuple(tuple(cls) for cls in partition), table
+
+
+def record_punishment_win(eg, p) -> frozenset[int]:
+    """The punishment region through latest appearance records: layers in
+    increasing suspect sets, each reduced to max-parity by a record over its
+    merged payoff-equivalence classes, exits to smaller layers as sinks."""
+    game = eg.game
+    states = eg.eve_states
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for eid in eg.deviated_ids():
+        groups.setdefault(states[eid].deviators(), []).append(eid)
+    win: set[int] = set()
+    for dev in sorted(groups, key=lambda d: (len(d), d)):
+        layer = set(groups[dev])
+        layer_vertices = sorted({states[e].vertex for e in layer},
+                                key=game.vertex_index.__getitem__)
+        classes, table = brute_force_color_classes(game, p, dev, layer_vertices)
+        cls_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
+        owner, priority, succ = [0, 1], [0, 1], [[0], [1]]  # win and lose sinks
+        index: dict = {}
+        queue: list = []
+
+        def intern(node) -> int:
+            if node not in index:
+                index[node] = len(owner)
+                is_eve = node[0] == "e"
+                owner.append(0 if is_eve else 1)
+                priority.append(lar_priority(node[2], table.__getitem__) if is_eve else 0)
+                succ.append([])
+                queue.append(node)
+            return index[node]
+
+        start = LarState(initial_record(len(classes)), 0)
+        entry = {e: ("e", e, lar_step(start, cls_of[states[e].vertex])) for e in layer}
+        for e in sorted(layer):
+            intern(entry[e])
+        while queue:
+            node = queue.pop()
+            out = succ[index[node]]
+            if node[0] == "e":
+                out += [intern(("a", aid, node[2])) for aid in eg.eve_succ[node[1]]]
+                continue
+            for _t, sid in eg.adam_nodes[node[1]].succ:
+                if sid in layer:
+                    ls = lar_step(node[2], cls_of[states[sid].vertex])
+                    out.append(intern(("e", sid, ls)))
+                else:
+                    out.append(0 if sid in win else 1)
+        w0 = solve_parity(ParityGame(owner, priority, succ))[0]
+        win |= {e for e in layer if index[entry[e]] in w0}
+    return frozenset(win)
 
 
 # ---------------------------------------------------------------------------

@@ -265,13 +265,79 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "text payoff": edited(lambda p: p.update(payoff=["x"] * 5)),
         "short payoff": edited(lambda p: p.update(payoff=p["payoff"][:3])),
         "text eve id": edited(lambda p: p["comply"]["cycle"][0].update(eve="zz")),
-        "text hit": edited(lambda p: p["punish"][0]["entries"][0].update(hit="h")),
+        "text leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf="h")),
         "text action": edited(lambda p: p["comply"]["cycle"][0].update(action="aaaaa")),
     }
     for label, data in garbage.items():
         junk.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
         assert (code, err.startswith("error:")) == (2, True), (label, err)
+
+
+def test_solve_product_cap(capsys):
+    code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--lar-cap", "30")
+    assert code == 3
+    assert "resource cap" in err
+    # The message names the stage, the layer and how far it got.
+    assert "punishment product exceeded 30 nodes in the layer with suspects {2,3}" in err
+    for progress in ("1 tree leaf", "11 Eve states and 65 Adam nodes in the layer",
+                     "30 product nodes made"):
+        assert progress in err
+
+
+@pytest.fixture()
+def main_inf_report(capsys, tmp_path):
+    path = tmp_path / "main_inf.json"
+    code, _, _ = run(
+        capsys, "solve", "--game", GAME, "--comm", G1, "--main-inf", "v0,v1",
+        "--format", "json", "--out", str(path),
+    )
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def verify_edited(capsys, tmp_path, report, change):
+    data = json.loads(json.dumps(report))
+    change(data["profile"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))
+
+
+def test_verify_rejects_other_color_classes(capsys, tmp_path, main_inf_report):
+    def each_layer(change):
+        return lambda profile: [change(block) for block in profile["punish"]]
+
+    edits = {
+        # The last class is gone, so its vertex has no color.
+        "missing vertex": each_layer(lambda b: b["classes"].pop()),
+        "merged classes": each_layer(
+            lambda b: b.update(classes=[b["classes"][0] + b["classes"][1]] + b["classes"][2:])),
+        "reordered classes": each_layer(lambda b: b["classes"].reverse()),
+    }
+    for label, change in edits.items():
+        code, _, err = verify_edited(capsys, tmp_path, main_inf_report, change)
+        assert code == 2, (label, err)
+        assert err.startswith("error:") and "color classes" in err, (label, err)
+        assert "Traceback" not in err
+
+
+def test_verify_rejects_leaf_outside_tree(capsys, tmp_path, main_inf_report):
+    for leaf in (1, -1):
+        code, _, err = verify_edited(
+            capsys, tmp_path, main_inf_report,
+            lambda p: p["punish"][0]["entries"][0].update(leaf=leaf))
+        assert code == 2
+        assert err.startswith("error:") and f"leaf {leaf}" in err and "outside" in err
+
+
+def test_verify_rejects_v1_profile(capsys, tmp_path, main_inf_report):
+    code, _, err = verify_edited(
+        capsys, tmp_path, main_inf_report,
+        lambda p: p.update(format="equisynth-profile-v1"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "equisynth-profile-v1" in err and "expected equisynth-profile-v2" in err
 
 
 def test_logging_stays_on_stderr():

@@ -1,11 +1,19 @@
-"""Record-based reduction of recurrence conditions to max-parity."""
+"""The latest-appearance-record reduction of recurrence conditions to
+max-parity, kept in `oracles` as the reference the Zielonka-tree product is
+checked against."""
 from __future__ import annotations
 
 import random
 
-from equisynth.lar import LarState, initial_record, lar_priority, lar_step
-
-from oracles import muller_accepts_lasso, parity_accepts_lasso, random_lasso
+from oracles import (
+    LarState,
+    initial_record,
+    lar_priority,
+    lar_step,
+    muller_accepts_lasso,
+    parity_accepts_lasso,
+    random_lasso,
+)
 
 
 def test_record_moves_color_to_front():

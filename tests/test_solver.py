@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from equisynth.epistemic import EveState, state_key
+from equisynth.epistemic import EveState, build_reachable, state_key
 from equisynth.errors import InvalidInput, LarCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
@@ -19,14 +19,19 @@ from equisynth.solver import (
     recurring_witness,
     solve,
     strongly_connected_components,
+    zielonka_tree,
 )
 
-from conftest import random_game
+from conftest import random_comm, random_game
 from oracles import (
-    brute_force_color_classes,
     brute_force_recurring_color_sets,
+    muller_accepts_lasso,
+    random_lasso,
+    record_punishment_win,
     strongly_connected_with_edge,
+    seed_color_classes,
     successor_map,
+    vertex_subset_table,
 )
 
 ALL_A = ("a",) * 5
@@ -83,10 +88,90 @@ def test_recurring_sets_and_color_classes_match_enumeration():
         vertices = [v for v in game.vertices if rng.random() < 0.7]
         if not vertices:
             continue
+        seed = seed_color_classes(game, vertices)
         for p in candidate_payoffs(game):
-            assert _layer_color_classes(game, p, dev, vertices) == \
-                brute_force_color_classes(game, p, dev, vertices)
+            classes, table = _layer_color_classes(game, p, dev, vertices)
+            assert classes == tuple(map(tuple, seed))
+            assert {color_set(mask): table[mask] for mask in range(1, len(table))} == \
+                vertex_subset_table(game, p, dev, vertices, seed)
             layers += 1
+
+
+def color_set(mask: int) -> frozenset[int]:
+    return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def full_table(color_count, accept) -> list[bool]:
+    return [False] + [accept(color_set(mask)) for mask in range(1, 1 << color_count)]
+
+
+def tree_accepts_lasso(prefix, cycle, tree) -> bool:
+    """Run the tree automaton over the prefix, pump the cycle until the
+    (cycle position, leaf) pair repeats, and read the top priority on the
+    loop."""
+    leaf = 0
+    for c in prefix:
+        leaf = tree[leaf][c][0]
+    seen: dict[tuple[int, int], int] = {}
+    out: list[int] = []
+    pos = 0
+    while (pos, leaf) not in seen:
+        seen[(pos, leaf)] = len(out)
+        leaf, prio = tree[leaf][cycle[pos]]
+        out.append(prio)
+        pos = (pos + 1) % len(cycle)
+    return max(out[seen[(pos, leaf)]:]) % 2 == 0
+
+
+def test_tree_automaton_matches_direct_evaluation():
+    rng = random.Random(20261019)
+    leaves = set()
+    for _ in range(500):
+        color_count = rng.randint(1, 5)
+        prefix, cycle, accept = random_lasso(rng, color_count)
+        tree = zielonka_tree(color_count, full_table(color_count, accept))
+        leaves.add(len(tree))
+        assert tree_accepts_lasso(prefix, cycle, tree) == \
+            muller_accepts_lasso(prefix, cycle, accept), (color_count, prefix, cycle)
+    assert max(leaves) > 2
+
+
+def test_parity_table_gives_one_leaf():
+    rng = random.Random(7)
+    for _ in range(100):
+        color_count = rng.randint(1, 6)
+        prio = [rng.randrange(2 * color_count) for _ in range(color_count)]
+        accept = lambda cs: max(prio[c] for c in cs) % 2 == 0
+        tree = zielonka_tree(color_count, full_table(color_count, accept))
+        assert len(tree) == 1
+        # Positional: the only leaf emits an even priority exactly on a color
+        # of even priority, and higher for higher ones.
+        row = tree[0]
+        for a in range(color_count):
+            assert row[a][1] % 2 == prio[a] % 2
+            for b in range(color_count):
+                if prio[a] < prio[b]:
+                    assert row[a][1] <= row[b][1]
+
+
+def test_punishment_region_matches_record_oracle(eg1, eg2, eg3, random_instances):
+    # The record oracle's product is k!-shaped: on the two random instances
+    # with over 30,000 Adam nodes it takes a minute, so games that large are
+    # replaced by further draws of the same generator.
+    small = [eg for _game, _graph, eg in random_instances if eg.adam_count() <= 20_000]
+    rng = random.Random(20261020)
+    while len(small) < 100:
+        game = random_game(rng)
+        eg = build_reachable(game, random_comm(rng, game.players), state_cap=50_000)
+        if eg.adam_count() <= 20_000:
+            small.append(eg)
+    layers = 0
+    for eg in [eg1, eg2, eg3] + small:
+        for p in candidate_payoffs(eg.game):
+            sol = punishment_region(eg, p)
+            assert sol.win == record_punishment_win(eg, p), (eg.game, p)
+            layers += len(sol.layers)
+    assert layers > 700
 
 
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
@@ -201,7 +286,7 @@ def test_model_check_rejects_bad_stationary_strategy(eg1):
 def test_strategy_round_trip(eg1):
     res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
     data = res.strategy.to_dict()
-    assert data["format"] == "equisynth-profile-v1"
+    assert data["format"] == "equisynth-profile-v2"
     assert data["payoff"] == ["0", "0", "1", "1", "1"]
     again = EveStrategy.from_dict(eg1, data)
     report = model_check_strategy(eg1, again, res.payoff)
