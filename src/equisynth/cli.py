@@ -325,6 +325,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("state_cap", "lar_cap", "depth"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                raise InvalidInput(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,7 +391,6 @@ class EpistemicGame:
     _keys: list[StateKey]
     _key_index: dict[StateKey, int]
     _sig_index: list[dict]
-    _action_index: list[dict]
 
     def eve_count(self) -> int:
         return len(self.eve_states)
@@ -404,9 +403,6 @@ class EpistemicGame:
 
     def adam_for_action(self, eve_id: int, action: EveAction) -> int:
         """Resolve any enabled action to its merged Adam node."""
-        cached = self._action_index[eve_id].get(action)
-        if cached is not None:
-            return cached
         state = self.eve_states[eve_id]
         _check_enabled(self.game, state, action)
         aid = self._sig_index[eve_id].get(self._signature(eve_id, action))
@@ -415,7 +411,6 @@ class EpistemicGame:
                 f"action {action_key(action)} at {state_key(state)} resolves to "
                 "an unknown successor signature"
             )
-        self._action_index[eve_id][action] = aid
         return aid
 
     def _signature(self, eve_id: int, action: EveAction):
@@ -512,7 +507,6 @@ def build_reachable(
         _keys=keys,
         _key_index=key_index,
         _sig_index=sig_index,
-        _action_index=[{} for _ in eve_states],
     )
 
 

@@ -267,6 +267,14 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _known_keys(block: dict, names: tuple[str, ...], what: str, kind: str) -> None:
+    """Reject a block keyed by a name the game does not declare: the game
+    built from the file would silently differ from it."""
+    unknown = sorted(set(block) - set(names))
+    if unknown:
+        raise InvalidInput(f"game file {what} names unknown {kind} {unknown[0]!r}")
+
+
 def _is_catch_all(pattern) -> bool:
     if pattern == "*":
         return True
@@ -315,9 +323,11 @@ def game_from_dict(data: dict) -> ConcurrentGame:
     init = str(data["init"])
 
     allow_in = data.get("allow", {})
+    _known_keys(allow_in, vertices, "allow", "vertex")
     allow: dict[str, dict[str, tuple[str, ...]]] = {}
     for v in vertices:
         per_vertex = allow_in.get(v, {})
+        _known_keys(per_vertex, players, f"allow({v!r})", "player")
         row = {}
         for a in players:
             acts = per_vertex.get(a)
@@ -333,6 +343,7 @@ def game_from_dict(data: dict) -> ConcurrentGame:
         allow[v] = row
 
     transitions = data["transitions"]
+    _known_keys(transitions, vertices, "transitions", "vertex")
     tab: dict[str, dict[Move, str]] = {}
     for v in vertices:
         entries = transitions.get(v)

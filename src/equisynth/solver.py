@@ -24,7 +24,16 @@ decomposition of the reachable p-safe graph.
 `model_check_strategy` re-verifies any strategy against the epistemic game:
 the unique complying outcome must pay exactly p, and every recurring color
 set reachable in the deviated product must satisfy the bound for every
-surviving suspect.
+surviving suspect.  A strategy is any object with the policy protocol:
+
+    initial()                            -> memory at the initial Eve state
+    action(eve_id, mem)                  -> the Adam id Eve chooses
+    advance(mem, eve_id, next_eve_id)    -> memory at the next Eve state
+
+Eve moves by choosing an Adam state, so a choice travels as an Adam id.
+Action tuples are resolved only where they arrive from outside: the rows of
+a profile file (`EveStrategy.from_dict`) and the suggestions of profile
+machines (`translate.UpsilonPolicy`).
 
 Both searches share `recurring_witness`: a color set CC can recur iff, after
 restricting the graph to CC-colored nodes, some strongly connected part with
@@ -213,7 +222,6 @@ class LayerTable:
 
 @dataclass
 class PunishmentSolution:
-    payoff: Vector
     win: frozenset[int]
     layers: dict[DevKey, LayerTable]
 
@@ -342,7 +350,7 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> P
         table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap)
         layers[dev] = table
         global_win |= table.win
-    return PunishmentSolution(payoff=p, win=frozenset(global_win), layers=layers)
+    return PunishmentSolution(win=frozenset(global_win), layers=layers)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +380,14 @@ class EveStrategy:
             return self.prefix[pos]
         return self.cycle[(pos - len(self.prefix)) % len(self.cycle)]
 
-    def action(self, eve_id: int, mem) -> EveAction:
+    def action(self, eve_id: int, mem) -> int:
         if mem[0] == "c":
             entry_eve, aid = self._comply_entry(mem[1])
             if entry_eve != eve_id:
                 raise StrategyUndefined(
                     f"complying track expected state {entry_eve}, got {eve_id}"
                 )
-            return self.eg.adam_nodes[aid].action
+            return aid
         _tag, dev, leaf = mem
         table = self.layers.get(dev)
         if table is None:
@@ -390,9 +398,9 @@ class EveStrategy:
                 f"punishment table for {dev} undefined at "
                 f"{state_key(self.eg.eve_states[eve_id])} with leaf {leaf}"
             )
-        return self.eg.adam_nodes[aid].action
+        return aid
 
-    def advance(self, mem, eve_id: int, action: EveAction, next_eve_id: int):
+    def advance(self, mem, eve_id: int, next_eve_id: int):
         nxt = self.eg.eve_states[next_eve_id]
         if mem[0] == "c":
             if not nxt.deviated:
@@ -479,8 +487,13 @@ class EveStrategy:
                     raise InvalidInput(f"profile action misses suspect {exc}") from exc
             return move_of(raw)
 
+        def integer(raw, what: str) -> int:
+            if isinstance(raw, bool) or not isinstance(raw, int):
+                raise InvalidInput(f"profile {what} {raw!r} is not a JSON integer")
+            return raw
+
         def eve_of(row) -> int:
-            e = int(row["eve"])
+            e = integer(row["eve"], "eve id")
             if not 0 <= e < eg.eve_count() or state_key(eg.eve_states[e]) != row["key"]:
                 raise InvalidInput("profile does not match the built game")
             return e
@@ -516,14 +529,14 @@ class EveStrategy:
             entries: dict[tuple[int, int], int] = {}
             for row in block["entries"]:
                 e = eve_of(row)
-                leaf = int(row["leaf"])
+                leaf = integer(row["leaf"], "leaf")
                 if not 0 <= leaf < len(tree):
                     raise InvalidInput(
                         f"profile leaf {leaf} for suspects {suspects} is outside "
                         f"the layer's tree of {len(tree)} leaves"
                     )
                 entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
-            win = frozenset(int(x) for x in block.get("win", []))
+            win = frozenset(integer(x, "win id") for x in block.get("win", []))
             layers[dev] = LayerTable(dev, classes, tree, entries, win)
         return EveStrategy(eg=eg, payoff=payoff, prefix=prefix, cycle=cycle, layers=layers)
 
@@ -669,72 +682,70 @@ def _build_lasso(eg: EpistemicGame, safe_succ, sub: set[int]):
 # Independent verification of a strategy on the epistemic game.
 
 
+VERIFY_NODE_CAP = 1_000_000
+
+
 @dataclass
 class ModelCheckReport:
     ok: bool
-    complying_prefix: tuple[str, ...]
     complying_cycle: tuple[str, ...]
     complying_payoff: Vector
     violations: list[str]
     product_nodes: int
 
 
-def model_check_strategy(
-    eg: EpistemicGame, policy, p: Vector, node_cap: int = 1_000_000
-) -> ModelCheckReport:
+def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckReport:
     """Drive `policy` against every antagonist choice and verify the payoff
     contract: complying outcome exactly p, every deviated recurring behavior
-    at or below p for each surviving suspect."""
+    at or below p for each surviving suspect.
+
+    `policy` follows the protocol of the module docstring: `initial()`,
+    `action(eve_id, mem)` returning an Adam id, and
+    `advance(mem, eve_id, next_eve_id)`."""
     states = eg.eve_states
     index: dict = {}
     nodes: list = []
     succ: list[list[int]] = []
+    comply: list[Optional[int]] = []  # node -> its complying successor node
 
     def intern(eve_id: int, mem) -> int:
         key = (eve_id, mem)
         i = index.get(key)
         if i is None:
-            if len(nodes) >= node_cap:
+            if len(nodes) >= VERIFY_NODE_CAP:
                 raise StateCapExceeded(
-                    f"verification product exceeded {node_cap} nodes"
+                    f"verification product exceeded {VERIFY_NODE_CAP} nodes"
                 )
             i = len(nodes)
             index[key] = i
             nodes.append(key)
             succ.append([])
-            queue.append(key)
+            comply.append(None)
         return i
 
-    queue: deque = deque()
     root = intern(eg.init, policy.initial())
-    while queue:
-        eve_id, mem = queue.popleft()
-        nid = index[(eve_id, mem)]
-        action = policy.action(eve_id, mem)
-        aid = eg.adam_for_action(eve_id, action)
-        for _t, sid in eg.adam_nodes[aid].succ:
-            mem2 = policy.advance(mem, eve_id, action, sid)
-            succ[nid].append(intern(sid, mem2))
+    nid = 0
+    while nid < len(nodes):  # the product grows while it is read
+        eve_id, mem = nodes[nid]
+        node = eg.adam_nodes[policy.action(eve_id, mem)]
+        for _t, sid in node.succ:
+            child = intern(sid, policy.advance(mem, eve_id, sid))
+            succ[nid].append(child)
+            if sid == node.comply:
+                comply[nid] = child
+        nid += 1
 
     violations: list[str] = []
 
     # The unique complying outcome.
-    walk: list[int] = []
-    pos: dict[int, int] = {}
+    pos: dict[int, int] = {}  # node -> position on the walk
     cur = root
     while cur not in pos:
-        pos[cur] = len(walk)
-        walk.append(cur)
-        eve_id, mem = nodes[cur]
-        action = policy.action(eve_id, mem)
-        node = eg.adam_nodes[eg.adam_for_action(eve_id, action)]
-        if node.comply is None:
+        pos[cur] = len(pos)
+        cur = comply[cur]
+        if cur is None:
             raise StrategyUndefined("complying outcome left the complying region")
-        mem2 = policy.advance(mem, eve_id, action, node.comply)
-        cur = index[(node.comply, mem2)]
-    start = pos[cur]
-    comply_prefix = tuple(states[nodes[i][0]].vertex for i in walk[:start])
-    comply_cycle = tuple(states[nodes[i][0]].vertex for i in walk[start:])
+    comply_cycle = tuple(states[nodes[i][0]].vertex for i in list(pos)[pos[cur]:])
     comply_payoff = eg.game.payoff.value(frozenset(comply_cycle))
     if comply_payoff != tuple(p):
         violations.append(
@@ -775,7 +786,6 @@ def model_check_strategy(
 
     return ModelCheckReport(
         ok=not violations,
-        complying_prefix=comply_prefix,
         complying_cycle=comply_cycle,
         complying_payoff=comply_payoff,
         violations=violations,

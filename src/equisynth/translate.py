@@ -12,7 +12,9 @@ the informed set of that suspect's situation.  Inputs whose message pattern
 cannot arise from an honest single deviation are rejected rather than
 guessed at; the one benign special case is a player voluntarily outing
 itself while the vertex sequence still complies, which is ignored like any
-other invisible deviation.
+other invisible deviation.  The strategy chooses Adam ids (the policy
+protocol of `solver`), and a machine plays its own part of the chosen Adam
+node's action.
 
 `upsilon` goes the other way: it replays a distributed profile inside the
 epistemic game by reconstructing, per tracked suspect, the unique full
@@ -20,7 +22,10 @@ history the players would have observed (suspect actions resolved to the
 smallest action reaching the observed vertex, messages resolved from the
 situation's informed set).  Emitted messages are validated against that
 reconstruction, so a profile that breaks the message discipline raises
-`NormednessViolation` instead of silently desynchronizing.
+`NormednessViolation` instead of silently desynchronizing.  Besides the rows
+`EveStrategy.from_dict` reads, these suggestions are the only action tuples
+the engine resolves: `UpsilonPolicy.action` turns them into the Adam id it
+hands on.
 
 `check_normed` drives a profile against every honest visible single-player
 deviation up to a depth bound and checks the three message rules: silence
@@ -70,7 +75,7 @@ class OmegaProfile:
     def output(self, player: str, mstate) -> tuple[str, Message]:
         eve_id, zmem, believed = mstate
         state = self.eg.eve_states[eve_id]
-        action = self.zeta.action(eve_id, zmem)
+        action = self.eg.adam_nodes[self.zeta.action(eve_id, zmem)].action
         idx = self.eg.game.player_index[player]
         if not state.deviated:
             return action[idx], None
@@ -86,10 +91,8 @@ class OmegaProfile:
         eve_id, zmem, believed = mstate
         eg = self.eg
         state = eg.eve_states[eve_id]
-        action = self.zeta.action(eve_id, zmem)
-        aid = eg.adam_for_action(eve_id, action)
         sid = None
-        for t, s in eg.adam_nodes[aid].succ:
+        for t, s in eg.adam_nodes[self.zeta.action(eve_id, zmem)].succ:
             if t == next_vertex:
                 sid = s
                 break
@@ -138,7 +141,7 @@ class OmegaProfile:
                         f"silence although every suspect informed {player!r}"
                     )
                 believed2 = cands[0]
-        zmem2 = self.zeta.advance(zmem, eve_id, action, sid)
+        zmem2 = self.zeta.advance(zmem, eve_id, sid)
         return (sid, zmem2, believed2)
 
 
@@ -152,6 +155,8 @@ def omega(eg: EpistemicGame, zeta) -> OmegaProfile:
 
 
 def _advance_all(game, graph, profile, mstates, msgs, next_vertex):
+    """Step every player's machine to `next_vertex`, each seeing the messages
+    `msgs` (one per player, in player order) of the players it observes."""
     msg_map = dict(zip(game.players, msgs))
     return tuple(
         profile.advance(
@@ -186,28 +191,31 @@ class UpsilonPolicy:
             self.profile.output(a, ms)[0] for a, ms in zip(self.players, states)
         )
 
-    def action(self, eve_id: int, mem):
+    def action(self, eve_id: int, mem) -> int:
+        """The Adam id of the profile's suggestion; a per-suspect suggestion
+        that is no valid move function breaks the message discipline."""
         state = self.eg.eve_states[eve_id]
         if mem[0] == "c":
-            return self._joint_move(mem[1])
+            return self.eg.adam_for_action(eve_id, self._joint_move(mem[1]))
         hyp = dict(mem[1])
         action = tuple((d, self._joint_move(hyp[d])) for d in state.deviators())
         try:
-            self.eg.adam_for_action(eve_id, action)
+            return self.eg.adam_for_action(eve_id, action)
         except InvalidInput as exc:
             raise NormednessViolation(
                 f"per-suspect suggestions at {state_key(state)} do not form "
                 f"a valid move function: {exc}"
             ) from exc
-        return action
 
-    def advance(self, mem, eve_id: int, action, next_eve_id: int):
+    def advance(self, mem, eve_id: int, next_eve_id: int):
         eg = self.eg
         state = eg.eve_states[eve_id]
         nxt = eg.eve_states[next_eve_id]
-        vois = eg.graph.vois
         players = self.players
-        v2 = nxt.vertex
+
+        def step(states, msgs):
+            return _advance_all(eg.game, eg.graph, self.profile, states, msgs, nxt.vertex)
+
         if mem[0] == "c":
             states = mem[1]
             for a, ms in zip(players, states):
@@ -217,30 +225,17 @@ class UpsilonPolicy:
                         f"{a!r} sent {msg!r} while the play tracked the main outcome"
                     )
             if not nxt.deviated:
-                new = tuple(
-                    self.profile.advance(
-                        a, ms, {b: None for b in vois[a]}, v2
-                    )
-                    for a, ms in zip(players, states)
-                )
-                return ("c", new)
-            out = []
-            for d in nxt.deviators():
-                msgs = {b: (d if b == d else None) for b in players}
-                new = tuple(
-                    self.profile.advance(
-                        a, ms, {b: msgs[b] for b in vois[a]}, v2
-                    )
-                    for a, ms in zip(players, states)
-                )
-                out.append((d, new))
-            return ("d", tuple(out))
+                return ("c", step(states, tuple(None for _ in players)))
+            return ("d", tuple(
+                (d, step(states, tuple(d if b == d else None for b in players)))
+                for d in nxt.deviators()
+            ))
         hyp = dict(mem[1])
         out = []
         for d in nxt.deviators():
             states = hyp[d]
             informed = set(state.informed(d))
-            msgs = {}
+            msgs = []
             for a, ms in zip(players, states):
                 msg = self.profile.output(a, ms)[1]
                 expected = d if a in informed else None
@@ -249,12 +244,8 @@ class UpsilonPolicy:
                         f"{a!r} sent {msg!r} instead of {expected!r} under "
                         f"hypothesis {d!r} at {state_key(state)}"
                     )
-                msgs[a] = expected
-            new = tuple(
-                self.profile.advance(a, ms, {b: msgs[b] for b in vois[a]}, v2)
-                for a, ms in zip(players, states)
-            )
-            out.append((d, new))
+                msgs.append(expected)
+            out.append((d, step(states, tuple(msgs))))
         return ("d", tuple(out))
 
 
@@ -320,29 +311,30 @@ def check_normed(
         d_idx = game.player_index[d]
         queue: deque = deque()
         seen: set = set()
+
+        def branch(mstates, msgs, v2, off, step, rejected):
+            """Queue the machines' step to v2 at `step`; if they reject it,
+            record the violation `rejected` names instead."""
+            try:
+                nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
+            except ProfileInputRejected as exc:
+                violations.append(f"deviator {d!r}, {rejected}: {exc}")
+                return
+            key = (v2, nstates, msgs, off)
+            if key not in seen:
+                seen.add(key)
+                queue.append((v2, nstates, msgs, off, step))
+
+        onset_msgs = tuple(d if a == d else None for a in game.players)
         for onset, (v, mstates) in enumerate(comply[:-1]):
             outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
             move = tuple(o[0] for o in outs)
             target = game.successor(v, move)
             for delta in game.allow[v][d]:
                 v2 = game.successor(v, substitute(move, d_idx, delta))
-                if v2 == target:
-                    continue
-                msgs = tuple(
-                    d if a == d else None for a in game.players
-                )
-                try:
-                    nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
-                except ProfileInputRejected as exc:
-                    violations.append(
-                        f"deviator {d!r}, onset {onset}: machines rejected an "
-                        f"honest visible deviation: {exc}"
-                    )
-                    continue
-                key = (v2, nstates, msgs, 1)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((v2, nstates, msgs, 1, onset + 1))
+                if v2 != target:
+                    branch(mstates, onset_msgs, v2, 1, onset + 1, f"onset {onset}: "
+                           "machines rejected an honest visible deviation")
         while queue:
             v, mstates, last_msgs, off, step = queue.popleft()
             explored += 1
@@ -376,18 +368,8 @@ def check_normed(
             )
             for delta in game.allow[v][d]:
                 v2 = game.successor(v, substitute(move, d_idx, delta))
-                try:
-                    nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
-                except ProfileInputRejected as exc:
-                    violations.append(
-                        f"deviator {d!r}, step {step}: machines rejected an "
-                        f"honest continuation to {v2!r}: {exc}"
-                    )
-                    continue
-                key = (v2, nstates, msgs, 2)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((v2, nstates, msgs, 2, step + 1))
+                branch(mstates, msgs, v2, 2, step + 1, f"step {step}: machines "
+                       f"rejected an honest continuation to {v2!r}")
 
     return NormedReport(not violations, violations, explored, depth)
 
@@ -543,9 +525,7 @@ def simulate(
     )
 
 
-def check_deviation_resistance(
-    eg: EpistemicGame, profile, p: Vector, node_cap: int = 1_000_000
-) -> ModelCheckReport:
+def check_deviation_resistance(eg: EpistemicGame, profile, p: Vector) -> ModelCheckReport:
     """Payoff-contract verdict for the strategy reconstructed from the
     profile: complying outcome exactly p, every deviation bounded by p."""
-    return model_check_strategy(eg, upsilon(eg, profile), p, node_cap=node_cap)
+    return model_check_strategy(eg, upsilon(eg, profile), p)

@@ -84,6 +84,11 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
             {**game["payoff"]["rules"][0], "then": "00111"}, *game["payoff"]["rules"][1:]
         ]}},
         {**game, "payoff": {**game["payoff"], "default": "00000"}},
+        # Names the game does not declare would be ignored, so the game
+        # built would differ from the file.
+        {**game, "allow": {"v0": {"9": ["a"]}}},
+        {**game, "allow": {"vZ": {"0": ["a"]}}},
+        {**game, "transitions": {**game["transitions"], "vZ": [{"pattern": "*", "to": "v0"}]}},
     ]
     for i, data in enumerate(bad_games):
         path = tmp_path / f"game{i}.json"
@@ -266,6 +271,12 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "short payoff": edited(lambda p: p.update(payoff=p["payoff"][:3])),
         "text eve id": edited(lambda p: p["comply"]["cycle"][0].update(eve="zz")),
         "text leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf="h")),
+        # Ids and leaves must be JSON integers, though int() would read these.
+        "fractional eve id": edited(
+            lambda p: p["comply"]["cycle"][0].update(eve=p["comply"]["cycle"][0]["eve"] + 0.5)),
+        "numeric text leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf="0")),
+        "true leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf=True)),
+        "numeric text win id": edited(lambda p: p["punish"][0].update(win=["0"])),
         "text action": edited(lambda p: p["comply"]["cycle"][0].update(action="aaaaa")),
     }
     for label, data in garbage.items():
@@ -283,6 +294,25 @@ def test_solve_product_cap(capsys):
     for progress in ("1 tree leaf", "11 Eve states and 65 Adam nodes in the layer",
                      "30 product nodes made"):
         assert progress in err
+
+
+def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("the game was built before the limits were checked")
+
+    monkeypatch.setattr("equisynth.cli.build_reachable", no_build)
+    for command, flag, value in [
+        ("build", "--state-cap", "0"), ("solve", "--state-cap", "-5"),
+        ("solve", "--lar-cap", "-1"), ("solve", "--lar-cap", "0"),
+        ("solve", "--depth", "0"), ("build", "--depth", "-3"),
+        ("verify", "--depth", "0"),
+    ]:
+        extra = ["profile.json"] if command == "verify" else []
+        code, out, err = run(capsys, command, "--game", GAME, "--comm", G1,
+                             flag, value, *extra)
+        assert code == 2, (command, flag, value, err)
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+        assert out == ""
 
 
 @pytest.fixture()

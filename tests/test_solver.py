@@ -256,6 +256,19 @@ def test_model_check_rejects_wrong_payoff(eg1):
     assert not report.ok
 
 
+def test_model_check_reads_adam_ids(eg1, monkeypatch):
+    # A solved strategy already chooses Adam ids; the model check must not
+    # resolve any action tuple again.
+    res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
+
+    def forbidden(*_args):
+        raise AssertionError("adam_for_action called during the model check")
+
+    monkeypatch.setattr(eg1, "adam_for_action", forbidden)
+    report = model_check_strategy(eg1, res.strategy, res.payoff)
+    assert report.ok
+
+
 class StationaryAllA:
     """Suggest the same move everywhere, under every hypothesis."""
 
@@ -268,10 +281,12 @@ class StationaryAllA:
     def action(self, eve_id, mem):
         state = self.eg.eve_states[eve_id]
         if not state.deviated:
-            return ALL_A
-        return tuple((d, ALL_A) for d in state.deviators())
+            return self.eg.adam_for_action(eve_id, ALL_A)
+        return self.eg.adam_for_action(
+            eve_id, tuple((d, ALL_A) for d in state.deviators())
+        )
 
-    def advance(self, mem, eve_id, action, next_eve_id):
+    def advance(self, mem, eve_id, next_eve_id):
         return mem
 
 

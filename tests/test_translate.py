@@ -226,3 +226,83 @@ def test_resistance_catches_tampered_strategy(eg1, solved1):
     report = check_deviation_resistance(eg1, omega(eg1, tampered), solved1.payoff)
     assert not report.ok
     assert any("v1p" in v for v in report.violations)
+
+
+class Denounce(MessageOverride):
+    """One player broadcasts the deviator its machine believes in whenever it
+    believes in one, whether or not it was told."""
+
+    def output(self, player, mstate):
+        act, msg = self.inner.output(player, mstate)
+        _eve, _mem, believed = mstate
+        if player == self.player and believed is not None:
+            msg = believed
+        return act, msg
+
+
+class RejectAfterId:
+    """Wrap a profile whose machines refuse a step: on hearing an id
+    (`onset=True`), or on any step after one was heard (`onset=False`)."""
+
+    def __init__(self, inner, onset):
+        self.inner = inner
+        self.onset = onset
+
+    def initial(self, player):
+        return (self.inner.initial(player), False)
+
+    def output(self, player, mstate):
+        return self.inner.output(player, mstate[0])
+
+    def advance(self, player, mstate, visible_messages, next_vertex):
+        inner, heard = mstate
+        hears = any(m is not None for m in visible_messages.values())
+        if (hears if self.onset else heard):
+            raise ProfileInputRejected(f"{player!r} refuses")
+        return (self.inner.advance(player, inner, visible_messages, next_vertex),
+                heard or hears)
+
+
+def test_check_normed_catches_stopped_relay(game5, g1, profile1):
+    # Player 0 relays 3's id from player 4 at step 2, and is in the audience
+    # of 1 and of 4.
+    report = check_normed(game5, g1, MessageOverride(profile1, "0", lambda m: None))
+    assert report.violations == [
+        "rule 2: deviator '1', step 1, player '0' sent None, expected '1'",
+        "rule 3: deviator '3', step 2, player '0' sent None, expected '3'",
+        "rule 2: deviator '4', step 1, player '0' sent None, expected '4'",
+    ]
+    assert report.explored == 28
+
+
+def test_check_normed_catches_denunciation_outside_audience(game5, g1, profile1):
+    report = check_normed(game5, g1, Denounce(profile1, "0", None))
+    assert report.violations == [
+        "message discipline: deviator '2', step 1, player '0' sent '2', expected None",
+        "message discipline: deviator '3', step 1, player '0' sent '2', expected None",
+    ]
+    assert report.explored == 22
+
+
+def test_check_normed_reports_rejected_onsets(game5, g1, profile1):
+    report = check_normed(game5, g1, RejectAfterId(profile1, onset=True))
+    # The first machine in player order that hears the id refuses.
+    refuser = {"0": "0", "1": "0", "2": "2", "3": "3", "4": "0"}
+    assert report.violations == [
+        f"deviator {d!r}, onset {k}: machines rejected an honest visible "
+        f"deviation: {refuser[d]!r} refuses"
+        for d in game5.players for k in range(0, 11, 2)
+    ]
+    assert report.explored == 13
+
+
+def test_check_normed_reports_rejected_continuations(game5, g1, profile1):
+    report = check_normed(game5, g1, RejectAfterId(profile1, onset=False))
+    first = {"0": ("v4", "0"), "1": ("v2", "0"), "2": ("v0", "2"),
+             "3": ("v0", "3"), "4": ("v0", "0")}
+    assert report.violations == [
+        f"deviator {d!r}, step 1: machines rejected an honest continuation to "
+        f"{first[d][0]!r}: {first[d][1]!r} refuses"
+        for d in game5.players for _delta in range(2)
+    ]
+    assert report.explored == 18
