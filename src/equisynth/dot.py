@@ -45,17 +45,17 @@ def _epistemic_dot(eg: EpistemicGame) -> str:
     lines = ["digraph epistemic {", "  rankdir=LR;"]
     for eid, state in enumerate(eg.eve_states):
         lines.append(f"  e{eid} [shape=box, label={_quote(state_key(state))}];")
-    for aid, node in enumerate(eg.adam_nodes):
-        lines.append(
-            f"  a{aid} [shape=circle, label={_quote(action_key(node.action))}];"
-        )
+    for aid, action in enumerate(eg.adam_action):
+        lines.append(f"  a{aid} [shape=circle, label={_quote(action_key(action))}];")
     for eid in range(eg.eve_count()):
         for aid in eg.eve_succ[eid]:
             lines.append(f"  e{eid} -> a{aid};")
-    for aid, node in enumerate(eg.adam_nodes):
-        for target, sid in node.succ:
-            style = ", style=bold" if node.comply is not None and sid == node.comply else ""
-            lines.append(f"  a{aid} -> e{sid} [label={_quote(target)}{style}];")
+    # The bold edge is the complying one: the only non-deviated successor.
+    for aid, succ in enumerate(eg.adam_succ):
+        for sid in succ:
+            state = eg.eve_states[sid]
+            style = "" if state.deviated else ", style=bold"
+            lines.append(f"  a{aid} -> e{sid} [label={_quote(state.vertex)}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

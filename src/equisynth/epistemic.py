@@ -18,7 +18,17 @@ Eve states are (vertex, situations); Adam states pair an Eve state with a
 suggested joint move (no suspects) or with a per-suspect move function
 (suspects present).  Move functions must suggest the same action to any
 player uninformed under both of two hypotheses; Adam states that induce the
-same labelled successor set are merged.
+same successor set are merged.
+
+An Adam node stores only the first action that produced it
+(`adam_action[aid]`) and its successor Eve ids in vertex order
+(`adam_succ[aid]`); the rest is derived.  Adam ids are handed out per Eve
+state in order, so `eve_succ` gives each node's origin, and a successor's
+vertex is its Eve state's vertex.  The complying successor is the one
+non-deviated successor: only the target of the suggested move at a
+non-deviated state continues with no surviving hypothesis.  Every other
+target, and every target of a deviated state, is a target because some
+hypothesis reaches it, and that hypothesis survives there.
 
 The build works on integers: a state's key is (vertex index, ((deviator
 index, informed mask), ...)), with informed sets as player bitmasks, reach
@@ -34,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from .errors import InvalidInput, StateCapExceeded
 from .game import CommGraph, ConcurrentGame, Move, substitute
@@ -239,9 +248,9 @@ def action_reach(enc: Encoding, key: StateKey, action: EveAction):
 
 
 def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
-    """Labelled successors, in vertex order, of a state whose hypotheses
-    (`grown`, from `expand`) continue to the vertex masks `reach`:
-    (vertex name, resolve(successor key)) pairs.
+    """Successors, in vertex order, of a state whose hypotheses (`grown`,
+    from `expand`) continue to the vertex masks `reach`: resolve(successor
+    key) per target.
 
     A target keeps the hypotheses that reach it, with their grown masks.
     `comply`, the vertex index the suggested move leads to at a non-deviated
@@ -251,8 +260,7 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
     calls for one state."""
     if memo is None:
         memo = {}
-    names = enc.game.vertices
-    nv = len(names)
+    nv = len(enc.game.vertices)
     union = 0
     for r in reach:
         union |= r
@@ -270,7 +278,7 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
         sid = memo.get(slot)
         if sid is None:
             sid = memo[slot] = resolve((t, tuple(grown[j] for j in _bits(survivors))))
-        out.append((names[t], sid))
+        out.append(sid)
     return tuple(out)
 
 
@@ -372,20 +380,13 @@ def _distinct_actions(enc: Encoding, key: StateKey):
 
 
 @dataclass
-class AdamNode:
-    origin: int
-    action: EveAction
-    succ: tuple[tuple[str, int], ...]  # (chosen vertex, successor Eve id)
-    comply: Optional[int]  # Eve id of the complying successor, if any
-
-
-@dataclass
 class EpistemicGame:
     game: ConcurrentGame
     graph: CommGraph
     eve_states: list[EveState]
     eve_succ: list[tuple[int, ...]]
-    adam_nodes: list[AdamNode]
+    adam_action: list[EveAction]  # Adam id -> the first action producing it
+    adam_succ: list[tuple[int, ...]]  # Adam id -> successor Eve ids, vertex order
     init: int
     _encoding: Encoding
     _keys: list[StateKey]
@@ -396,7 +397,7 @@ class EpistemicGame:
         return len(self.eve_states)
 
     def adam_count(self) -> int:
-        return len(self.adam_nodes)
+        return len(self.adam_succ)
 
     def deviated_ids(self) -> list[int]:
         return [i for i, s in enumerate(self.eve_states) if s.deviated]
@@ -460,7 +461,8 @@ def build_reachable(
     key_index: dict[StateKey, int] = {}
     eve_states: list[EveState] = []
     eve_succ: list[tuple[int, ...]] = []
-    adam_nodes: list[AdamNode] = []
+    adam_action: list[EveAction] = []
+    adam_succ: list[tuple[int, ...]] = []
     sig_index: list[dict] = []
 
     def intern(key: StateKey) -> int:
@@ -470,7 +472,7 @@ def build_reachable(
                 raise StateCapExceeded(
                     f"epistemic build exceeded {state_cap} Eve states: "
                     f"{len(keys)} states interned, {len(eve_succ)} states expanded, "
-                    f"{len(adam_nodes)} Adam nodes made"
+                    f"{len(adam_succ)} Adam nodes made"
                 )
             i = key_index[key] = len(keys)
             keys.append(key)
@@ -489,11 +491,10 @@ def build_reachable(
         for action, reach, comply in _distinct_actions(enc, key):
             sig = successors(enc, grown, reach, comply, intern, memo)
             if sig not in sigs:
-                aid = sigs[sig] = len(adam_nodes)
-                adam_nodes.append(
-                    AdamNode(eid, action, sig, memo[comply] if comply >= 0 else None)
-                )
-                out_edges.append(aid)
+                sigs[sig] = len(adam_succ)
+                out_edges.append(len(adam_succ))
+                adam_action.append(action)
+                adam_succ.append(sig)
         eve_succ.append(tuple(out_edges))
 
     return EpistemicGame(
@@ -501,7 +502,8 @@ def build_reachable(
         graph=graph,
         eve_states=eve_states,
         eve_succ=eve_succ,
-        adam_nodes=adam_nodes,
+        adam_action=adam_action,
+        adam_succ=adam_succ,
         init=init,
         _encoding=enc,
         _keys=keys,
@@ -532,9 +534,11 @@ def check_distance_characterization(eg: EpistemicGame) -> list[str]:
     cap = eg.graph.diameter + 2
     dev_steps: list[set[int]] = [set() for _ in eg.eve_states]
     queue: list[tuple[int, int]] = []
-    for node in eg.adam_nodes:
-        if not eg.eve_states[node.origin].deviated:
-            for _t, sid in node.succ:
+    for eid, state in enumerate(eg.eve_states):
+        if state.deviated:
+            continue
+        for aid in eg.eve_succ[eid]:
+            for sid in eg.adam_succ[aid]:
                 if eg.eve_states[sid].deviated and 1 not in dev_steps[sid]:
                     dev_steps[sid].add(1)
                     queue.append((sid, 1))
@@ -544,7 +548,7 @@ def check_distance_characterization(eg: EpistemicGame) -> list[str]:
         qi += 1
         nxt = min(step + 1, cap)
         for aid in eg.eve_succ[eid]:
-            for _t, sid in eg.adam_nodes[aid].succ:
+            for sid in eg.adam_succ[aid]:
                 if nxt not in dev_steps[sid]:
                     dev_steps[sid].add(nxt)
                     queue.append((sid, nxt))

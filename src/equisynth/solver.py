@@ -57,6 +57,7 @@ from .errors import (
 )
 from .game import ConcurrentGame
 from .parity import ParityGame, solve_parity
+from .parsing import _as_rational
 
 Vector = tuple[Fraction, ...]
 DevKey = tuple[str, ...]
@@ -285,7 +286,7 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     whose winner is already known."""
     classes, tree = _layer_setup(eg, p, dev, layer_eves)
     table = LayerTable(dev=dev, classes=classes, tree=tree, entries={}, win=frozenset())
-    adam_nodes, eve_succ, leaves = eg.adam_nodes, eg.eve_succ, len(tree)
+    adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
 
     WIN, LOSE = 0, 1
@@ -325,7 +326,7 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
             for aid in eve_succ[ident]:
                 out.append(intern(adam_index, aid, nxt, False))
         else:
-            for _t, sid in adam_nodes[ident].succ:
+            for sid in adam_succ[ident]:
                 if sid in color:
                     out.append(intern(eve_index, sid, leaf, True))
                 else:
@@ -433,7 +434,7 @@ class EveStrategy:
 
         def row_json(e: int, aid: int, **extra):
             return {"eve": e, "key": state_key(eg.eve_states[e]), **extra,
-                    "action": action_json(eg.adam_nodes[aid].action)}
+                    "action": action_json(eg.adam_action[aid])}
 
         def comply_json(entries):
             return [row_json(e, aid) for e, aid in entries]
@@ -463,8 +464,9 @@ class EveStrategy:
     def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
         """Read a profile back.  Each layer's color classes and tree are
         rebuilt from the game, the payoff and the suspects; a profile whose
-        classes differ from the rebuild, or whose leaves lie outside the tree,
-        is rejected."""
+        classes differ from the rebuild, whose leaves lie outside the tree, or
+        whose won states are not layer states with an entry at leaf 0, is
+        rejected."""
         if data.get("format") != PROFILE_FORMAT:
             raise InvalidInput(
                 f"unsupported profile format {data.get('format')!r}: expected "
@@ -505,7 +507,9 @@ class EveStrategy:
                 out.append((e, eg.adam_for_action(e, action_of(row["action"], e))))
             return tuple(out)
 
-        payoff = tuple(Fraction(x) for x in data["payoff"])
+        if not isinstance(data["payoff"], list):
+            raise InvalidInput("profile payoff must be a JSON list")
+        payoff = tuple(_as_rational(x) for x in data["payoff"])
         if len(payoff) != len(eg.game.players):
             raise InvalidInput("profile payoff does not give one value per player")
         prefix = comply_of(data["comply"]["prefix"])
@@ -515,6 +519,10 @@ class EveStrategy:
         groups = _layer_groups(eg)
         layers: dict[DevKey, LayerTable] = {}
         for block in data.get("punish", []):
+            if not isinstance(block["dev"], list) or not all(
+                d in eg.game.players for d in block["dev"]
+            ):
+                raise InvalidInput("profile suspects must be a JSON list of player names")
             dev = tuple(block["dev"])
             suspects = "{" + ",".join(map(str, dev)) + "}"
             if dev not in groups:
@@ -537,6 +545,14 @@ class EveStrategy:
                     )
                 entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
             win = frozenset(integer(x, "win id") for x in block.get("win", []))
+            # The solver records an entry at leaf 0 for each state it wins.
+            layer = set(groups[dev])
+            for e in sorted(win):
+                if e not in layer or (e, 0) not in entries:
+                    raise InvalidInput(
+                        f"profile win id {e} for suspects {suspects} is not a state "
+                        f"of the layer with an entry at leaf 0"
+                    )
             layers[dev] = LayerTable(dev, classes, tree, entries, win)
         return EveStrategy(eg=eg, payoff=payoff, prefix=prefix, cycle=cycle, layers=layers)
 
@@ -593,13 +609,10 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
             continue
         row: dict[int, int] = {}
         for aid in eg.eve_succ[e]:
-            node = eg.adam_nodes[aid]
-            if all(
-                sid in punish.win
-                for _t, sid in node.succ
-                if states[sid].deviated
-            ):
-                row.setdefault(node.comply, aid)
+            succ = eg.adam_succ[aid]
+            if all(sid in punish.win for sid in succ if states[sid].deviated):
+                # The complying successor is the one non-deviated successor.
+                row.setdefault(next(sid for sid in succ if not states[sid].deviated), aid)
         safe_succ[e] = row
 
     # Reachable part of the p-safe graph.
@@ -706,7 +719,7 @@ def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckRepo
     index: dict = {}
     nodes: list = []
     succ: list[list[int]] = []
-    comply: list[Optional[int]] = []  # node -> its complying successor node
+    comply: list[Optional[int]] = []  # node -> its one non-deviated successor node
 
     def intern(eve_id: int, mem) -> int:
         key = (eve_id, mem)
@@ -727,11 +740,10 @@ def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckRepo
     nid = 0
     while nid < len(nodes):  # the product grows while it is read
         eve_id, mem = nodes[nid]
-        node = eg.adam_nodes[policy.action(eve_id, mem)]
-        for _t, sid in node.succ:
+        for sid in eg.adam_succ[policy.action(eve_id, mem)]:
             child = intern(sid, policy.advance(mem, eve_id, sid))
             succ[nid].append(child)
-            if sid == node.comply:
+            if not states[sid].deviated:
                 comply[nid] = child
         nid += 1
 

@@ -75,7 +75,7 @@ class OmegaProfile:
     def output(self, player: str, mstate) -> tuple[str, Message]:
         eve_id, zmem, believed = mstate
         state = self.eg.eve_states[eve_id]
-        action = self.eg.adam_nodes[self.zeta.action(eve_id, zmem)].action
+        action = self.eg.adam_action[self.zeta.action(eve_id, zmem)]
         idx = self.eg.game.player_index[player]
         if not state.deviated:
             return action[idx], None
@@ -91,11 +91,8 @@ class OmegaProfile:
         eve_id, zmem, believed = mstate
         eg = self.eg
         state = eg.eve_states[eve_id]
-        sid = None
-        for t, s in eg.adam_nodes[self.zeta.action(eve_id, zmem)].succ:
-            if t == next_vertex:
-                sid = s
-                break
+        sid = next((s for s in eg.adam_succ[self.zeta.action(eve_id, zmem)]
+                    if eg.eve_states[s].vertex == next_vertex), None)
         if sid is None:
             raise ProfileInputRejected(
                 f"vertex {next_vertex!r} unreachable from {state_key(state)} "

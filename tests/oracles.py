@@ -14,8 +14,8 @@ from itertools import product
 from typing import Optional
 
 from equisynth.epistemic import (
-    AdamNode,
     Encoding,
+    EveAction,
     EveState,
     Situation,
     action_reach,
@@ -44,7 +44,8 @@ def successor_map(game: ConcurrentGame, graph: CommGraph, state: EveState, actio
         (index[s.deviator], sum(1 << index[b] for b in s.informed))
         for s in state.situations
     ))
-    return dict(successors(enc, expand(enc, key), *action_reach(enc, key, action), enc.state))
+    return {s.vertex: s for s in
+            successors(enc, expand(enc, key), *action_reach(enc, key, action), enc.state)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,14 @@ def _reference_distinct_actions(game: ConcurrentGame, state: EveState):
         for combo in product(*per_dev):
             action = tuple((d, m) for d, (_r, m) in zip(devs, combo))
             yield action, {d: r for d, (r, _m) in zip(devs, combo)}, None
+
+
+@dataclass
+class AdamNode:
+    origin: int
+    action: EveAction
+    succ: tuple[tuple[str, int], ...]  # (chosen vertex, successor Eve id)
+    comply: Optional[int]  # Eve id of the complying successor, if any
 
 
 @dataclass
@@ -270,10 +279,9 @@ def literal_knowledge_violations(eg) -> list[str]:
     for eid, state in enumerate(eg.eve_states):
         v = state.vertex
         for aid in eg.eve_succ[eid]:
-            node = eg.adam_nodes[aid]
             if state.deviated:
-                reach = {d: deviation_reach(game, v, m, d) for d, m in node.action}
-            for _t, sid in node.succ:
+                reach = {d: deviation_reach(game, v, m, d) for d, m in eg.adam_action[aid]}
+            for sid in eg.adam_succ[aid]:
                 new_state = eg.eve_states[sid]
                 if not state.deviated:
                     if new_state.deviated:
@@ -814,7 +822,7 @@ def record_punishment_win(eg, p) -> frozenset[int]:
             if node[0] == "e":
                 out += [intern(("a", aid, node[2])) for aid in eg.eve_succ[node[1]]]
                 continue
-            for _t, sid in eg.adam_nodes[node[1]].succ:
+            for sid in eg.adam_succ[node[1]]:
                 if sid in layer:
                     ls = lar_step(node[2], cls_of[states[sid].vertex])
                     out.append(intern(("e", sid, ls)))

@@ -278,6 +278,13 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "true leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf=True)),
         "numeric text win id": edited(lambda p: p["punish"][0].update(win=["0"])),
         "text action": edited(lambda p: p["comply"]["cycle"][0].update(action="aaaaa")),
+        # A string would read as its characters, a float as a rational.
+        "text payoff vector": edited(lambda p: p.update(payoff="".join(p["payoff"]))),
+        "float payoff": edited(lambda p: p.update(payoff=[float(x) for x in p["payoff"]])),
+        "text dev": edited(lambda p: p["punish"][0].update(dev="".join(p["punish"][0]["dev"]))),
+        "unknown win id": edited(lambda p: p["punish"][0].update(win=[99999])),
+        "win id of another layer": edited(
+            lambda p: p["punish"][0].update(win=p["punish"][1]["win"][:1])),
     }
     for label, data in garbage.items():
         junk.write_text(json.dumps(data))

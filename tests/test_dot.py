@@ -1,6 +1,8 @@
 """Graphviz export for arenas, communication graphs, and built state spaces."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from equisynth.dot import export_dot
@@ -34,6 +36,12 @@ def test_epistemic_dot(eg1):
     assert "style=bold" in d
     assert d.count("shape=box") == eg1.eve_count()
     assert d.count("shape=circle") == eg1.adam_count()
+    # One bold (complying) edge per Adam node at a non-deviated state.
+    complying = sum(len(eg1.eve_succ[e]) for e, s in enumerate(eg1.eve_states) if not s.deviated)
+    assert d.count("style=bold") == complying
+    edges = re.findall(r'^  a\d+ -> e(\d+) \[label="([^"]*)"', d, re.MULTILINE)
+    assert len(edges) == sum(map(len, eg1.adam_succ))
+    assert all(label == eg1.eve_states[int(sid)].vertex for sid, label in edges)
 
 
 def test_dot_is_deterministic(game5, g1, eg1):

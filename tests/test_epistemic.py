@@ -25,6 +25,7 @@ from equisynth.parsing import game_from_dict
 
 from conftest import random_comm, random_game
 from oracles import (
+    AdamNode,
     brute_force_devfunctions,
     complete_graph,
     count_enabled_eve_actions,
@@ -180,7 +181,7 @@ def test_singleton_allow_single_move():
     state = EveState("s", ())
     assert list(enabled_eve_actions(game, state)) == [("a", "a")]
     eg = build_reachable(game, edgeless_graph(game.players))
-    assert [n.action for n in eg.adam_nodes] == [("a", "a")]
+    assert eg.adam_action == [("a", "a")]
 
 
 def test_build_reachable_asset_counts(eg1, eg2, eg3):
@@ -201,8 +202,8 @@ def test_build_is_deterministic(game5, g1, eg1):
     assert [state_key(s) for s in again.eve_states] == [
         state_key(s) for s in eg1.eve_states
     ]
-    assert [n.action for n in again.adam_nodes] == [n.action for n in eg1.adam_nodes]
-    assert [n.succ for n in again.adam_nodes] == [n.succ for n in eg1.adam_nodes]
+    assert again.adam_action == eg1.adam_action
+    assert again.adam_succ == eg1.adam_succ
 
 
 def test_build_state_cap(game5, g1):
@@ -232,8 +233,18 @@ def test_one_player_game_structure():
     assert check_distance_characterization(eg) == []
 
 
+def assert_one_complying_successor(eg) -> None:
+    """Each Adam node at a non-deviated state has exactly one non-deviated
+    successor, its complying one, and each at a deviated state has none."""
+    for eid, state in enumerate(eg.eve_states):
+        for aid in eg.eve_succ[eid]:
+            found = sum(not eg.eve_states[sid].deviated for sid in eg.adam_succ[aid])
+            assert found == (0 if state.deviated else 1), (state_key(state), aid)
+
+
 def test_whole_game_checks_on_examples(eg1, eg2, eg3):
     for eg in (eg1, eg2, eg3):
+        assert_one_complying_successor(eg)
         assert check_knowledge_invariant(eg) == []
         assert literal_knowledge_violations(eg) == []
         assert check_distance_characterization(eg) == []
@@ -246,11 +257,10 @@ def test_adam_merging_by_successor_signature(eg1):
     # Merged nodes must be reachable through any action with the same
     # signature, and distinct nodes must differ in signatures.
     for eid, outs in enumerate(eg1.eve_succ):
-        sigs = [eg1.adam_nodes[aid].succ for aid in outs]
+        sigs = [eg1.adam_succ[aid] for aid in outs]
         assert len(sigs) == len(set(sigs))
         for aid in outs:
-            node = eg1.adam_nodes[aid]
-            assert eg1.adam_for_action(eid, node.action) == aid
+            assert eg1.adam_for_action(eid, eg1.adam_action[aid]) == aid
 
 
 def test_random_enabled_counts_agree(random_instances):
@@ -270,7 +280,7 @@ def test_random_enabled_counts_agree(random_instances):
             # The build enumerates actions up to equal reach sets; every
             # enabled action must still resolve to one of its Adam nodes.
             for action in enabled:
-                assert eg.adam_nodes[eg.adam_for_action(eid, action)].origin == eid
+                assert eg.adam_for_action(eid, action) in eg.eve_succ[eid]
             checked += 1
     assert checked >= 30
 
@@ -278,6 +288,7 @@ def test_random_enabled_counts_agree(random_instances):
 def test_random_suite_invariants(random_instances):
     assert len(random_instances) >= 100
     for _game, _graph, eg in random_instances:
+        assert_one_complying_successor(eg)
         assert check_knowledge_invariant(eg) == []
         assert check_distance_characterization(eg) == []
         b = eg.size_bounds()
@@ -309,11 +320,34 @@ def _dense_ring_game(rng: random.Random, players: int, vertices: int) -> tuple:
     return game, CommGraph(names, ring)
 
 
+def _reference_view(eg):
+    """The reference build's Adam records and signature tables, derived from
+    a built game: the origin from `eve_succ`, each successor labelled with
+    its Eve state's vertex, and the complying id as the one non-deviated
+    successor."""
+    states = eg.eve_states
+    origin = [None] * eg.adam_count()
+    for eid, outs in enumerate(eg.eve_succ):
+        for aid in outs:
+            origin[aid] = eid
+
+    def labelled(succ):
+        return tuple((states[sid].vertex, sid) for sid in succ)
+
+    nodes = [
+        AdamNode(origin[aid], action, labelled(succ),
+                 next((sid for sid in succ if not states[sid].deviated), None))
+        for aid, (action, succ) in enumerate(zip(eg.adam_action, eg.adam_succ))
+    ]
+    sig_index = [[(labelled(sig), aid) for sig, aid in d.items()] for d in eg._sig_index]
+    return nodes, sig_index
+
+
 def test_build_matches_reference(game5, g1, g2, g3):
     """The integer build gives the game the string-based reference build
     gives: the same Eve states in the same order, the same Adam nodes with
-    the same first actions, successors and complying ids, and the same
-    signature tables."""
+    the same origins, first actions, labelled successors and complying ids,
+    and the same signature tables."""
     rng = random.Random(20261018)
     cases = [(game5, g) for g in (g1, g2, g3)]
     cases += [_dense_ring_game(rng, p, v) for p, v in ((2, 4), (3, 3), (3, 5), (4, 2))]
@@ -331,8 +365,7 @@ def test_build_matches_reference(game5, g1, g2, g3):
         assert eg.eve_states == ref.eve_states
         assert eg.eve_succ == ref.eve_succ
         assert eg.init == ref.init
-        assert eg.adam_nodes == ref.adam_nodes  # origin, action, succ, comply
-        assert [list(d.items()) for d in eg._sig_index] == [
-            list(d.items()) for d in ref.sig_index
-        ]
+        nodes, sig_index = _reference_view(eg)
+        assert nodes == ref.adam_nodes  # origin, action, succ, comply
+        assert sig_index == [list(d.items()) for d in ref.sig_index]
     assert compared >= 100
