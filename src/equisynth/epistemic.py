@@ -17,15 +17,19 @@ sets against it.
 Eve states are (vertex, situations); Adam states pair an Eve state with a
 suggested joint move (no suspects) or with a per-suspect move function
 (suspects present).  Move functions must suggest the same action to any
-player uninformed under both of two hypotheses; Adam states that induce the
-same successor set are merged.
+player uninformed under both of two hypotheses.  Actions with the same
+successors share one Adam node, and there is nothing left to merge once the
+actions are enumerated one per distinct (reach tuple, complying target)
+pair: two different pairs differ at some target, which either keeps a
+different set of surviving hypotheses or is the complying target of one
+pair only, so their successor tuples differ.
 
-An Adam node stores only the first action that produced it
-(`adam_action[aid]`) and its successor Eve ids in vertex order
-(`adam_succ[aid]`); the rest is derived.  Adam ids are handed out per Eve
-state in order, so `eve_succ` gives each node's origin, and a successor's
-vertex is its Eve state's vertex.  The complying successor is the one
-non-deviated successor: only the target of the suggested move at a
+An Adam node stores only its action (`adam_action[aid]`) and its successor
+Eve ids in vertex order (`adam_succ[aid]`); the rest is derived.  The Adam
+ids of one Eve state form a contiguous block, handed out in order, and
+`eve_succ[eid]` is that range, so it gives each node's origin; a
+successor's vertex is its Eve state's vertex.  The complying successor is
+the one non-deviated successor: only the target of the suggested move at a
 non-deviated state continues with no surviving hypothesis.  Every other
 target, and every target of a deviated state, is a target because some
 hypothesis reaches it, and that hypothesis survives there.
@@ -236,15 +240,38 @@ def expand(enc: Encoding, key: StateKey) -> list[tuple[int, int]]:
 
 
 def action_reach(enc: Encoding, key: StateKey, action: EveAction):
-    """(reach masks, complying target or -1) of an enabled action at `key`:
-    a joint move at a non-deviated state, else a move function in
-    hypothesis order."""
-    table = enc.moves(key[0])
-    if not key[1]:
-        comply, reach = table[action]
+    """(reach masks, complying target or -1) of an action at `key`: a joint
+    move at a non-deviated state, else a move function in hypothesis order.
+
+    Raises InvalidInput unless the action is enabled: every move is allowed
+    (a key of the move table), the move function names the key's suspects in
+    order, and two hypotheses give the same action to every player informed
+    of neither."""
+    v, pairs = key
+    table = enc.moves(v)
+    players = enc.game.players
+
+    def allowed(move):
+        if move not in table:
+            raise InvalidInput(f"move {move!r} not allowed at {enc.game.vertices[v]!r}")
+        return table[move]
+
+    if not pairs:
+        comply, reach = allowed(action)
         return reach, comply
-    index = enc.game.player_index
-    return tuple(table[m][1][index[d]] for d, m in action), -1
+    if tuple(d for d, _m in action) != tuple(players[d] for d, _m in pairs):
+        raise InvalidInput("move function must cover exactly the tracked suspects")
+    reach = tuple(allowed(move)[1][d] for (d, _m), (_d, move) in zip(pairs, action))
+    for i, (d, m) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            d2, m2 = pairs[j]
+            for a in range(len(players)):
+                if not (m | m2) >> a & 1 and action[i][1][a] != action[j][1][a]:
+                    raise InvalidInput(
+                        f"components for {players[a]!r} differ between hypotheses "
+                        f"{players[d]!r} and {players[d2]!r} though both leave it uninformed"
+                    )
+    return reach, -1
 
 
 def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
@@ -284,36 +311,6 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
 
 # ---------------------------------------------------------------------------
 # Enabled Eve actions.
-
-
-def _check_enabled(game, state: EveState, action: EveAction) -> None:
-    """Validate an action against the enabledness contract (raises InvalidInput)."""
-    v = state.vertex
-    if not state.deviated:
-        if len(action) != len(game.players) or any(
-            act not in game.allow[v][a] for a, act in zip(game.players, action)
-        ):
-            raise InvalidInput(f"move {action!r} not allowed at {v!r}")
-        return
-    f = dict(action)
-    if tuple(f) != state.deviators():
-        raise InvalidInput("move function must cover exactly the tracked suspects")
-    informed = state.informed_map()
-    for d, move in f.items():
-        if len(move) != len(game.players) or any(
-            act not in game.allow[v][a] for a, act in zip(game.players, move)
-        ):
-            raise InvalidInput(f"move {move!r} not allowed at {v!r}")
-    devs = state.deviators()
-    for i, d in enumerate(devs):
-        for d2 in devs[i + 1 :]:
-            for j, a in enumerate(game.players):
-                if a not in informed[d] and a not in informed[d2]:
-                    if f[d][j] != f[d2][j]:
-                        raise InvalidInput(
-                            f"components for {a!r} differ between hypotheses "
-                            f"{d!r} and {d2!r} though both leave it uninformed"
-                        )
 
 
 def _distinct_actions(enc: Encoding, key: StateKey):
@@ -384,14 +381,13 @@ class EpistemicGame:
     game: ConcurrentGame
     graph: CommGraph
     eve_states: list[EveState]
-    eve_succ: list[tuple[int, ...]]
-    adam_action: list[EveAction]  # Adam id -> the first action producing it
+    eve_succ: list[range]  # Eve id -> its block of Adam ids
+    adam_action: list[EveAction]  # Adam id -> the action producing it
     adam_succ: list[tuple[int, ...]]  # Adam id -> successor Eve ids, vertex order
     init: int
     _encoding: Encoding
     _keys: list[StateKey]
     _key_index: dict[StateKey, int]
-    _sig_index: list[dict]
 
     def eve_count(self) -> int:
         return len(self.eve_states)
@@ -403,21 +399,10 @@ class EpistemicGame:
         return [i for i, s in enumerate(self.eve_states) if s.deviated]
 
     def adam_for_action(self, eve_id: int, action: EveAction) -> int:
-        """Resolve any enabled action to its merged Adam node."""
-        state = self.eve_states[eve_id]
-        _check_enabled(self.game, state, action)
-        aid = self._sig_index[eve_id].get(self._signature(eve_id, action))
-        if aid is None:
-            raise InvalidInput(
-                f"action {action_key(action)} at {state_key(state)} resolves to "
-                "an unknown successor signature"
-            )
-        return aid
-
-    def _signature(self, eve_id: int, action: EveAction):
-        """Successor signature of an enabled action, used to merge Adam nodes.
-
-        Unknown successors mean the action cannot belong to the built game."""
+        """Resolve any enabled action to the Adam node of `eve_id` with the
+        same successors, looked up by its successor tuple within the state's
+        range of Adam ids.  An action that is not enabled there raises
+        InvalidInput (see `action_reach`)."""
         enc, key = self._encoding, self._keys[eve_id]
 
         def resolve(successor: StateKey) -> int:
@@ -426,7 +411,15 @@ class EpistemicGame:
                 raise InvalidInput("successor state not present in the built game")
             return sid
 
-        return successors(enc, expand(enc, key), *action_reach(enc, key, action), resolve)
+        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), resolve)
+        ids = self.eve_succ[eve_id]
+        try:
+            return self.adam_succ.index(sig, ids.start, ids.stop)
+        except ValueError:
+            raise InvalidInput(
+                f"action {action_key(action)} at {state_key(self.eve_states[eve_id])} "
+                "resolves to an unknown successor signature"
+            ) from None
 
     def size_bounds(self) -> dict:
         g = self.game
@@ -451,8 +444,10 @@ def build_reachable(
 ) -> EpistemicGame:
     """Breadth-first construction of the reachable epistemic game.
 
-    Adam nodes are merged by successor signature; each keeps the first
-    action (in enumeration order) that produced it.
+    Each action `_distinct_actions` yields at a state becomes one Adam
+    node, which keeps that action.  No two of them share a successor tuple
+    (see the module docstring), so nothing is merged, and the nodes of one
+    state get consecutive ids.
     """
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
@@ -460,10 +455,9 @@ def build_reachable(
     keys: list[StateKey] = []
     key_index: dict[StateKey, int] = {}
     eve_states: list[EveState] = []
-    eve_succ: list[tuple[int, ...]] = []
+    eve_succ: list[range] = []
     adam_action: list[EveAction] = []
     adam_succ: list[tuple[int, ...]] = []
-    sig_index: list[dict] = []
 
     def intern(key: StateKey) -> int:
         i = key_index.get(key)
@@ -477,7 +471,6 @@ def build_reachable(
             i = key_index[key] = len(keys)
             keys.append(key)
             eve_states.append(enc.state(key))
-            sig_index.append({})
         return i
 
     init = intern((game.vertex_index[game.init_vertex], ()))
@@ -486,16 +479,11 @@ def build_reachable(
         key = keys[eid]
         grown = expand(enc, key)
         memo: dict[int, int] = {}
-        sigs = sig_index[eid]
-        out_edges: list[int] = []
+        first = len(adam_succ)
         for action, reach, comply in _distinct_actions(enc, key):
-            sig = successors(enc, grown, reach, comply, intern, memo)
-            if sig not in sigs:
-                sigs[sig] = len(adam_succ)
-                out_edges.append(len(adam_succ))
-                adam_action.append(action)
-                adam_succ.append(sig)
-        eve_succ.append(tuple(out_edges))
+            adam_action.append(action)
+            adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
+        eve_succ.append(range(first, len(adam_succ)))
 
     return EpistemicGame(
         game=game,
@@ -508,7 +496,6 @@ def build_reachable(
         _encoding=enc,
         _keys=keys,
         _key_index=key_index,
-        _sig_index=sig_index,
     )
 
 

@@ -464,9 +464,10 @@ class EveStrategy:
     def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
         """Read a profile back.  Each layer's color classes and tree are
         rebuilt from the game, the payoff and the suspects; a profile whose
-        classes differ from the rebuild, whose leaves lie outside the tree, or
-        whose won states are not layer states with an entry at leaf 0, is
-        rejected."""
+        classes differ from the rebuild, whose leaves lie outside the tree,
+        whose won states are not layer states with an entry at leaf 0, that
+        punishes a layer twice, or that has a row outside its block's layer or
+        two rows for one state and leaf, is rejected."""
         if data.get("format") != PROFILE_FORMAT:
             raise InvalidInput(
                 f"unsupported profile format {data.get('format')!r}: expected "
@@ -528,25 +529,37 @@ class EveStrategy:
             if dev not in groups:
                 raise InvalidInput(f"profile punishes suspects {suspects}, "
                                    f"a layer the built game does not have")
+            if dev in layers:
+                raise InvalidInput(f"profile punishes suspects {suspects} twice")
             classes, tree = _layer_setup(eg, payoff, dev, groups[dev])
             if block["classes"] != [list(cls) for cls in classes]:
                 raise InvalidInput(
                     f"profile color classes for suspects {suspects} differ from "
                     f"the layer's: expected {[list(cls) for cls in classes]}"
                 )
+            layer = set(groups[dev])
             entries: dict[tuple[int, int], int] = {}
             for row in block["entries"]:
                 e = eve_of(row)
+                if e not in layer:
+                    raise InvalidInput(
+                        f"profile row for Eve id {e} in the block for suspects "
+                        f"{suspects} is not a state of the layer"
+                    )
                 leaf = integer(row["leaf"], "leaf")
                 if not 0 <= leaf < len(tree):
                     raise InvalidInput(
                         f"profile leaf {leaf} for suspects {suspects} is outside "
                         f"the layer's tree of {len(tree)} leaves"
                     )
+                if (e, leaf) in entries:
+                    raise InvalidInput(
+                        f"profile has two rows for Eve id {e} at leaf {leaf} in the "
+                        f"block for suspects {suspects}"
+                    )
                 entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
             win = frozenset(integer(x, "win id") for x in block.get("win", []))
             # The solver records an entry at leaf 0 for each state it wins.
-            layer = set(groups[dev])
             for e in sorted(win):
                 if e not in layer or (e, 0) not in entries:
                     raise InvalidInput(

@@ -285,11 +285,45 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "unknown win id": edited(lambda p: p["punish"][0].update(win=[99999])),
         "win id of another layer": edited(
             lambda p: p["punish"][0].update(win=p["punish"][1]["win"][:1])),
+        "duplicate block": edited(lambda p: p["punish"].append(p["punish"][0])),
+        "duplicate row": edited(
+            lambda p: p["punish"][0]["entries"].append(p["punish"][0]["entries"][0])),
+        "row of another layer": edited(
+            lambda p: p["punish"][0]["entries"].append(p["punish"][1]["entries"][0])),
     }
     for label, data in garbage.items():
         junk.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
         assert (code, err.startswith("error:")) == (2, True), (label, err)
+
+    # Actions that are no enabled Eve action, each rejected with its reason.
+    # The first row of the {2,3} block is at v1p, where player 0 is informed
+    # of neither suspect.
+    pair = next(i for i, b in enumerate(profile["punish"]) if b["dev"] == ["2", "3"])
+
+    def pair_action(change):
+        return edited(lambda p: change(p["punish"][pair]["entries"][0]["action"]))
+
+    disallowed = ["z", "a", "a", "a", "a"]
+    rejected = {
+        "disallowed complying move": (
+            edited(lambda p: p["comply"]["cycle"][0].update(action=disallowed)),
+            "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v0'"),
+        "disallowed punishment move": (
+            pair_action(lambda a: a.update({"2": disallowed})),
+            "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v1p'"),
+        "uninformed component differs": (
+            pair_action(lambda a: a["3"].__setitem__(0, "b" if a["3"][0] == "a" else "a")),
+            "components for '0' differ between hypotheses '2' and '3' "
+            "though both leave it uninformed"),
+        "missing suspect": (
+            pair_action(lambda a: a.pop("2")),
+            "profile action misses suspect '2'"),
+    }
+    for label, (data, message) in rejected.items():
+        junk.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
+        assert (code, err.startswith("error:"), message in err) == (2, True, True), (label, err)
 
 
 def test_solve_product_cap(capsys):

@@ -253,14 +253,32 @@ def test_whole_game_checks_on_examples(eg1, eg2, eg3):
         assert b["adam_states"] <= b["adam_bound"]
 
 
-def test_adam_merging_by_successor_signature(eg1):
-    # Merged nodes must be reachable through any action with the same
-    # signature, and distinct nodes must differ in signatures.
-    for eid, outs in enumerate(eg1.eve_succ):
-        sigs = [eg1.adam_succ[aid] for aid in outs]
-        assert len(sigs) == len(set(sigs))
-        for aid in outs:
-            assert eg1.adam_for_action(eid, eg1.adam_action[aid]) == aid
+def test_adam_merging_by_successor_signature(eg1, eg2, eg3, random_instances):
+    # The build makes one Adam node per distinct (reach tuple, complying
+    # target) pair, and no two such pairs share a successor tuple, so there
+    # is nothing to merge: the nodes of one Eve state differ in signature and
+    # the states' id blocks tile the Adam ids in order.  Every node is
+    # reachable again through the action it keeps.
+    rng = random.Random(20261018)
+    dense = [_dense_ring_game(rng, p, v) for p, v in ((2, 4), (3, 3), (3, 5), (4, 2))]
+    cases = [(eg, True) for eg in (eg1, eg2, eg3)]
+    cases += [(build_reachable(game, graph), False) for game, graph in dense]
+    cases += [(eg, eg.adam_count() <= 5_000) for _game, _graph, eg in random_instances]
+    for eg, round_trip in cases:
+        for outs in eg.eve_succ:
+            sigs = [eg.adam_succ[aid] for aid in outs]
+            assert len(sigs) == len(set(sigs))
+        assert [aid for outs in eg.eve_succ for aid in outs] == list(range(eg.adam_count()))
+        if round_trip:
+            for eid, outs in enumerate(eg.eve_succ):
+                for aid in outs:
+                    assert eg.adam_for_action(eid, eg.adam_action[aid]) == aid
+
+
+def test_adam_for_action_needs_suspects_in_order(eg1):
+    eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
+    with pytest.raises(InvalidInput, match="move function must cover exactly the tracked suspects"):
+        eg1.adam_for_action(eid, (("3", ALL_A), ("2", ALL_A)))
 
 
 def test_random_enabled_counts_agree(random_instances):
@@ -323,8 +341,8 @@ def _dense_ring_game(rng: random.Random, players: int, vertices: int) -> tuple:
 def _reference_view(eg):
     """The reference build's Adam records and signature tables, derived from
     a built game: the origin from `eve_succ`, each successor labelled with
-    its Eve state's vertex, and the complying id as the one non-deviated
-    successor."""
+    its Eve state's vertex, the complying id as the one non-deviated
+    successor, and per Eve state its nodes' signatures in id order."""
     states = eg.eve_states
     origin = [None] * eg.adam_count()
     for eid, outs in enumerate(eg.eve_succ):
@@ -339,7 +357,7 @@ def _reference_view(eg):
                  next((sid for sid in succ if not states[sid].deviated), None))
         for aid, (action, succ) in enumerate(zip(eg.adam_action, eg.adam_succ))
     ]
-    sig_index = [[(labelled(sig), aid) for sig, aid in d.items()] for d in eg._sig_index]
+    sig_index = [[(labelled(eg.adam_succ[aid]), aid) for aid in outs] for outs in eg.eve_succ]
     return nodes, sig_index
 
 
@@ -363,7 +381,7 @@ def test_build_matches_reference(game5, g1, g2, g3):
         ref = reference_build_reachable(game, graph)
         compared += 1
         assert eg.eve_states == ref.eve_states
-        assert eg.eve_succ == ref.eve_succ
+        assert [tuple(outs) for outs in eg.eve_succ] == ref.eve_succ
         assert eg.init == ref.init
         nodes, sig_index = _reference_view(eg)
         assert nodes == ref.adam_nodes  # origin, action, succ, comply

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from equisynth.epistemic import state_key
 from equisynth.errors import (
     InvalidInput,
     NormednessViolation,
@@ -203,6 +204,23 @@ def test_upsilon_flags_muted_profile(eg1, solved1, profile1):
     muted = MessageOverride(profile1, "4", lambda m: None)
     with pytest.raises(NormednessViolation):
         check_deviation_resistance(eg1, muted, solved1.payoff)
+
+
+class ActionIsState:
+    """A profile whose machine state is the action it suggests."""
+
+    def output(self, player, mstate):
+        return mstate, None
+
+
+def test_upsilon_rejects_suspects_disagreeing_for_uninformed(eg1):
+    # Player 0 is informed of neither suspect at this state, so both
+    # hypotheses must suggest it the same action.
+    eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
+    mem = ("d", (("2", ("a",) * 5), ("3", ("b",) + ("a",) * 4)))
+    with pytest.raises(NormednessViolation, match="do not form a valid move function") as exc:
+        upsilon(eg1, ActionIsState()).action(eid, mem)
+    assert "components for '0' differ between hypotheses '2' and '3'" in str(exc.value)
 
 
 def test_deviation_resistance_verdicts(eg1, solved1, profile1):
