@@ -45,16 +45,18 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--game", required=True, help="game description file")
     p.add_argument("--comm", required=True, help="communication graph file")
+    p.add_argument("--state-cap", type=int, default=1_000_000, help="epistemic state cap")
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--out", help="write the report here instead of stdout")
+
+
+def _add_checks(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predicate", help="payoff predicate, e.g. 'p[2]=1 & p[3]>=1'")
     p.add_argument("--main-inf", help="comma-separated vertex set the complying outcome must visit infinitely often")
     p.add_argument("--depth", type=int, help="message-rule check depth (default: diameter + |V| + 2)")
-    p.add_argument("--state-cap", type=int, default=1_000_000, help="epistemic state cap")
-    p.add_argument("--lar-cap", type=int, default=500_000, help="node cap of each punishment layer's parity product")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--out", help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,13 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     b = sub.add_parser("build", help="build the epistemic game and report stats")
-    _add_common(b)
+    _add_common(b, formats=("text", "json", "dot"))
     b.set_defaults(func=cmd_build)
     s = sub.add_parser("solve", help="search for an enforceable payoff vector")
     _add_common(s)
+    _add_checks(s)
+    s.add_argument("--lar-cap", type=int, default=500_000, help="node cap of each punishment layer's parity product")
     s.set_defaults(func=cmd_solve)
     v = sub.add_parser("verify", help="re-verify a solve report's strategy profile")
     _add_common(v)
+    _add_checks(v)
     v.add_argument("profile", help="report or profile file produced by solve")
     v.set_defaults(func=cmd_verify)
     return parser
@@ -213,8 +218,6 @@ def _verify_strategy(args, game, graph, eg, strategy) -> tuple[dict, list[str]]:
 
 
 def cmd_solve(args) -> int:
-    if args.format == "dot":
-        raise InvalidInput("dot output is only available for build")
     game, graph, eg = _load(args)
     query = parse_query(args.predicate) if args.predicate else None
     main_inf = _main_inf(args, game)
@@ -272,8 +275,6 @@ def _emit_solve(args, report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.format == "dot":
-        raise InvalidInput("dot output is only available for build")
     game, graph, eg = _load(args)
     try:
         data = json.loads(Path(args.profile).read_text())
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for flag in ("state_cap", "lar_cap", "depth"):
-            value = getattr(args, flag)
+            value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise InvalidInput(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)

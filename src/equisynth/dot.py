@@ -45,8 +45,10 @@ def _epistemic_dot(eg: EpistemicGame) -> str:
     lines = ["digraph epistemic {", "  rankdir=LR;"]
     for eid, state in enumerate(eg.eve_states):
         lines.append(f"  e{eid} [shape=box, label={_quote(state_key(state))}];")
-    for aid, action in enumerate(eg.adam_action):
-        lines.append(f"  a{aid} [shape=circle, label={_quote(action_key(action))}];")
+    for eid, state in enumerate(eg.eve_states):
+        for aid in eg.eve_succ[eid]:
+            label = action_key(state, eg.adam_action[aid])
+            lines.append(f"  a{aid} [shape=circle, label={_quote(label)}];")
     for eid in range(eg.eve_count()):
         for aid in eg.eve_succ[eid]:
             lines.append(f"  e{eid} -> a{aid};")

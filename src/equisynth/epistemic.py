@@ -15,14 +15,15 @@ bundled example and on every random test instance, and checks the derived
 sets against it.
 
 Eve states are (vertex, situations); Adam states pair an Eve state with a
-suggested joint move (no suspects) or with a per-suspect move function
-(suspects present).  Move functions must suggest the same action to any
-player uninformed under both of two hypotheses.  Actions with the same
-successors share one Adam node, and there is nothing left to merge once the
-actions are enumerated one per distinct (reach tuple, complying target)
-pair: two different pairs differ at some target, which either keeps a
-different set of surviving hypotheses or is the complying target of one
-pair only, so their successor tuples differ.
+suggested joint move (no suspects) or with a move function (suspects
+present): one joint move per suspect, in the state's suspect order, so the
+suspects' names are kept only in the Eve state.  Move functions must suggest
+the same action to any player uninformed under both of two hypotheses.
+Actions with the same successors share one Adam node, and there is nothing
+left to merge once the actions are enumerated one per distinct (reach
+tuple, complying target) pair: two different pairs differ at some target,
+which either keeps a different set of surviving hypotheses or is the
+complying target of one pair only, so their successor tuples differ.
 
 An Adam node stores only its action (`adam_action[aid]`) and its successor
 Eve ids in vertex order (`adam_succ[aid]`); the rest is derived.  The Adam
@@ -52,8 +53,9 @@ from itertools import product
 from .errors import InvalidInput, StateCapExceeded
 from .game import CommGraph, ConcurrentGame, Move, substitute
 
-# A per-suspect move suggestion, canonically sorted by player order.
-DevFunction = tuple[tuple[str, Move], ...]
+# A move function: its suspects' moves, in the state's suspect order.
+DevFunction = tuple[Move, ...]
+# A joint move at a state without suspects, a move function elsewhere.
 EveAction = Move | DevFunction
 
 
@@ -95,10 +97,10 @@ def state_key(state: EveState) -> str:
     return f"{state.vertex}|{';'.join(parts)}"
 
 
-def action_key(action: EveAction) -> str:
-    """Canonical text key for an Eve action."""
-    if action and isinstance(action[0], tuple):
-        return ";".join(f"{d}={','.join(m)}" for d, m in action)
+def action_key(state: EveState, action: EveAction) -> str:
+    """Canonical text key for an Eve action at `state`."""
+    if state.deviated:
+        return ";".join(f"{d}={','.join(m)}" for d, m in zip(state.deviators(), action))
     return ",".join(action)  # plain joint move
 
 
@@ -244,9 +246,9 @@ def action_reach(enc: Encoding, key: StateKey, action: EveAction):
     move at a non-deviated state, else a move function in hypothesis order.
 
     Raises InvalidInput unless the action is enabled: every move is allowed
-    (a key of the move table), the move function names the key's suspects in
-    order, and two hypotheses give the same action to every player informed
-    of neither."""
+    (a key of the move table), the move function has one move per suspect,
+    and two hypotheses give the same action to every player informed of
+    neither."""
     v, pairs = key
     table = enc.moves(v)
     players = enc.game.players
@@ -259,14 +261,15 @@ def action_reach(enc: Encoding, key: StateKey, action: EveAction):
     if not pairs:
         comply, reach = allowed(action)
         return reach, comply
-    if tuple(d for d, _m in action) != tuple(players[d] for d, _m in pairs):
-        raise InvalidInput("move function must cover exactly the tracked suspects")
-    reach = tuple(allowed(move)[1][d] for (d, _m), (_d, move) in zip(pairs, action))
+    if len(action) != len(pairs):
+        raise InvalidInput(
+            f"move function has {len(action)} moves for {len(pairs)} tracked suspects")
+    reach = tuple(allowed(move)[1][d] for (d, _m), move in zip(pairs, action))
     for i, (d, m) in enumerate(pairs):
         for j in range(i + 1, len(pairs)):
             d2, m2 = pairs[j]
             for a in range(len(players)):
-                if not (m | m2) >> a & 1 and action[i][1][a] != action[j][1][a]:
+                if not (m | m2) >> a & 1 and action[i][a] != action[j][a]:
                     raise InvalidInput(
                         f"components for {players[a]!r} differ between hypotheses "
                         f"{players[d]!r} and {players[d2]!r} though both leave it uninformed"
@@ -347,7 +350,6 @@ def _distinct_actions(enc: Encoding, key: StateKey):
             for a in range(len(players))
         ]
         plans.append((d, [allow[players[a]] for a in private], reads, order, {}))
-    names = tuple(players[d] for d, _m in pairs)
     seen_options = set()
     seen = set()
     for st in product(*(allow[players[a]] for a in shared)):
@@ -369,7 +371,7 @@ def _distinct_actions(enc: Encoding, key: StateKey):
         for reach in product(*options):
             if reach not in seen:
                 seen.add(reach)
-                yield tuple(zip(names, map(dict.__getitem__, options, reach))), reach, -1
+                yield tuple(map(dict.__getitem__, options, reach)), reach, -1
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +418,9 @@ class EpistemicGame:
         try:
             return self.adam_succ.index(sig, ids.start, ids.stop)
         except ValueError:
+            state = self.eve_states[eve_id]
             raise InvalidInput(
-                f"action {action_key(action)} at {state_key(self.eve_states[eve_id])} "
+                f"action {action_key(state, action)} at {state_key(state)} "
                 "resolves to an unknown successor signature"
             ) from None
 

@@ -35,6 +35,14 @@ Action tuples are resolved only where they arrive from outside: the rows of
 a profile file (`EveStrategy.from_dict`) and the suggestions of profile
 machines (`translate.UpsilonPolicy`).
 
+A policy's memory holds only what the Eve state does not say: whether the
+play deviated, and which suspects it tracks, are read off the state.
+Suspect sets only shrink, so a step stays in a punishment layer iff the
+number of suspects stays the same.  `EveStrategy` keeps one int, the lasso
+position at states without suspects and the tree leaf elsewhere;
+`UpsilonPolicy` keeps the machine-state vector of the complying history, or
+one vector per suspect in the state's order.
+
 Both searches share `recurring_witness`: a color set CC can recur iff, after
 restricting the graph to CC-colored nodes, some strongly connected part with
 an edge still shows every color of CC (the SCC-restriction step of generic
@@ -363,8 +371,9 @@ PROFILE_FORMAT = "equisynth-profile-v2"
 @dataclass
 class EveStrategy:
     """Finite-memory protagonist strategy: follow the complying lasso, and on
-    any visible deviation switch to the punished layer's table, with the
-    layer's tree leaf as memory."""
+    any visible deviation switch to the punished layer's table.  The memory
+    is the lasso position at states without suspects, the tree leaf of the
+    state's layer elsewhere."""
 
     eg: EpistemicGame
     payoff: Vector
@@ -373,68 +382,59 @@ class EveStrategy:
     layers: dict[DevKey, LayerTable]
 
     # -- policy protocol -------------------------------------------------
-    def initial(self):
-        return ("c", 0)
+    def initial(self) -> int:
+        return 0
 
     def _comply_entry(self, pos: int) -> tuple[int, int]:
         if pos < len(self.prefix):
             return self.prefix[pos]
         return self.cycle[(pos - len(self.prefix)) % len(self.cycle)]
 
-    def action(self, eve_id: int, mem) -> int:
-        if mem[0] == "c":
-            entry_eve, aid = self._comply_entry(mem[1])
+    def action(self, eve_id: int, mem: int) -> int:
+        state = self.eg.eve_states[eve_id]
+        if not state.deviated:
+            entry_eve, aid = self._comply_entry(mem)
             if entry_eve != eve_id:
                 raise StrategyUndefined(
                     f"complying track expected state {entry_eve}, got {eve_id}"
                 )
             return aid
-        _tag, dev, leaf = mem
+        dev = state.deviators()
         table = self.layers.get(dev)
         if table is None:
             raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        aid = table.entries.get((eve_id, leaf))
+        aid = table.entries.get((eve_id, mem))
         if aid is None:
             raise StrategyUndefined(
-                f"punishment table for {dev} undefined at "
-                f"{state_key(self.eg.eve_states[eve_id])} with leaf {leaf}"
+                f"punishment table for {dev} undefined at {state_key(state)} with leaf {mem}"
             )
         return aid
 
-    def advance(self, mem, eve_id: int, next_eve_id: int):
+    def advance(self, mem: int, eve_id: int, next_eve_id: int) -> int:
+        state = self.eg.eve_states[eve_id]
         nxt = self.eg.eve_states[next_eve_id]
-        if mem[0] == "c":
-            if not nxt.deviated:
-                pos = mem[1] + 1
-                if pos >= len(self.prefix) + len(self.cycle):
-                    pos = len(self.prefix)
-                return ("c", pos)
-            return self._enter_layer(next_eve_id)
-        _tag, dev, leaf = mem
-        if nxt.deviators() == dev:
-            table = self.layers[dev]
-            color = table.class_of[self.eg.eve_states[eve_id].vertex]
-            return ("p", dev, table.tree[leaf][color][0])
-        return self._enter_layer(next_eve_id)
-
-    def _enter_layer(self, eve_id: int):
-        dev = self.eg.eve_states[eve_id].deviators()
+        if not nxt.deviated:
+            pos = mem + 1
+            return pos if pos < len(self.prefix) + len(self.cycle) else len(self.prefix)
+        if len(nxt.situations) == len(state.situations):
+            table = self.layers[state.deviators()]
+            return table.tree[mem][table.class_of[state.vertex]][0]
+        dev = nxt.deviators()
         if dev not in self.layers:
             raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        return ("p", dev, 0)
+        return 0
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
         eg = self.eg
 
-        def action_json(action: EveAction):
-            if action and isinstance(action[0], tuple):
-                return {d: list(m) for d, m in action}
-            return list(action)
-
         def row_json(e: int, aid: int, **extra):
-            return {"eve": e, "key": state_key(eg.eve_states[e]), **extra,
-                    "action": action_json(eg.adam_action[aid])}
+            state, action = eg.eve_states[e], eg.adam_action[aid]
+            if state.deviated:
+                action_json = {d: list(m) for d, m in zip(state.deviators(), action)}
+            else:
+                action_json = list(action)
+            return {"eve": e, "key": state_key(state), **extra, "action": action_json}
 
         def comply_json(entries):
             return [row_json(e, aid) for e, aid in entries]
@@ -481,14 +481,20 @@ class EveStrategy:
 
         def action_of(raw, eve_id) -> EveAction:
             state = eg.eve_states[eve_id]
-            if isinstance(raw, dict):
-                try:
-                    return tuple(
-                        (d, move_of(raw[d])) for d in state.deviators()
-                    )
-                except KeyError as exc:
-                    raise InvalidInput(f"profile action misses suspect {exc}") from exc
-            return move_of(raw)
+            if isinstance(raw, dict) != state.deviated:
+                shape = ("a JSON object keyed by suspect" if state.deviated
+                         else "a JSON list of action names")
+                raise InvalidInput(f"profile action at {state_key(state)} must be {shape}")
+            if not state.deviated:
+                return move_of(raw)
+            others = sorted(set(raw) - set(state.deviators()))
+            if others:
+                raise InvalidInput(
+                    f"profile action at {state_key(state)} names non-suspects {others}")
+            try:
+                return tuple(move_of(raw[d]) for d in state.deviators())
+            except KeyError as exc:
+                raise InvalidInput(f"profile action misses suspect {exc}") from exc
 
         def integer(raw, what: str) -> int:
             if isinstance(raw, bool) or not isinstance(raw, int):

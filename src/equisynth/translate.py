@@ -83,7 +83,7 @@ class OmegaProfile:
             raise ProfileInputRejected(
                 f"no believed deviator for {player!r} at {state_key(state)}"
             )
-        move = dict(action)[believed]
+        move = action[state.deviators().index(believed)]
         msg = believed if player in state.informed(believed) else None
         return move[idx], msg
 
@@ -171,8 +171,9 @@ class UpsilonPolicy:
     """Protagonist strategy that consults a distributed profile through the
     per-suspect reconstructed local histories.
 
-    Memory: machine states of every player on the complying history, or one
-    such vector per tracked suspect once the play deviated.
+    Memory: the machine states of every player on the complying history at
+    a state without suspects, else one such vector per suspect, in the
+    state's suspect order.
     """
 
     def __init__(self, eg: EpistemicGame, profile):
@@ -181,7 +182,7 @@ class UpsilonPolicy:
         self.players = eg.game.players
 
     def initial(self):
-        return ("c", tuple(self.profile.initial(a) for a in self.players))
+        return tuple(self.profile.initial(a) for a in self.players)
 
     def _joint_move(self, states) -> Move:
         return tuple(
@@ -192,10 +193,9 @@ class UpsilonPolicy:
         """The Adam id of the profile's suggestion; a per-suspect suggestion
         that is no valid move function breaks the message discipline."""
         state = self.eg.eve_states[eve_id]
-        if mem[0] == "c":
-            return self.eg.adam_for_action(eve_id, self._joint_move(mem[1]))
-        hyp = dict(mem[1])
-        action = tuple((d, self._joint_move(hyp[d])) for d in state.deviators())
+        if not state.deviated:
+            return self.eg.adam_for_action(eve_id, self._joint_move(mem))
+        action = tuple(map(self._joint_move, mem))
         try:
             return self.eg.adam_for_action(eve_id, action)
         except InvalidInput as exc:
@@ -213,21 +213,20 @@ class UpsilonPolicy:
         def step(states, msgs):
             return _advance_all(eg.game, eg.graph, self.profile, states, msgs, nxt.vertex)
 
-        if mem[0] == "c":
-            states = mem[1]
-            for a, ms in zip(players, states):
+        if not state.deviated:
+            for a, ms in zip(players, mem):
                 msg = self.profile.output(a, ms)[1]
                 if msg is not None:
                     raise NormednessViolation(
                         f"{a!r} sent {msg!r} while the play tracked the main outcome"
                     )
             if not nxt.deviated:
-                return ("c", step(states, tuple(None for _ in players)))
-            return ("d", tuple(
-                (d, step(states, tuple(d if b == d else None for b in players)))
+                return step(mem, tuple(None for _ in players))
+            return tuple(
+                step(mem, tuple(d if b == d else None for b in players))
                 for d in nxt.deviators()
-            ))
-        hyp = dict(mem[1])
+            )
+        hyp = dict(zip(state.deviators(), mem))
         out = []
         for d in nxt.deviators():
             states = hyp[d]
@@ -242,8 +241,8 @@ class UpsilonPolicy:
                         f"hypothesis {d!r} at {state_key(state)}"
                     )
                 msgs.append(expected)
-            out.append((d, step(states, tuple(msgs))))
-        return ("d", tuple(out))
+            out.append(step(states, tuple(msgs)))
+        return tuple(out)
 
 
 def upsilon(eg: EpistemicGame, profile) -> UpsilonPolicy:

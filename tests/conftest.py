@@ -1,7 +1,14 @@
 """Shared fixtures: the bundled five-player example under its three
-communication graphs, plus a reusable suite of random small instances."""
+communication graphs, plus a reusable suite of random small instances.
+
+Importing this module also wraps `equisynth.epistemic.build_reachable`, before
+any test module imports it, so that every game the session builds with at
+most `LITERAL_WALK_STATES` Eve states is checked against the literal
+knowledge update rules of `oracles.literal_knowledge_violations`.  The walk
+reads the action of every deviated Adam node."""
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -9,8 +16,8 @@ from itertools import product
 
 import pytest
 
+import equisynth.epistemic
 from equisynth import asset_path
-from equisynth.epistemic import build_reachable
 from equisynth.errors import StateCapExceeded
 from equisynth.game import (
     And,
@@ -22,6 +29,29 @@ from equisynth.game import (
     PayoffSpec,
 )
 from equisynth.parsing import parse_comm_graph, parse_game
+
+from oracles import literal_knowledge_violations
+
+LITERAL_WALK_STATES = 150
+
+
+def _with_literal_walk(build):
+    @functools.wraps(build)
+    def build_and_walk(*args, **kwargs):
+        eg = build(*args, **kwargs)
+        if eg.eve_count() <= LITERAL_WALK_STATES:
+            violations = literal_knowledge_violations(eg)
+            assert not violations, violations[:5]
+        return eg
+
+    return build_and_walk
+
+
+# The module may be imported twice (by pytest and by `from conftest import`).
+if not hasattr(equisynth.epistemic.build_reachable, "__wrapped__"):
+    equisynth.epistemic.build_reachable = _with_literal_walk(
+        equisynth.epistemic.build_reachable)
+build_reachable = equisynth.epistemic.build_reachable
 
 
 @pytest.fixture(scope="session")

@@ -35,9 +35,9 @@ from equisynth.parity import ParityGame, solve_parity
 
 def successor_map(game: ConcurrentGame, graph: CommGraph, state: EveState, action):
     """Target vertex -> successor Eve state after Eve suggests `action` (a
-    joint move, or a per-suspect move function) at `state`, through the
-    package's integer successor function.  A vertex no single deviation can
-    reach is absent."""
+    joint move, or a move function: one move per suspect, in the state's
+    order) at `state`, through the package's integer successor function.  A
+    vertex no single deviation can reach is absent."""
     enc = Encoding(game, graph)
     index = game.player_index
     key = (game.vertex_index[state.vertex], tuple(
@@ -280,7 +280,8 @@ def literal_knowledge_violations(eg) -> list[str]:
         v = state.vertex
         for aid in eg.eve_succ[eid]:
             if state.deviated:
-                reach = {d: deviation_reach(game, v, m, d) for d, m in eg.adam_action[aid]}
+                reach = {d: deviation_reach(game, v, m, d)
+                         for d, m in zip(state.deviators(), eg.adam_action[aid])}
             for sid in eg.adam_succ[aid]:
                 new_state = eg.eve_states[sid]
                 if not state.deviated:
@@ -314,10 +315,11 @@ def _slots(game: ConcurrentGame, state: EveState):
 
 def enabled_eve_actions(game: ConcurrentGame, state: EveState):
     """All actions Eve may take: joint moves when no suspect is tracked,
-    otherwise every per-suspect move function whose components agree for any
-    player uninformed under both of two hypotheses.  Each player uninformed
-    under some hypothesis gets one shared component; a player informed of
-    suspect d gets a free component in d's move."""
+    otherwise every move function (one move per suspect, in the state's
+    order) whose components agree for any player uninformed under both of two
+    hypotheses.  Each player uninformed under some hypothesis gets one shared
+    component; a player informed of suspect d gets a free component in d's
+    move."""
     v = state.vertex
     if not state.deviated:
         yield from game.moves(v)
@@ -339,7 +341,7 @@ def enabled_eve_actions(game: ConcurrentGame, state: EveState):
                 opts.append(move)
             per_dev_moves.append(opts)
         for combo in product(*per_dev_moves):
-            yield tuple(zip(devs, combo))
+            yield combo
 
 
 def count_enabled_eve_actions(game: ConcurrentGame, state: EveState) -> int:
@@ -358,8 +360,8 @@ def count_enabled_eve_actions(game: ConcurrentGame, state: EveState) -> int:
 
 
 def brute_force_devfunctions(game: ConcurrentGame, state: EveState):
-    """All per-suspect move functions allowed at a deviated state: filter the
-    full space f: suspects -> moves by the pairwise component-equality rule
+    """All move functions allowed at a deviated state, one move per suspect
+    in the state's order: filter the full space f: suspects -> moves by the pairwise component-equality rule
     for players uninformed under both hypotheses."""
     devs = state.deviators()
     informed = state.informed_map()
@@ -380,7 +382,7 @@ def brute_force_devfunctions(game: ConcurrentGame, state: EveState):
             if not ok:
                 break
         if ok:
-            out.add(tuple(zip(devs, combo)))
+            out.add(combo)
     return out
 
 

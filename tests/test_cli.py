@@ -306,6 +306,13 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
 
     disallowed = ["z", "a", "a", "a", "a"]
     rejected = {
+        # A list would be read as one joint move, an object as a move function.
+        "list at a state with suspects": (
+            edited(lambda p: p["punish"][pair]["entries"][0].update(action=["a"] * 5)),
+            "profile action at v1p|2:2;3:3,4 must be a JSON object keyed by suspect"),
+        "object on the complying cycle": (
+            edited(lambda p: p["comply"]["cycle"][0].update(action={"2": ["a"] * 5})),
+            "profile action at v0|- must be a JSON list of action names"),
         "disallowed complying move": (
             edited(lambda p: p["comply"]["cycle"][0].update(action=disallowed)),
             "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v0'"),
@@ -319,6 +326,9 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "missing suspect": (
             pair_action(lambda a: a.pop("2")),
             "profile action misses suspect '2'"),
+        "non-suspect key": (
+            pair_action(lambda a: a.update({"0": ["z"]})),
+            "profile action at v1p|2:2;3:3,4 names non-suspects ['0']"),
     }
     for label, (data, message) in rejected.items():
         junk.write_text(json.dumps(data))
@@ -345,8 +355,7 @@ def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
     for command, flag, value in [
         ("build", "--state-cap", "0"), ("solve", "--state-cap", "-5"),
         ("solve", "--lar-cap", "-1"), ("solve", "--lar-cap", "0"),
-        ("solve", "--depth", "0"), ("build", "--depth", "-3"),
-        ("verify", "--depth", "0"),
+        ("solve", "--depth", "0"), ("verify", "--depth", "0"),
     ]:
         extra = ["profile.json"] if command == "verify" else []
         code, out, err = run(capsys, command, "--game", GAME, "--comm", G1,
@@ -354,6 +363,23 @@ def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
         assert code == 2, (command, flag, value, err)
         assert err == f"error: {flag} must be at least 1, got {value}\n"
         assert out == ""
+
+
+def test_subcommands_reject_options_they_ignore(capsys):
+    # build reads no predicate, outcome set, check depth or product cap, and
+    # only build renders DOT.
+    for command, option in [
+        ("build", ["--predicate", "p[0]>=1"]), ("build", ["--main-inf", "v0"]),
+        ("build", ["--depth", "3"]), ("build", ["--lar-cap", "10"]),
+        ("verify", ["--lar-cap", "10"]),
+        ("solve", ["--format", "dot"]), ("verify", ["--format", "dot"]),
+    ]:
+        extra = ["profile.json"] if command == "verify" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--game", GAME, "--comm", G1, *option, *extra])
+        assert exc.value.code == 2, (command, option)
+        err = capsys.readouterr().err
+        assert option[0] in err or "invalid choice: 'dot'" in err, (command, option, err)
 
 
 @pytest.fixture()

@@ -83,7 +83,7 @@ def test_unreachable_target_rejected(game5, g1):
 
 
 def test_informed_sets_grow_one_hop(game5, g1, golden_state):
-    f = tuple((d, ALL_A) for d in golden_state.deviators())
+    f = (ALL_A,) * len(golden_state.deviators())
     nxt = successor_map(game5, g1, golden_state, f)["v0"]
     assert nxt.deviators() == ("2", "3", "4")
     assert nxt.informed("2") == ("2",)
@@ -93,7 +93,7 @@ def test_informed_sets_grow_one_hop(game5, g1, golden_state):
 
 def test_nonempty_update_drops_impossible_suspects(game5, g1):
     state = EveState("v1p", (Situation("2", ("2",)),))
-    f = (("2", ALL_A),)
+    f = (ALL_A,)
     assert "v3" not in successor_map(game5, g1, state, f)
 
 
@@ -102,7 +102,7 @@ def test_edgeless_graph_freezes_informed_sets(game5):
     state = successor_map(game5, graph, AT_V0, ALL_A)["v1p"]
     for target in ("v0", "v1", "v0"):
         assert all(state.informed(d) == (d,) for d in state.deviators())
-        f = tuple((d, ALL_A) for d in state.deviators())
+        f = (ALL_A,) * len(state.deviators())
         state = successor_map(game5, graph, state, f)[target]
     assert all(state.informed(d) == (d,) for d in state.deviators())
 
@@ -147,7 +147,7 @@ def test_enabled_actions_equality_families(game5, g1, golden_state):
     # f(2)(0)=f(3)(0); f(2)(1)=f(3)(1)=f(4)(1); f(3)(2)=f(4)(2); f(2)(3)=f(4)(3).
     at_v0 = EveState("v0", golden_state.situations)
     for action in enabled_eve_actions(game5, at_v0):
-        f = dict(action)
+        f = dict(zip(at_v0.deviators(), action))
         assert f["2"][0] == f["3"][0]
         assert f["2"][1] == f["3"][1] == f["4"][1]
         assert f["3"][2] == f["4"][2]
@@ -275,10 +275,14 @@ def test_adam_merging_by_successor_signature(eg1, eg2, eg3, random_instances):
                     assert eg.adam_for_action(eid, eg.adam_action[aid]) == aid
 
 
-def test_adam_for_action_needs_suspects_in_order(eg1):
+def test_adam_for_action_rejects_move_function_of_wrong_length(eg1):
+    # A move function is its suspects' moves in the state's order, one each.
     eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
-    with pytest.raises(InvalidInput, match="move function must cover exactly the tracked suspects"):
-        eg1.adam_for_action(eid, (("3", ALL_A), ("2", ALL_A)))
+    assert eg1.adam_for_action(eid, (ALL_A, ALL_A)) in eg1.eve_succ[eid]
+    for action in ((ALL_A,), (ALL_A,) * 3):
+        with pytest.raises(InvalidInput,
+                           match=f"move function has {len(action)} moves for 2 tracked suspects"):
+            eg1.adam_for_action(eid, action)
 
 
 def test_random_enabled_counts_agree(random_instances):
@@ -340,9 +344,10 @@ def _dense_ring_game(rng: random.Random, players: int, vertices: int) -> tuple:
 
 def _reference_view(eg):
     """The reference build's Adam records and signature tables, derived from
-    a built game: the origin from `eve_succ`, each successor labelled with
-    its Eve state's vertex, the complying id as the one non-deviated
-    successor, and per Eve state its nodes' signatures in id order."""
+    a built game: the origin from `eve_succ`, the action's moves paired with
+    the origin's suspect names, each successor labelled with its Eve state's
+    vertex, the complying id as the one non-deviated successor, and per Eve
+    state its nodes' signatures in id order."""
     states = eg.eve_states
     origin = [None] * eg.adam_count()
     for eid, outs in enumerate(eg.eve_succ):
@@ -352,8 +357,12 @@ def _reference_view(eg):
     def labelled(succ):
         return tuple((states[sid].vertex, sid) for sid in succ)
 
+    def named(aid, action):
+        state = states[origin[aid]]
+        return tuple(zip(state.deviators(), action)) if state.deviated else action
+
     nodes = [
-        AdamNode(origin[aid], action, labelled(succ),
+        AdamNode(origin[aid], named(aid, action), labelled(succ),
                  next((sid for sid in succ if not states[sid].deviated), None))
         for aid, (action, succ) in enumerate(zip(eg.adam_action, eg.adam_succ))
     ]

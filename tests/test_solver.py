@@ -282,9 +282,7 @@ class StationaryAllA:
         state = self.eg.eve_states[eve_id]
         if not state.deviated:
             return self.eg.adam_for_action(eve_id, ALL_A)
-        return self.eg.adam_for_action(
-            eve_id, tuple((d, ALL_A) for d in state.deviators())
-        )
+        return self.eg.adam_for_action(eve_id, (ALL_A,) * len(state.deviators()))
 
     def advance(self, mem, eve_id, next_eve_id):
         return mem

@@ -12,6 +12,7 @@ from equisynth.errors import (
     NormednessViolation,
     ProfileInputRejected,
 )
+from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
 from equisynth.translate import (
     DeviationScript,
@@ -217,7 +218,7 @@ def test_upsilon_rejects_suspects_disagreeing_for_uninformed(eg1):
     # Player 0 is informed of neither suspect at this state, so both
     # hypotheses must suggest it the same action.
     eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
-    mem = ("d", (("2", ("a",) * 5), ("3", ("b",) + ("a",) * 4)))
+    mem = (("a",) * 5, ("b",) + ("a",) * 4)  # under suspects 2 and 3
     with pytest.raises(NormednessViolation, match="do not form a valid move function") as exc:
         upsilon(eg1, ActionIsState()).action(eid, mem)
     assert "components for '0' differ between hypotheses '2' and '3'" in str(exc.value)
@@ -324,3 +325,35 @@ def test_check_normed_reports_rejected_continuations(game5, g1, profile1):
         for d in game5.players for _delta in range(2)
     ]
     assert report.explored == 18
+
+
+# (graph, predicate) -> product nodes of `model_check_strategy` and of
+# `check_deviation_resistance` on the found strategy.  The products pair Eve
+# states with policy memories, so these sizes show that a memory keeping
+# only what the Eve state does not say tells apart exactly the plays that a
+# memory also holding the phase and the suspects would.
+PRODUCT_NODES = {
+    ("g1", None): (15, 15),
+    ("g1", "p=(0,0,1,1,1)"): (15, 15),
+    ("g1", "p=(0,0,3,3,3)"): (9, 9),
+    ("g2", None): (15, 15),
+    ("g2", "p=(0,0,1,1,1)"): (15, 15),
+    ("g2", "p=(0,0,3,3,3)"): (8, 8),
+    ("g3", None): (6, 6),
+    ("g3", "p=(0,0,3,3,3)"): (8, 8),
+}
+
+
+def test_verification_product_sizes_are_pinned(eg1, eg2, eg3):
+    games = {"g1": eg1, "g2": eg2, "g3": eg3}
+    sizes = {}
+    for g, eg in games.items():
+        for predicate in (None, "p=(0,0,1,1,1)", "p=(0,0,3,3,3)", "p[0]>=1"):
+            res = solve(eg, query=parse_query(predicate) if predicate else None)
+            if res is None:
+                continue
+            checks = (model_check_strategy(eg, res.strategy, res.payoff),
+                      check_deviation_resistance(eg, omega(eg, res.strategy), res.payoff))
+            assert all(report.ok for report in checks), (g, predicate)
+            sizes[(g, predicate)] = tuple(report.product_nodes for report in checks)
+    assert sizes == PRODUCT_NODES
