@@ -43,6 +43,12 @@ position at states without suspects and the tree leaf elsewhere;
 `UpsilonPolicy` keeps the machine-state vector of the complying history, or
 one vector per suspect in the state's order.
 
+A profile (`EveStrategy.to_dict`, format `equisynth-profile-v3`) holds the
+payoff and rows that name their state by `state_key`, never by Eve id: the
+complying rows give an action, the punishment rows a tree leaf and an
+action.  `EveStrategy.from_dict` rebuilds everything else, each layer's
+color classes and tree included, from the game, the payoff and the suspects.
+
 Both searches share `recurring_witness`: a color set CC can recur iff, after
 restricting the graph to CC-colored nodes, some strongly connected part with
 an edge still shows every color of CC (the SCC-restriction step of generic
@@ -222,7 +228,6 @@ class LayerTable:
     classes: tuple[tuple[str, ...], ...]  # color id -> vertices of that class
     tree: Tree
     entries: dict[tuple[int, int], int]  # (eve id, leaf) -> adam id
-    win: frozenset[int]
     class_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -293,7 +298,7 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     Entering the layer starts at leaf 0; exits to smaller layers are sinks
     whose winner is already known."""
     classes, tree = _layer_setup(eg, p, dev, layer_eves)
-    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={}, win=frozenset())
+    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
 
@@ -345,7 +350,6 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     for key, node in eve_index.items():
         if node in w0:
             table.entries[divmod(key, leaves)] = keys[s0[node]] // leaves
-    table.win = frozenset(e for e in layer_eves if eve_index[e * leaves] in w0)
     return table
 
 
@@ -358,14 +362,16 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> P
     for dev in sorted(groups, key=lambda d: (len(d), d)):
         table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap)
         layers[dev] = table
-        global_win |= table.win
+        # Every layer state is interned at leaf 0, so it is won iff it has an
+        # entry there.
+        global_win.update(e for e, leaf in table.entries if leaf == 0)
     return PunishmentSolution(win=frozenset(global_win), layers=layers)
 
 
 # ---------------------------------------------------------------------------
 # Full synthesis: p-safe complying lasso + punishment tables.
 
-PROFILE_FORMAT = "equisynth-profile-v2"
+PROFILE_FORMAT = "equisynth-profile-v3"
 
 
 @dataclass
@@ -373,7 +379,7 @@ class EveStrategy:
     """Finite-memory protagonist strategy: follow the complying lasso, and on
     any visible deviation switch to the punished layer's table.  The memory
     is the lasso position at states without suspects, the tree leaf of the
-    state's layer elsewhere."""
+    state's layer elsewhere.  Every layer of the game has a table."""
 
     eg: EpistemicGame
     payoff: Vector
@@ -400,10 +406,7 @@ class EveStrategy:
                 )
             return aid
         dev = state.deviators()
-        table = self.layers.get(dev)
-        if table is None:
-            raise StrategyUndefined(f"no punishment table for suspects {dev}")
-        aid = table.entries.get((eve_id, mem))
+        aid = self.layers[dev].entries.get((eve_id, mem))
         if aid is None:
             raise StrategyUndefined(
                 f"punishment table for {dev} undefined at {state_key(state)} with leaf {mem}"
@@ -419,9 +422,6 @@ class EveStrategy:
         if len(nxt.situations) == len(state.situations):
             table = self.layers[state.deviators()]
             return table.tree[mem][table.class_of[state.vertex]][0]
-        dev = nxt.deviators()
-        if dev not in self.layers:
-            raise StrategyUndefined(f"no punishment table for suspects {dev}")
         return 0
 
     # -- serialization ----------------------------------------------------
@@ -434,40 +434,31 @@ class EveStrategy:
                 action_json = {d: list(m) for d, m in zip(state.deviators(), action)}
             else:
                 action_json = list(action)
-            return {"eve": e, "key": state_key(state), **extra, "action": action_json}
+            return {"key": state_key(state), **extra, "action": action_json}
 
-        def comply_json(entries):
-            return [row_json(e, aid) for e, aid in entries]
-
-        layers = [
-            {
-                "dev": list(dev),
-                "classes": [list(cls) for cls in table.classes],
-                "win": sorted(table.win),
-                "entries": [row_json(e, aid, leaf=leaf)
-                            for (e, leaf), aid in sorted(table.entries.items())],
-            }
-            for dev, table in sorted(self.layers.items())
-        ]
         return {
             "format": PROFILE_FORMAT,
             "payoff": [str(q) for q in self.payoff],
             "comply": {
-                "prefix": comply_json(self.prefix),
-                "cycle": comply_json(self.cycle),
+                "prefix": [row_json(e, aid) for e, aid in self.prefix],
+                "cycle": [row_json(e, aid) for e, aid in self.cycle],
             },
-            "punish": layers,
+            "punish": [
+                row_json(e, aid, leaf=leaf)
+                for _dev, table in sorted(self.layers.items())
+                for (e, leaf), aid in sorted(table.entries.items())
+            ],
         }
 
     @staticmethod
     @rejects_malformed("profile")
     def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
-        """Read a profile back.  Each layer's color classes and tree are
-        rebuilt from the game, the payoff and the suspects; a profile whose
-        classes differ from the rebuild, whose leaves lie outside the tree,
-        whose won states are not layer states with an entry at leaf 0, that
-        punishes a layer twice, or that has a row outside its block's layer or
-        two rows for one state and leaf, is rejected."""
+        """Read a profile back.  Each row names its state by key, and a
+        punishment row belongs to the layer of its state's suspects.  Every
+        layer's color classes and tree are rebuilt from the game, the payoff
+        and the suspects.  A profile with a key the build lacks, a punishment
+        row at a state without suspects, a leaf outside its layer's tree, or
+        two rows for one state and leaf is rejected."""
         if data.get("format") != PROFILE_FORMAT:
             raise InvalidInput(
                 f"unsupported profile format {data.get('format')!r}: expected "
@@ -496,15 +487,13 @@ class EveStrategy:
             except KeyError as exc:
                 raise InvalidInput(f"profile action misses suspect {exc}") from exc
 
-        def integer(raw, what: str) -> int:
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise InvalidInput(f"profile {what} {raw!r} is not a JSON integer")
-            return raw
+        eve_of_key = {state_key(s): e for e, s in enumerate(eg.eve_states)}
 
         def eve_of(row) -> int:
-            e = integer(row["eve"], "eve id")
-            if not 0 <= e < eg.eve_count() or state_key(eg.eve_states[e]) != row["key"]:
-                raise InvalidInput("profile does not match the built game")
+            e = eve_of_key.get(row["key"])
+            if e is None:
+                raise InvalidInput(
+                    f"profile does not match the built game: it has no state {row['key']}")
             return e
 
         def comply_of(rows):
@@ -523,56 +512,28 @@ class EveStrategy:
         cycle = comply_of(data["comply"]["cycle"])
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
-        groups = _layer_groups(eg)
-        layers: dict[DevKey, LayerTable] = {}
-        for block in data.get("punish", []):
-            if not isinstance(block["dev"], list) or not all(
-                d in eg.game.players for d in block["dev"]
-            ):
-                raise InvalidInput("profile suspects must be a JSON list of player names")
-            dev = tuple(block["dev"])
-            suspects = "{" + ",".join(map(str, dev)) + "}"
-            if dev not in groups:
-                raise InvalidInput(f"profile punishes suspects {suspects}, "
-                                   f"a layer the built game does not have")
-            if dev in layers:
-                raise InvalidInput(f"profile punishes suspects {suspects} twice")
-            classes, tree = _layer_setup(eg, payoff, dev, groups[dev])
-            if block["classes"] != [list(cls) for cls in classes]:
+        layers = {
+            dev: LayerTable(dev, *_layer_setup(eg, payoff, dev, eves), entries={})
+            for dev, eves in _layer_groups(eg).items()
+        }
+        for row in data["punish"]:
+            e = eve_of(row)
+            state = eg.eve_states[e]
+            if not state.deviated:
                 raise InvalidInput(
-                    f"profile color classes for suspects {suspects} differ from "
-                    f"the layer's: expected {[list(cls) for cls in classes]}"
+                    f"profile punishment row at {row['key']}, a state without suspects")
+            table = layers[state.deviators()]
+            leaf = row["leaf"]
+            if isinstance(leaf, bool) or not isinstance(leaf, int):
+                raise InvalidInput(f"profile leaf {leaf!r} is not a JSON integer")
+            if not 0 <= leaf < len(table.tree):
+                raise InvalidInput(
+                    f"profile leaf {leaf} at {row['key']} is outside the layer's "
+                    f"tree of {len(table.tree)} leaves"
                 )
-            layer = set(groups[dev])
-            entries: dict[tuple[int, int], int] = {}
-            for row in block["entries"]:
-                e = eve_of(row)
-                if e not in layer:
-                    raise InvalidInput(
-                        f"profile row for Eve id {e} in the block for suspects "
-                        f"{suspects} is not a state of the layer"
-                    )
-                leaf = integer(row["leaf"], "leaf")
-                if not 0 <= leaf < len(tree):
-                    raise InvalidInput(
-                        f"profile leaf {leaf} for suspects {suspects} is outside "
-                        f"the layer's tree of {len(tree)} leaves"
-                    )
-                if (e, leaf) in entries:
-                    raise InvalidInput(
-                        f"profile has two rows for Eve id {e} at leaf {leaf} in the "
-                        f"block for suspects {suspects}"
-                    )
-                entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
-            win = frozenset(integer(x, "win id") for x in block.get("win", []))
-            # The solver records an entry at leaf 0 for each state it wins.
-            for e in sorted(win):
-                if e not in layer or (e, 0) not in entries:
-                    raise InvalidInput(
-                        f"profile win id {e} for suspects {suspects} is not a state "
-                        f"of the layer with an entry at leaf 0"
-                    )
-            layers[dev] = LayerTable(dev, classes, tree, entries, win)
+            if (e, leaf) in table.entries:
+                raise InvalidInput(f"profile has two rows for {row['key']} at leaf {leaf}")
+            table.entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
         return EveStrategy(eg=eg, payoff=payoff, prefix=prefix, cycle=cycle, layers=layers)
 
 

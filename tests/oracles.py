@@ -9,6 +9,7 @@ package's knowledge characterization.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -254,7 +255,22 @@ def literal_knowledge_from_nonempty(
     return out
 
 
+_literal_walks: dict[int, list[str]] = {}  # id of a walked game -> its violations
+
+
 def literal_knowledge_violations(eg) -> list[str]:
+    """`_literal_walk` of `eg`, memoised per game object: the walk runs once
+    on a game that both the build wrapper in `conftest` and a test check.  A
+    built game is never changed in place; a test that corrupts one corrupts
+    a copy, which is walked afresh."""
+    walked = _literal_walks.get(id(eg))
+    if walked is None:
+        walked = _literal_walks[id(eg)] = _literal_walk(eg)
+        weakref.finalize(eg, _literal_walks.pop, id(eg), None)
+    return list(walked)
+
+
+def _literal_walk(eg) -> list[str]:
     """Recompute the knowledge sets of every deviated state of a built game
     with the literal update rules and check them against the knowledge
     characterization.
@@ -264,8 +280,12 @@ def literal_knowledge_violations(eg) -> list[str]:
     reached from a smaller id).  An Adam node stands for all actions merged
     into it; they share its successors, and at a non-deviated state the
     literal rule does not depend on the move, so its stored action gives the
-    same update as any of them.  Disagreeing recomputations of one state,
-    and a deviated state never reached, are reported too."""
+    same update as any of them.  Disagreeing recomputations of one state, a
+    deviated state never reached, and a stored move function without one
+    move per suspect of its state are reported too.  The walk does not
+    update the successors of such a move function, nor those of a state
+    never reached or whose knowledge names a player it does not suspect
+    (which the characterization check reports)."""
     game, graph = eg.game, eg.graph
     known: list = [None] * eg.eve_count()
     out: list[str] = []
@@ -277,11 +297,20 @@ def literal_knowledge_violations(eg) -> list[str]:
             out.append(f"literal knowledge oracle diverged at {state_key(eg.eve_states[sid])}")
 
     for eid, state in enumerate(eg.eve_states):
+        suspects = set(state.deviators())
+        if state.deviated and (known[eid] is None or any(
+                not sus <= suspects for per in known[eid].values() for sus in per.values())):
+            continue
         v = state.vertex
         for aid in eg.eve_succ[eid]:
             if state.deviated:
+                action = eg.adam_action[aid]
+                if len(action) != len(state.deviators()):
+                    out.append(f"{state_key(state)}: Adam id {aid} holds {len(action)} "
+                               f"moves for {len(state.deviators())} suspects")
+                    continue
                 reach = {d: deviation_reach(game, v, m, d)
-                         for d, m in zip(state.deviators(), eg.adam_action[aid])}
+                         for d, m in zip(state.deviators(), action)}
             for sid in eg.adam_succ[aid]:
                 new_state = eg.eve_states[sid]
                 if not state.deviated:

@@ -211,12 +211,9 @@ def test_verify_tampered_profile(capsys, report_path, tmp_path):
     # deviating into v1p is never punished.  Which rows a play reaches depends
     # on the solver's choice among winning moves; editing all of them does not.
     data = json.loads(report_path.read_text())
-    changed = 0
-    for block in data["profile"]["punish"]:
-        for row in block["entries"]:
-            row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
-            changed += 1
-    assert changed
+    assert data["profile"]["punish"]
+    for row in data["profile"]["punish"]:
+        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(bad))
@@ -269,46 +266,40 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "no payoff": edited(lambda p: p.pop("payoff")),
         "text payoff": edited(lambda p: p.update(payoff=["x"] * 5)),
         "short payoff": edited(lambda p: p.update(payoff=p["payoff"][:3])),
-        "text eve id": edited(lambda p: p["comply"]["cycle"][0].update(eve="zz")),
-        "text leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf="h")),
-        # Ids and leaves must be JSON integers, though int() would read these.
-        "fractional eve id": edited(
-            lambda p: p["comply"]["cycle"][0].update(eve=p["comply"]["cycle"][0]["eve"] + 0.5)),
-        "numeric text leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf="0")),
-        "true leaf": edited(lambda p: p["punish"][0]["entries"][0].update(leaf=True)),
-        "numeric text win id": edited(lambda p: p["punish"][0].update(win=["0"])),
+        "text leaf": edited(lambda p: p["punish"][0].update(leaf="h")),
+        # Leaves must be JSON integers, though int() would read these.
+        "numeric text leaf": edited(lambda p: p["punish"][0].update(leaf="0")),
+        "true leaf": edited(lambda p: p["punish"][0].update(leaf=True)),
         "text action": edited(lambda p: p["comply"]["cycle"][0].update(action="aaaaa")),
         # A string would read as its characters, a float as a rational.
         "text payoff vector": edited(lambda p: p.update(payoff="".join(p["payoff"]))),
         "float payoff": edited(lambda p: p.update(payoff=[float(x) for x in p["payoff"]])),
-        "text dev": edited(lambda p: p["punish"][0].update(dev="".join(p["punish"][0]["dev"]))),
-        "unknown win id": edited(lambda p: p["punish"][0].update(win=[99999])),
-        "win id of another layer": edited(
-            lambda p: p["punish"][0].update(win=p["punish"][1]["win"][:1])),
-        "duplicate block": edited(lambda p: p["punish"].append(p["punish"][0])),
-        "duplicate row": edited(
-            lambda p: p["punish"][0]["entries"].append(p["punish"][0]["entries"][0])),
-        "row of another layer": edited(
-            lambda p: p["punish"][0]["entries"].append(p["punish"][1]["entries"][0])),
+        "duplicate row": edited(lambda p: p["punish"].append(p["punish"][0])),
     }
     for label, data in garbage.items():
         junk.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
         assert (code, err.startswith("error:")) == (2, True), (label, err)
 
-    # Actions that are no enabled Eve action, each rejected with its reason.
-    # The first row of the {2,3} block is at v1p, where player 0 is informed
-    # of neither suspect.
-    pair = next(i for i, b in enumerate(profile["punish"]) if b["dev"] == ["2", "3"])
+    # Rows the built game cannot place, and actions that are no enabled Eve
+    # action, each rejected with its reason.  The first row with suspects
+    # {2,3} is at v1p, where player 0 is informed of neither suspect.
+    pair = next(i for i, r in enumerate(profile["punish"]) if sorted(r["action"]) == ["2", "3"])
 
     def pair_action(change):
-        return edited(lambda p: change(p["punish"][pair]["entries"][0]["action"]))
+        return edited(lambda p: change(p["punish"][pair]["action"]))
 
     disallowed = ["z", "a", "a", "a", "a"]
     rejected = {
+        "unknown key": (
+            edited(lambda p: p["punish"][0].update(key="v9|-")),
+            "profile does not match the built game"),
+        "punishment row at a state without suspects": (
+            edited(lambda p: p["punish"].append({**p["comply"]["cycle"][0], "leaf": 0})),
+            "profile punishment row at v0|-, a state without suspects"),
         # A list would be read as one joint move, an object as a move function.
         "list at a state with suspects": (
-            edited(lambda p: p["punish"][pair]["entries"][0].update(action=["a"] * 5)),
+            edited(lambda p: p["punish"][pair].update(action=["a"] * 5)),
             "profile action at v1p|2:2;3:3,4 must be a JSON object keyed by suspect"),
         "object on the complying cycle": (
             edited(lambda p: p["comply"]["cycle"][0].update(action={"2": ["a"] * 5})),
@@ -401,40 +392,22 @@ def verify_edited(capsys, tmp_path, report, change):
     return run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))
 
 
-def test_verify_rejects_other_color_classes(capsys, tmp_path, main_inf_report):
-    def each_layer(change):
-        return lambda profile: [change(block) for block in profile["punish"]]
-
-    edits = {
-        # The last class is gone, so its vertex has no color.
-        "missing vertex": each_layer(lambda b: b["classes"].pop()),
-        "merged classes": each_layer(
-            lambda b: b.update(classes=[b["classes"][0] + b["classes"][1]] + b["classes"][2:])),
-        "reordered classes": each_layer(lambda b: b["classes"].reverse()),
-    }
-    for label, change in edits.items():
-        code, _, err = verify_edited(capsys, tmp_path, main_inf_report, change)
-        assert code == 2, (label, err)
-        assert err.startswith("error:") and "color classes" in err, (label, err)
-        assert "Traceback" not in err
-
-
 def test_verify_rejects_leaf_outside_tree(capsys, tmp_path, main_inf_report):
     for leaf in (1, -1):
         code, _, err = verify_edited(
             capsys, tmp_path, main_inf_report,
-            lambda p: p["punish"][0]["entries"][0].update(leaf=leaf))
+            lambda p: p["punish"][0].update(leaf=leaf))
         assert code == 2
         assert err.startswith("error:") and f"leaf {leaf}" in err and "outside" in err
 
 
 def test_verify_rejects_v1_profile(capsys, tmp_path, main_inf_report):
-    code, _, err = verify_edited(
-        capsys, tmp_path, main_inf_report,
-        lambda p: p.update(format="equisynth-profile-v1"))
-    assert code == 2
-    assert err.startswith("error:")
-    assert "equisynth-profile-v1" in err and "expected equisynth-profile-v2" in err
+    for old in ("equisynth-profile-v1", "equisynth-profile-v2"):
+        code, _, err = verify_edited(
+            capsys, tmp_path, main_inf_report, lambda p: p.update(format=old))
+        assert code == 2
+        assert err.startswith("error:")
+        assert old in err and "expected equisynth-profile-v3" in err
 
 
 def test_logging_stays_on_stderr():

@@ -134,6 +134,25 @@ def test_corrupted_informed_set_is_caught(game5, g1, golden_state, eg1):
     assert any(v.startswith(state_key(corrupted) + ":") for v in found), found
 
 
+def test_misaligned_move_functions_are_caught(eg1):
+    # Copies of the built game whose move functions do not line up with
+    # their states' suspects: the literal walk reports states, and raises
+    # nothing.  In the first, one move function lost its last move.
+    eid = next(e for e in eg1.deviated_ids() if len(eg1.eve_states[e].deviators()) > 1)
+    actions = list(eg1.adam_action)
+    actions[eg1.eve_succ[eid][0]] = actions[eg1.eve_succ[eid][0]][:-1]
+    found = literal_knowledge_violations(dataclasses.replace(eg1, adam_action=actions))
+    assert any(v.startswith(state_key(eg1.eve_states[eid]) + ":") for v in found), found
+    # In the second, every move function lists its moves in reverse order.
+    actions = list(eg1.adam_action)
+    for e in eg1.deviated_ids():
+        for aid in eg1.eve_succ[e]:
+            actions[aid] = actions[aid][::-1]
+    found = literal_knowledge_violations(dataclasses.replace(eg1, adam_action=actions))
+    keys = tuple(state_key(state) + ":" for state in eg1.eve_states)
+    assert any(v.startswith(keys) for v in found), found
+
+
 def test_enabled_actions_match_brute_force(game5, g1, golden_state):
     at_v0 = EveState("v0", golden_state.situations)
     enabled = set(enabled_eve_actions(game5, at_v0))

@@ -235,12 +235,9 @@ def test_resistance_catches_tampered_strategy(eg1, solved1):
     data = solved1.strategy.to_dict()
     # Every punishment row plays the complying move (see
     # test_cli.test_verify_tampered_profile).
-    changed = 0
-    for block in data["punish"]:
-        for row in block["entries"]:
-            row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
-            changed += 1
-    assert changed
+    assert data["punish"]
+    for row in data["punish"]:
+        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
     tampered = EveStrategy.from_dict(eg1, data)
     report = check_deviation_resistance(eg1, omega(eg1, tampered), solved1.payoff)
     assert not report.ok
