@@ -56,7 +56,6 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
 def _add_checks(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predicate", help="payoff predicate, e.g. 'p[2]=1 & p[3]>=1'")
     p.add_argument("--main-inf", help="comma-separated vertex set the complying outcome must visit infinitely often")
-    p.add_argument("--depth", type=int, help="message-rule check depth (default: diameter + |V| + 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +168,7 @@ _CHECK_ERRORS = (
 )
 
 
-def _verify_strategy(args, game, graph, eg, strategy) -> tuple[dict, list[str]]:
+def _verify_strategy(game, graph, eg, strategy) -> tuple[dict, list[str]]:
     """Re-check a strategy from scratch; returns (check report, failures).
 
     Any exception a check raises on a reachable state (undefined table entry,
@@ -189,12 +188,10 @@ def _verify_strategy(args, game, graph, eg, strategy) -> tuple[dict, list[str]]:
     except _CHECK_ERRORS as exc:
         failures.append(f"payoff contract: {exc}")
     norm_ok = False
-    norm_depth = args.depth
     profile = omega(eg, strategy)
     try:
-        norm = check_normed(game, graph, profile, depth=args.depth)
+        norm = check_normed(game, graph, profile)
         norm_ok = norm.ok
-        norm_depth = norm.depth
         if not norm.ok:
             failures += [f"message rules: {v}" for v in norm.violations]
     except _CHECK_ERRORS as exc:
@@ -211,7 +208,6 @@ def _verify_strategy(args, game, graph, eg, strategy) -> tuple[dict, list[str]]:
         "payoff_contract": payoff_ok,
         "complying_cycle": comply_cycle,
         "message_rules": norm_ok,
-        "message_rule_depth": norm_depth,
         "deviation_resistance_cycle": resist_cycle,
     }
     return checks, failures
@@ -238,7 +234,7 @@ def cmd_solve(args) -> int:
         ]
         _emit_solve(args, report)
         return EXIT_NOT_FOUND
-    checks, failures = _verify_strategy(args, game, graph, eg, result.strategy)
+    checks, failures = _verify_strategy(game, graph, eg, result.strategy)
     report["status"] = "found"
     report["payoff"] = [str(q) for q in result.payoff]
     report["lasso"] = {
@@ -283,7 +279,7 @@ def cmd_verify(args) -> int:
     if isinstance(data, dict) and "profile" in data:
         data = data["profile"]
     strategy = EveStrategy.from_dict(eg, data)
-    checks, failures = _verify_strategy(args, game, graph, eg, strategy)
+    checks, failures = _verify_strategy(game, graph, eg, strategy)
     query = parse_query(args.predicate) if args.predicate else None
     if query is not None and not query.matches(strategy.payoff):
         failures.append(
@@ -326,7 +322,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("state_cap", "lar_cap", "depth"):
+        for flag in ("state_cap", "lar_cap"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise InvalidInput(f"--{flag.replace('_', '-')} must be at least 1, got {value}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .errors import InvalidInput, rejects_malformed
@@ -35,6 +36,7 @@ from .game import (
     ConcurrentGame,
     Condition,
     InfAtom,
+    Move,
     Not,
     Or,
     PayoffRule,
@@ -362,9 +364,7 @@ def game_from_dict(data: dict) -> ConcurrentGame:
                 (_pattern_matcher(entry["pattern"], players, actions, allow[v], v), target)
             )
         row: dict[Move, str] = {}
-        from itertools import product as _product
-
-        for move in _product(*(allow[v][a] for a in players)):
+        for move in product(*(allow[v][a] for a in players)):
             for sets, target in compiled:
                 if all(s is None or act in s for s, act in zip(sets, move)):
                     row[move] = target

@@ -707,7 +707,8 @@ def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckRepo
         if i is None:
             if len(nodes) >= VERIFY_NODE_CAP:
                 raise StateCapExceeded(
-                    f"verification product exceeded {VERIFY_NODE_CAP} nodes"
+                    f"verification product exceeded {VERIFY_NODE_CAP} nodes: "
+                    f"{nid} nodes expanded"
                 )
             i = len(nodes)
             index[key] = i
@@ -716,8 +717,8 @@ def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckRepo
             comply.append(None)
         return i
 
-    root = intern(eg.init, policy.initial())
     nid = 0
+    root = intern(eg.init, policy.initial())
     while nid < len(nodes):  # the product grows while it is read
         eve_id, mem = nodes[nid]
         for sid in eg.adam_succ[policy.action(eve_id, mem)]:

@@ -28,10 +28,12 @@ the engine resolves: `UpsilonPolicy.action` turns them into the Adam id it
 hands on.
 
 `check_normed` drives a profile against every honest visible single-player
-deviation up to a depth bound and checks the three message rules: silence
-while the vertex sequence tracks the main outcome, denunciation by the
-deviator's neighbourhood at the first visible step, and epidemic relaying
-afterwards.  `simulate` produces a single scripted trace, and
+deviation and checks the three message rules: silence while the vertex
+sequence tracks the main outcome, denunciation by the deviator's
+neighbourhood at the first visible step, and epidemic relaying afterwards.
+The check explores the whole finite product of the profile and the game in
+one breadth-first search, so it is exact; only a node cap ends it early.
+`simulate` produces a single scripted trace, and
 `check_deviation_resistance` verifies the payoff contract of the
 reconstructed protagonist strategy.
 """
@@ -41,11 +43,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from . import solver
 from .epistemic import EpistemicGame, state_key
 from .errors import (
     InvalidInput,
     NormednessViolation,
     ProfileInputRejected,
+    StateCapExceeded,
 )
 from .game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
 from .solver import ModelCheckReport, Vector, model_check_strategy
@@ -260,114 +264,98 @@ class NormedReport:
     ok: bool
     violations: list[str]
     explored: int
-    depth: int
 
 
-def check_normed(
-    game: ConcurrentGame, graph: CommGraph, profile, depth: Optional[int] = None
-) -> NormedReport:
-    """Exhaustively drive the profile against honest visible single-player
-    deviations for `depth` steps and check the three message rules.
+def check_normed(game: ConcurrentGame, graph: CommGraph, profile) -> NormedReport:
+    """Drive the profile against every honest visible single-player deviation
+    and check the three message rules.
 
-    Honest invisible onsets are not branched on separately: they leave every
-    machine in the same state as compliance, so their continuations coincide
-    with the branches explored here.
+    One breadth-first search runs over the product of vertex, machine
+    states, last messages, deviator and phase: 0 on the main outcome, 1 at
+    the deviation's first visible step, 2 after it.  The product is finite,
+    so `seen` alone ends the search and the check is exact; its node count
+    sits behind `solver.VERIFY_NODE_CAP`.  A node that breaks a rule is not
+    expanded.  Honest invisible onsets are not branched on separately: they
+    leave every machine in the same state as compliance, so their
+    continuations coincide with the branches explored here.
     """
-    if depth is None:
-        depth = graph.diameter + len(game.vertices) + 2
-    if depth < 1:
-        raise InvalidInput("check depth must be at least 1")
+    players = game.players
+    silent = (None,) * len(players)
+    init = (game.init_vertex, tuple(profile.initial(a) for a in players), silent, None, 0)
+    seen = {init}
+    queue = deque([(init, 0)])
     violations: list[str] = []
     explored = 0
 
-    # Deterministic complying run, checking silence along the way.
-    comply: list[tuple[str, tuple]] = []
-    v = game.init_vertex
-    mstates = tuple(profile.initial(a) for a in game.players)
-    for step in range(depth + 1):
-        comply.append((v, mstates))
-        outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
-        explored += 1
-        for a, (_act, msg) in zip(game.players, outs):
-            if msg is not None:
-                violations.append(
-                    f"rule 1: {a!r} sent {msg!r} on the main outcome at step {step}"
+    def push(mstates, msgs, v2, d, phase, step, rejected=None):
+        """Queue the machines' step to v2 as a node at `step`; if they reject
+        it, record the violation `rejected` names instead."""
+        try:
+            nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
+        except ProfileInputRejected as exc:
+            if rejected is None:
+                raise
+            violations.append(f"deviator {d!r}, {rejected}: {exc}")
+            return
+        node = (v2, nstates, msgs, d, phase)
+        if node not in seen:
+            if len(seen) >= solver.VERIFY_NODE_CAP:
+                raise StateCapExceeded(
+                    f"message-rule check exceeded {solver.VERIFY_NODE_CAP} "
+                    f"nodes: {explored} nodes explored"
                 )
-        move = tuple(o[0] for o in outs)
-        v2 = game.successor(v, move)
-        mstates = _advance_all(
-            game, graph, profile, mstates, tuple(None for _ in game.players), v2
-        )
-        v = v2
-    if violations:
-        return NormedReport(False, violations, explored, depth)
+            seen.add(node)
+            queue.append((node, step))
 
-    for d in game.players:
-        audience = set(graph.informed_by[d])
-        d_idx = game.player_index[d]
-        queue: deque = deque()
-        seen: set = set()
-
-        def branch(mstates, msgs, v2, off, step, rejected):
-            """Queue the machines' step to v2 at `step`; if they reject it,
-            record the violation `rejected` names instead."""
-            try:
-                nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
-            except ProfileInputRejected as exc:
-                violations.append(f"deviator {d!r}, {rejected}: {exc}")
-                return
-            key = (v2, nstates, msgs, off)
-            if key not in seen:
-                seen.add(key)
-                queue.append((v2, nstates, msgs, off, step))
-
-        onset_msgs = tuple(d if a == d else None for a in game.players)
-        for onset, (v, mstates) in enumerate(comply[:-1]):
-            outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
-            move = tuple(o[0] for o in outs)
-            target = game.successor(v, move)
-            for delta in game.allow[v][d]:
-                v2 = game.successor(v, substitute(move, d_idx, delta))
-                if v2 != target:
-                    branch(mstates, onset_msgs, v2, 1, onset + 1, f"onset {onset}: "
-                           "machines rejected an honest visible deviation")
-        while queue:
-            v, mstates, last_msgs, off, step = queue.popleft()
-            explored += 1
-            outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
-            bad = False
-            for a, (_act, msg) in zip(game.players, outs):
-                if a == d:
-                    continue  # overridden by the honest deviator
-                if off == 1:
-                    expected = d if a in audience else None
-                    rule = "rule 2" if a in audience else "message discipline"
-                else:
-                    received = any(
-                        last_msgs[game.player_index[b]] == d
-                        for b in graph.vois[a]
-                    )
-                    expected = d if received else None
-                    rule = "rule 3"
-                if msg != expected:
+    while queue:
+        (v, mstates, last, d, phase), step = queue.popleft()
+        explored += 1
+        outs = [profile.output(a, ms) for a, ms in zip(players, mstates)]
+        bad = False
+        for a, (_act, msg) in zip(players, outs):
+            if phase == 0:
+                if msg is not None:
                     violations.append(
-                        f"{rule}: deviator {d!r}, step {step}, player {a!r} "
-                        f"sent {msg!r}, expected {expected!r}"
+                        f"rule 1: {a!r} sent {msg!r} on the main outcome at step {step}"
                     )
                     bad = True
-            if bad or step >= depth:
                 continue
-            move = tuple(o[0] for o in outs)
-            msgs = tuple(
-                d if a == d else m
-                for a, (_x, m) in zip(game.players, outs)
-            )
+            if a == d:
+                continue  # overridden by the honest deviator
+            if phase == 1:
+                told = a in graph.informed_by[d]
+                rule = "rule 2" if told else "message discipline"
+            else:
+                told = any(last[game.player_index[b]] == d for b in graph.vois[a])
+                rule = "rule 3"
+            expected = d if told else None
+            if msg != expected:
+                violations.append(
+                    f"{rule}: deviator {d!r}, step {step}, player {a!r} "
+                    f"sent {msg!r}, expected {expected!r}"
+                )
+                bad = True
+        if bad:
+            continue
+        move = tuple(o[0] for o in outs)
+        if phase == 0:
+            target = game.successor(v, move)
+            push(mstates, silent, target, None, 0, step + 1)
+            for d in players:
+                i = game.player_index[d]
+                for delta in game.allow[v][d]:
+                    v2 = game.successor(v, substitute(move, i, delta))
+                    if v2 != target:
+                        push(mstates, substitute(silent, i, d), v2, d, 1, step + 1,
+                             f"onset {step}: machines rejected an honest visible deviation")
+        else:
+            i = game.player_index[d]
+            msgs = substitute(tuple(o[1] for o in outs), i, d)
             for delta in game.allow[v][d]:
-                v2 = game.successor(v, substitute(move, d_idx, delta))
-                branch(mstates, msgs, v2, 2, step + 1, f"step {step}: machines "
-                       f"rejected an honest continuation to {v2!r}")
-
-    return NormedReport(not violations, violations, explored, depth)
+                v2 = game.successor(v, substitute(move, i, delta))
+                push(mstates, msgs, v2, d, 2, step + 1,
+                     f"step {step}: machines rejected an honest continuation to {v2!r}")
+    return NormedReport(not violations, violations, explored)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,10 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         {**game, "allow": {"v0": {"9": ["a"]}}},
         {**game, "allow": {"vZ": {"0": ["a"]}}},
         {**game, "transitions": {**game["transitions"], "vZ": [{"pattern": "*", "to": "v0"}]}},
+        {**game, "vertices": [*game["vertices"], "v0"]},
+        {**game, "players": [*game["players"], "0"]},
+        {**game, "actions": [*game["actions"], "a"]},
+        {**game, "init": "vZ"},
     ]
     for i, data in enumerate(bad_games):
         path = tmp_path / f"game{i}.json"
@@ -96,11 +100,15 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         for command in ("build", "solve"):
             code, _, err = run(capsys, command, "--game", str(path), "--comm", G1)
             assert (code, err.startswith("error:")) == (2, True), (i, command, err)
-    comm = tmp_path / "comm.json"
-    comm.write_text(json.dumps({"edges": 3}))
-    for command in ("build", "solve"):
-        code, _, err = run(capsys, command, "--game", GAME, "--comm", str(comm))
-        assert (code, err.startswith("error:")) == (2, True), (command, err)
+    for i, data in enumerate([{"edges": 3}, {"edge": []}, {"edges": [["0"]]}]):
+        comm = tmp_path / f"comm{i}.json"
+        comm.write_text(json.dumps(data))
+        for command in ("build", "solve"):
+            code, _, err = run(capsys, command, "--game", GAME, "--comm", str(comm))
+            assert (code, err.startswith("error:")) == (2, True), (i, command, err)
+    code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1,
+                       str(tmp_path / "nope.json"))
+    assert (code, err.startswith("error: cannot read profile file")) == (2, True), err
 
 
 RING = [f"r{i}" for i in range(21)]
@@ -169,6 +177,9 @@ def test_unknown_main_inf_vertex(capsys):
     code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--main-inf", "v0,zz")
     assert code == 2
     assert "zz" in err
+    code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--main-inf", ",")
+    assert code == 2
+    assert err == "error: --main-inf must name at least one vertex\n"
 
 
 def test_solve_report_is_deterministic(capsys):
@@ -338,6 +349,15 @@ def test_solve_product_cap(capsys):
         assert progress in err
 
 
+def test_verify_message_rule_cap(capsys, report_path, monkeypatch):
+    # The payoff contract's product (15 nodes) fits under the cap; the
+    # message-rule check's does not.
+    monkeypatch.setattr("equisynth.solver.VERIFY_NODE_CAP", 16)
+    code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(report_path))
+    assert (code, out) == (3, "")
+    assert err == "resource cap: message-rule check exceeded 16 nodes: 12 nodes explored\n"
+
+
 def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
     def no_build(*_args, **_kwargs):
         raise AssertionError("the game was built before the limits were checked")
@@ -346,7 +366,6 @@ def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
     for command, flag, value in [
         ("build", "--state-cap", "0"), ("solve", "--state-cap", "-5"),
         ("solve", "--lar-cap", "-1"), ("solve", "--lar-cap", "0"),
-        ("solve", "--depth", "0"), ("verify", "--depth", "0"),
     ]:
         extra = ["profile.json"] if command == "verify" else []
         code, out, err = run(capsys, command, "--game", GAME, "--comm", G1,
@@ -357,11 +376,12 @@ def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):
 
 
 def test_subcommands_reject_options_they_ignore(capsys):
-    # build reads no predicate, outcome set, check depth or product cap, and
-    # only build renders DOT.
+    # build reads no predicate, outcome set or product cap, only build
+    # renders DOT, and the message-rule check has no depth to set.
     for command, option in [
         ("build", ["--predicate", "p[0]>=1"]), ("build", ["--main-inf", "v0"]),
         ("build", ["--depth", "3"]), ("build", ["--lar-cap", "10"]),
+        ("solve", ["--depth", "3"]), ("verify", ["--depth", "3"]),
         ("verify", ["--lar-cap", "10"]),
         ("solve", ["--format", "dot"]), ("verify", ["--format", "dot"]),
     ]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from equisynth.epistemic import EveState, build_reachable, state_key
-from equisynth.errors import InvalidInput, LarCapExceeded
+from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
     EveStrategy,
@@ -267,6 +267,15 @@ def test_model_check_reads_adam_ids(eg1, monkeypatch):
     monkeypatch.setattr(eg1, "adam_for_action", forbidden)
     report = model_check_strategy(eg1, res.strategy, res.payoff)
     assert report.ok
+
+
+def test_model_check_node_cap(eg1, monkeypatch):
+    res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
+    monkeypatch.setattr("equisynth.solver.VERIFY_NODE_CAP", 5)
+    # The message names the stage and how far it got.
+    with pytest.raises(StateCapExceeded) as exc:
+        model_check_strategy(eg1, res.strategy, res.payoff)
+    assert str(exc.value) == "verification product exceeded 5 nodes: 2 nodes expanded"
 
 
 class StationaryAllA:

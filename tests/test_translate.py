@@ -11,6 +11,7 @@ from equisynth.errors import (
     InvalidInput,
     NormednessViolation,
     ProfileInputRejected,
+    StateCapExceeded,
 )
 from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
@@ -170,13 +171,46 @@ def test_deviation_script_from_dict():
 def test_check_normed_passes(game5, g1, profile1):
     report = check_normed(game5, g1, profile1)
     assert report.ok, report.violations
-    assert report.depth == g1.diameter + len(game5.vertices) + 2
-    assert report.explored > report.depth
+    assert report.explored == 24
 
 
-def test_check_normed_rejects_small_depth(game5, g1, profile1):
-    with pytest.raises(InvalidInput):
-        check_normed(game5, g1, profile1, depth=0)
+class LateSelfReport:
+    """Wrap a profile with a step counter that stops at `at`; from then on
+    `player` names itself.  The wrapper stays finite-state."""
+
+    def __init__(self, inner, player, at):
+        self.inner = inner
+        self.player = player
+        self.at = at
+
+    def initial(self, player):
+        return (self.inner.initial(player), 0)
+
+    def output(self, player, mstate):
+        act, msg = self.inner.output(player, mstate[0])
+        if player == self.player and mstate[1] == self.at:
+            msg = player
+        return act, msg
+
+    def advance(self, player, mstate, visible_messages, next_vertex):
+        inner, count = mstate
+        return (self.inner.advance(player, inner, visible_messages, next_vertex),
+                min(count + 1, self.at))
+
+
+def test_check_normed_has_no_depth_bound(game5, g1, profile1):
+    # Step 20 is ten laps of the complying cycle; the product of the game
+    # and the wrapped machines is finite, so the search reaches it.
+    report = check_normed(game5, g1, LateSelfReport(profile1, "2", 20))
+    assert not report.ok
+    assert "rule 1: '2' sent '2' on the main outcome at step 20" in report.violations
+
+
+def test_check_normed_node_cap(game5, g1, profile1, monkeypatch):
+    monkeypatch.setattr("equisynth.solver.VERIFY_NODE_CAP", 10)
+    with pytest.raises(StateCapExceeded) as exc:
+        check_normed(game5, g1, profile1)
+    assert str(exc.value) == "message-rule check exceeded 10 nodes: 6 nodes explored"
 
 
 def test_check_normed_catches_chatty_player(game5, g1, profile1):
@@ -285,10 +319,10 @@ def test_check_normed_catches_stopped_relay(game5, g1, profile1):
     report = check_normed(game5, g1, MessageOverride(profile1, "0", lambda m: None))
     assert report.violations == [
         "rule 2: deviator '1', step 1, player '0' sent None, expected '1'",
-        "rule 3: deviator '3', step 2, player '0' sent None, expected '3'",
         "rule 2: deviator '4', step 1, player '0' sent None, expected '4'",
+        "rule 3: deviator '3', step 2, player '0' sent None, expected '3'",
     ]
-    assert report.explored == 28
+    assert report.explored == 17
 
 
 def test_check_normed_catches_denunciation_outside_audience(game5, g1, profile1):
@@ -297,19 +331,21 @@ def test_check_normed_catches_denunciation_outside_audience(game5, g1, profile1)
         "message discipline: deviator '2', step 1, player '0' sent '2', expected None",
         "message discipline: deviator '3', step 1, player '0' sent '2', expected None",
     ]
-    assert report.explored == 22
+    assert report.explored == 11
 
 
 def test_check_normed_reports_rejected_onsets(game5, g1, profile1):
     report = check_normed(game5, g1, RejectAfterId(profile1, onset=True))
-    # The first machine in player order that hears the id refuses.
+    # The first machine in player order that hears the id refuses.  The
+    # complying run repeats its node at v0 from step 2 on, and an onset
+    # from a repeated node is checked once.
     refuser = {"0": "0", "1": "0", "2": "2", "3": "3", "4": "0"}
     assert report.violations == [
-        f"deviator {d!r}, onset {k}: machines rejected an honest visible "
+        f"deviator {d!r}, onset 0: machines rejected an honest visible "
         f"deviation: {refuser[d]!r} refuses"
-        for d in game5.players for k in range(0, 11, 2)
+        for d in game5.players
     ]
-    assert report.explored == 13
+    assert report.explored == 2
 
 
 def test_check_normed_reports_rejected_continuations(game5, g1, profile1):
@@ -321,7 +357,7 @@ def test_check_normed_reports_rejected_continuations(game5, g1, profile1):
         f"{first[d][0]!r}: {first[d][1]!r} refuses"
         for d in game5.players for _delta in range(2)
     ]
-    assert report.explored == 18
+    assert report.explored == 7
 
 
 # (graph, predicate) -> product nodes of `model_check_strategy` and of
