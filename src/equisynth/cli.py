@@ -80,20 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
+def _load(args, pruned: bool = False):
+    """Parse the game and graph files and build the epistemic game: the
+    dominance-pruned one for `solve`, the full one for `build` and
+    `verify`."""
     game = parse_game(args.game)
     graph = parse_comm_graph(args.comm, game.players)
     t0 = time.perf_counter()
-    eg = build_reachable(game, graph, state_cap=args.state_cap)
+    eg = build_reachable(game, graph, state_cap=args.state_cap, pruned=pruned)
     log.info(
-        "built epistemic game: %d protagonist / %d antagonist states in %.3fs",
-        eg.eve_count(), eg.adam_count(), time.perf_counter() - t0,
+        "built %s epistemic game: %d protagonist / %d antagonist states in %.3fs",
+        "pruned" if pruned else "full", eg.eve_count(), eg.adam_count(),
+        time.perf_counter() - t0,
     )
     return game, graph, eg
 
 
 def _main_inf(args, game) -> Optional[frozenset[str]]:
-    if not args.main_inf:
+    if args.main_inf is None:
         return None
     verts = frozenset(x.strip() for x in args.main_inf.split(",") if x.strip())
     unknown = verts - set(game.vertices)
@@ -214,8 +218,8 @@ def _verify_strategy(game, graph, eg, strategy) -> tuple[dict, list[str]]:
 
 
 def cmd_solve(args) -> int:
-    game, graph, eg = _load(args)
-    query = parse_query(args.predicate) if args.predicate else None
+    query = parse_query(args.predicate) if args.predicate is not None else None
+    game, graph, eg = _load(args, pruned=True)
     main_inf = _main_inf(args, game)
     t0 = time.perf_counter()
     result = solve(eg, query=query, main_inf=main_inf, lar_cap=args.lar_cap)
@@ -271,7 +275,9 @@ def _emit_solve(args, report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    query = parse_query(args.predicate) if args.predicate is not None else None
     game, graph, eg = _load(args)
+    main_inf = _main_inf(args, game)
     try:
         data = json.loads(Path(args.profile).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -280,13 +286,11 @@ def cmd_verify(args) -> int:
         data = data["profile"]
     strategy = EveStrategy.from_dict(eg, data)
     checks, failures = _verify_strategy(game, graph, eg, strategy)
-    query = parse_query(args.predicate) if args.predicate else None
     if query is not None and not query.matches(strategy.payoff):
         failures.append(
             f"profile payoff ({','.join(str(q) for q in strategy.payoff)}) "
             f"does not satisfy the predicate"
         )
-    main_inf = _main_inf(args, game)
     if main_inf is not None and frozenset(checks["complying_cycle"]) != main_inf:
         failures.append("complying outcome does not match --main-inf")
     report = {

@@ -43,6 +43,19 @@ once, an action whose reach tuple was already seen is skipped, and the
 successor id is memoised per (target, surviving hypotheses).  The string
 `EveState` that solver, translation and reports read is made once, when a
 new key is interned.
+
+The build `solve` uses is dominance-pruned (antichains for games of
+imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
+a state with suspects, the successor at target t keeps exactly the
+hypotheses j with t in reach[j], and every action of the state gives them
+the same grown masks.  So if reach2[j] ⊆ reach1[j] for every j, each
+successor (t, S2) of the second action has a successor (t, S1) of the
+first with S2 ⊆ S1.  Fewer hypotheses only make Eve's objective easier:
+she restricts her strategy from S1 to S2.  Keeping, per suspect and shared
+choice, only the ⊆-minimal reach masks therefore keeps every win region,
+verdict and lasso, and every strategy of the pruned game is one of the full
+game.  The Adam nodes a strategy picks have the same successors in both
+builds.
 """
 from __future__ import annotations
 
@@ -316,7 +329,15 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
 # Enabled Eve actions.
 
 
-def _distinct_actions(enc: Encoding, key: StateKey):
+def _minimal(options: dict[int, Move]) -> dict[int, Move]:
+    """The entries of `options` whose reach mask strictly contains no other."""
+    if len(options) < 2:  # the common case
+        return options
+    return {r: m for r, m in options.items()
+            if not any(s != r and s & r == s for s in options)}
+
+
+def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     """Eve's enabled actions at the state `key`, the first of each distinct
     reach tuple (and complying target) in enumeration order, each as
     (action, reach masks in hypothesis order, complying target or -1).
@@ -326,7 +347,14 @@ def _distinct_actions(enc: Encoding, key: StateKey):
     some hypothesis, private components per suspect for the players informed
     of it.  A suspect's options depend only on the shared components of the
     players it leaves uninformed, so they are computed once per such
-    choice."""
+    choice.
+
+    With `pruned`, a suspect's options for one shared choice keep only their
+    ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
+    shared choice with a smaller reach mask leaves the move function enabled
+    and shrinks its reach tuple, so every dropped move function is dominated
+    by a kept one (see the module docstring).  States without suspects are
+    never pruned: the lasso reads their complying targets."""
     v, pairs = key
     table = enc.moves(v)
     if not pairs:
@@ -363,6 +391,8 @@ def _distinct_actions(enc: Encoding, key: StateKey):
                     source = pr + read
                     move = tuple(map(source.__getitem__, order))
                     opts.setdefault(table[move][1][d], move)
+                if pruned:
+                    opts = cache[read] = _minimal(opts)
             options.append(opts)
         signature = tuple(tuple(opts) for opts in options)
         if signature in seen_options:
@@ -444,6 +474,8 @@ def build_reachable(
     game: ConcurrentGame,
     graph: CommGraph,
     state_cap: int = 1_000_000,
+    *,
+    pruned: bool = False,
 ) -> EpistemicGame:
     """Breadth-first construction of the reachable epistemic game.
 
@@ -451,6 +483,11 @@ def build_reachable(
     node, which keeps that action.  No two of them share a successor tuple
     (see the module docstring), so nothing is merged, and the nodes of one
     state get consecutive ids.
+
+    `pruned` builds the dominance-pruned game `solve` uses (see the module
+    docstring for why it is exact); states reached only through dropped
+    actions are never built.  The full game is the paper's construction,
+    which `build` reports and `verify` checks profiles on.
     """
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
@@ -483,7 +520,7 @@ def build_reachable(
         grown = expand(enc, key)
         memo: dict[int, int] = {}
         first = len(adam_succ)
-        for action, reach, comply in _distinct_actions(enc, key):
+        for action, reach, comply in _distinct_actions(enc, key, pruned):
             adam_action.append(action)
             adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
         eve_succ.append(range(first, len(adam_succ)))

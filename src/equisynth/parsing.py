@@ -269,6 +269,19 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _name(value, what: str) -> str:
+    """`value` if it is a JSON string: `str()` would turn 0 into "0" and
+    null into "None", so the game built would silently differ from the
+    file."""
+    if not isinstance(value, str):
+        raise InvalidInput(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    return tuple(_name(x, f"game file {what} entry") for x in _json_list(value, what))
+
+
 def _known_keys(block: dict, names: tuple[str, ...], what: str, kind: str) -> None:
     """Reject a block keyed by a name the game does not declare: the game
     built from the file would silently differ from it."""
@@ -319,10 +332,10 @@ def game_from_dict(data: dict) -> ConcurrentGame:
     for key in ("players", "actions", "vertices", "init", "transitions", "payoff"):
         if key not in data:
             raise InvalidInput(f"game file missing {key!r}")
-    players = tuple(str(a) for a in _json_list(data["players"], "'players'"))
-    actions = tuple(str(a) for a in _json_list(data["actions"], "'actions'"))
-    vertices = tuple(str(v) for v in _json_list(data["vertices"], "'vertices'"))
-    init = str(data["init"])
+    players = _names(data["players"], "'players'")
+    actions = _names(data["actions"], "'actions'")
+    vertices = _names(data["vertices"], "'vertices'")
+    init = _name(data["init"], "game file 'init'")
 
     allow_in = data.get("allow", {})
     _known_keys(allow_in, vertices, "allow", "vertex")
@@ -357,7 +370,7 @@ def game_from_dict(data: dict) -> ConcurrentGame:
         for entry in entries:
             if "pattern" not in entry or "to" not in entry:
                 raise InvalidInput(f"transition entry at {v!r} needs pattern and to")
-            target = str(entry["to"])
+            target = _name(entry["to"], f"transition target at {v!r}")
             if target not in vertices:
                 raise InvalidInput(f"transition at {v!r} targets unknown vertex {target!r}")
             compiled.append(
@@ -474,7 +487,7 @@ def comm_graph_from_dict(data: dict, players: tuple[str, ...]) -> CommGraph:
     for entry in data["edges"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidInput(f"bad comm edge {entry!r}")
-        edges.add((str(entry[0]), str(entry[1])))
+        edges.add(tuple(_name(x, "comm edge endpoint") for x in entry))
     return CommGraph(players=players, edges=frozenset(edges))
 
 

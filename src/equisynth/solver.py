@@ -5,11 +5,15 @@ For a candidate vector p the deviated region is solved as a zero-sum game
 where the protagonist must keep every surviving suspect at or below its
 component of p on the recurring vertices.  Suspect sets only shrink, so the
 region splits into layers ordered by the suspect set.  A layer's objective
-is a Muller condition on its color classes (each payoff atom its own color,
-every other vertex one shared color), tabulated once per nonempty class set.
-Each layer becomes a parity game through its product with the Zielonka tree
-of that table, whose leaves are the only memory the punishment needs; with
-one leaf the product is the layer itself.  Exits to smaller layers are sinks
+is a Muller condition on color classes taken from the game's vertices, not
+the layer's: each payoff atom is its own color and every other vertex of the
+game shares one color.  The objective is tabulated once per nonempty class
+set, so a layer's classes and tree depend only on the game, p and its
+suspects, and a pruned build (`epistemic.build_reachable`) gives the same
+trees, and the same meaning to a profile's leaves, as the full one.  Each
+layer becomes a parity game through its product with the Zielonka tree of
+that table, whose leaves are the only memory the punishment needs; with one
+leaf the product is the layer itself.  Exits to smaller layers are sinks
 whose winner is already known.
 
 On top of the punished region, a complying move is p-safe when every visible
@@ -43,7 +47,7 @@ position at states without suspects and the tree leaf elsewhere;
 `UpsilonPolicy` keeps the machine-state vector of the complying history, or
 one vector per suspect in the state's order.
 
-A profile (`EveStrategy.to_dict`, format `equisynth-profile-v3`) holds the
+A profile (`EveStrategy.to_dict`, format `equisynth-profile-v4`) holds the
 payoff and rows that name their state by `state_key`, never by Eve id: the
 complying rows give an action, the punishment rows a tree leaf and an
 action.  `EveStrategy.from_dict` rebuilds everything else, each layer's
@@ -248,11 +252,11 @@ def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
     return groups
 
 
-def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey,
-                         layer_vertices: list[str]):
-    """Partition the layer's vertices so the acceptance predicate depends only
-    on which classes recur; return the classes in vertex order and the
-    acceptance table, indexed by the bitmask of a nonempty set of class ids.
+def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
+    """Partition the game's vertices so the acceptance predicate of the layer
+    with suspects `dev` depends only on which classes recur; return the
+    classes in vertex order and the acceptance table, indexed by the bitmask
+    of a nonempty set of class ids.
 
     Each payoff atom is a class of its own and all other vertices share one
     class.  The predicate depends only on the atoms that recur, so the payoff
@@ -266,8 +270,8 @@ def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey,
     atoms = payoff.atoms()
     vorder = game.vertex_index
 
-    classes = [(v,) for v in layer_vertices if v in atoms]
-    rest = tuple(v for v in layer_vertices if v not in atoms)
+    classes = [(v,) for v in game.vertices if v in atoms]
+    rest = tuple(v for v in game.vertices if v not in atoms)
     if rest:
         classes.append(rest)
     classes.sort(key=lambda cls: vorder[cls[0]])
@@ -279,13 +283,10 @@ def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey,
     return tuple(classes), accepted
 
 
-def _layer_setup(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int]):
-    """The color classes and the Zielonka tree of one layer."""
-    vorder = eg.game.vertex_index
-    layer_vertices = sorted(
-        {eg.eve_states[e].vertex for e in layer_eves}, key=vorder.__getitem__
-    )
-    classes, accepted = _layer_color_classes(eg.game, p, dev, layer_vertices)
+def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
+    """The color classes and the Zielonka tree of the layer with suspects
+    `dev`."""
+    classes, accepted = _layer_color_classes(game, p, dev)
     return classes, zielonka_tree(len(classes), accepted)
 
 
@@ -297,7 +298,7 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
     Entering the layer starts at leaf 0; exits to smaller layers are sinks
     whose winner is already known."""
-    classes, tree = _layer_setup(eg, p, dev, layer_eves)
+    classes, tree = _layer_setup(eg.game, p, dev)
     table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
@@ -371,7 +372,7 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> P
 # ---------------------------------------------------------------------------
 # Full synthesis: p-safe complying lasso + punishment tables.
 
-PROFILE_FORMAT = "equisynth-profile-v3"
+PROFILE_FORMAT = "equisynth-profile-v4"
 
 
 @dataclass
@@ -513,8 +514,8 @@ class EveStrategy:
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
         layers = {
-            dev: LayerTable(dev, *_layer_setup(eg, payoff, dev, eves), entries={})
-            for dev, eves in _layer_groups(eg).items()
+            dev: LayerTable(dev, *_layer_setup(eg.game, payoff, dev), entries={})
+            for dev in _layer_groups(eg)
         }
         for row in data["punish"]:
             e = eve_of(row)

@@ -13,6 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,27 @@ def random_instances():
             continue
         out.append((game, graph, eg))
     return out
+
+
+@pytest.fixture(scope="session")
+def pruned_pairs(random_instances):
+    """(game, graph, full build, pruned build) for the random instances with
+    at most 20,000 Adam nodes, the 20 `wide` and `branchy` benchmark games
+    and dense 3/8 and 4/4.  The two random instances above 20,000 Adam
+    nodes take seconds each to solve twice."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    games = [(game, graph, eg) for game, graph, eg in random_instances
+             if eg.adam_count() <= 20_000]
+    structures = workloads.family("wide") + workloads.family("branchy")
+    structures += [workloads.draw_dense(random.Random(1), players, vertices, 2)
+                   for players, vertices in ((3, 8), (4, 4))]
+    for structure in structures:
+        game, graph = workloads.materialize(structure)
+        games.append((game, graph, build_reachable(game, graph)))
+    return [(game, graph, eg, build_reachable(game, graph, pruned=True))
+            for game, graph, eg in games]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -106,6 +106,29 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         for command in ("build", "solve"):
             code, _, err = run(capsys, command, "--game", GAME, "--comm", str(comm))
             assert (code, err.startswith("error:")) == (2, True), (i, command, err)
+    # Names must be JSON strings: str() would read 0 as "0" and null as
+    # "None", so [[0, 1]] would silently be the edge ("0", "1").
+    last = game["transitions"]["v0"][-1]
+    unnamed = [
+        ("game", {**game, "players": [0, 1, 2, 3, 4]}),
+        ("game", {**game, "players": [None, *game["players"][1:]]}),
+        ("game", {**game, "actions": [0, *game["actions"][1:]]}),
+        ("game", {**game, "vertices": [0, *game["vertices"][1:]]}),
+        ("game", {**game, "init": 0}),
+        ("game", {**game, "transitions": {**game["transitions"], "v0": [
+            *game["transitions"]["v0"][:-1], {**last, "to": None}]}}),
+        ("comm", {"edges": [[0, 1]]}),
+        ("comm", {"edges": [["0", None]]}),
+    ]
+    for i, (kind, data) in enumerate(unnamed):
+        path = tmp_path / f"unnamed{i}.json"
+        path.write_text(json.dumps(data))
+        files = {"game": GAME, "comm": G1, kind: str(path)}
+        for command in ("build", "solve"):
+            code, _, err = run(capsys, command, "--game", files["game"],
+                               "--comm", files["comm"])
+            assert (code, err.startswith("error:"), "must be a JSON string" in err) == \
+                (2, True, True), (i, command, err)
     code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1,
                        str(tmp_path / "nope.json"))
     assert (code, err.startswith("error: cannot read profile file")) == (2, True), err
@@ -180,6 +203,19 @@ def test_unknown_main_inf_vertex(capsys):
     code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--main-inf", ",")
     assert code == 2
     assert err == "error: --main-inf must name at least one vertex\n"
+
+
+def test_empty_option_values_are_input_errors(capsys, report_path):
+    # An empty value is not "no constraint": a later empty --predicate would
+    # otherwise drop the constraint an earlier one set.
+    for command in ("solve", "verify"):
+        extra = [str(report_path)] if command == "verify" else []
+        for option in (["--predicate", "p=(0,0,1,1,1)", "--predicate="],
+                       ["--predicate", "   "], ["--main-inf="], ["--main-inf", ""]):
+            code, out, err = run(capsys, command, "--game", GAME, "--comm", G1,
+                                 *option, *extra)
+            assert (code, out, err.startswith("error:")) == (2, "", True), \
+                (command, option, err)
 
 
 def test_solve_report_is_deterministic(capsys):
@@ -422,22 +458,26 @@ def test_verify_rejects_leaf_outside_tree(capsys, tmp_path, main_inf_report):
 
 
 def test_verify_rejects_v1_profile(capsys, tmp_path, main_inf_report):
-    for old in ("equisynth-profile-v1", "equisynth-profile-v2"):
+    # v3 profiles read their leaves against classes taken from the layer's
+    # vertices, v4 against classes taken from the game's.
+    for old in ("equisynth-profile-v1", "equisynth-profile-v2", "equisynth-profile-v3"):
         code, _, err = verify_edited(
             capsys, tmp_path, main_inf_report, lambda p: p.update(format=old))
         assert code == 2
         assert err.startswith("error:")
-        assert old in err and "expected equisynth-profile-v3" in err
+        assert old in err and "expected equisynth-profile-v4" in err
 
 
 def test_logging_stays_on_stderr():
-    # In a fresh process so the environment variable governs the logging setup.
-    argv = [sys.executable, "-m", "equisynth", "build", "--game", GAME, "--comm", G1]
-    quiet = subprocess.run(argv, capture_output=True, text=True, env={**os.environ})
-    assert quiet.returncode == 0
-    assert quiet.stderr == ""
-    env = {**os.environ, "EQUISYNTH_LOG": "debug"}
-    loud = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert loud.returncode == 0
-    assert loud.stdout == quiet.stdout
-    assert "equisynth" in loud.stderr
+    # In a fresh process so the environment variable governs the logging
+    # setup.  The log names the epistemic game each command builds.
+    for command, built in (("build", "full"), ("solve", "pruned")):
+        argv = [sys.executable, "-m", "equisynth", command, "--game", GAME, "--comm", G1]
+        quiet = subprocess.run(argv, capture_output=True, text=True, env={**os.environ})
+        assert quiet.returncode == 0
+        assert quiet.stderr == ""
+        env = {**os.environ, "EQUISYNTH_LOG": "debug"}
+        loud = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert loud.returncode == 0
+        assert loud.stdout == quiet.stdout
+        assert f"built {built} epistemic game: 85 protagonist" in loud.stderr

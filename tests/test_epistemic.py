@@ -12,6 +12,7 @@ import pytest
 from equisynth.epistemic import (
     EveState,
     Situation,
+    action_reach,
     build_reachable,
     check_distance_characterization,
     check_knowledge_invariant,
@@ -302,6 +303,50 @@ def test_adam_for_action_rejects_move_function_of_wrong_length(eg1):
         with pytest.raises(InvalidInput,
                            match=f"move function has {len(action)} moves for 2 tracked suspects"):
             eg1.adam_for_action(eid, action)
+
+
+def _adam_by_reach(eg, eid) -> dict:
+    """(reach tuple, complying target) -> id of each Adam node of `eid`."""
+    enc, key = eg._encoding, eg._keys[eid]
+    return {action_reach(enc, key, eg.adam_action[aid]): aid for aid in eg.eve_succ[eid]}
+
+
+def _within(small, large) -> bool:
+    return all(s & ~l == 0 for s, l in zip(small, large))
+
+
+def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
+    # At a state with suspects the pruned build keeps some of the full
+    # build's actions, and every dropped one is dominated: a kept one reaches
+    # a subset of its vertices under every hypothesis.  States without
+    # suspects keep all their actions.  A kept action has the same
+    # successors in both builds, and a dropped one is not enabled.  Games
+    # above 5,000 Adam nodes are left to the answer comparison in
+    # test_solver.py.
+    pairs = [(game5, g1, eg1, build_reachable(game5, g1, pruned=True))] + pruned_pairs
+    dropped = 0
+    for _game, _graph, full, pruned in pairs:
+        if full.adam_count() > 5_000:
+            continue
+        full_keys = [state_key(s) for s in full.eve_states]
+        keys = [state_key(s) for s in pruned.eve_states]
+        full_of = {k: e for e, k in enumerate(full_keys)}
+        for eid, key in enumerate(keys):
+            fid = full_of[key]
+            want, got = _adam_by_reach(full, fid), _adam_by_reach(pruned, eid)
+            assert set(got) <= set(want)
+            if not pruned.eve_states[eid].deviated:
+                assert [pruned.adam_action[aid] for aid in got.values()] == \
+                    [full.adam_action[aid] for aid in want.values()]
+            for reach, aid in got.items():
+                assert [full_keys[s] for s in full.adam_succ[want[reach]]] == \
+                    [keys[s] for s in pruned.adam_succ[aid]]
+            for reach, comply in want.keys() - got.keys():
+                assert any(_within(kept, reach) for kept, _ in got)
+                dropped += 1
+                with pytest.raises(InvalidInput):
+                    pruned.adam_for_action(eid, full.adam_action[want[reach, comply]])
+    assert dropped > 1000
 
 
 def test_random_enabled_counts_agree(random_instances):

@@ -21,6 +21,7 @@ from equisynth.solver import (
     strongly_connected_components,
     zielonka_tree,
 )
+from equisynth.translate import check_deviation_resistance, check_normed, omega
 
 from conftest import random_comm, random_game
 from oracles import (
@@ -80,20 +81,19 @@ def test_recurring_sets_and_color_classes_match_enumeration():
                 assert {color[v] for v in witness} == cc
     assert witnessed > 200
 
+    # A layer's classes come from the game's vertices, whichever of them
+    # the layer holds.
     layers = 0
     while layers < 300:
         game = random_game(rng)
         dev = tuple(sorted(rng.sample(game.players, rng.randint(1, len(game.players))),
                            key=game.player_index.__getitem__))
-        vertices = [v for v in game.vertices if rng.random() < 0.7]
-        if not vertices:
-            continue
-        seed = seed_color_classes(game, vertices)
+        seed = seed_color_classes(game, game.vertices)
         for p in candidate_payoffs(game):
-            classes, table = _layer_color_classes(game, p, dev, vertices)
+            classes, table = _layer_color_classes(game, p, dev)
             assert classes == tuple(map(tuple, seed))
             assert {color_set(mask): table[mask] for mask in range(1, len(table))} == \
-                vertex_subset_table(game, p, dev, vertices, seed)
+                vertex_subset_table(game, p, dev, game.vertices, seed)
             layers += 1
 
 
@@ -308,7 +308,7 @@ def test_model_check_rejects_bad_stationary_strategy(eg1):
 def test_strategy_round_trip(eg1):
     res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
     data = res.strategy.to_dict()
-    assert data["format"] == "equisynth-profile-v3"
+    assert data["format"] == "equisynth-profile-v4"
     assert data["payoff"] == ["0", "0", "1", "1", "1"]
     again = EveStrategy.from_dict(eg1, data)
     report = model_check_strategy(eg1, again, res.payoff)
@@ -343,3 +343,34 @@ def test_strategy_tamper_changes_verdict(eg1):
     report = model_check_strategy(eg1, tampered, res.payoff)
     assert not report.ok
     assert any("{v1p} with suspects {2,3,4}" in v for v in report.violations)
+
+
+def test_pruned_build_gives_the_full_answers(pruned_pairs):
+    # Dominance pruning keeps every win region, verdict and lasso, and its
+    # profiles pass every check on the full build.
+    found = 0
+    for game, graph, full, pruned in pruned_pairs:
+        full_keys = list(map(state_key, full.eve_states))
+        keys = list(map(state_key, pruned.eve_states))
+        assert set(keys) <= set(full_keys)
+        for p in candidate_payoffs(game):
+            want, got = punishment_region(full, p), punishment_region(pruned, p)
+            assert {keys[e] for e in got.win} == \
+                {full_keys[e] for e in want.win} & set(keys), (game, p)
+            # Classes and trees come from the game, not from the layer's states.
+            for dev, table in got.layers.items():
+                assert (table.classes, table.tree) == \
+                    (want.layers[dev].classes, want.layers[dev].tree)
+        want, got = solve(full), solve(pruned)
+        assert (want is None) == (got is None), game
+        if got is None:
+            continue
+        found += 1
+        assert (got.payoff, got.lasso_prefix, got.lasso_cycle, got.candidates_tried) == \
+            (want.payoff, want.lasso_prefix, want.lasso_cycle, want.candidates_tried)
+        strategy = EveStrategy.from_dict(full, got.strategy.to_dict())
+        assert model_check_strategy(full, strategy, got.payoff).ok
+        profile = omega(full, strategy)
+        assert check_normed(game, graph, profile).ok
+        assert check_deviation_resistance(full, profile, got.payoff).ok
+    assert found >= 50
