@@ -80,12 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, pruned: bool = False):
-    """Parse the game and graph files and build the epistemic game: the
-    dominance-pruned one for `solve`, the full one for `build` and
-    `verify`."""
+def _parse(args):
+    """Parse the game and graph files."""
     game = parse_game(args.game)
-    graph = parse_comm_graph(args.comm, game.players)
+    return game, parse_comm_graph(args.comm, game.players)
+
+
+def _build(args, game, graph, pruned: bool = False):
+    """Build the epistemic game: the dominance-pruned one for `solve`, the
+    full one for `build` and `verify`."""
     t0 = time.perf_counter()
     eg = build_reachable(game, graph, state_cap=args.state_cap, pruned=pruned)
     log.info(
@@ -93,7 +96,7 @@ def _load(args, pruned: bool = False):
         "pruned" if pruned else "full", eg.eve_count(), eg.adam_count(),
         time.perf_counter() - t0,
     )
-    return game, graph, eg
+    return eg
 
 
 def _main_inf(args, game) -> Optional[frozenset[str]]:
@@ -120,7 +123,7 @@ def _json_text(report: dict) -> str:
 
 
 def cmd_build(args) -> int:
-    game, graph, eg = _load(args)
+    eg = _build(args, *_parse(args))
     if args.format == "dot":
         _emit(args, export_dot(eg))
         return EXIT_OK
@@ -219,11 +222,8 @@ def _verify_strategy(game, graph, eg, strategy) -> tuple[dict, list[str]]:
 
 def cmd_solve(args) -> int:
     query = parse_query(args.predicate) if args.predicate is not None else None
-    game, graph, eg = _load(args, pruned=True)
+    game, graph = _parse(args)
     main_inf = _main_inf(args, game)
-    t0 = time.perf_counter()
-    result = solve(eg, query=query, main_inf=main_inf, lar_cap=args.lar_cap)
-    log.info("solve finished in %.3fs", time.perf_counter() - t0)
     report = {
         "command": "solve",
         "game": args.game,
@@ -231,11 +231,18 @@ def cmd_solve(args) -> int:
         "predicate": args.predicate,
         "main_inf": sorted(main_inf) if main_inf else None,
     }
+    candidates = candidate_payoffs(game, query)
+    result = None
+    if candidates:
+        eg = _build(args, game, graph, pruned=True)
+        t0 = time.perf_counter()
+        result = solve(eg, query=query, main_inf=main_inf, lar_cap=args.lar_cap)
+        log.info("solve finished in %.3fs", time.perf_counter() - t0)
+    else:
+        log.info("no payoff vector satisfies the predicate: no epistemic game built")
     if result is None:
         report["status"] = "not-found"
-        report["candidates_tried"] = [
-            [str(q) for q in v] for v in candidate_payoffs(game, query)
-        ]
+        report["candidates_tried"] = [[str(q) for q in v] for v in candidates]
         _emit_solve(args, report)
         return EXIT_NOT_FOUND
     checks, failures = _verify_strategy(game, graph, eg, result.strategy)
@@ -276,7 +283,8 @@ def _emit_solve(args, report: dict) -> None:
 
 def cmd_verify(args) -> int:
     query = parse_query(args.predicate) if args.predicate is not None else None
-    game, graph, eg = _load(args)
+    game, graph = _parse(args)
+    eg = _build(args, game, graph)
     main_inf = _main_inf(args, game)
     try:
         data = json.loads(Path(args.profile).read_text())

@@ -38,11 +38,17 @@ hypothesis reaches it, and that hypothesis survives there.
 The build works on integers: a state's key is (vertex index, ((deviator
 index, informed mask), ...)), with informed sets as player bitmasks, reach
 sets as vertex bitmasks, and each player's direct observers as one
-precomputed mask.  Per expanded state the grown informed masks are computed
-once, an action whose reach tuple was already seen is skipped, and the
-successor id is memoised per (target, surviving hypotheses).  The string
-`EveState` that solver, translation and reports read is made once, when a
-new key is interned.
+precomputed mask.  Per build, the `Encoding` keeps each vertex's move table
+(every move's target and per-player reach masks, one mask per group of
+moves that differ only in that player's action) and one options table per
+(vertex, suspect, informed mask): a suspect's options depend on nothing
+else of the state but the actions of the players it leaves uninformed, and
+the table keys them by those.  Both are built on first use.  Per expanded
+state the grown informed masks are computed once, a shared choice whose
+suspects' reach sets were already seen is skipped, an action whose reach
+tuple was already seen is skipped, and the successor id is memoised per
+(target, surviving hypotheses).  The string `EveState` that solver,
+translation and reports read is made once, when a new key is interned.
 
 The build `solve` uses is dominance-pruned (antichains for games of
 imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
@@ -64,7 +70,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvalidInput, StateCapExceeded
-from .game import CommGraph, ConcurrentGame, Move, substitute
+from .game import CommGraph, ConcurrentGame, Move
 
 # A move function: its suspects' moves, in the state's suspect order.
 DevFunction = tuple[Move, ...]
@@ -206,26 +212,41 @@ class Encoding:
             sum(1 << index[b] for b in graph.informed_by[a]) for a in game.players
         )
         self._moves: dict[int, dict[Move, tuple[int, tuple[int, ...]]]] = {}
+        self._options: dict[tuple[int, int, int, bool], _SuspectOptions] = {}
+        self._reach_sets: dict[frozenset[int], frozenset[int]] = {}
 
     def moves(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
         """Each allowed joint move at vertex `v`, in canonical order, mapped to
         its target and, per player d, the vertices d reaches by changing its
-        own action in the move (the suggested action included)."""
+        own action in the move (the suggested action included).
+
+        The moves that differ only in d's action form one group, and d's
+        reach mask is the union of the group's targets."""
         table = self._moves.get(v)
         if table is None:
             game = self.game
             name = game.vertices[v]
-            row, allow, vidx = game.tab[name], game.allow[name], game.vertex_index
-            table = {}
-            for move in game.moves(name):
-                reach = tuple(
-                    sum(1 << t for t in {
-                        vidx[row[substitute(move, i, alt)]] for alt in allow[d]
-                    })
-                    for i, d in enumerate(game.players)
-                )
-                table[move] = (vidx[row[move]], reach)
+            row, vidx = game.tab[name], game.vertex_index
+            targets = {move: vidx[row[move]] for move in game.moves(name)}
+            groups: list[dict[Move, int]] = [{} for _ in game.players]
+            for move, t in targets.items():
+                for i, group in enumerate(groups):
+                    rest = move[:i] + move[i + 1:]
+                    group[rest] = group.get(rest, 0) | 1 << t
+            table = {
+                move: (t, tuple(group[move[:i] + move[i + 1:]]
+                                for i, group in enumerate(groups)))
+                for move, t in targets.items()
+            }
             self._moves[v] = table
+        return table
+
+    def options(self, v: int, d: int, m: int, pruned: bool) -> "_SuspectOptions":
+        """The options table of suspect `d` with informed mask `m` at vertex
+        `v`, one per build and triple (see `_SuspectOptions`)."""
+        table = self._options.get((v, d, m, pruned))
+        if table is None:
+            table = self._options[v, d, m, pruned] = _SuspectOptions(self, v, d, m, pruned)
         return table
 
     def state(self, key: StateKey) -> EveState:
@@ -337,6 +358,42 @@ def _minimal(options: dict[int, Move]) -> dict[int, Move]:
             if not any(s != r and s & r == s for s in options)}
 
 
+class _SuspectOptions(dict):
+    """One suspect's options at one vertex under one informed mask, per read:
+    the actions of the players the mask leaves uninformed, in player order,
+    map to (options, reach set).  The options map each reach mask of the
+    suspect to the first move, in enumeration order, that reaches it; with
+    `pruned` only the ⊆-minimal masks are kept.  The reach set is the set of
+    those masks, one object per build for equal sets.  An entry is built on
+    first use."""
+
+    def __init__(self, enc: Encoding, v: int, d: int, m: int, pruned: bool):
+        super().__init__()
+        game = enc.game
+        allow = game.allow[game.vertices[v]]
+        n = len(game.players)
+        private = [a for a in range(n) if m >> a & 1]
+        uninformed = [a for a in range(n) if not m >> a & 1]
+        # A move is read off (private components) + (the read).
+        self._order = [private.index(a) if m >> a & 1 else len(private) + uninformed.index(a)
+                       for a in range(n)]
+        self._private_allow = [allow[game.players[a]] for a in private]
+        self._table, self._d, self._pruned = enc.moves(v), d, pruned
+        self._reach_sets = enc._reach_sets
+
+    def __missing__(self, read: Move) -> tuple[dict[int, Move], frozenset[int]]:
+        opts: dict[int, Move] = {}
+        for pr in product(*self._private_allow):
+            source = pr + read
+            move = tuple(map(source.__getitem__, self._order))
+            opts.setdefault(self._table[move][1][self._d], move)
+        if self._pruned:
+            opts = _minimal(opts)
+        masks = frozenset(opts)
+        entry = self[read] = (opts, self._reach_sets.setdefault(masks, masks))
+        return entry
+
+
 def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     """Eve's enabled actions at the state `key`, the first of each distinct
     reach tuple (and complying target) in enumeration order, each as
@@ -345,9 +402,11 @@ def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     With suspects present the move functions are enumerated through their
     per-suspect reach sets: one shared component per player uninformed under
     some hypothesis, private components per suspect for the players informed
-    of it.  A suspect's options depend only on the shared components of the
-    players it leaves uninformed, so they are computed once per such
-    choice.
+    of it.  A suspect's options depend only on the vertex, its informed mask
+    and the shared components of the players it leaves uninformed, so they
+    come from the build's table for that triple (`Encoding.options`).  A
+    shared choice whose suspects have the reach sets of an earlier one adds
+    no reach tuple and is skipped.
 
     With `pruned`, a suspect's options for one shared choice keep only their
     ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
@@ -368,36 +427,17 @@ def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     players = game.players
     allow = game.allow[game.vertices[v]]
     shared = [a for a in range(len(players)) if any(not m >> a & 1 for _, m in pairs)]
-    plans = []
-    for d, m in pairs:
-        private = [a for a in range(len(players)) if m >> a & 1]
-        reads = [q for q, a in enumerate(shared) if not m >> a & 1]
-        # A move is read off (private components) + (the shared ones it reads).
-        order = [
-            private.index(a) if m >> a & 1 else len(private) + reads.index(shared.index(a))
-            for a in range(len(players))
-        ]
-        plans.append((d, [allow[players[a]] for a in private], reads, order, {}))
-    seen_options = set()
+    plans = [(enc.options(v, d, m, pruned), [q for q, a in enumerate(shared) if not m >> a & 1])
+             for d, m in pairs]
+    seen_sets = set()
     seen = set()
     for st in product(*(allow[players[a]] for a in shared)):
-        options = []
-        for d, private_allow, reads, order, cache in plans:
-            read = tuple(map(st.__getitem__, reads))
-            opts = cache.get(read)
-            if opts is None:
-                opts = cache[read] = {}
-                for pr in product(*private_allow):
-                    source = pr + read
-                    move = tuple(map(source.__getitem__, order))
-                    opts.setdefault(table[move][1][d], move)
-                if pruned:
-                    opts = cache[read] = _minimal(opts)
-            options.append(opts)
-        signature = tuple(tuple(opts) for opts in options)
-        if signature in seen_options:
+        entries = [options[tuple(map(st.__getitem__, reads))] for options, reads in plans]
+        signature = tuple(reach_set for _, reach_set in entries)
+        if signature in seen_sets:
             continue
-        seen_options.add(signature)
+        seen_sets.add(signature)
+        options = [opts for opts, _ in entries]
         for reach in product(*options):
             if reach not in seen:
                 seen.add(reach)

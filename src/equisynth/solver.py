@@ -7,14 +7,15 @@ component of p on the recurring vertices.  Suspect sets only shrink, so the
 region splits into layers ordered by the suspect set.  A layer's objective
 is a Muller condition on color classes taken from the game's vertices, not
 the layer's: each payoff atom is its own color and every other vertex of the
-game shares one color.  The objective is tabulated once per nonempty class
-set, so a layer's classes and tree depend only on the game, p and its
-suspects, and a pruned build (`epistemic.build_reachable`) gives the same
-trees, and the same meaning to a profile's leaves, as the full one.  Each
-layer becomes a parity game through its product with the Zielonka tree of
-that table, whose leaves are the only memory the punishment needs; with one
-leaf the product is the layer itself.  Exits to smaller layers are sinks
-whose winner is already known.
+game shares one color.  The payoff rule that decides each nonempty class
+set is tabulated once per punishment region, and each layer compares the
+rules' vectors with p, so a layer's classes and tree depend only on the
+game, p and its suspects, and a pruned build (`epistemic.build_reachable`)
+gives the same trees, and the same meaning to a profile's leaves, as the
+full one.  Each layer becomes a parity game through its product with the
+Zielonka tree of that table, whose leaves are the only memory the
+punishment needs; with one leaf the product is the layer itself.  Exits
+to smaller layers are sinks whose winner is already known.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
@@ -252,21 +253,18 @@ def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
     return groups
 
 
-def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
-    """Partition the game's vertices so the acceptance predicate of the layer
-    with suspects `dev` depends only on which classes recur; return the
-    classes in vertex order and the acceptance table, indexed by the bitmask
-    of a nonempty set of class ids.
+def _game_color_classes(game: ConcurrentGame):
+    """Partition the game's vertices so that the payoff depends only on which
+    classes recur; return the classes in vertex order and, per bitmask of a
+    set of class ids, the index of the payoff rule that decides it
+    (`PayoffSpec.first_match`).
 
     Each payoff atom is a class of its own and all other vertices share one
-    class.  The predicate depends only on the atoms that recur, so the payoff
-    is evaluated once per nonempty set of classes, and compared with p once
-    per payoff vector.
+    class.  The payoff depends only on the atoms that recur, so it is
+    evaluated once per set of classes.  The table depends only on the game;
+    the layers of one payoff query share it.
     """
-    dev_idx = [game.player_index[d] for d in dev]
     payoff = game.payoff
-    outcomes = [rule.vector for rule in payoff.rules] + [payoff.default]
-    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in outcomes]
     atoms = payoff.atoms()
     vorder = game.vertex_index
 
@@ -279,26 +277,39 @@ def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
     for mask in range(1, 1 << len(classes)):
         low = mask & -mask
         union.append(union[mask ^ low] | frozenset(classes[low.bit_length() - 1]))
-    accepted = [ok[payoff.first_match(vs)] for vs in union]
-    return tuple(classes), accepted
+    return tuple(classes), [payoff.first_match(vs) for vs in union]
 
 
-def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
+def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey, colors):
+    """The color classes of the layer with suspects `dev` and its acceptance
+    table, indexed by the bitmask of a nonempty set of class ids: the
+    outcome of each rule is compared with p once, and each set of classes
+    reads the verdict of its rule in `colors` (`_game_color_classes`)."""
+    classes, first = colors
+    dev_idx = [game.player_index[d] for d in dev]
+    payoff = game.payoff
+    outcomes = [rule.vector for rule in payoff.rules] + [payoff.default]
+    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in outcomes]
+    return classes, [ok[k] for k in first]
+
+
+def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey, colors):
     """The color classes and the Zielonka tree of the layer with suspects
     `dev`."""
-    classes, accepted = _layer_color_classes(game, p, dev)
+    classes, accepted = _layer_color_classes(game, p, dev, colors)
     return classes, zielonka_tree(len(classes), accepted)
 
 
 def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],
-                 global_win: set[int], lar_cap: int) -> LayerTable:
+                 global_win: set[int], lar_cap: int, colors) -> LayerTable:
     """Solve one layer as a parity game on its product with the Zielonka tree.
 
     An Eve node is (Eve id, leaf before the state's own color is read), an
     Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
     Entering the layer starts at leaf 0; exits to smaller layers are sinks
-    whose winner is already known."""
-    classes, tree = _layer_setup(eg.game, p, dev)
+    whose winner is already known.  `colors` is `_game_color_classes` of
+    the game."""
+    classes, tree = _layer_setup(eg.game, p, dev, colors)
     table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
@@ -358,10 +369,11 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> P
     """Deviated Eve states from which the coalition can bound every surviving
     suspect by p on every outcome, with the enforcing strategy tables."""
     groups = _layer_groups(eg)
+    colors = _game_color_classes(eg.game)
     global_win: set[int] = set()
     layers: dict[DevKey, LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
-        table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap)
+        table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap, colors)
         layers[dev] = table
         # Every layer state is interned at leaf 0, so it is won iff it has an
         # entry there.
@@ -513,8 +525,9 @@ class EveStrategy:
         cycle = comply_of(data["comply"]["cycle"])
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
+        colors = _game_color_classes(eg.game)
         layers = {
-            dev: LayerTable(dev, *_layer_setup(eg.game, payoff, dev), entries={})
+            dev: LayerTable(dev, *_layer_setup(eg.game, payoff, dev, colors), entries={})
             for dev in _layer_groups(eg)
         }
         for row in data["punish"]:

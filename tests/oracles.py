@@ -4,7 +4,10 @@ Everything here is deliberately written the slow, obvious way.  Beyond
 public data types, only two helpers use package code: `successor_map` takes
 one step through the package's successor function, and
 `literal_knowledge_violations` checks its literal recomputation with the
-package's knowledge characterization.
+package's knowledge characterization.  The one exception to "slow and
+obvious" is `per_state_distinct_actions` with `per_move_table`: the build's
+earlier enumeration of Eve actions, kept unchanged so that a test can swap
+it into the package's `Encoding` and compare the games it builds.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from equisynth.epistemic import (
     EveAction,
     EveState,
     Situation,
+    StateKey,
     action_reach,
     expand,
     knowledge_violations,
@@ -132,6 +136,111 @@ def _reference_distinct_actions(game: ConcurrentGame, state: EveState):
         for combo in product(*per_dev):
             action = tuple((d, m) for d, (_r, m) in zip(devs, combo))
             yield action, {d: r for d, (r, _m) in zip(devs, combo)}, None
+
+
+# The build's move table and enumeration of Eve actions as they were before
+# the options of a suspect were tabled once per build: the move table makes
+# |allow[d]| substitutions per move and player, and every state rebuilds the
+# options of its suspects for each shared choice.  Copied unchanged but for
+# their names, with the helper they call, so the tests can build a game with
+# them swapped in (`per_move_table` for `Encoding.moves`).
+
+
+def per_move_table(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
+    """Each allowed joint move at vertex `v`, in canonical order, mapped to
+    its target and, per player d, the vertices d reaches by changing its
+    own action in the move (the suggested action included)."""
+    table = self._moves.get(v)
+    if table is None:
+        game = self.game
+        name = game.vertices[v]
+        row, allow, vidx = game.tab[name], game.allow[name], game.vertex_index
+        table = {}
+        for move in game.moves(name):
+            reach = tuple(
+                sum(1 << t for t in {
+                    vidx[row[substitute(move, i, alt)]] for alt in allow[d]
+                })
+                for i, d in enumerate(game.players)
+            )
+            table[move] = (vidx[row[move]], reach)
+        self._moves[v] = table
+    return table
+
+
+def _minimal(options: dict[int, Move]) -> dict[int, Move]:
+    """The entries of `options` whose reach mask strictly contains no other."""
+    if len(options) < 2:  # the common case
+        return options
+    return {r: m for r, m in options.items()
+            if not any(s != r and s & r == s for s in options)}
+
+
+def per_state_distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
+    """Eve's enabled actions at the state `key`, the first of each distinct
+    reach tuple (and complying target) in enumeration order, each as
+    (action, reach masks in hypothesis order, complying target or -1).
+
+    With suspects present the move functions are enumerated through their
+    per-suspect reach sets: one shared component per player uninformed under
+    some hypothesis, private components per suspect for the players informed
+    of it.  A suspect's options depend only on the shared components of the
+    players it leaves uninformed, so they are computed once per such
+    choice.
+
+    With `pruned`, a suspect's options for one shared choice keep only their
+    ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
+    shared choice with a smaller reach mask leaves the move function enabled
+    and shrinks its reach tuple, so every dropped move function is dominated
+    by a kept one (see the module docstring).  States without suspects are
+    never pruned: the lasso reads their complying targets."""
+    v, pairs = key
+    table = enc.moves(v)
+    if not pairs:
+        seen = set()
+        for move, (target, reach) in table.items():
+            if (target, reach) not in seen:
+                seen.add((target, reach))
+                yield move, reach, target
+        return
+    game = enc.game
+    players = game.players
+    allow = game.allow[game.vertices[v]]
+    shared = [a for a in range(len(players)) if any(not m >> a & 1 for _, m in pairs)]
+    plans = []
+    for d, m in pairs:
+        private = [a for a in range(len(players)) if m >> a & 1]
+        reads = [q for q, a in enumerate(shared) if not m >> a & 1]
+        # A move is read off (private components) + (the shared ones it reads).
+        order = [
+            private.index(a) if m >> a & 1 else len(private) + reads.index(shared.index(a))
+            for a in range(len(players))
+        ]
+        plans.append((d, [allow[players[a]] for a in private], reads, order, {}))
+    seen_options = set()
+    seen = set()
+    for st in product(*(allow[players[a]] for a in shared)):
+        options = []
+        for d, private_allow, reads, order, cache in plans:
+            read = tuple(map(st.__getitem__, reads))
+            opts = cache.get(read)
+            if opts is None:
+                opts = cache[read] = {}
+                for pr in product(*private_allow):
+                    source = pr + read
+                    move = tuple(map(source.__getitem__, order))
+                    opts.setdefault(table[move][1][d], move)
+                if pruned:
+                    opts = cache[read] = _minimal(opts)
+            options.append(opts)
+        signature = tuple(tuple(opts) for opts in options)
+        if signature in seen_options:
+            continue
+        seen_options.add(signature)
+        for reach in product(*options):
+            if reach not in seen:
+                seen.add(reach)
+                yield tuple(map(dict.__getitem__, options, reach)), reach, -1
 
 
 @dataclass

@@ -9,7 +9,9 @@ from itertools import product
 
 import pytest
 
+from equisynth import epistemic
 from equisynth.epistemic import (
+    Encoding,
     EveState,
     Situation,
     action_reach,
@@ -34,6 +36,8 @@ from oracles import (
     enabled_eve_actions,
     literal_knowledge_from_empty,
     literal_knowledge_violations,
+    per_move_table,
+    per_state_distinct_actions,
     reference_build_reachable,
     successor_map,
 )
@@ -347,6 +351,31 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
                 with pytest.raises(InvalidInput):
                     pruned.adam_for_action(eid, full.adam_action[want[reach, comply]])
     assert dropped > 1000
+
+
+def _layout(eg):
+    return eg._keys, eg.adam_action, eg.adam_succ, eg.eve_succ
+
+
+def test_tabled_options_build_the_per_state_game(
+        random_instances, pruned_pairs, game5, g1, g2, g3, eg1, eg2, eg3, monkeypatch):
+    # The build reads each suspect's options from one table per (vertex,
+    # suspect, informed mask) and each move's reach masks from grouped
+    # moves.  Swapping in the enumeration that rebuilt them at every state
+    # gives the same game, full and pruned, on the random suite, the 20
+    # `wide` and `branchy` games, dense 3/8 and 4/4 and the bundled example.
+    build = getattr(epistemic.build_reachable, "__wrapped__", epistemic.build_reachable)
+    cases = pruned_pairs + [(game, graph, eg, build(game, graph, pruned=True))
+                            for game, graph, eg in random_instances
+                            if eg.adam_count() > 20_000]
+    cases += [(game5, graph, eg, build(game5, graph, pruned=True))
+              for graph, eg in ((g1, eg1), (g2, eg2), (g3, eg3))]
+    assert len(cases) == 125
+    monkeypatch.setattr(epistemic, "_distinct_actions", per_state_distinct_actions)
+    monkeypatch.setattr(Encoding, "moves", per_move_table)
+    for game, graph, full, pruned in cases:
+        assert _layout(build(game, graph)) == _layout(full)
+        assert _layout(build(game, graph, pruned=True)) == _layout(pruned)
 
 
 def test_random_enabled_counts_agree(random_instances):

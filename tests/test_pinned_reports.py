@@ -44,11 +44,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def pinned_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
-    """Case name -> (exit code, sha256 of stdout), run inside `workdir`."""
+def _copy_assets(workdir: Path) -> None:
     shutil.copy(asset_path("five_player_game.json"), workdir / "game.json")
     for g in GRAPHS:
         shutil.copy(asset_path(f"comm_{g}.json"), workdir / f"{g}.json")
+
+
+def pinned_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Case name -> (exit code, sha256 of stdout), run inside `workdir`."""
+    _copy_assets(workdir)
     out: dict[str, tuple[int, str]] = {}
     old = os.getcwd()
     os.chdir(workdir)
@@ -148,6 +152,25 @@ def test_bundled_reports_are_pinned(tmp_path):
     assert sorted(got) == sorted(PINNED)
     changed = {name: got[name] for name in PINNED if got[name] != PINNED[name]}
     assert not changed
+
+
+def test_solve_without_candidates_builds_nothing(tmp_path, monkeypatch):
+    # No payoff vector of the bundled game gives player 0 at least 1, so
+    # `solve` answers without building the epistemic game, with the pinned
+    # reports; an unknown --main-inf vertex still exits 2 first.
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("solve built a game for a query with no candidate payoff")
+
+    monkeypatch.setattr("equisynth.cli.build_reachable", no_build)
+    _copy_assets(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for g in GRAPHS:
+        files = ["--game", "game.json", "--comm", f"{g}.json", "--predicate", "p[0]>=1"]
+        for main_inf in MAIN_INF:
+            query = ["--main-inf", main_inf] if main_inf else []
+            code, text = _run(["solve", *files, *query, "--format", "json"])
+            assert (code, _digest(text)) == PINNED[f"solve {g} p[0]>=1 {main_inf or '-'}"]
+        assert _run(["solve", *files, "--main-inf", "v9"]) == (2, "")
 
 
 if __name__ == "__main__":

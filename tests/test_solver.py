@@ -12,6 +12,7 @@ from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
     EveStrategy,
+    _game_color_classes,
     _layer_color_classes,
     candidate_payoffs,
     model_check_strategy,
@@ -89,8 +90,9 @@ def test_recurring_sets_and_color_classes_match_enumeration():
         dev = tuple(sorted(rng.sample(game.players, rng.randint(1, len(game.players))),
                            key=game.player_index.__getitem__))
         seed = seed_color_classes(game, game.vertices)
+        colors = _game_color_classes(game)
         for p in candidate_payoffs(game):
-            classes, table = _layer_color_classes(game, p, dev)
+            classes, table = _layer_color_classes(game, p, dev, colors)
             assert classes == tuple(map(tuple, seed))
             assert {color_set(mask): table[mask] for mask in range(1, len(table))} == \
                 vertex_subset_table(game, p, dev, game.vertices, seed)
