@@ -21,6 +21,7 @@ from typing import Optional
 
 from .dot import export_dot
 from .epistemic import (
+    STATE_CAP,
     build_reachable,
     check_distance_characterization,
     check_knowledge_invariant,
@@ -33,7 +34,7 @@ from .errors import (
     StrategyUndefined,
 )
 from .parsing import parse_comm_graph, parse_game, parse_query
-from .solver import EveStrategy, candidate_payoffs, model_check_strategy, solve
+from .solver import LAR_CAP, EveStrategy, candidate_payoffs, model_check_strategy, solve
 from .translate import check_deviation_resistance, check_normed, omega
 
 log = logging.getLogger("equisynth")
@@ -48,7 +49,7 @@ EXIT_VERIFY = 4
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--game", required=True, help="game description file")
     p.add_argument("--comm", required=True, help="communication graph file")
-    p.add_argument("--state-cap", type=int, default=1_000_000, help="epistemic state cap")
+    p.add_argument("--state-cap", type=int, default=STATE_CAP, help="epistemic state cap")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="search for an enforceable payoff vector")
     _add_common(s)
     _add_checks(s)
-    s.add_argument("--lar-cap", type=int, default=500_000, help="node cap of each punishment layer's parity product")
+    s.add_argument("--lar-cap", type=int, default=LAR_CAP, help="node cap of each punishment layer's parity product")
     s.set_defaults(func=cmd_solve)
     v = sub.add_parser("verify", help="re-verify a solve report's strategy profile")
     _add_common(v)
@@ -284,7 +285,6 @@ def _emit_solve(args, report: dict) -> None:
 def cmd_verify(args) -> int:
     query = parse_query(args.predicate) if args.predicate is not None else None
     game, graph = _parse(args)
-    eg = _build(args, game, graph)
     main_inf = _main_inf(args, game)
     try:
         data = json.loads(Path(args.profile).read_text())
@@ -292,6 +292,7 @@ def cmd_verify(args) -> int:
         raise InvalidInput(f"cannot read profile file {args.profile}: {exc}") from exc
     if isinstance(data, dict) and "profile" in data:
         data = data["profile"]
+    eg = _build(args, game, graph)
     strategy = EveStrategy.from_dict(eg, data)
     checks, failures = _verify_strategy(game, graph, eg, strategy)
     if query is not None and not query.matches(strategy.payoff):
@@ -325,10 +326,12 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("EQUISYNTH_LOG", "").upper()
-    if level:
+    name = os.environ.get("EQUISYNTH_LOG", "").upper()
+    if name:
+        # Only the level names of `logging` are ints; anything else logs INFO.
+        level = getattr(logging, name, None)
         logging.basicConfig(
-            level=getattr(logging, level, logging.INFO),
+            level=level if isinstance(level, int) else logging.INFO,
             format="%(asctime)s %(name)s %(levelname)s %(message)s",
         )
     parser = build_parser()

@@ -43,11 +43,12 @@ precomputed mask.  Per build, the `Encoding` keeps each vertex's move table
 moves that differ only in that player's action) and one options table per
 (vertex, suspect, informed mask): a suspect's options depend on nothing
 else of the state but the actions of the players it leaves uninformed, and
-the table keys them by those.  Both are built on first use.  Per expanded
-state the grown informed masks are computed once, a shared choice whose
-suspects' reach sets were already seen is skipped, an action whose reach
-tuple was already seen is skipped, and the successor id is memoised per
-(target, surviving hypotheses).  The string `EveState` that solver,
+the table keys them by those.  Both are built on first use, an options table
+in one pass over the move table, since the enumeration reads all of it.  Per
+expanded state the grown informed masks are computed once, a shared choice
+whose suspects' reach sets were already seen is skipped, an action whose
+reach tuple was already seen is skipped, and the successor id is memoised
+per (target, surviving hypotheses).  The string `EveState` that solver,
 translation and reports read is made once, when a new key is interned.
 
 The build `solve` uses is dominance-pruned (antichains for games of
@@ -76,6 +77,8 @@ from .game import CommGraph, ConcurrentGame, Move
 DevFunction = tuple[Move, ...]
 # A joint move at a state without suspects, a move function elsewhere.
 EveAction = Move | DevFunction
+# One suspect's options for one read: reach mask -> move, and the set of masks.
+SuspectOptions = tuple[dict[int, Move], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -212,8 +215,9 @@ class Encoding:
             sum(1 << index[b] for b in graph.informed_by[a]) for a in game.players
         )
         self._moves: dict[int, dict[Move, tuple[int, tuple[int, ...]]]] = {}
-        self._options: dict[tuple[int, int, int, bool], _SuspectOptions] = {}
-        self._reach_sets: dict[frozenset[int], frozenset[int]] = {}
+        # Set by `build_reachable`: one encoding serves one build.
+        self.pruned = False
+        self._options: dict[tuple[int, int, int], dict[Move, SuspectOptions]] = {}
 
     def moves(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
         """Each allowed joint move at vertex `v`, in canonical order, mapped to
@@ -241,12 +245,22 @@ class Encoding:
             self._moves[v] = table
         return table
 
-    def options(self, v: int, d: int, m: int, pruned: bool) -> "_SuspectOptions":
-        """The options table of suspect `d` with informed mask `m` at vertex
-        `v`, one per build and triple (see `_SuspectOptions`)."""
-        table = self._options.get((v, d, m, pruned))
+    def options(self, v: int, d: int, m: int) -> dict[Move, SuspectOptions]:
+        """Suspect `d`'s options at vertex `v` under informed mask `m`, per
+        read (the actions of the players `m` leaves uninformed, in player
+        order): each reach mask of `d` -> the read's first move that reaches
+        it, only the ⊆-minimal masks in a pruned build, and the set of masks.
+        One table per build and triple, made in one pass over the moves."""
+        table = self._options.get((v, d, m))
         if table is None:
-            table = self._options[v, d, m, pruned] = _SuspectOptions(self, v, d, m, pruned)
+            uninformed = [a for a in range(len(self.game.players)) if not m >> a & 1]
+            table = self._options[v, d, m] = {}
+            for move, (_t, reach) in self.moves(v).items():
+                read = tuple(map(move.__getitem__, uninformed))
+                table.setdefault(read, {}).setdefault(reach[d], move)
+            for read, opts in table.items():
+                opts = _minimal(opts) if self.pruned else opts
+                table[read] = opts, frozenset(opts)
         return table
 
     def state(self, key: StateKey) -> EveState:
@@ -358,43 +372,7 @@ def _minimal(options: dict[int, Move]) -> dict[int, Move]:
             if not any(s != r and s & r == s for s in options)}
 
 
-class _SuspectOptions(dict):
-    """One suspect's options at one vertex under one informed mask, per read:
-    the actions of the players the mask leaves uninformed, in player order,
-    map to (options, reach set).  The options map each reach mask of the
-    suspect to the first move, in enumeration order, that reaches it; with
-    `pruned` only the ⊆-minimal masks are kept.  The reach set is the set of
-    those masks, one object per build for equal sets.  An entry is built on
-    first use."""
-
-    def __init__(self, enc: Encoding, v: int, d: int, m: int, pruned: bool):
-        super().__init__()
-        game = enc.game
-        allow = game.allow[game.vertices[v]]
-        n = len(game.players)
-        private = [a for a in range(n) if m >> a & 1]
-        uninformed = [a for a in range(n) if not m >> a & 1]
-        # A move is read off (private components) + (the read).
-        self._order = [private.index(a) if m >> a & 1 else len(private) + uninformed.index(a)
-                       for a in range(n)]
-        self._private_allow = [allow[game.players[a]] for a in private]
-        self._table, self._d, self._pruned = enc.moves(v), d, pruned
-        self._reach_sets = enc._reach_sets
-
-    def __missing__(self, read: Move) -> tuple[dict[int, Move], frozenset[int]]:
-        opts: dict[int, Move] = {}
-        for pr in product(*self._private_allow):
-            source = pr + read
-            move = tuple(map(source.__getitem__, self._order))
-            opts.setdefault(self._table[move][1][self._d], move)
-        if self._pruned:
-            opts = _minimal(opts)
-        masks = frozenset(opts)
-        entry = self[read] = (opts, self._reach_sets.setdefault(masks, masks))
-        return entry
-
-
-def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
+def _distinct_actions(enc: Encoding, key: StateKey):
     """Eve's enabled actions at the state `key`, the first of each distinct
     reach tuple (and complying target) in enumeration order, each as
     (action, reach masks in hypothesis order, complying target or -1).
@@ -408,8 +386,8 @@ def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     shared choice whose suspects have the reach sets of an earlier one adds
     no reach tuple and is skipped.
 
-    With `pruned`, a suspect's options for one shared choice keep only their
-    ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
+    In a pruned build, a suspect's options for one shared choice keep only
+    their ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
     shared choice with a smaller reach mask leaves the move function enabled
     and shrinks its reach tuple, so every dropped move function is dominated
     by a kept one (see the module docstring).  States without suspects are
@@ -427,7 +405,7 @@ def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
     players = game.players
     allow = game.allow[game.vertices[v]]
     shared = [a for a in range(len(players)) if any(not m >> a & 1 for _, m in pairs)]
-    plans = [(enc.options(v, d, m, pruned), [q for q, a in enumerate(shared) if not m >> a & 1])
+    plans = [(enc.options(v, d, m), [q for q, a in enumerate(shared) if not m >> a & 1])
              for d, m in pairs]
     seen_sets = set()
     seen = set()
@@ -446,6 +424,9 @@ def _distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
 
 # ---------------------------------------------------------------------------
 # Reachable epistemic game.
+
+# Default cap on the Eve states of one build (`--state-cap`).
+STATE_CAP = 1_000_000
 
 
 @dataclass
@@ -513,7 +494,7 @@ class EpistemicGame:
 def build_reachable(
     game: ConcurrentGame,
     graph: CommGraph,
-    state_cap: int = 1_000_000,
+    state_cap: int = STATE_CAP,
     *,
     pruned: bool = False,
 ) -> EpistemicGame:
@@ -532,6 +513,7 @@ def build_reachable(
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
     enc = Encoding(game, graph)
+    enc.pruned = pruned
     keys: list[StateKey] = []
     key_index: dict[StateKey, int] = {}
     eve_states: list[EveState] = []
@@ -560,7 +542,7 @@ def build_reachable(
         grown = expand(enc, key)
         memo: dict[int, int] = {}
         first = len(adam_succ)
-        for action, reach, comply in _distinct_actions(enc, key, pruned):
+        for action, reach, comply in _distinct_actions(enc, key):
             adam_action.append(action)
             adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
         eve_succ.append(range(first, len(adam_succ)))

@@ -175,9 +175,6 @@ class Comparison:
             raise InvalidInput(f"predicate index p[{self.index}] out of range")
         return self._OPS[self.op](vector[self.index], self.bound)
 
-    def text(self) -> str:
-        return f"p[{self.index}] {self.op} {self.bound}"
-
 
 @dataclass(frozen=True)
 class VectorEquality:
@@ -188,9 +185,6 @@ class VectorEquality:
             raise InvalidInput("predicate vector arity mismatch")
         return vector == self.vector
 
-    def text(self) -> str:
-        return "p = (" + ", ".join(str(q) for q in self.vector) + ")"
-
 
 @dataclass(frozen=True)
 class WinningQuery:
@@ -200,9 +194,6 @@ class WinningQuery:
 
     def matches(self, vector: tuple[Fraction, ...]) -> bool:
         return self.root.holds(tuple(vector))
-
-    def text(self) -> str:
-        return self.root.text()
 
 
 def parse_rational(token: str) -> Fraction:

@@ -81,6 +81,11 @@ from .parsing import _as_rational
 Vector = tuple[Fraction, ...]
 DevKey = tuple[str, ...]
 
+# Default node cap of each punishment layer's parity product (`--lar-cap`).
+LAR_CAP = 500_000
+# Node cap of the searches that re-verify a strategy (exit 3 above it).
+VERIFY_NODE_CAP = 1_000_000
+
 
 def candidate_payoffs(game: ConcurrentGame, query=None) -> list[Vector]:
     """Payoff vectors worth trying: the rule vectors plus the default, in
@@ -365,7 +370,7 @@ def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int
     return table
 
 
-def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = 500_000) -> PunishmentSolution:
+def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> PunishmentSolution:
     """Deviated Eve states from which the coalition can bound every surviving
     suspect by p on every outcome, with the enforcing strategy tables."""
     groups = _layer_groups(eg)
@@ -564,17 +569,20 @@ def solve(
     eg: EpistemicGame,
     query=None,
     main_inf: Optional[frozenset[str]] = None,
-    lar_cap: int = 500_000,
+    lar_cap: int = LAR_CAP,
 ) -> Optional[SolveResult]:
     """Try each candidate payoff in order; return the first enforceable one.
 
     A result bundles the complying lasso over p-safe moves and the punishment
     tables the lasso's safety relies on.  `main_inf` additionally requires
-    the complying outcome to visit infinitely often exactly that vertex set.
+    the complying outcome to visit infinitely often exactly that vertex set,
+    so a candidate that set does not pay is tried without a punishment solve.
     """
     tried: list[Vector] = []
     for p in candidate_payoffs(eg.game, query):
         tried.append(p)
+        if main_inf is not None and eg.game.payoff.value(main_inf) != p:
+            continue
         punish = punishment_region(eg, p, lar_cap)
         result = _find_lasso(eg, p, punish, main_inf)
         if result is not None:
@@ -623,8 +631,6 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
 
     verts = {e: states[e].vertex for e in reach}
     if main_inf is not None:
-        if eg.game.payoff.value(main_inf) != p:
-            return None
         color, candidates = verts, [main_inf]
     else:
         atoms = eg.game.payoff.atoms()
@@ -687,9 +693,6 @@ def _build_lasso(eg: EpistemicGame, safe_succ, sub: set[int]):
 
 # ---------------------------------------------------------------------------
 # Independent verification of a strategy on the epistemic game.
-
-
-VERIFY_NODE_CAP = 1_000_000
 
 
 @dataclass

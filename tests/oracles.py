@@ -142,8 +142,9 @@ def _reference_distinct_actions(game: ConcurrentGame, state: EveState):
 # the options of a suspect were tabled once per build: the move table makes
 # |allow[d]| substitutions per move and player, and every state rebuilds the
 # options of its suspects for each shared choice.  Copied unchanged but for
-# their names, with the helper they call, so the tests can build a game with
-# them swapped in (`per_move_table` for `Encoding.moves`).
+# their names and for reading whether the build is pruned off the encoding
+# (`Encoding.pruned`), with the helper they call, so the tests can build a
+# game with them swapped in (`per_move_table` for `Encoding.moves`).
 
 
 def per_move_table(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
@@ -176,7 +177,7 @@ def _minimal(options: dict[int, Move]) -> dict[int, Move]:
             if not any(s != r and s & r == s for s in options)}
 
 
-def per_state_distinct_actions(enc: Encoding, key: StateKey, pruned: bool = False):
+def per_state_distinct_actions(enc: Encoding, key: StateKey):
     """Eve's enabled actions at the state `key`, the first of each distinct
     reach tuple (and complying target) in enumeration order, each as
     (action, reach masks in hypothesis order, complying target or -1).
@@ -188,8 +189,8 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey, pruned: bool = Fals
     players it leaves uninformed, so they are computed once per such
     choice.
 
-    With `pruned`, a suspect's options for one shared choice keep only their
-    ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
+    In a pruned build (`enc.pruned`), a suspect's options for one shared
+    choice keep only their ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
     shared choice with a smaller reach mask leaves the move function enabled
     and shrinks its reach tuple, so every dropped move function is dominated
     by a kept one (see the module docstring).  States without suspects are
@@ -230,7 +231,7 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey, pruned: bool = Fals
                     source = pr + read
                     move = tuple(map(source.__getitem__, order))
                     opts.setdefault(table[move][1][d], move)
-                if pruned:
+                if enc.pruned:
                     opts = cache[read] = _minimal(opts)
             options.append(opts)
         signature = tuple(tuple(opts) for opts in options)

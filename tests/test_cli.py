@@ -294,6 +294,16 @@ def test_verify_main_inf_mismatch(capsys, report_path):
     assert "--main-inf" in out
 
 
+def test_verify_input_errors_come_before_the_build(capsys, report_path, tmp_path):
+    # A state cap of 1 stops any build (exit 3), so exit 2 shows that the
+    # bad --main-inf and the missing profile file are found before it.
+    cap = ("--game", GAME, "--comm", G1, "--state-cap", "1")
+    code, _, err = run(capsys, "verify", *cap, str(tmp_path / "missing.json"))
+    assert (code, err.startswith("error: cannot read profile file")) == (2, True), err
+    code, _, err = run(capsys, "verify", *cap, "--main-inf", "zz", str(report_path))
+    assert (code, "zz" in err) == (2, True), err
+
+
 def test_verify_garbage_profile(capsys, report_path, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text('{"hello": 3}')
@@ -481,3 +491,9 @@ def test_logging_stays_on_stderr():
         assert loud.returncode == 0
         assert loud.stdout == quiet.stdout
         assert f"built {built} epistemic game: 85 protagonist" in loud.stderr
+        # An upper-case name of `logging` that is no level logs INFO.
+        env = {**os.environ, "EQUISYNTH_LOG": "basic_format"}
+        other = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert other.returncode == 0, other.stderr
+        assert other.stdout == quiet.stdout
+        assert f"built {built} epistemic game: 85 protagonist" in other.stderr

@@ -231,6 +231,22 @@ def test_solve_respects_main_inf_exactly(eg1):
     assert solve(eg1, main_inf=frozenset({"v1"})) is None
 
 
+def test_solve_skips_candidates_main_inf_cannot_pay(eg3, game5, monkeypatch):
+    # Of the seven candidates, only the one {v0, v1} pays gets a punishment
+    # solve.
+    calls = []
+
+    def counted(eg, p, *rest):
+        calls.append(p)
+        return punishment_region(eg, p, *rest)
+
+    monkeypatch.setattr("equisynth.solver.punishment_region", counted)
+    inf = frozenset({"v0", "v1"})
+    assert solve(eg3, main_inf=inf) is None
+    assert calls == [game5.payoff.value(inf)]
+    assert len(candidate_payoffs(game5)) == 7
+
+
 def test_solve_records_candidates(eg1, game5):
     res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
     assert res.candidates_tried[-1] == res.payoff
