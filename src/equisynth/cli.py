@@ -1,6 +1,12 @@
 """Command-line front end: build and inspect the epistemic game, search for
 an enforceable payoff, and verify exported strategy profiles.
 
+`build` constructs the full epistemic game and `solve` the dominance-pruned
+one, which it re-verifies its profile on.  `verify` builds no game: it reads
+the profile on an `EpistemicView`, which makes only what the rows and checks
+reach, and `--state-cap` bounds the Eve states it interns.  A `--predicate`
+is checked against the game's players before any of that work.
+
 Reports are deterministic for a given configuration: anything that varies
 between runs (timings) goes to the logging channel only, controlled by the
 EQUISYNTH_LOG environment variable.
@@ -22,6 +28,7 @@ from typing import Optional
 from .dot import export_dot
 from .epistemic import (
     STATE_CAP,
+    EpistemicView,
     build_reachable,
     check_distance_characterization,
     check_knowledge_invariant,
@@ -87,9 +94,19 @@ def _parse(args):
     return game, parse_comm_graph(args.comm, game.players)
 
 
+def _parse_with_query(args):
+    """Parse the predicate (syntax errors first), the game and the graph,
+    and check every atom of the predicate against the game's players."""
+    query = parse_query(args.predicate) if args.predicate is not None else None
+    game, graph = _parse(args)
+    if query is not None:
+        query.check_arity(len(game.players))
+    return query, game, graph
+
+
 def _build(args, game, graph, pruned: bool = False):
     """Build the epistemic game: the dominance-pruned one for `solve`, the
-    full one for `build` and `verify`."""
+    full one for `build`."""
     t0 = time.perf_counter()
     eg = build_reachable(game, graph, state_cap=args.state_cap, pruned=pruned)
     log.info(
@@ -222,8 +239,7 @@ def _verify_strategy(game, graph, eg, strategy) -> tuple[dict, list[str]]:
 
 
 def cmd_solve(args) -> int:
-    query = parse_query(args.predicate) if args.predicate is not None else None
-    game, graph = _parse(args)
+    query, game, graph = _parse_with_query(args)
     main_inf = _main_inf(args, game)
     report = {
         "command": "solve",
@@ -282,9 +298,25 @@ def _emit_solve(args, report: dict) -> None:
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _verify_profile(game, graph, data, state_cap: int = STATE_CAP):
+    """Read a profile on an `EpistemicView` of the game and re-check it;
+    returns (strategy, check report, failures)."""
+    t0 = time.perf_counter()
+    eg = EpistemicView(game, graph, state_cap)
+    strategy = EveStrategy.from_dict(eg, data)
+    checks, failures = _verify_strategy(game, graph, eg, strategy)
+    log.info(
+        "verified on %d protagonist / %d antagonist states of the epistemic game in %.3fs",
+        len(eg.eve_states), len(eg.adam_succ), time.perf_counter() - t0,
+    )
+    return strategy, checks, failures
+
+
 def cmd_verify(args) -> int:
-    query = parse_query(args.predicate) if args.predicate is not None else None
-    game, graph = _parse(args)
+    """Re-verify a report's or a bare profile's strategy: read every row,
+    reached or not, on an `EpistemicView`, then run the three checks and the
+    --predicate and --main-inf ones.  Input errors come first."""
+    query, game, graph = _parse_with_query(args)
     main_inf = _main_inf(args, game)
     try:
         data = json.loads(Path(args.profile).read_text())
@@ -292,9 +324,7 @@ def cmd_verify(args) -> int:
         raise InvalidInput(f"cannot read profile file {args.profile}: {exc}") from exc
     if isinstance(data, dict) and "profile" in data:
         data = data["profile"]
-    eg = _build(args, game, graph)
-    strategy = EveStrategy.from_dict(eg, data)
-    checks, failures = _verify_strategy(game, graph, eg, strategy)
+    strategy, checks, failures = _verify_profile(game, graph, data, args.state_cap)
     if query is not None and not query.matches(strategy.payoff):
         failures.append(
             f"profile payoff ({','.join(str(q) for q in strategy.payoff)}) "

@@ -63,12 +63,19 @@ choice, only the ⊆-minimal reach masks therefore keeps every win region,
 verdict and lasso, and every strategy of the pruned game is one of the full
 game.  The Adam nodes a strategy picks have the same successors in both
 builds.
+
+`verify` builds neither: a finite-memory strategy is checked on its product
+with the epistemic game, and only the reachable part of that product
+matters.  `EpistemicView` makes only the states and Adam nodes that profile
+rows and checks name (on-the-fly exploration, as in explicit-state model
+checkers), and `Encoding.key_of_text` checks a row's key without a build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional, Protocol
 
 from .errors import InvalidInput, StateCapExceeded
 from .game import CommGraph, ConcurrentGame, Move
@@ -218,6 +225,14 @@ class Encoding:
         # Set by `build_reachable`: one encoding serves one build.
         self.pruned = False
         self._options: dict[tuple[int, int, int], dict[Move, SuspectOptions]] = {}
+        self._by_radius: Optional[list[tuple[tuple[str, tuple[int, int]], ...]]] = None
+
+    def grow(self, mask: int) -> int:
+        """The informed mask `mask` after one communication step."""
+        grown = mask
+        for b in _bits(mask):
+            grown |= self.observers[b]
+        return grown
 
     def moves(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
         """Each allowed joint move at vertex `v`, in canonical order, mapped to
@@ -270,6 +285,59 @@ class Encoding:
             Situation(players[d], tuple(players[b] for b in _bits(m))) for d, m in pairs
         ))
 
+    def key_of_text(self, text: str) -> Optional[StateKey]:
+        """The key whose `state_key` is `text`, if a reachable state can have
+        it, else None: the game's vertex and suspects in canonical order, and
+        informed masks that pass the distance characterization (every
+        hypothesis began at the same step, so the masks are balls of one
+        common radius around their suspects).  Names may contain separators:
+        whole situation texts are matched, with backtracking."""
+        for v, name in enumerate(self.game.vertices):
+            if not text.startswith(name + "|"):
+                continue
+            rest = text[len(name) + 1:]
+            if rest == "-":
+                return v, ()
+            for situations in self._situations_by_radius():
+                pairs = _match_situations(rest, situations, 0)
+                if pairs is not None:
+                    return v, pairs
+        return None
+
+    def _situations_by_radius(self) -> list[tuple[tuple[str, tuple[int, int]], ...]]:
+        """Per radius r from 1 until the balls stop growing, per player d:
+        the text of d's situation informed of the ball of radius r (what r
+        steps of `expand` make of a fresh hypothesis) and its (d, mask)."""
+        if self._by_radius is None:
+            players = self.game.players
+            masks = tuple(1 << d for d in range(len(players)))
+            self._by_radius = []
+            while True:
+                grown = tuple(map(self.grow, masks))
+                if self._by_radius and grown == masks:
+                    break
+                masks = grown
+                self._by_radius.append(tuple(
+                    (f"{players[d]}:{','.join(players[b] for b in _bits(m))}", (d, m))
+                    for d, m in enumerate(masks)
+                ))
+        return self._by_radius
+
+
+def _match_situations(text: str, situations, first: int):
+    """The (deviator, mask) pairs of `situations`, deviators from `first`
+    on in increasing order, whose texts joined by ';' are `text`; None if
+    there are none."""
+    for d in range(first, len(situations)):
+        own, pair = situations[d]
+        if text == own:
+            return (pair,)
+        if text.startswith(own + ";"):
+            tail = _match_situations(text[len(own) + 1:], situations, d + 1)
+            if tail is not None:
+                return (pair, *tail)
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Successors.
@@ -280,13 +348,8 @@ def expand(enc: Encoding, key: StateKey) -> list[tuple[int, int]]:
     its informed mask grown by one communication step.  At a non-deviated
     state every player is a fresh hypothesis informed only of itself, so one
     step informs exactly its direct observers."""
-    out = []
-    for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))]:
-        grown = m
-        for b in _bits(m):
-            grown |= enc.observers[b]
-        out.append((d, grown))
-    return out
+    return [(d, enc.grow(m))
+            for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))]]
 
 
 def action_reach(enc: Encoding, key: StateKey, action: EveAction):
@@ -425,7 +488,7 @@ def _distinct_actions(enc: Encoding, key: StateKey):
 # ---------------------------------------------------------------------------
 # Reachable epistemic game.
 
-# Default cap on the Eve states of one build (`--state-cap`).
+# Default cap on the Eve states of one build or `EpistemicView` (`--state-cap`).
 STATE_CAP = 1_000_000
 
 
@@ -450,6 +513,10 @@ class EpistemicGame:
 
     def deviated_ids(self) -> list[int]:
         return [i for i, s in enumerate(self.eve_states) if s.deviated]
+
+    def eve_for_key(self, text: str) -> Optional[int]:
+        """The Eve id of the state whose `state_key` is `text`, or None."""
+        return self._key_index.get(self._encoding.key_of_text(text))
 
     def adam_for_action(self, eve_id: int, action: EveAction) -> int:
         """Resolve any enabled action to the Adam node of `eve_id` with the
@@ -508,7 +575,8 @@ def build_reachable(
     `pruned` builds the dominance-pruned game `solve` uses (see the module
     docstring for why it is exact); states reached only through dropped
     actions are never built.  The full game is the paper's construction,
-    which `build` reports and `verify` checks profiles on.
+    which `build` reports; `verify` reads only its part a profile reaches
+    (`EpistemicView`).
     """
     if tuple(graph.players) != tuple(game.players):
         raise InvalidInput("comm graph players must match game players")
@@ -559,6 +627,86 @@ def build_reachable(
         _keys=keys,
         _key_index=key_index,
     )
+
+
+# ---------------------------------------------------------------------------
+# The epistemic game on demand.
+
+
+class Arena(Protocol):
+    """What strategies, profile rows and checks read of an epistemic game;
+    `EpistemicGame` and `EpistemicView` both provide it."""
+
+    game: ConcurrentGame
+    graph: CommGraph
+    init: int
+    eve_states: list[EveState]
+    adam_action: list[EveAction]
+    adam_succ: list[tuple[int, ...]]
+
+    def eve_for_key(self, text: str) -> Optional[int]: ...
+
+    def adam_for_action(self, eve_id: int, action: EveAction) -> int: ...
+
+
+class EpistemicView:
+    """The part of the full epistemic game that is read, made as it is read.
+
+    An Eve state is interned when a profile row names its key
+    (`eve_for_key`) or an action resolved to an Adam node
+    (`adam_for_action`) leads to it; no state is expanded.  Ids follow that
+    order, not a full build's, but each key has one Eve id, each successor
+    tuple of a state one Adam id (keeping the first action resolved to it),
+    and every successor tuple is the full game's.  `state_cap` bounds the
+    Eve states interned."""
+
+    def __init__(self, game: ConcurrentGame, graph: CommGraph, state_cap: int = STATE_CAP):
+        if tuple(graph.players) != tuple(game.players):
+            raise InvalidInput("comm graph players must match game players")
+        self.game = game
+        self.graph = graph
+        self.eve_states: list[EveState] = []
+        self.adam_action: list[EveAction] = []
+        self.adam_succ: list[tuple[int, ...]] = []
+        self._encoding = Encoding(game, graph)
+        self._state_cap = state_cap
+        self._keys: list[StateKey] = []
+        self._key_index: dict[StateKey, int] = {}
+        self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.init = self._intern((game.vertex_index[game.init_vertex], ()))
+
+    def _intern(self, key: StateKey) -> int:
+        i = self._key_index.get(key)
+        if i is None:
+            if len(self._keys) >= self._state_cap:
+                raise StateCapExceeded(
+                    f"on-demand epistemic game exceeded {self._state_cap} Eve states: "
+                    f"{len(self._keys)} states interned, {len(self.adam_succ)} Adam "
+                    "nodes made"
+                )
+            i = self._key_index[key] = len(self._keys)
+            self._keys.append(key)
+            self.eve_states.append(self._encoding.state(key))
+        return i
+
+    def eve_for_key(self, text: str) -> Optional[int]:
+        """The Eve id of the state whose `state_key` is `text`, interned on
+        first use, or None if no reachable state can have that key."""
+        key = self._encoding.key_of_text(text)
+        return None if key is None else self._intern(key)
+
+    def adam_for_action(self, eve_id: int, action: EveAction) -> int:
+        """The Adam node an enabled action of `eve_id` leads to, made on
+        first use.  An action that is not enabled there raises InvalidInput
+        (see `action_reach`)."""
+        enc, key = self._encoding, self._keys[eve_id]
+        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), self._intern)
+        aid = self._adam_index.get((eve_id, sig))
+        if aid is None:
+            aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
+            self.adam_action.append(action)
+            self.adam_succ.append(sig)
+        return aid
 
 
 # ---------------------------------------------------------------------------

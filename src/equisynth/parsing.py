@@ -170,9 +170,12 @@ class Comparison:
         ">": lambda x, y: x > y,
     }
 
-    def holds(self, vector: tuple[Fraction, ...]) -> bool:
-        if self.index >= len(vector):
+    def check_arity(self, players: int) -> None:
+        if self.index >= players:
             raise InvalidInput(f"predicate index p[{self.index}] out of range")
+
+    def holds(self, vector: tuple[Fraction, ...]) -> bool:
+        self.check_arity(len(vector))
         return self._OPS[self.op](vector[self.index], self.bound)
 
 
@@ -180,9 +183,12 @@ class Comparison:
 class VectorEquality:
     vector: tuple[Fraction, ...]
 
-    def holds(self, vector: tuple[Fraction, ...]) -> bool:
-        if len(vector) != len(self.vector):
+    def check_arity(self, players: int) -> None:
+        if players != len(self.vector):
             raise InvalidInput("predicate vector arity mismatch")
+
+    def holds(self, vector: tuple[Fraction, ...]) -> bool:
+        self.check_arity(len(vector))
         return vector == self.vector
 
 
@@ -194,6 +200,20 @@ class WinningQuery:
 
     def matches(self, vector: tuple[Fraction, ...]) -> bool:
         return self.root.holds(tuple(vector))
+
+    def check_arity(self, players: int) -> None:
+        """Raise InvalidInput unless every atom, left to right, fits payoff
+        vectors of `players` components.  `matches` checks only the atoms
+        that `&` and `|` do not cut short."""
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, Not):
+                nodes.append(node.operand)
+            elif isinstance(node, (And, Or)):
+                nodes += (node.right, node.left)
+            else:
+                node.check_arity(players)
 
 
 def parse_rational(token: str) -> Fraction:

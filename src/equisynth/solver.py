@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .epistemic import EpistemicGame, EveAction, state_key
+from .epistemic import Arena, EpistemicGame, EveAction, state_key
 from .errors import (
     InvalidInput,
     LarCapExceeded,
@@ -397,9 +397,11 @@ class EveStrategy:
     """Finite-memory protagonist strategy: follow the complying lasso, and on
     any visible deviation switch to the punished layer's table.  The memory
     is the lasso position at states without suspects, the tree leaf of the
-    state's layer elsewhere.  Every layer of the game has a table."""
+    state's layer elsewhere.  A solved strategy has a table for every layer
+    of the game, a read one for every layer its rows name; a layer without
+    a table has no entries."""
 
-    eg: EpistemicGame
+    eg: Arena
     payoff: Vector
     prefix: tuple[tuple[int, int], ...]  # (eve id, adam id) along the stem
     cycle: tuple[tuple[int, int], ...]  # (eve id, adam id) around the loop
@@ -420,11 +422,13 @@ class EveStrategy:
             entry_eve, aid = self._comply_entry(mem)
             if entry_eve != eve_id:
                 raise StrategyUndefined(
-                    f"complying track expected state {entry_eve}, got {eve_id}"
+                    f"complying track expected state "
+                    f"{state_key(self.eg.eve_states[entry_eve])}, got {state_key(state)}"
                 )
             return aid
         dev = state.deviators()
-        aid = self.layers[dev].entries.get((eve_id, mem))
+        table = self.layers.get(dev)
+        aid = None if table is None else table.entries.get((eve_id, mem))
         if aid is None:
             raise StrategyUndefined(
                 f"punishment table for {dev} undefined at {state_key(state)} with leaf {mem}"
@@ -470,13 +474,14 @@ class EveStrategy:
 
     @staticmethod
     @rejects_malformed("profile")
-    def from_dict(eg: EpistemicGame, data: dict) -> "EveStrategy":
-        """Read a profile back.  Each row names its state by key, and a
-        punishment row belongs to the layer of its state's suspects.  Every
-        layer's color classes and tree are rebuilt from the game, the payoff
-        and the suspects.  A profile with a key the build lacks, a punishment
-        row at a state without suspects, a leaf outside its layer's tree, or
-        two rows for one state and leaf is rejected."""
+    def from_dict(eg: Arena, data: dict) -> "EveStrategy":
+        """Read a profile back on a built game or an `EpistemicView`.  Each
+        row names its state by key, and a punishment row belongs to the
+        layer of its state's suspects, whose color classes and tree are
+        rebuilt from the game, the payoff and the suspects.  A profile with
+        a key `eg` lacks (see `eve_for_key`), an action not enabled at its
+        state, a punishment row at a state without suspects, a leaf outside
+        its layer's tree, or two rows for one state and leaf is rejected."""
         if data.get("format") != PROFILE_FORMAT:
             raise InvalidInput(
                 f"unsupported profile format {data.get('format')!r}: expected "
@@ -505,13 +510,12 @@ class EveStrategy:
             except KeyError as exc:
                 raise InvalidInput(f"profile action misses suspect {exc}") from exc
 
-        eve_of_key = {state_key(s): e for e, s in enumerate(eg.eve_states)}
-
         def eve_of(row) -> int:
-            e = eve_of_key.get(row["key"])
+            key = row["key"]
+            e = eg.eve_for_key(key) if isinstance(key, str) else None
             if e is None:
                 raise InvalidInput(
-                    f"profile does not match the built game: it has no state {row['key']}")
+                    f"profile does not match the built game: it has no state {key}")
             return e
 
         def comply_of(rows):
@@ -531,17 +535,18 @@ class EveStrategy:
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
         colors = _game_color_classes(eg.game)
-        layers = {
-            dev: LayerTable(dev, *_layer_setup(eg.game, payoff, dev, colors), entries={})
-            for dev in _layer_groups(eg)
-        }
+        layers: dict[DevKey, LayerTable] = {}
         for row in data["punish"]:
             e = eve_of(row)
             state = eg.eve_states[e]
             if not state.deviated:
                 raise InvalidInput(
                     f"profile punishment row at {row['key']}, a state without suspects")
-            table = layers[state.deviators()]
+            dev = state.deviators()
+            table = layers.get(dev)
+            if table is None:
+                table = layers[dev] = LayerTable(
+                    dev, *_layer_setup(eg.game, payoff, dev, colors), entries={})
             leaf = row["leaf"]
             if isinstance(leaf, bool) or not isinstance(leaf, int):
                 raise InvalidInput(f"profile leaf {leaf!r} is not a JSON integer")
@@ -704,7 +709,7 @@ class ModelCheckReport:
     product_nodes: int
 
 
-def model_check_strategy(eg: EpistemicGame, policy, p: Vector) -> ModelCheckReport:
+def model_check_strategy(eg: Arena, policy, p: Vector) -> ModelCheckReport:
     """Drive `policy` against every antagonist choice and verify the payoff
     contract: complying outcome exactly p, every deviated recurring behavior
     at or below p for each surviving suspect.

@@ -1,10 +1,11 @@
 """Reference implementations the tests check the package against.
 
 Everything here is deliberately written the slow, obvious way.  Beyond
-public data types, only two helpers use package code: `successor_map` takes
-one step through the package's successor function, and
+public data types, only three helpers use package code: `successor_map` takes
+one step through the package's successor function,
 `literal_knowledge_violations` checks its literal recomputation with the
-package's knowledge characterization.  The one exception to "slow and
+package's knowledge characterization, and `full_build_verify` runs the
+package's checks on the full epistemic game.  The one exception to "slow and
 obvious" is `per_state_distinct_actions` with `per_move_table`: the build's
 earlier enumeration of Eve actions, kept unchanged so that a test can swap
 it into the package's `Encoding` and compare the games it builds.
@@ -29,9 +30,10 @@ from equisynth.epistemic import (
     state_key,
     successors,
 )
-from equisynth.errors import InvalidInput
+from equisynth.errors import CapExceeded, InvalidInput
 from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
 from equisynth.parity import ParityGame, solve_parity
+from equisynth.solver import EveStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -1058,3 +1060,37 @@ def complete_graph(players) -> CommGraph:
 
 def edgeless_graph(players) -> CommGraph:
     return CommGraph(tuple(players), frozenset())
+
+
+# ---------------------------------------------------------------------------
+# `verify` on the full epistemic game.
+
+
+def full_build_verify(eg, data):
+    """`verify` the way it ran before it made only what the checks reach:
+    read the profile `data` on the full game `eg` (`build_reachable`), then
+    run the three checks.  Returns (strategy, check report, failures), as
+    `cli._verify_profile` does."""
+    # Imported here: `conftest` wraps `build_reachable` after importing this
+    # module, and `cli` must bind the wrapped one.
+    from equisynth.cli import _verify_strategy
+
+    strategy = EveStrategy.from_dict(eg, data)
+    return (strategy, *_verify_strategy(eg.game, eg.graph, eg, strategy))
+
+
+def verify_outcome(verify, *args):
+    """(exit code, check report, failures) of `verify(*args)`, or (exit
+    code, exception type, message) when it raises: the exit code `cli.main`
+    gives, and everything the report or the error shows."""
+    from equisynth.cli import _CHECK_ERRORS
+
+    try:
+        _strategy, checks, failures = verify(*args)
+    except InvalidInput as exc:
+        return 2, type(exc), str(exc)
+    except CapExceeded as exc:
+        return 3, type(exc), str(exc)
+    except _CHECK_ERRORS as exc:
+        return 4, type(exc), str(exc)
+    return 4 if failures else 0, checks, failures

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report shapes, determinism."""
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ import sys
 import pytest
 
 from equisynth import asset_path
-from equisynth.cli import main
+from equisynth.cli import _verify_profile, main
+from equisynth.errors import InvalidInput
+
+from oracles import full_build_verify, verify_outcome
 
 GAME = str(asset_path("five_player_game.json"))
 G1 = str(asset_path("comm_g1.json"))
@@ -304,21 +308,18 @@ def test_verify_input_errors_come_before_the_build(capsys, report_path, tmp_path
     assert (code, "zz" in err) == (2, True), err
 
 
-def test_verify_garbage_profile(capsys, report_path, tmp_path):
-    junk = tmp_path / "junk.json"
-    junk.write_text('{"hello": 3}')
-    code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
-    assert code == 2
-    assert err.startswith("error:")
+def _edited(profile, change):
+    data = json.loads(json.dumps(profile))
+    change(data)
+    return data
 
-    profile = json.loads(report_path.read_text())["profile"]
 
-    def edited(change):
-        data = json.loads(json.dumps(profile))
-        change(data)
-        return data
-
-    garbage = {
+def garbage_profiles(profile) -> dict:
+    """Label -> a damaged copy of `profile` that does not have the shape of
+    a profile."""
+    edited = functools.partial(_edited, profile)
+    return {
+        "junk": {"hello": 3},
         "list": [profile],
         "no payoff": edited(lambda p: p.pop("payoff")),
         "text payoff": edited(lambda p: p.update(payoff=["x"] * 5)),
@@ -333,21 +334,23 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
         "float payoff": edited(lambda p: p.update(payoff=[float(x) for x in p["payoff"]])),
         "duplicate row": edited(lambda p: p["punish"].append(p["punish"][0])),
     }
-    for label, data in garbage.items():
-        junk.write_text(json.dumps(data))
-        code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
-        assert (code, err.startswith("error:")) == (2, True), (label, err)
 
-    # Rows the built game cannot place, and actions that are no enabled Eve
-    # action, each rejected with its reason.  The first row with suspects
-    # {2,3} is at v1p, where player 0 is informed of neither suspect.
+
+DISALLOWED = ["z", "a", "a", "a", "a"]
+
+
+def rejected_profiles(profile) -> dict:
+    """Label -> (a copy of `profile` with a row the game cannot place or an
+    action that is no enabled Eve action, the reason `verify` gives).  The
+    first row with suspects {2,3} is at v1p, where player 0 is informed of
+    neither suspect."""
+    edited = functools.partial(_edited, profile)
     pair = next(i for i, r in enumerate(profile["punish"]) if sorted(r["action"]) == ["2", "3"])
 
     def pair_action(change):
         return edited(lambda p: change(p["punish"][pair]["action"]))
 
-    disallowed = ["z", "a", "a", "a", "a"]
-    rejected = {
+    return {
         "unknown key": (
             edited(lambda p: p["punish"][0].update(key="v9|-")),
             "profile does not match the built game"),
@@ -362,10 +365,10 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
             edited(lambda p: p["comply"]["cycle"][0].update(action={"2": ["a"] * 5})),
             "profile action at v0|- must be a JSON list of action names"),
         "disallowed complying move": (
-            edited(lambda p: p["comply"]["cycle"][0].update(action=disallowed)),
+            edited(lambda p: p["comply"]["cycle"][0].update(action=DISALLOWED)),
             "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v0'"),
         "disallowed punishment move": (
-            pair_action(lambda a: a.update({"2": disallowed})),
+            pair_action(lambda a: a.update({"2": DISALLOWED})),
             "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v1p'"),
         "uninformed component differs": (
             pair_action(lambda a: a["3"].__setitem__(0, "b" if a["3"][0] == "a" else "a")),
@@ -378,10 +381,109 @@ def test_verify_garbage_profile(capsys, report_path, tmp_path):
             pair_action(lambda a: a.update({"0": ["z"]})),
             "profile action at v1p|2:2;3:3,4 names non-suspects ['0']"),
     }
-    for label, (data, message) in rejected.items():
+
+
+def test_verify_garbage_profile(capsys, report_path, tmp_path):
+    junk = tmp_path / "junk.json"
+    profile = json.loads(report_path.read_text())["profile"]
+    for label, data in garbage_profiles(profile).items():
+        junk.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
+        assert (code, err.startswith("error:")) == (2, True), (label, err)
+
+    # Rows the built game cannot place, and actions that are no enabled Eve
+    # action, each rejected with its reason.
+    for label, (data, message) in rejected_profiles(profile).items():
         junk.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(junk))
         assert (code, err.startswith("error:"), message in err) == (2, True, True), (label, err)
+
+
+def test_on_demand_verify_matches_full_build_on_damaged_profiles(
+        eg1, eg3, report_path, main_inf_report):
+    # Every damaged profile of this module gives the full-build verify's
+    # checks, failures, exit code and error.
+    profile = json.loads(report_path.read_text())["profile"]
+    every_a = _edited(profile, lambda p: [
+        row.update(action={d: ["a"] * 5 for d in row["action"]}) for row in p["punish"]])
+    cases = [(eg1, data) for data in garbage_profiles(profile).values()]
+    cases += [(eg1, data) for data, _message in rejected_profiles(profile).values()]
+    cases += [(eg1, every_a), (eg3, profile)]
+    other = main_inf_report["profile"]
+    cases += [(eg1, _edited(other, lambda p: p["punish"][0].update(leaf=leaf)))
+              for leaf in (1, -1)]
+    cases += [(eg1, _edited(other, lambda p: p.update(format=f"equisynth-profile-v{v}")))
+              for v in (1, 2, 3)]
+    codes = set()
+    for eg, data in cases:
+        want = verify_outcome(full_build_verify, eg, data)
+        assert verify_outcome(_verify_profile, eg.game, eg.graph, data) == want, want
+        codes.add(want[0])
+    assert codes == {2, 4}
+
+
+# A key the distance characterization allows under g1 (suspect 3 informed
+# itself and its observer 4, one step after its deviation) that the full g1
+# game never reaches.
+UNREACHED = "v1p|3:3,4"
+
+
+def test_verify_accepts_unreached_valid_row(capsys, tmp_path, report_path, eg1):
+    # `verify` checks a row no play reaches without building the game: its
+    # key parses and passes the distance characterization, and its action is
+    # enabled.  The full-build verify rejected such a row.
+    assert eg1.eve_for_key(UNREACHED) is None
+    report = json.loads(report_path.read_text())
+    row = {"key": UNREACHED, "leaf": 0, "action": {"3": ["a"] * 5}}
+    report["profile"]["punish"].append(row)
+    assert verify_outcome(full_build_verify, eg1, report["profile"])[:2] == (2, InvalidInput)
+    path = tmp_path / "extra_row.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))
+    assert (code, "status: pass" in out) == (0, True)
+
+    # The same key with a disallowed move, and keys whose informed masks are
+    # no balls of one common radius, are rejected as before.
+    row["action"] = {"3": DISALLOWED}
+    path.write_text(json.dumps(report))
+    code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))
+    assert (code, "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v1p'" in err) == (2, True)
+    for key in ("v1p|3:0,3", "v1p|3:3,4;4:0,1,4", "v1p|4:0,4;3:3,4", "v1p|3:4,3"):
+        row.update(key=key, action={d: ["a"] * 5 for d in ("3", "4") if d + ":" in key})
+        path.write_text(json.dumps(report))
+        code, _, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))
+        assert (code, err) == (2, "error: profile does not match the built game: "
+                                   f"it has no state {key}\n"), key
+
+
+def test_verify_state_cap(capsys, report_path):
+    code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1,
+                         "--state-cap", "5", str(report_path))
+    assert (code, out) == (3, "")
+    # The message names the stage and how far it got.
+    assert err == ("resource cap: on-demand epistemic game exceeded 5 Eve states: "
+                   "5 states interned, 3 Adam nodes made\n")
+
+
+def test_predicate_arity_is_checked_before_any_work(capsys, report_path, monkeypatch):
+    # Evaluation reads only the atoms that `&` and `|` do not cut short, so
+    # each atom is checked against the game's players first.
+    def no_game(*_args, **_kwargs):
+        raise AssertionError("an epistemic game was made before the predicate was checked")
+
+    monkeypatch.setattr("equisynth.cli.build_reachable", no_game)
+    monkeypatch.setattr("equisynth.cli.EpistemicView", no_game)
+    index = "error: predicate index p[9] out of range\n"
+    for command, options, message in [
+        ("solve", ["--predicate", "p[2]>=0 | p[9]=1"], index),
+        ("verify", ["--predicate", "p[2]>=0 | p[9]=1"], index),
+        ("solve", ["--predicate", "p[0]>=1 & p[9]=1"], index),
+        ("verify", ["--state-cap", "1", "--predicate", "p[9]=1"], index),
+        ("solve", ["--predicate", "p[2]>=0 | p=(0,0,1)"], "error: predicate vector arity mismatch\n"),
+    ]:
+        extra = [str(report_path)] if command == "verify" else []
+        code, out, err = run(capsys, command, "--game", GAME, "--comm", G1, *options, *extra)
+        assert (code, out, err) == (2, "", message), (command, options)
 
 
 def test_solve_product_cap(capsys):

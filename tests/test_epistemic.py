@@ -489,3 +489,37 @@ def test_build_matches_reference(game5, g1, g2, g3):
         assert nodes == ref.adam_nodes  # origin, action, succ, comply
         assert sig_index == [list(d.items()) for d in ref.sig_index]
     assert compared >= 100
+
+
+def test_every_reachable_key_reads_back(eg1, eg2, eg3, random_instances):
+    # Every reachable state passes the distance characterization, so a
+    # profile row can name each state a full build has.
+    for eg in [eg1, eg2, eg3] + [eg for _, _, eg in random_instances]:
+        assert [eg._encoding.key_of_text(state_key(s)) for s in eg.eve_states] == eg._keys
+
+
+def test_keys_read_back_with_separators_in_names():
+    # Names may contain '|', ';', ':' and ',', the separators of a key.
+    players = ["0", "0;1", "1,", "1:0"]
+    game = game_from_dict(
+        {
+            "players": players,
+            "actions": ["a", "b"],
+            "vertices": ["s|t", "t"],
+            "init": "s|t",
+            "transitions": {
+                "s|t": [{"pattern": {a: "a" for a in players}, "to": "s|t"},
+                        {"pattern": "*", "to": "t"}],
+                "t": [{"pattern": {"0;1": "b"}, "to": "t"}, {"pattern": "*", "to": "s|t"}],
+            },
+            "payoff": {"rules": [], "default": [0] * 4},
+        }
+    )
+    graph = CommGraph(tuple(players), frozenset({("0", "0;1"), ("0;1", "1,"), ("1:0", "0")}))
+    eg = build_reachable(game, graph)
+    assert any(len(s.situations) > 1 for s in eg.eve_states)
+    assert [eg.eve_for_key(state_key(s)) for s in eg.eve_states] == list(range(eg.eve_count()))
+    view = epistemic.EpistemicView(game, graph)
+    for state in eg.eve_states:
+        assert view.eve_states[view.eve_for_key(state_key(state))] == state
+    assert view.eve_for_key("s|t|0:0") is None
