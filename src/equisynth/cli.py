@@ -313,8 +313,9 @@ def _verify_profile(game, graph, data, state_cap: int = STATE_CAP):
 
 
 def cmd_verify(args) -> int:
-    """Re-verify a report's or a bare profile's strategy: read every row,
-    reached or not, on an `EpistemicView`, then run the three checks and the
+    """Re-verify a report's or a bare profile's strategy: read every row (a
+    `solve` profile holds the punishment rows its play reaches, but any row
+    is checked) on an `EpistemicView`, then run the three checks and the
     --predicate and --main-inf ones.  Input errors come first."""
     query, game, graph = _parse_with_query(args)
     main_inf = _main_inf(args, game)

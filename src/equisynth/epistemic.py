@@ -73,7 +73,7 @@ checkers), and `Encoding.key_of_text` checks a row's key without a build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Protocol
 
@@ -100,13 +100,18 @@ class Situation:
 class EveState:
     vertex: str
     situations: tuple[Situation, ...]
+    # The suspects in situation order, made once: every strategy step reads them.
+    _deviators: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_deviators", tuple(s.deviator for s in self.situations))
 
     @property
     def deviated(self) -> bool:
         return bool(self.situations)
 
     def deviators(self) -> tuple[str, ...]:
-        return tuple(s.deviator for s in self.situations)
+        return self._deviators
 
     def informed(self, deviator: str) -> tuple[str, ...]:
         for s in self.situations:

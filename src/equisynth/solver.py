@@ -61,8 +61,9 @@ Emerson-Lei emptiness checks).
 """
 from __future__ import annotations
 
+import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -85,6 +86,8 @@ DevKey = tuple[str, ...]
 LAR_CAP = 500_000
 # Node cap of the searches that re-verify a strategy (exit 3 above it).
 VERIFY_NODE_CAP = 1_000_000
+
+log = logging.getLogger(__name__)
 
 
 def candidate_payoffs(game: ConcurrentGame, query=None) -> list[Vector]:
@@ -398,8 +401,9 @@ class EveStrategy:
     any visible deviation switch to the punished layer's table.  The memory
     is the lasso position at states without suspects, the tree leaf of the
     state's layer elsewhere.  A solved strategy has a table for every layer
-    of the game, a read one for every layer its rows name; a layer without
-    a table has no entries."""
+    its play reaches, holding the entries it reaches (`_reached`); a read
+    one has a table for every layer its rows name.  A layer without a table
+    has no entries."""
 
     eg: Arena
     payoff: Vector
@@ -593,9 +597,9 @@ def solve(
         if result is not None:
             prefix, cycle = result
             states = eg.eve_states
-            strategy = EveStrategy(
+            strategy = _reached(EveStrategy(
                 eg=eg, payoff=p, prefix=prefix, cycle=cycle, layers=punish.layers
-            )
+            ))
             return SolveResult(
                 payoff=p,
                 strategy=strategy,
@@ -604,6 +608,24 @@ def solve(
                 candidates_tried=tried,
             )
     return None
+
+
+def _reached(strategy: EveStrategy) -> EveStrategy:
+    """`strategy` with only the punishment entries met on its product with
+    the game (`_product`, the walk `model_check_strategy` checks).  Every
+    check, and `omega`'s machines, read a strategy only at nodes of that
+    product.  A node where the strategy is undefined is kept as it is, for
+    the checks to report."""
+    seen = set(_product(strategy.eg, strategy, partial=True)[0])
+    layers = {}
+    for dev, table in strategy.layers.items():
+        entries = {key: aid for key, aid in table.entries.items() if key in seen}
+        if entries:
+            layers[dev] = replace(table, entries=entries)
+    log.info("profile keeps %d of %d punishment table entries as rows",
+             sum(len(t.entries) for t in layers.values()),
+             sum(len(t.entries) for t in strategy.layers.values()))
+    return replace(strategy, layers=layers)
 
 
 def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
@@ -709,19 +731,14 @@ class ModelCheckReport:
     product_nodes: int
 
 
-def model_check_strategy(eg: Arena, policy, p: Vector) -> ModelCheckReport:
-    """Drive `policy` against every antagonist choice and verify the payoff
-    contract: complying outcome exactly p, every deviated recurring behavior
-    at or below p for each surviving suspect.
-
-    `policy` follows the protocol of the module docstring: `initial()`,
-    `action(eve_id, mem)` returning an Adam id, and
-    `advance(mem, eve_id, next_eve_id)`."""
-    states = eg.eve_states
+def _product(eg: Arena, policy, partial: bool = False) -> tuple[list, list[list[int]]]:
+    """The nodes `(eve id, memory)` of `policy`'s product with the game,
+    walked breadth-first from the initial state through every Adam
+    successor, and each node's successor indices.  Under `partial` a node
+    where `policy` is undefined gets no successors instead of raising."""
     index: dict = {}
     nodes: list = []
     succ: list[list[int]] = []
-    comply: list[Optional[int]] = []  # node -> its one non-deviated successor node
 
     def intern(eve_id: int, mem) -> int:
         key = (eve_id, mem)
@@ -736,28 +753,44 @@ def model_check_strategy(eg: Arena, policy, p: Vector) -> ModelCheckReport:
             index[key] = i
             nodes.append(key)
             succ.append([])
-            comply.append(None)
         return i
 
     nid = 0
-    root = intern(eg.init, policy.initial())
+    intern(eg.init, policy.initial())
     while nid < len(nodes):  # the product grows while it is read
         eve_id, mem = nodes[nid]
-        for sid in eg.adam_succ[policy.action(eve_id, mem)]:
-            child = intern(sid, policy.advance(mem, eve_id, sid))
-            succ[nid].append(child)
-            if not states[sid].deviated:
-                comply[nid] = child
+        try:
+            sids = eg.adam_succ[policy.action(eve_id, mem)]
+        except StrategyUndefined:
+            if not partial:
+                raise
+            sids = ()
+        for sid in sids:
+            succ[nid].append(intern(sid, policy.advance(mem, eve_id, sid)))
         nid += 1
+    return nodes, succ
+
+
+def model_check_strategy(eg: Arena, policy, p: Vector) -> ModelCheckReport:
+    """Drive `policy` against every antagonist choice and verify the payoff
+    contract: complying outcome exactly p, every deviated recurring behavior
+    at or below p for each surviving suspect.
+
+    `policy` follows the protocol of the module docstring: `initial()`,
+    `action(eve_id, mem)` returning an Adam id, and
+    `advance(mem, eve_id, next_eve_id)`."""
+    states = eg.eve_states
+    nodes, succ = _product(eg, policy)
 
     violations: list[str] = []
 
     # The unique complying outcome.
     pos: dict[int, int] = {}  # node -> position on the walk
-    cur = root
+    cur = 0  # the initial node
     while cur not in pos:
         pos[cur] = len(pos)
-        cur = comply[cur]
+        # The one successor without suspects, if any.
+        cur = next((c for c in succ[cur] if not states[nodes[c][0]].deviated), None)
         if cur is None:
             raise StrategyUndefined("complying outcome left the complying region")
     comply_cycle = tuple(states[nodes[i][0]].vertex for i in list(pos)[pos[cur]:])

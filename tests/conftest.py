@@ -8,6 +8,7 @@ knowledge update rules of `oracles.literal_knowledge_violations`.  The walk
 reads the action of every deviated Adam node."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import sys
@@ -30,6 +31,7 @@ from equisynth.game import (
     PayoffSpec,
 )
 from equisynth.parsing import parse_comm_graph, parse_game
+from equisynth.solver import EveStrategy, SolveResult, punishment_region
 
 from oracles import literal_knowledge_violations
 
@@ -143,6 +145,25 @@ def random_game(rng: random.Random) -> ConcurrentGame:
     )
     game.validate()
     return game
+
+
+def complete_strategy(eg, result: SolveResult) -> EveStrategy:
+    """The strategy of `result`, a `solver.solve` result on `eg`, with the
+    whole punishment tables of its payoff instead of only the entries its
+    play reaches."""
+    layers = punishment_region(eg, result.payoff).layers
+    return dataclasses.replace(result.strategy, layers=layers)
+
+
+def tamper_punishment(profile: dict) -> dict:
+    """`profile` with every punishment row playing the complying move, so a
+    suspect that keeps deviating into v1p of the bundled game is never
+    punished.  Which rows a play reaches depends on the solver's choice
+    among winning moves; editing every row of a complete table does not."""
+    assert profile["punish"]
+    for row in profile["punish"]:
+        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
+    return profile
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report shapes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -12,13 +13,18 @@ import pytest
 from equisynth import asset_path
 from equisynth.cli import _verify_profile, main
 from equisynth.errors import InvalidInput
+from equisynth.parsing import parse_query
+from equisynth.solver import punishment_region, solve
 
+from conftest import complete_strategy, tamper_punishment
 from oracles import full_build_verify, verify_outcome
 
 GAME = str(asset_path("five_player_game.json"))
 G1 = str(asset_path("comm_g1.json"))
 G2 = str(asset_path("comm_g2.json"))
 G3 = str(asset_path("comm_g3.json"))
+# The query of the `report_path` fixture's solve.
+REPORT_PREDICATE = "p[2]=1 & p[3]=1 & p[4]=1"
 
 
 def run(capsys, *argv):
@@ -164,7 +170,7 @@ def ring_files(tmp_path) -> tuple[str, str]:
 def test_solve_found(capsys, tmp_path):
     ring_game, ring_comm = ring_files(tmp_path)
     cases = [
-        (("--game", GAME, "--comm", G1, "--predicate", "p[2]=1 & p[3]=1 & p[4]=1"),
+        (("--game", GAME, "--comm", G1, "--predicate", REPORT_PREDICATE),
          "(0,0,1,1,1)", "(v0 v1)^w"),
         (("--game", ring_game, "--comm", ring_comm),
          "(1,1)", "(" + " ".join(RING) + ")^w"),
@@ -235,7 +241,7 @@ def report_path(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run(
         capsys, "solve", "--game", GAME, "--comm", G1,
-        "--predicate", "p[2]=1 & p[3]=1 & p[4]=1",
+        "--predicate", REPORT_PREDICATE,
         "--format", "json", "--out", str(path),
     )
     assert code == 0
@@ -257,14 +263,13 @@ def test_verify_bare_profile(capsys, report_path, tmp_path):
     assert "status: pass" in out
 
 
-def test_verify_tampered_profile(capsys, report_path, tmp_path):
-    # Every punishment row plays the complying move, so a suspect that keeps
-    # deviating into v1p is never punished.  Which rows a play reaches depends
-    # on the solver's choice among winning moves; editing all of them does not.
+def test_verify_tampered_profile(capsys, report_path, tmp_path, eg1):
+    # The report's profile holds only the rows its play reaches, so the
+    # tampered profile is the complete punishment tables of the solve's
+    # payoff with every row playing the complying move.
     data = json.loads(report_path.read_text())
-    assert data["profile"]["punish"]
-    for row in data["profile"]["punish"]:
-        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
+    result = solve(eg1, query=parse_query(REPORT_PREDICATE))
+    data["profile"] = tamper_punishment(complete_strategy(eg1, result).to_dict())
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(bad))
@@ -272,6 +277,37 @@ def test_verify_tampered_profile(capsys, report_path, tmp_path):
     assert "status: fail" in out
     assert "suspects {2,3,4}" in out
     assert "Traceback" not in err
+
+
+def test_verify_tampered_written_rows(capsys, report_path, tmp_path):
+    # Tampering the rows the report holds sends the play to a row it does
+    # not hold: the checks fail there and name the state and leaf.
+    data = json.loads(report_path.read_text())
+    tamper_punishment(data["profile"])
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(bad))
+    assert (code, "status: fail" in out, "Traceback" in err) == (4, True, False)
+    assert ("payoff contract: punishment table for ('2', '3', '4') undefined at "
+            "v1|2:2;3:0,1,3,4;4:0,1,4 with leaf 0") in out
+
+
+def test_solve_reports_a_strategy_undefined_on_its_play(capsys, monkeypatch):
+    # A solver defect that leaves the found strategy undefined where its play
+    # goes is a failed check in the written report (exit 4), not a crash.
+    def emptied(*args, **kwargs):
+        punish = punishment_region(*args, **kwargs)
+        layers = {d: dataclasses.replace(t, entries={}) for d, t in punish.layers.items()}
+        return dataclasses.replace(punish, layers=layers)
+
+    monkeypatch.setattr("equisynth.solver.punishment_region", emptied)
+    code, out, err = run(capsys, "solve", "--game", GAME, "--comm", G1,
+                         "--predicate", REPORT_PREDICATE, "--format", "json")
+    report = json.loads(out)
+    assert (code, report["status"], report["checks"]["payoff_contract"]) == (4, "found", False)
+    assert report["profile"]["punish"] == []
+    assert any(f.startswith("payoff contract: punishment table for") and "undefined at" in f
+               for f in report["check_failures"]), report["check_failures"]
 
 
 def test_verify_against_wrong_game(capsys, report_path):
@@ -339,13 +375,22 @@ def garbage_profiles(profile) -> dict:
 DISALLOWED = ["z", "a", "a", "a", "a"]
 
 
+def _leaves_0_uninformed(key: str) -> bool:
+    """Whether the state of `key` has suspects 2 and 3 and player 0 is
+    informed of neither."""
+    informed = dict(part.split(":") for part in key.split("|")[1].split(";"))
+    return all(d in informed and "0" not in informed[d].split(",") for d in "23")
+
+
 def rejected_profiles(profile) -> dict:
     """Label -> (a copy of `profile` with a row the game cannot place or an
     action that is no enabled Eve action, the reason `verify` gives).  The
-    first row with suspects {2,3} is at v1p, where player 0 is informed of
-    neither suspect."""
+    edited punishment row is the first one with suspects 2 and 3 that
+    leaves player 0 uninformed of both."""
     edited = functools.partial(_edited, profile)
-    pair = next(i for i, r in enumerate(profile["punish"]) if sorted(r["action"]) == ["2", "3"])
+    pair = next(i for i, r in enumerate(profile["punish"]) if _leaves_0_uninformed(r["key"]))
+    key = profile["punish"][pair]["key"]
+    vertex = key.split("|")[0]
 
     def pair_action(change):
         return edited(lambda p: change(p["punish"][pair]["action"]))
@@ -360,7 +405,7 @@ def rejected_profiles(profile) -> dict:
         # A list would be read as one joint move, an object as a move function.
         "list at a state with suspects": (
             edited(lambda p: p["punish"][pair].update(action=["a"] * 5)),
-            "profile action at v1p|2:2;3:3,4 must be a JSON object keyed by suspect"),
+            f"profile action at {key} must be a JSON object keyed by suspect"),
         "object on the complying cycle": (
             edited(lambda p: p["comply"]["cycle"][0].update(action={"2": ["a"] * 5})),
             "profile action at v0|- must be a JSON list of action names"),
@@ -369,7 +414,7 @@ def rejected_profiles(profile) -> dict:
             "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v0'"),
         "disallowed punishment move": (
             pair_action(lambda a: a.update({"2": DISALLOWED})),
-            "move ('z', 'a', 'a', 'a', 'a') not allowed at 'v1p'"),
+            f"move ('z', 'a', 'a', 'a', 'a') not allowed at '{vertex}'"),
         "uninformed component differs": (
             pair_action(lambda a: a["3"].__setitem__(0, "b" if a["3"][0] == "a" else "a")),
             "components for '0' differ between hypotheses '2' and '3' "
@@ -379,7 +424,7 @@ def rejected_profiles(profile) -> dict:
             "profile action misses suspect '2'"),
         "non-suspect key": (
             pair_action(lambda a: a.update({"0": ["z"]})),
-            "profile action at v1p|2:2;3:3,4 names non-suspects ['0']"),
+            f"profile action at {key} names non-suspects ['0']"),
     }
 
 
@@ -404,11 +449,17 @@ def test_on_demand_verify_matches_full_build_on_damaged_profiles(
     # Every damaged profile of this module gives the full-build verify's
     # checks, failures, exit code and error.
     profile = json.loads(report_path.read_text())["profile"]
-    every_a = _edited(profile, lambda p: [
-        row.update(action={d: ["a"] * 5 for d in row["action"]}) for row in p["punish"]])
+    # The complete tables playing the complying move fail the payoff and
+    # resistance checks with violations; the written rows playing it fail
+    # at a row the profile does not hold.
+    result = solve(eg1, query=parse_query(REPORT_PREDICATE))
+    every_a = tamper_punishment(complete_strategy(eg1, result).to_dict())
+    written_a = _edited(profile, tamper_punishment)
+    witness = verify_outcome(full_build_verify, eg1, every_a)
+    assert witness[0] == 4 and any("suspects {2,3,4}" in f for f in witness[2]), witness
     cases = [(eg1, data) for data in garbage_profiles(profile).values()]
     cases += [(eg1, data) for data, _message in rejected_profiles(profile).values()]
-    cases += [(eg1, every_a), (eg3, profile)]
+    cases += [(eg1, every_a), (eg1, written_a), (eg3, profile)]
     other = main_inf_report["profile"]
     cases += [(eg1, _edited(other, lambda p: p["punish"][0].update(leaf=leaf)))
               for leaf in (1, -1)]
@@ -462,7 +513,7 @@ def test_verify_state_cap(capsys, report_path):
     assert (code, out) == (3, "")
     # The message names the stage and how far it got.
     assert err == ("resource cap: on-demand epistemic game exceeded 5 Eve states: "
-                   "5 states interned, 3 Adam nodes made\n")
+                   "5 states interned, 4 Adam nodes made\n")
 
 
 def test_predicate_arity_is_checked_before_any_work(capsys, report_path, monkeypatch):

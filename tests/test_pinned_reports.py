@@ -90,19 +90,19 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g1 text': (0, '304028bac5954733c9c58610787bd9b272e721f2aaad4c8dfdb37c01aa412d8d'),
     'build g1 json': (0, '737ab6d3c5b83dbd95c4829a803d97af4fa568f2767c2eee4aadf181220319ce'),
     'build g1 dot': (0, 'a26e1a466daab28276928d84bbd74fa77a456d6ce1a9f39c53fa696d6ba38079'),
-    'solve g1 - -': (0, '260c890889994f58d9797e054ca8da12e37a1baf6ba3df4f2d6c3ad7d037a47b'),
+    'solve g1 - -': (0, 'ebd84a97ac7f8263a4356bc659090d6e37864b7a7b58f55342602adcc2746c97'),
     'answer g1 - -': (0, 'b6635e0729aa726e25ac738c94465874cb8a766c23334bc1c375a37875f05808'),
     'verify g1 - -': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 - v0,v1': (0, 'f11a973b5664b1fc7d27eefbc5ec4c31b222f87a4ed8596eb7232e7adce48bd2'),
+    'solve g1 - v0,v1': (0, '7ea143f6b1497107cd3c481944b9b39f70f37cab17c2f53a45dbe115bb6ffc4a'),
     'answer g1 - v0,v1': (0, '9f2d84833883a651008f550f01d976dcd9870696d4fd64b683cd9701cdc27023'),
     'verify g1 - v0,v1': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,1,1,1) -': (0, '4262840202e9c21fbc9d135107c097b46500a890c0e81ec911bcd313e135b9c5'),
+    'solve g1 p=(0,0,1,1,1) -': (0, '24b41625b86b6c86df2a3750243a0da8cf71cf7ff5f5ac406ee08cf2c6fa1099'),
     'answer g1 p=(0,0,1,1,1) -': (0, '859c167a54588a804fe81d53c6463ea1baf21f8002173f742b02f944a8dacb31'),
     'verify g1 p=(0,0,1,1,1) -': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,1,1,1) v0,v1': (0, '9e726fb0a789c68d3a6f1b3674b339019c524f4b5d459abbea15f93e8e6105e6'),
+    'solve g1 p=(0,0,1,1,1) v0,v1': (0, '553386642770a562a7f9dbbfacb8b45d9fdf32849bc6576a94efd57b470d8b17'),
     'answer g1 p=(0,0,1,1,1) v0,v1': (0, '9ec7439957f90bbefda3d076db975241afbff258c093273b1e2df285c41605ca'),
     'verify g1 p=(0,0,1,1,1) v0,v1': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,3,3,3) -': (0, '5e303eeaa6736983cb581a96fe5e4bb2ff7da1e077db93be7e38572661e73a16'),
+    'solve g1 p=(0,0,3,3,3) -': (0, 'f366b7d89e8ae8daf1814b784d15e333294d8c34bf396d061e1fc066b9441d13'),
     'answer g1 p=(0,0,3,3,3) -': (0, 'd202dad8c7ceef9781e053c6242e75fe623055a0f8d68fd7ac7b21083ad6dded'),
     'verify g1 p=(0,0,3,3,3) -': (0, '8cc812390aa7ebe369cc2e95cda19e707cd87bc1357804019b0c3614887904c4'),
     'solve g1 p=(0,0,3,3,3) v0,v1': (1, '14432069fd57f0773fad51170d5d401b34d3951d0c78edc35a3e77c770c3c3b3'),
@@ -111,19 +111,19 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g2 text': (0, 'dc5063a250002e38fa75ed206ebcace91bd6a06179e3716e91db70753db752ed'),
     'build g2 json': (0, '06e4cd7ea89d3dc42f9c905eee0c53a8dc542752510b8b2736a1dccec151a93c'),
     'build g2 dot': (0, '3e8acbc2066856057dc9834ce9d2c67948adff33b5f66a503d3b28ac9d03e383'),
-    'solve g2 - -': (0, '1a72454b4c8e4419253f98c5a63ee17d987723b4ccb4be76536fa2184224ec20'),
+    'solve g2 - -': (0, 'db34708175e95ffe4bb22887a593903f788f1abb1a306e780ae58ed49cb64bfc'),
     'answer g2 - -': (0, 'd8b59cd442bf2d450b3892389292c763da5c44e07743f0b469972897ea5fe4ba'),
     'verify g2 - -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 - v0,v1': (0, '4e6f3fa9413c7251f3a41a82c911027066e79c26b61bc8cc39cfe85f1625b905'),
+    'solve g2 - v0,v1': (0, 'da8d4b789cdf509d1caa06a15c78441106d66e95245c2dd621a1955ee06266bf'),
     'answer g2 - v0,v1': (0, 'd701a8917eaad13cbd8cdce1627056a73907d472c00af2f4803abf426603b9ea'),
     'verify g2 - v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) -': (0, '9a5f3d4638f707d16b724b9937b06bfcca2c2ba46771cd7186b79171a877814f'),
+    'solve g2 p=(0,0,1,1,1) -': (0, '53179a82f5f0e20d70b622d59130856f087c2499c5faa9f3d1f9e853c88647d4'),
     'answer g2 p=(0,0,1,1,1) -': (0, 'ea7052eac8c27d851d9c0a2cb0472397dcb1b450c325bac4d2da8afd7398ebb7'),
     'verify g2 p=(0,0,1,1,1) -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) v0,v1': (0, '1b7815d0e3b83975f301b9a54072a415e3110d4e2459f954523397184a3d73db'),
+    'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'ea6c627e1bf05a71e6d51f24f4580101d197168560ebd8f47bd9038ea66a6a03'),
     'answer g2 p=(0,0,1,1,1) v0,v1': (0, 'fa6ec334c23eeb2a80b5d874011a61bb43f0b4301a558c908caf46d4930df85d'),
     'verify g2 p=(0,0,1,1,1) v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,3,3,3) -': (0, 'e5c44133bc4b75c13dd4bea9ace2f7d75faf7527dfca07ec23aa68a72cc77d29'),
+    'solve g2 p=(0,0,3,3,3) -': (0, 'af20e6963a52dce3558c0ee3d43eae374827c1165595b83dd3f137c9749e110c'),
     'answer g2 p=(0,0,3,3,3) -': (0, '1d6d9c32ecde7e0aea20f5b5aa35435edb671f52b5254e9db6e750d869da052f'),
     'verify g2 p=(0,0,3,3,3) -': (0, '0a97f0ca4586618758659a748ba033770978f564a734ecfea69e45ffb20a3948'),
     'solve g2 p=(0,0,3,3,3) v0,v1': (1, '1d4951ff202f8ec06be33815ad95c0756c128a6c92b7609c8cddb2b2df94f6ce'),
@@ -132,13 +132,13 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g3 text': (0, 'e6f98cb997a3c594e1cd3c9898459a522634ac3c0fa031168bda9cccb01dbb5e'),
     'build g3 json': (0, '2d577d0638dc96d291c84686bd29fe0ac2877defe09120a1a0cf6cee544c866a'),
     'build g3 dot': (0, '81f689b2a7dacc69f9a9e24c60fed71dfebd9effb8ce53a620073b5fd8c428b8'),
-    'solve g3 - -': (0, '54a2942dc59345c544edc025bb4206ec71c4d3e578f178d48f67ca81868d69d0'),
+    'solve g3 - -': (0, '83593b8fe8e59e16606a537d0645ef2a13f5477f65fdc7a2974e2bc11218e0d8'),
     'answer g3 - -': (0, '4c6afd7034815f8f3f7adb6a8e3c3b287e66b3d40fdf0a064412612f09201996'),
     'verify g3 - -': (0, '2923060412f8c6f6d51d74d01673a759456ad4c259e5ef0cde1a682b49258a71'),
     'solve g3 - v0,v1': (1, 'b55218513ab380ec9e7c0dfc003eefe36759be6adc601fe3f49700ec714236f7'),
     'solve g3 p=(0,0,1,1,1) -': (1, '4e0b873458657be41988abf7f04eabbffac7b599bef38b192bc2f71bdbf2c3f5'),
     'solve g3 p=(0,0,1,1,1) v0,v1': (1, '51274a5050e85faafb638a9dfafc4ab5e8b7700ec88cd118d2c4edd7bb2505cd'),
-    'solve g3 p=(0,0,3,3,3) -': (0, 'dd715d00600d65b0d6f4dc9c322c5accfbb0cd7e0d3cb4d1289fcaf918075870'),
+    'solve g3 p=(0,0,3,3,3) -': (0, '9ecf69737e942f2923958e49d908356422b438874bfd977d84267e1544890bde'),
     'answer g3 p=(0,0,3,3,3) -': (0, '6f5a7785ac79dc4f39e849b00fd98f35d24f54746d126ef8f761278c9cf3f57b'),
     'verify g3 p=(0,0,3,3,3) -': (0, 'ac9223145ef40aef8e9614abd739a4bbc6d44ac2af5552c649ad66b0b1ac15b7'),
     'solve g3 p=(0,0,3,3,3) v0,v1': (1, '3c9540c333689051cc2785042def4b361ece3109ff5d74a797e4da922db704b5'),

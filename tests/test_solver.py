@@ -24,7 +24,7 @@ from equisynth.solver import (
 )
 from equisynth.translate import check_deviation_resistance, check_normed, omega
 
-from conftest import random_comm, random_game
+from conftest import complete_strategy, random_comm, random_game, tamper_punishment
 from oracles import (
     brute_force_recurring_color_sets,
     muller_accepts_lasso,
@@ -351,12 +351,7 @@ def test_strategy_rejects_corrupt_key(eg1):
 
 def test_strategy_tamper_changes_verdict(eg1):
     res = solve(eg1, main_inf=frozenset({"v0", "v1"}))
-    data = res.strategy.to_dict()
-    # Every punishment row plays the complying move (see
-    # test_cli.test_verify_tampered_profile).
-    assert data["punish"]
-    for row in data["punish"]:
-        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
+    data = tamper_punishment(complete_strategy(eg1, res).to_dict())
     tampered = EveStrategy.from_dict(eg1, data)
     report = model_check_strategy(eg1, tampered, res.payoff)
     assert not report.ok

@@ -24,6 +24,7 @@ from equisynth.translate import (
     upsilon,
 )
 
+from conftest import complete_strategy, tamper_punishment
 from oracles import main_outcome, validate_history
 
 MAIN_INF = frozenset({"v0", "v1"})
@@ -266,12 +267,7 @@ def test_deviation_resistance_verdicts(eg1, solved1, profile1):
 
 
 def test_resistance_catches_tampered_strategy(eg1, solved1):
-    data = solved1.strategy.to_dict()
-    # Every punishment row plays the complying move (see
-    # test_cli.test_verify_tampered_profile).
-    assert data["punish"]
-    for row in data["punish"]:
-        row["action"] = {d: ["a", "a", "a", "a", "a"] for d in row["action"]}
+    data = tamper_punishment(complete_strategy(eg1, solved1).to_dict())
     tampered = EveStrategy.from_dict(eg1, data)
     report = check_deviation_resistance(eg1, omega(eg1, tampered), solved1.payoff)
     assert not report.ok

@@ -1,7 +1,8 @@
 """`verify` reads a profile on the part of the epistemic game it reaches
 (`EpistemicView`).  On every found profile it must give what the full-build
 verify of `oracles.full_build_verify` gives: the same checks and failures,
-or the same error."""
+or the same error.  A found profile holds exactly the punishment rows its
+play reaches, and reading it back gives the checks `solve` reported."""
 from __future__ import annotations
 
 import random
@@ -10,19 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from equisynth.cli import _verify_profile
+from equisynth.cli import _verify_profile, _verify_strategy
 from equisynth.epistemic import EpistemicView, state_key
 from equisynth.parsing import parse_query
-from equisynth.solver import EveStrategy, solve
+from equisynth.solver import EveStrategy, model_check_strategy, solve
 
-from conftest import build_reachable
+from conftest import build_reachable, complete_strategy
 from oracles import full_build_verify, verify_outcome
 
 PREDICATES = (None, "p=(0,0,1,1,1)", "p=(0,0,3,3,3)")
 MAIN_INF = (None, frozenset({"v0", "v1"}))
-# Every RANDOM_STRIDE-th random instance of `pruned_pairs` is solved again
-# here; the slice keeps the test under two seconds.
-RANDOM_STRIDE = 4
 
 
 def _dense(players: int, vertices: int):
@@ -35,11 +33,12 @@ def _dense(players: int, vertices: int):
 
 
 @pytest.fixture(scope="module")
-def found_profiles(game5, g1, g2, g3, eg1, eg2, eg3, pruned_pairs):
-    """(full build, profile) for every found solve, on the pruned build as
-    the `solve` command runs it, of: the bundled example's queries under
-    g1/g2/g3, the `wide` and `branchy` games, dense 3/8, 4/4 and 4/6, and a
-    slice of the random instances."""
+def found_solves(eg1, eg2, eg3, pruned_pairs):
+    """(full build, pruned build, solve result) for every found solve, on
+    the pruned build as the `solve` command runs it, of: the bundled
+    example's queries under g1/g2/g3, the random instances of
+    `pruned_pairs`, the `wide` and `branchy` games and dense 3/8, 4/4 and
+    4/6."""
     out = []
     for full in (eg1, eg2, eg3):
         pruned = build_reachable(full.game, full.graph, pruned=True)
@@ -48,17 +47,21 @@ def found_profiles(game5, g1, g2, g3, eg1, eg2, eg3, pruned_pairs):
             for main_inf in MAIN_INF:
                 result = solve(pruned, query=query, main_inf=main_inf)
                 if result is not None:
-                    out.append((full, result.strategy.to_dict()))
-    random_pairs = len(pruned_pairs) - 22  # the 20 family games, 3/8 and 4/4 last
-    pairs = pruned_pairs[:random_pairs:RANDOM_STRIDE] + pruned_pairs[random_pairs:]
-    pairs = [(full, pruned) for _game, _graph, full, pruned in pairs]
+                    out.append((full, pruned, result))
+    pairs = [(full, pruned) for _game, _graph, full, pruned in pruned_pairs]
     game, graph, full = _dense(4, 6)
     pairs.append((full, build_reachable(game, graph, pruned=True)))
     for full, pruned in pairs:
         result = solve(pruned)
         if result is not None:
-            out.append((full, result.strategy.to_dict()))
+            out.append((full, pruned, result))
     return out
+
+
+@pytest.fixture(scope="module")
+def found_profiles(found_solves):
+    """(full build, profile) for every found solve of `found_solves`."""
+    return [(full, result.strategy.to_dict()) for full, _pruned, result in found_solves]
 
 
 def test_on_demand_verify_matches_full_build(found_profiles):
@@ -68,6 +71,46 @@ def test_on_demand_verify_matches_full_build(found_profiles):
         got = verify_outcome(_verify_profile, full.game, full.graph, data)
         assert got == want, data
         assert got[0] == 0, got
+
+
+class RecordingPolicy:
+    """A policy that records every (Eve id, memory) node it is asked to act
+    at, and otherwise plays `inner`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nodes = set()
+
+    def initial(self):
+        return self.inner.initial()
+
+    def action(self, eve_id, mem):
+        self.nodes.add((eve_id, mem))
+        return self.inner.action(eve_id, mem)
+
+    def advance(self, mem, eve_id, next_eve_id):
+        return self.inner.advance(mem, eve_id, next_eve_id)
+
+
+def test_profile_holds_exactly_the_rows_its_play_reaches(found_solves):
+    # The written rows are the deviated nodes of the model checker's product,
+    # and reading them back gives the checks and failures of the re-verification
+    # `solve` runs, on the view and on the full build alike; the complete
+    # tables give them too.
+    assert len(found_solves) >= 120
+    for full, pruned, result in found_solves:
+        data = result.strategy.to_dict()
+        policy = RecordingPolicy(result.strategy)
+        assert model_check_strategy(pruned, policy, result.payoff).ok
+        states = pruned.eve_states
+        reached = {(state_key(states[e]), mem) for e, mem in policy.nodes if states[e].deviated}
+        rows = [(row["key"], row["leaf"]) for row in data["punish"]]
+        assert len(rows) == len(set(rows)) and set(rows) == reached, data
+        want = _verify_strategy(full.game, full.graph, pruned, result.strategy)
+        complete = complete_strategy(pruned, result)
+        assert _verify_strategy(full.game, full.graph, pruned, complete) == want
+        assert verify_outcome(_verify_profile, full.game, full.graph, data) == (0, *want)
+        assert verify_outcome(full_build_verify, full, data) == (0, *want)
 
 
 def test_view_makes_only_what_the_rows_name(eg1, found_profiles):
@@ -97,3 +140,4 @@ def test_view_resolves_every_action_as_the_full_game(eg1, eg2, eg3):
                     [state_key(full.eve_states[s]) for s in full.adam_succ[aid]]
         assert (len(view.eve_states), len(view.adam_succ)) == \
             (full.eve_count(), full.adam_count())
+
