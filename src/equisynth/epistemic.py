@@ -69,13 +69,17 @@ with the epistemic game, and only the reachable part of that product
 matters.  `EpistemicView` makes only the states and Adam nodes that profile
 rows and checks name (on-the-fly exploration, as in explicit-state model
 checkers), and `Encoding.key_of_text` checks a row's key without a build.
+A built game (`EpistemicGame`) is a view in which every reachable state has
+been expanded: both intern states through one routine under one state cap,
+and strategies, profile rows and checks read either through the view's
+members.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Protocol
+from typing import Optional
 
 from .errors import InvalidInput, StateCapExceeded
 from .game import CommGraph, ConcurrentGame, Move
@@ -491,24 +495,58 @@ def _distinct_actions(enc: Encoding, key: StateKey):
 
 
 # ---------------------------------------------------------------------------
-# Reachable epistemic game.
+# The epistemic game: read on demand, or built whole.
 
 # Default cap on the Eve states of one build or `EpistemicView` (`--state-cap`).
 STATE_CAP = 1_000_000
 
 
-@dataclass
-class EpistemicGame:
-    game: ConcurrentGame
-    graph: CommGraph
-    eve_states: list[EveState]
-    eve_succ: list[range]  # Eve id -> its block of Adam ids
-    adam_action: list[EveAction]  # Adam id -> the action producing it
-    adam_succ: list[tuple[int, ...]]  # Adam id -> successor Eve ids, vertex order
-    init: int
-    _encoding: Encoding
-    _keys: list[StateKey]
-    _key_index: dict[StateKey, int]
+class EpistemicView:
+    """The part of the full epistemic game that is read, made as it is read.
+    Its members are all that strategies, profile rows and checks read of an
+    epistemic game, built (`EpistemicGame`) or not.
+
+    An Eve state is interned when a profile row names its key
+    (`eve_for_key`) or an action resolved to an Adam node
+    (`adam_for_action`) leads to it; no state is expanded, so `eve_succ`
+    stays empty.  Ids follow that order, not a full build's, but each key
+    has one Eve id, each successor tuple of a state one Adam id (keeping the
+    first action resolved to it), and every successor tuple is the full
+    game's.  `state_cap` bounds the Eve states interned."""
+
+    # Names the stage in the `StateCapExceeded` message.
+    _stage = "on-demand epistemic game"
+
+    def __init__(self, game: ConcurrentGame, graph: CommGraph, state_cap: int = STATE_CAP):
+        if tuple(graph.players) != tuple(game.players):
+            raise InvalidInput("comm graph players must match game players")
+        self.game = game
+        self.graph = graph
+        self.eve_states: list[EveState] = []
+        self.eve_succ: list[range] = []  # expanded Eve id -> its block of Adam ids
+        self.adam_action: list[EveAction] = []  # Adam id -> the action producing it
+        # Adam id -> successor Eve ids, in vertex order
+        self.adam_succ: list[tuple[int, ...]] = []
+        self._encoding = Encoding(game, graph)
+        self._state_cap = state_cap
+        self._keys: list[StateKey] = []
+        self._key_index: dict[StateKey, int] = {}
+        self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.init = self._intern((game.vertex_index[game.init_vertex], ()))
+
+    def _intern(self, key: StateKey) -> int:
+        i = self._key_index.get(key)
+        if i is None:
+            if len(self._keys) >= self._state_cap:
+                raise StateCapExceeded(
+                    f"{self._stage} exceeded {self._state_cap} Eve states: "
+                    f"{len(self._keys)} states interned, {len(self.eve_succ)} states "
+                    f"expanded, {len(self.adam_succ)} Adam nodes made"
+                )
+            i = self._key_index[key] = len(self._keys)
+            self._keys.append(key)
+            self.eve_states.append(self._encoding.state(key))
+        return i
 
     def eve_count(self) -> int:
         return len(self.eve_states)
@@ -520,6 +558,34 @@ class EpistemicGame:
         return [i for i, s in enumerate(self.eve_states) if s.deviated]
 
     def eve_for_key(self, text: str) -> Optional[int]:
+        """The Eve id of the state whose `state_key` is `text`, interned on
+        first use, or None if no reachable state can have that key."""
+        key = self._encoding.key_of_text(text)
+        return None if key is None else self._intern(key)
+
+    def adam_for_action(self, eve_id: int, action: EveAction) -> int:
+        """The Adam node an enabled action of `eve_id` leads to, made on
+        first use.  An action that is not enabled there raises InvalidInput
+        (see `action_reach`)."""
+        enc, key = self._encoding, self._keys[eve_id]
+        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), self._intern)
+        aid = self._adam_index.get((eve_id, sig))
+        if aid is None:
+            aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
+            self.adam_action.append(action)
+            self.adam_succ.append(sig)
+        return aid
+
+
+class EpistemicGame(EpistemicView):
+    """The reachable epistemic game: a view in which `build_reachable` has
+    expanded every state, so `eve_succ[eid]` is the block of Adam ids of
+    every Eve id.  Queries never grow it: a key or a successor the build
+    did not reach is not in it."""
+
+    _stage = "epistemic build"
+
+    def eve_for_key(self, text: str) -> Optional[int]:
         """The Eve id of the state whose `state_key` is `text`, or None."""
         return self._key_index.get(self._encoding.key_of_text(text))
 
@@ -527,7 +593,8 @@ class EpistemicGame:
         """Resolve any enabled action to the Adam node of `eve_id` with the
         same successors, looked up by its successor tuple within the state's
         range of Adam ids.  An action that is not enabled there raises
-        InvalidInput (see `action_reach`)."""
+        InvalidInput (see `action_reach`), and so does one whose successors
+        the build did not make."""
         enc, key = self._encoding, self._keys[eve_id]
 
         def resolve(successor: StateKey) -> int:
@@ -570,7 +637,9 @@ def build_reachable(
     *,
     pruned: bool = False,
 ) -> EpistemicGame:
-    """Breadth-first construction of the reachable epistemic game.
+    """Breadth-first construction of the reachable epistemic game: the view
+    of the initial state, whose states are expanded in id order, each
+    successor interned as it is met.
 
     Each action `_distinct_actions` yields at a state becomes one Adam
     node, which keeps that action.  No two of them share a successor tuple
@@ -583,35 +652,13 @@ def build_reachable(
     which `build` reports; `verify` reads only its part a profile reaches
     (`EpistemicView`).
     """
-    if tuple(graph.players) != tuple(game.players):
-        raise InvalidInput("comm graph players must match game players")
-    enc = Encoding(game, graph)
+    eg = EpistemicGame(game, graph, state_cap)
+    enc = eg._encoding
     enc.pruned = pruned
-    keys: list[StateKey] = []
-    key_index: dict[StateKey, int] = {}
-    eve_states: list[EveState] = []
-    eve_succ: list[range] = []
-    adam_action: list[EveAction] = []
-    adam_succ: list[tuple[int, ...]] = []
-
-    def intern(key: StateKey) -> int:
-        i = key_index.get(key)
-        if i is None:
-            if len(keys) >= state_cap:
-                raise StateCapExceeded(
-                    f"epistemic build exceeded {state_cap} Eve states: "
-                    f"{len(keys)} states interned, {len(eve_succ)} states expanded, "
-                    f"{len(adam_succ)} Adam nodes made"
-                )
-            i = key_index[key] = len(keys)
-            keys.append(key)
-            eve_states.append(enc.state(key))
-        return i
-
-    init = intern((game.vertex_index[game.init_vertex], ()))
+    keys, eve_succ, intern = eg._keys, eg.eve_succ, eg._intern
+    adam_action, adam_succ = eg.adam_action, eg.adam_succ
     while len(eve_succ) < len(keys):
-        eid = len(eve_succ)
-        key = keys[eid]
+        key = keys[len(eve_succ)]
         grown = expand(enc, key)
         memo: dict[int, int] = {}
         first = len(adam_succ)
@@ -619,106 +666,14 @@ def build_reachable(
             adam_action.append(action)
             adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
         eve_succ.append(range(first, len(adam_succ)))
-
-    return EpistemicGame(
-        game=game,
-        graph=graph,
-        eve_states=eve_states,
-        eve_succ=eve_succ,
-        adam_action=adam_action,
-        adam_succ=adam_succ,
-        init=init,
-        _encoding=enc,
-        _keys=keys,
-        _key_index=key_index,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The epistemic game on demand.
-
-
-class Arena(Protocol):
-    """What strategies, profile rows and checks read of an epistemic game;
-    `EpistemicGame` and `EpistemicView` both provide it."""
-
-    game: ConcurrentGame
-    graph: CommGraph
-    init: int
-    eve_states: list[EveState]
-    adam_action: list[EveAction]
-    adam_succ: list[tuple[int, ...]]
-
-    def eve_for_key(self, text: str) -> Optional[int]: ...
-
-    def adam_for_action(self, eve_id: int, action: EveAction) -> int: ...
-
-
-class EpistemicView:
-    """The part of the full epistemic game that is read, made as it is read.
-
-    An Eve state is interned when a profile row names its key
-    (`eve_for_key`) or an action resolved to an Adam node
-    (`adam_for_action`) leads to it; no state is expanded.  Ids follow that
-    order, not a full build's, but each key has one Eve id, each successor
-    tuple of a state one Adam id (keeping the first action resolved to it),
-    and every successor tuple is the full game's.  `state_cap` bounds the
-    Eve states interned."""
-
-    def __init__(self, game: ConcurrentGame, graph: CommGraph, state_cap: int = STATE_CAP):
-        if tuple(graph.players) != tuple(game.players):
-            raise InvalidInput("comm graph players must match game players")
-        self.game = game
-        self.graph = graph
-        self.eve_states: list[EveState] = []
-        self.adam_action: list[EveAction] = []
-        self.adam_succ: list[tuple[int, ...]] = []
-        self._encoding = Encoding(game, graph)
-        self._state_cap = state_cap
-        self._keys: list[StateKey] = []
-        self._key_index: dict[StateKey, int] = {}
-        self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.init = self._intern((game.vertex_index[game.init_vertex], ()))
-
-    def _intern(self, key: StateKey) -> int:
-        i = self._key_index.get(key)
-        if i is None:
-            if len(self._keys) >= self._state_cap:
-                raise StateCapExceeded(
-                    f"on-demand epistemic game exceeded {self._state_cap} Eve states: "
-                    f"{len(self._keys)} states interned, {len(self.adam_succ)} Adam "
-                    "nodes made"
-                )
-            i = self._key_index[key] = len(self._keys)
-            self._keys.append(key)
-            self.eve_states.append(self._encoding.state(key))
-        return i
-
-    def eve_for_key(self, text: str) -> Optional[int]:
-        """The Eve id of the state whose `state_key` is `text`, interned on
-        first use, or None if no reachable state can have that key."""
-        key = self._encoding.key_of_text(text)
-        return None if key is None else self._intern(key)
-
-    def adam_for_action(self, eve_id: int, action: EveAction) -> int:
-        """The Adam node an enabled action of `eve_id` leads to, made on
-        first use.  An action that is not enabled there raises InvalidInput
-        (see `action_reach`)."""
-        enc, key = self._encoding, self._keys[eve_id]
-        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), self._intern)
-        aid = self._adam_index.get((eve_id, sig))
-        if aid is None:
-            aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
-            self.adam_action.append(action)
-            self.adam_succ.append(sig)
-        return aid
+    return eg
 
 
 # ---------------------------------------------------------------------------
 # Whole-game checks.
 
 
-def check_knowledge_invariant(eg: EpistemicGame) -> list[str]:
+def check_knowledge_invariant(eg: EpistemicView) -> list[str]:
     """Knowledge characterization on every reachable deviated Eve state."""
     out: list[str] = []
     for state in eg.eve_states:

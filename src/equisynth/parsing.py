@@ -360,7 +360,8 @@ def game_from_dict(data: dict) -> ConcurrentGame:
             if acts is None:
                 row[a] = actions
             else:
-                _json_list(acts, f"allow({v!r}, {a!r})")
+                if not _json_list(acts, f"allow({v!r}, {a!r})"):
+                    raise InvalidInput(f"allow({v!r}, {a!r}) is empty")
                 row[a] = tuple(act for act in actions if act in set(acts))
                 if len(row[a]) != len(acts):
                     raise InvalidInput(

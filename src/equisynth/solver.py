@@ -67,7 +67,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .epistemic import Arena, EpistemicGame, EveAction, state_key
+from .epistemic import EpistemicGame, EpistemicView, EveAction, state_key
 from .errors import (
     InvalidInput,
     LarCapExceeded,
@@ -405,7 +405,7 @@ class EveStrategy:
     one has a table for every layer its rows name.  A layer without a table
     has no entries."""
 
-    eg: Arena
+    eg: EpistemicView
     payoff: Vector
     prefix: tuple[tuple[int, int], ...]  # (eve id, adam id) along the stem
     cycle: tuple[tuple[int, int], ...]  # (eve id, adam id) around the loop
@@ -478,7 +478,7 @@ class EveStrategy:
 
     @staticmethod
     @rejects_malformed("profile")
-    def from_dict(eg: Arena, data: dict) -> "EveStrategy":
+    def from_dict(eg: EpistemicView, data: dict) -> "EveStrategy":
         """Read a profile back on a built game or an `EpistemicView`.  Each
         row names its state by key, and a punishment row belongs to the
         layer of its state's suspects, whose color classes and tree are
@@ -731,7 +731,7 @@ class ModelCheckReport:
     product_nodes: int
 
 
-def _product(eg: Arena, policy, partial: bool = False) -> tuple[list, list[list[int]]]:
+def _product(eg: EpistemicView, policy, partial: bool = False) -> tuple[list, list[list[int]]]:
     """The nodes `(eve id, memory)` of `policy`'s product with the game,
     walked breadth-first from the initial state through every Adam
     successor, and each node's successor indices.  Under `partial` a node
@@ -771,7 +771,7 @@ def _product(eg: Arena, policy, partial: bool = False) -> tuple[list, list[list[
     return nodes, succ
 
 
-def model_check_strategy(eg: Arena, policy, p: Vector) -> ModelCheckReport:
+def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckReport:
     """Drive `policy` against every antagonist choice and verify the payoff
     contract: complying outcome exactly p, every deviated recurring behavior
     at or below p for each surviving suspect.

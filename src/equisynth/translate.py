@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import solver
-from .epistemic import Arena, state_key
+from .epistemic import EpistemicView, state_key
 from .errors import (
     InvalidInput,
     NormednessViolation,
@@ -68,7 +68,7 @@ class OmegaProfile:
     epistemic state.
     """
 
-    def __init__(self, eg: Arena, zeta):
+    def __init__(self, eg: EpistemicView, zeta):
         self.eg = eg
         self.zeta = zeta
         self.players = eg.game.players
@@ -146,7 +146,7 @@ class OmegaProfile:
         return (sid, zmem2, believed2)
 
 
-def omega(eg: Arena, zeta) -> OmegaProfile:
+def omega(eg: EpistemicView, zeta) -> OmegaProfile:
     """Distributed strategy profile equivalent to the protagonist strategy."""
     return OmegaProfile(eg, zeta)
 
@@ -180,7 +180,7 @@ class UpsilonPolicy:
     state's suspect order.
     """
 
-    def __init__(self, eg: Arena, profile):
+    def __init__(self, eg: EpistemicView, profile):
         self.eg = eg
         self.profile = profile
         self.players = eg.game.players
@@ -249,7 +249,7 @@ class UpsilonPolicy:
         return tuple(out)
 
 
-def upsilon(eg: Arena, profile) -> UpsilonPolicy:
+def upsilon(eg: EpistemicView, profile) -> UpsilonPolicy:
     """Protagonist strategy reading the profile; message discipline is
     validated lazily along every queried branch."""
     return UpsilonPolicy(eg, profile)
@@ -509,7 +509,7 @@ def simulate(
     )
 
 
-def check_deviation_resistance(eg: Arena, profile, p: Vector) -> ModelCheckReport:
+def check_deviation_resistance(eg: EpistemicView, profile, p: Vector) -> ModelCheckReport:
     """Payoff-contract verdict for the strategy reconstructed from the
     profile: complying outcome exactly p, every deviation bounded by p."""
     return model_check_strategy(eg, upsilon(eg, profile), p)

@@ -31,7 +31,7 @@ from equisynth.game import (
     PayoffSpec,
 )
 from equisynth.parsing import parse_comm_graph, parse_game
-from equisynth.solver import EveStrategy, SolveResult, punishment_region
+from equisynth.solver import EveStrategy, SolveResult, punishment_region, solve
 
 from oracles import literal_knowledge_violations
 
@@ -205,6 +205,14 @@ def pruned_pairs(random_instances):
         games.append((game, graph, build_reachable(game, graph)))
     return [(game, graph, eg, build_reachable(game, graph, pruned=True))
             for game, graph, eg in games]
+
+
+@pytest.fixture(scope="session")
+def pruned_solves(pruned_pairs):
+    """`solver.solve` of each pruned build of `pruned_pairs`, in that order
+    (None where it finds no profile): solved once for the tests that read
+    the results."""
+    return [solve(pruned) for _game, _graph, _full, pruned in pruned_pairs]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -144,6 +144,27 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert (code, err.startswith("error: cannot read profile file")) == (2, True), err
 
 
+def test_invalid_game_messages_name_the_fault(capsys, tmp_path):
+    game = json.loads(asset_path("five_player_game.json").read_text())
+    rules = game["payoff"]["rules"]
+    for data, message in [
+        ({**game, "payoff": {**game["payoff"], "rules": [
+            *rules[:-1], {**rules[-1], "then": [0, 0, 3]}]}},
+         "payoff rule vector arity mismatch"),
+        ({**game, "payoff": {**game["payoff"], "rules": [
+            *rules, {"if": "inf(zz)", "then": [0] * 5}]}},
+         "payoff condition uses unknown vertex 'zz'"),
+        # An empty allow list, at a vertex whose patterns name the player's
+        # actions and at one with only a catch-all pattern.
+        ({**game, "allow": {"v0": {"1": []}}}, "allow('v0', '1') is empty"),
+        ({**game, "allow": {"v1": {"1": []}}}, "allow('v1', '1') is empty"),
+    ]:
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "build", "--game", str(path), "--comm", G1)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 RING = [f"r{i}" for i in range(21)]
 
 
@@ -513,7 +534,7 @@ def test_verify_state_cap(capsys, report_path):
     assert (code, out) == (3, "")
     # The message names the stage and how far it got.
     assert err == ("resource cap: on-demand epistemic game exceeded 5 Eve states: "
-                   "5 states interned, 4 Adam nodes made\n")
+                   "5 states interned, 0 states expanded, 4 Adam nodes made\n")
 
 
 def test_predicate_arity_is_checked_before_any_work(capsys, report_path, monkeypatch):
@@ -530,6 +551,7 @@ def test_predicate_arity_is_checked_before_any_work(capsys, report_path, monkeyp
         ("verify", ["--predicate", "p[2]>=0 | p[9]=1"], index),
         ("solve", ["--predicate", "p[0]>=1 & p[9]=1"], index),
         ("verify", ["--state-cap", "1", "--predicate", "p[9]=1"], index),
+        ("solve", ["--predicate", "!p[9]=1"], index),
         ("solve", ["--predicate", "p[2]>=0 | p=(0,0,1)"], "error: predicate vector arity mismatch\n"),
     ]:
         extra = [str(report_path)] if command == "verify" else []

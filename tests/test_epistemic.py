@@ -2,7 +2,7 @@
 reachable construction and its invariants."""
 from __future__ import annotations
 
-import dataclasses
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -134,7 +134,8 @@ def test_corrupted_informed_set_is_caught(game5, g1, golden_state, eg1):
     # The same corruption inside a built game: the literal walk reports it.
     states = list(eg1.eve_states)
     states[eg1.eve_states.index(golden_state)] = corrupted
-    broken = dataclasses.replace(eg1, eve_states=states)
+    broken = copy.copy(eg1)
+    broken.eve_states = states
     found = literal_knowledge_violations(broken)
     assert any(v.startswith(state_key(corrupted) + ":") for v in found), found
 
@@ -146,14 +147,18 @@ def test_misaligned_move_functions_are_caught(eg1):
     eid = next(e for e in eg1.deviated_ids() if len(eg1.eve_states[e].deviators()) > 1)
     actions = list(eg1.adam_action)
     actions[eg1.eve_succ[eid][0]] = actions[eg1.eve_succ[eid][0]][:-1]
-    found = literal_knowledge_violations(dataclasses.replace(eg1, adam_action=actions))
+    broken = copy.copy(eg1)
+    broken.adam_action = actions
+    found = literal_knowledge_violations(broken)
     assert any(v.startswith(state_key(eg1.eve_states[eid]) + ":") for v in found), found
     # In the second, every move function lists its moves in reverse order.
     actions = list(eg1.adam_action)
     for e in eg1.deviated_ids():
         for aid in eg1.eve_succ[e]:
             actions[aid] = actions[aid][::-1]
-    found = literal_knowledge_violations(dataclasses.replace(eg1, adam_action=actions))
+    broken = copy.copy(eg1)
+    broken.adam_action = actions
+    found = literal_knowledge_violations(broken)
     keys = tuple(state_key(state) + ":" for state in eg1.eve_states)
     assert any(v.startswith(keys) for v in found), found
 

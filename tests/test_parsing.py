@@ -1,6 +1,7 @@
 """Input formats: game files, comm graphs, payoff predicates."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -91,13 +92,18 @@ def test_rational_payoffs_as_strings():
 
 
 def test_game_round_trip():
-    game = parse_game(asset_path("five_player_game.json"))
+    data = json.loads(asset_path("five_player_game.json").read_text())
+    # A rule with every connective, so that each one's text is read back.
+    rule = "inf(v2) & !inf(v3) | inf(v4) & (inf(v2) | !inf(v1))"
+    data["payoff"]["rules"].insert(0, {"if": rule, "then": [1, 0, 0, 0, 1]})
+    game = game_from_dict(data)
     again = game_from_dict(game_to_dict(game))
     assert again.vertices == game.vertices
     assert again.players == game.players
     for v in game.vertices:
         for m in game.moves(v):
             assert again.successor(v, m) == game.successor(v, m)
+    assert again.payoff == game.payoff
     inf = frozenset(("v1", "v1p"))
     assert again.payoff.value(inf) == game.payoff.value(inf)
 

@@ -358,11 +358,11 @@ def test_strategy_tamper_changes_verdict(eg1):
     assert any("{v1p} with suspects {2,3,4}" in v for v in report.violations)
 
 
-def test_pruned_build_gives_the_full_answers(pruned_pairs):
+def test_pruned_build_gives_the_full_answers(pruned_pairs, pruned_solves):
     # Dominance pruning keeps every win region, verdict and lasso, and its
     # profiles pass every check on the full build.
     found = 0
-    for game, graph, full, pruned in pruned_pairs:
+    for (game, graph, full, pruned), solved in zip(pruned_pairs, pruned_solves):
         full_keys = list(map(state_key, full.eve_states))
         keys = list(map(state_key, pruned.eve_states))
         assert set(keys) <= set(full_keys)
@@ -374,7 +374,7 @@ def test_pruned_build_gives_the_full_answers(pruned_pairs):
             for dev, table in got.layers.items():
                 assert (table.classes, table.tree) == \
                     (want.layers[dev].classes, want.layers[dev].tree)
-        want, got = solve(full), solve(pruned)
+        want, got = solve(full), solved
         assert (want is None) == (got is None), game
         if got is None:
             continue

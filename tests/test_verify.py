@@ -33,7 +33,7 @@ def _dense(players: int, vertices: int):
 
 
 @pytest.fixture(scope="module")
-def found_solves(eg1, eg2, eg3, pruned_pairs):
+def found_solves(eg1, eg2, eg3, pruned_pairs, pruned_solves):
     """(full build, pruned build, solve result) for every found solve, on
     the pruned build as the `solve` command runs it, of: the bundled
     example's queries under g1/g2/g3, the random instances of
@@ -48,13 +48,14 @@ def found_solves(eg1, eg2, eg3, pruned_pairs):
                 result = solve(pruned, query=query, main_inf=main_inf)
                 if result is not None:
                     out.append((full, pruned, result))
-    pairs = [(full, pruned) for _game, _graph, full, pruned in pruned_pairs]
-    game, graph, full = _dense(4, 6)
-    pairs.append((full, build_reachable(game, graph, pruned=True)))
-    for full, pruned in pairs:
-        result = solve(pruned)
+    for (_game, _graph, full, pruned), result in zip(pruned_pairs, pruned_solves):
         if result is not None:
             out.append((full, pruned, result))
+    game, graph, full = _dense(4, 6)
+    pruned = build_reachable(game, graph, pruned=True)
+    result = solve(pruned)
+    if result is not None:
+        out.append((full, pruned, result))
     return out
 
 
