@@ -43,12 +43,12 @@ precomputed mask.  Per build, the `Encoding` keeps each vertex's move table
 moves that differ only in that player's action) and one options table per
 (vertex, suspect, informed mask): a suspect's options depend on nothing
 else of the state but the actions of the players it leaves uninformed, and
-the table keys them by those.  Both are built on first use, an options table
-in one pass over the move table, since the enumeration reads all of it.  Per
-expanded state the grown informed masks are computed once, a shared choice
-whose suspects' reach sets were already seen is skipped, an action whose
-reach tuple was already seen is skipped, and the successor id is memoised
-per (target, surviving hypotheses).  The string `EveState` that solver,
+the table holds them as bitmasks over the vertex's moves.  Both are built on
+first use, an options table in one pass over the move table, since the
+enumeration reads all of it.  Per expanded state the grown informed masks
+are computed once, each distinct reach tuple is found once, as a nonzero
+AND of its suspects' option bitmasks, and the successor id is memoised per
+(target, surviving hypotheses).  The string `EveState` that solver,
 translation and reports read is made once, when a new key is interned.
 
 The build `solve` uses is dominance-pruned (antichains for games of
@@ -58,11 +58,11 @@ hypotheses j with t in reach[j], and every action of the state gives them
 the same grown masks.  So if reach2[j] ⊆ reach1[j] for every j, each
 successor (t, S2) of the second action has a successor (t, S1) of the
 first with S2 ⊆ S1.  Fewer hypotheses only make Eve's objective easier:
-she restricts her strategy from S1 to S2.  Keeping, per suspect and shared
-choice, only the ⊆-minimal reach masks therefore keeps every win region,
-verdict and lasso, and every strategy of the pruned game is one of the full
-game.  The Adam nodes a strategy picks have the same successors in both
-builds.
+she restricts her strategy from S1 to S2.  Keeping only the ⊆-minimal
+reach tuples of each state, each with the full build's action, therefore
+keeps every win region, verdict and lasso (every other tuple lies above a
+kept one), and every strategy of the pruned game is one of the full game.
+The Adam nodes a strategy picks have the same successors in both builds.
 
 `verify` builds neither: a finite-memory strategy is checked on its product
 with the epistemic game, and only the reachable part of that product
@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from .errors import InvalidInput, StateCapExceeded
@@ -88,8 +87,6 @@ from .game import CommGraph, ConcurrentGame, Move
 DevFunction = tuple[Move, ...]
 # A joint move at a state without suspects, a move function elsewhere.
 EveAction = Move | DevFunction
-# One suspect's options for one read: reach mask -> move, and the set of masks.
-SuspectOptions = tuple[dict[int, Move], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -231,9 +228,10 @@ class Encoding:
             sum(1 << index[b] for b in graph.informed_by[a]) for a in game.players
         )
         self._moves: dict[int, dict[Move, tuple[int, tuple[int, ...]]]] = {}
+        self._move_lists: dict[int, list[Move]] = {}
         # Set by `build_reachable`: one encoding serves one build.
         self.pruned = False
-        self._options: dict[tuple[int, int, int], dict[Move, SuspectOptions]] = {}
+        self._options: dict[tuple[int, int, int], list[tuple]] = {}
         self._by_radius: Optional[list[tuple[tuple[str, tuple[int, int]], ...]]] = None
 
     def grow(self, mask: int) -> int:
@@ -267,24 +265,69 @@ class Encoding:
                 for move, t in targets.items()
             }
             self._moves[v] = table
+            self._move_lists[v] = list(table)
         return table
 
-    def options(self, v: int, d: int, m: int) -> dict[Move, SuspectOptions]:
-        """Suspect `d`'s options at vertex `v` under informed mask `m`, per
-        read (the actions of the players `m` leaves uninformed, in player
-        order): each reach mask of `d` -> the read's first move that reaches
-        it, only the ⊆-minimal masks in a pruned build, and the set of masks.
-        One table per build and triple, made in one pass over the moves."""
+    def move_list(self, v: int) -> list[Move]:
+        """The moves of `moves(v)` in order: bit i of an `options` bitmask
+        stands for the i-th."""
+        self.moves(v)
+        return self._move_lists[v]
+
+    def options(self, v: int, d: int, m: int) -> list[tuple]:
+        """Suspect `d`'s options at vertex `v` under informed mask `m`, as
+        bitmasks over the moves of `move_list(v)`.  A move's read is the
+        actions of the players `m` leaves uninformed, and the read's options
+        are d's reach masks over its moves.
+
+        One entry (x, eq, sub, strict, first) per reach mask x: `eq` holds
+        the moves whose read has option x, and first[i] is the first move of
+        move i's read that reaches x.  In a pruned build `sub` and `strict`
+        hold the moves whose read has an option ⊆ x and ⊊ x; in a full build
+        both are 0.  The entries are in the order the masks first appear,
+        reads taken in canonical order.  One table per build and triple,
+        made in one pass over the moves."""
         table = self._options.get((v, d, m))
         if table is None:
-            uninformed = [a for a in range(len(self.game.players)) if not m >> a & 1]
-            table = self._options[v, d, m] = {}
-            for move, (_t, reach) in self.moves(v).items():
-                read = tuple(map(move.__getitem__, uninformed))
-                table.setdefault(read, {}).setdefault(reach[d], move)
-            for read, opts in table.items():
-                opts = _minimal(opts) if self.pruned else opts
-                table[read] = opts, frozenset(opts)
+            game = self.game
+            allow = game.allow[game.vertices[v]]
+            # Move i is the mixed-radix number of its actions' positions, the
+            # first player's the most significant digit.  So the moves of one
+            # read are its lowest move (its base) plus the offsets the
+            # informed players' actions span.
+            bases = offsets = [0]
+            stride = 1
+            for a in reversed(range(len(game.players))):
+                steps = range(0, stride * len(allow[game.players[a]]), stride)
+                if m >> a & 1:
+                    offsets = [s + o for s in steps for o in offsets]
+                else:
+                    bases = [s + b for s in steps for b in bases]
+                stride *= len(allow[game.players[a]])
+            reach = [r[d] for _t, r in self.moves(v).values()]
+            span = sum(1 << o for o in offsets)
+            eqs: dict[int, int] = {}
+            firsts: dict[int, list[int]] = {}
+            for b in bases:
+                opts: dict[int, int] = {}
+                for o in offsets:
+                    opts.setdefault(reach[b + o], b + o)
+                for x, i in opts.items():
+                    if x not in eqs:
+                        eqs[x], firsts[x] = 0, [i] * stride
+                    eqs[x] |= span << b
+                    first = firsts[x]
+                    for o in offsets:
+                        first[b + o] = i
+            entries = []
+            for x, eq in eqs.items():
+                sub = strict = 0
+                for y, eq_y in eqs.items() if self.pruned else ():
+                    if y & ~x == 0:
+                        sub |= eq_y
+                        strict |= 0 if y == x else eq_y
+                entries.append((x, eq, sub, strict, firsts[x]))
+            table = self._options[v, d, m] = entries
         return table
 
     def state(self, key: StateKey) -> EveState:
@@ -436,62 +479,61 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
 # Enabled Eve actions.
 
 
-def _minimal(options: dict[int, Move]) -> dict[int, Move]:
-    """The entries of `options` whose reach mask strictly contains no other."""
-    if len(options) < 2:  # the common case
-        return options
-    return {r: m for r, m in options.items()
-            if not any(s != r and s & r == s for s in options)}
-
-
 def _distinct_actions(enc: Encoding, key: StateKey):
     """Eve's enabled actions at the state `key`, the first of each distinct
     reach tuple (and complying target) in enumeration order, each as
     (action, reach masks in hypothesis order, complying target or -1).
 
-    With suspects present the move functions are enumerated through their
-    per-suspect reach sets: one shared component per player uninformed under
-    some hypothesis, private components per suspect for the players informed
-    of it.  A suspect's options depend only on the vertex, its informed mask
-    and the shared components of the players it leaves uninformed, so they
-    come from the build's table for that triple (`Encoding.options`).  A
-    shared choice whose suspects have the reach sets of an earlier one adds
-    no reach tuple and is skipped.
+    With suspects present, a move function is one move per suspect, and two
+    suspects' moves agree on every player uninformed under both: they share
+    one choice of those players' actions.  A suspect's options depend only on
+    the vertex, its informed mask and the actions of the players it leaves
+    uninformed, so they come from the build's table for that triple
+    (`Encoding.options`), as bitmasks over the vertex's moves.  A reach tuple
+    exists iff some move's reads have every suspect's option, that is iff
+    the AND of the options' `eq` masks is not 0.  Its lowest move is the
+    first shared choice that yields it, its action the suspects' first moves
+    there, and sorting by those moves gives the enumeration order: shared
+    choices in canonical order, then each suspect's options in read order.
 
-    In a pruned build, a suspect's options for one shared choice keep only
-    their ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
-    shared choice with a smaller reach mask leaves the move function enabled
-    and shrinks its reach tuple, so every dropped move function is dominated
-    by a kept one (see the module docstring).  States without suspects are
-    never pruned: the lasso reads their complying targets."""
+    A pruned build keeps only the ⊆-minimal reach tuples.  Some tuple lies
+    strictly within x iff a move's reads have, for every suspect j, an option
+    ⊆ x_j and, for some j, one ⊊ x_j: iff AND_j sub & OR_j strict is not 0.
+    A dropped tuple is dominated by a kept one (see the module docstring).
+    States without suspects are never pruned: the lasso reads their
+    complying targets."""
     v, pairs = key
-    table = enc.moves(v)
     if not pairs:
         seen = set()
-        for move, (target, reach) in table.items():
+        for move, (target, reach) in enc.moves(v).items():
             if (target, reach) not in seen:
                 seen.add((target, reach))
                 yield move, reach, target
         return
-    game = enc.game
-    players = game.players
-    allow = game.allow[game.vertices[v]]
-    shared = [a for a in range(len(players)) if any(not m >> a & 1 for _, m in pairs)]
-    plans = [(enc.options(v, d, m), [q for q, a in enumerate(shared) if not m >> a & 1])
-             for d, m in pairs]
-    seen_sets = set()
-    seen = set()
-    for st in product(*(allow[players[a]] for a in shared)):
-        entries = [options[tuple(map(st.__getitem__, reads))] for options, reads in plans]
-        signature = tuple(reach_set for _, reach_set in entries)
-        if signature in seen_sets:
-            continue
-        seen_sets.add(signature)
-        options = [opts for opts, _ in entries]
-        for reach in product(*options):
-            if reach not in seen:
-                seen.add(reach)
-                yield tuple(map(dict.__getitem__, options, reach)), reach, -1
+    # (the moves where every suspect so far has its option and none a
+    # strictly smaller one, AND of sub, OR of strict, masks, first moves) per
+    # partial tuple.  A branch ends once `live` is 0: each of its tuples
+    # would be dropped.  A kept tuple's `live` is the AND of its `eq` masks,
+    # since a common move with a strictly smaller option would drop it.
+    rows = [(-1, -1, 0, (), ())]
+    tables = [enc.options(v, d, m) for d, m in pairs]
+    for entries in tables[:-1]:
+        rows = [(live, sub_all & sub, strict_any | strict, xs + (x,), firsts + (first,))
+                for was_live, sub_all, strict_any, xs, firsts in rows
+                for x, eq, sub, strict, first in entries
+                if (live := was_live & eq & ~strict)]
+    # (lowest move, the first moves there of all suspects but the last, the
+    # last one's, reach tuple) per kept tuple
+    found = []
+    for was_live, sub_all, strict_any, xs, firsts in rows:
+        for x, eq, sub, strict, first in tables[-1]:
+            if (live := was_live & eq & ~strict) and not sub_all & sub & (strict_any | strict):
+                mu = (live & -live).bit_length() - 1
+                found.append((mu, [f[mu] for f in firsts], first[mu], xs + (x,)))
+    found.sort()
+    moves = enc.move_list(v)
+    for _mu, picks, pick, xs in found:
+        yield (*[moves[i] for i in picks], moves[pick]), xs, -1
 
 
 # ---------------------------------------------------------------------------

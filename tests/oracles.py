@@ -144,8 +144,9 @@ def _reference_distinct_actions(game: ConcurrentGame, state: EveState):
 # the options of a suspect were tabled once per build: the move table makes
 # |allow[d]| substitutions per move and player, and every state rebuilds the
 # options of its suspects for each shared choice.  Copied unchanged but for
-# their names and for reading whether the build is pruned off the encoding
-# (`Encoding.pruned`), with the helper they call, so the tests can build a
+# their names, for reading whether the build is pruned off the encoding
+# (`Encoding.pruned`) and for the final filter of a pruned build to the
+# ⊆-minimal reach tuples, with the helper they call, so the tests can build a
 # game with them swapped in (`per_move_table` for `Encoding.moves`).
 
 
@@ -196,7 +197,13 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
     shared choice with a smaller reach mask leaves the move function enabled
     and shrinks its reach tuple, so every dropped move function is dominated
     by a kept one (see the module docstring).  States without suspects are
-    never pruned: the lasso reads their complying targets."""
+    never pruned: the lasso reads their complying targets.
+
+    The pruned output is then filtered, in order, to the reach tuples with
+    no other tuple of the state strictly within them.  Each of those is
+    yielded at the same shared choice, with the same action, as without the
+    per-choice pruning: wherever it is enabled, each of its masks is already
+    ⊆-minimal among its suspect's options, or a smaller tuple would exist."""
     v, pairs = key
     table = enc.moves(v)
     if not pairs:
@@ -222,6 +229,7 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
         plans.append((d, [allow[players[a]] for a in private], reads, order, {}))
     seen_options = set()
     seen = set()
+    found = []
     for st in product(*(allow[players[a]] for a in shared)):
         options = []
         for d, private_allow, reads, order, cache in plans:
@@ -243,7 +251,12 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
         for reach in product(*options):
             if reach not in seen:
                 seen.add(reach)
-                yield tuple(map(dict.__getitem__, options, reach)), reach, -1
+                found.append((tuple(map(dict.__getitem__, options, reach)), reach, -1))
+    for action, reach, comply in found:
+        if not enc.pruned or not any(
+                other != reach and all(o & ~r == 0 for o, r in zip(other, reach))
+                for _action, other, _comply in found):
+            yield action, reach, comply
 
 
 @dataclass

@@ -565,7 +565,7 @@ def test_solve_product_cap(capsys):
     assert "resource cap" in err
     # The message names the stage, the layer and how far it got.
     assert "punishment product exceeded 30 nodes in the layer with suspects {2,3}" in err
-    for progress in ("1 tree leaf", "11 Eve states and 65 Adam nodes in the layer",
+    for progress in ("1 tree leaf", "11 Eve states and 47 Adam nodes in the layer",
                      "30 product nodes made"):
         assert progress in err
 

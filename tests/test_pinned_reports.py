@@ -123,7 +123,7 @@ PINNED: dict[str, tuple[int, str]] = {
     'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'ea6c627e1bf05a71e6d51f24f4580101d197168560ebd8f47bd9038ea66a6a03'),
     'answer g2 p=(0,0,1,1,1) v0,v1': (0, 'fa6ec334c23eeb2a80b5d874011a61bb43f0b4301a558c908caf46d4930df85d'),
     'verify g2 p=(0,0,1,1,1) v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,3,3,3) -': (0, 'af20e6963a52dce3558c0ee3d43eae374827c1165595b83dd3f137c9749e110c'),
+    'solve g2 p=(0,0,3,3,3) -': (0, '76d8b0f32600f8b231c68210ef97d2b19ac0aaf7dc286ce8371c44e38c9af709'),
     'answer g2 p=(0,0,3,3,3) -': (0, '1d6d9c32ecde7e0aea20f5b5aa35435edb671f52b5254e9db6e750d869da052f'),
     'verify g2 p=(0,0,3,3,3) -': (0, '0a97f0ca4586618758659a748ba033770978f564a734ecfea69e45ffb20a3948'),
     'solve g2 p=(0,0,3,3,3) v0,v1': (1, '1d4951ff202f8ec06be33815ad95c0756c128a6c92b7609c8cddb2b2df94f6ce'),
@@ -138,7 +138,7 @@ PINNED: dict[str, tuple[int, str]] = {
     'solve g3 - v0,v1': (1, 'b55218513ab380ec9e7c0dfc003eefe36759be6adc601fe3f49700ec714236f7'),
     'solve g3 p=(0,0,1,1,1) -': (1, '4e0b873458657be41988abf7f04eabbffac7b599bef38b192bc2f71bdbf2c3f5'),
     'solve g3 p=(0,0,1,1,1) v0,v1': (1, '51274a5050e85faafb638a9dfafc4ab5e8b7700ec88cd118d2c4edd7bb2505cd'),
-    'solve g3 p=(0,0,3,3,3) -': (0, '9ecf69737e942f2923958e49d908356422b438874bfd977d84267e1544890bde'),
+    'solve g3 p=(0,0,3,3,3) -': (0, '1347062ab93efc0e3facdf0c652d33bc52de78785d57d970e8a144f452bf4741'),
     'answer g3 p=(0,0,3,3,3) -': (0, '6f5a7785ac79dc4f39e849b00fd98f35d24f54746d126ef8f761278c9cf3f57b'),
     'verify g3 p=(0,0,3,3,3) -': (0, 'ac9223145ef40aef8e9614abd739a4bbc6d44ac2af5552c649ad66b0b1ac15b7'),
     'solve g3 p=(0,0,3,3,3) v0,v1': (1, '3c9540c333689051cc2785042def4b361ece3109ff5d74a797e4da922db704b5'),
