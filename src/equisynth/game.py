@@ -114,6 +114,11 @@ class PayoffSpec:
     rules: tuple[PayoffRule, ...]
     default: tuple[Fraction, ...]
 
+    @cached_property
+    def outcomes(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rules' vectors and then the default, indexed by `first_match`."""
+        return tuple(rule.vector for rule in self.rules) + (self.default,)
+
     def first_match(self, inf) -> int:
         """Index of the rule that decides `inf`; len(rules) for the default."""
         inf = frozenset(inf)
@@ -123,8 +128,7 @@ class PayoffSpec:
         return len(self.rules)
 
     def value(self, inf) -> tuple[Fraction, ...]:
-        k = self.first_match(inf)
-        return self.rules[k].vector if k < len(self.rules) else self.default
+        return self.outcomes[self.first_match(inf)]
 
     def atoms(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -134,13 +138,22 @@ class PayoffSpec:
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         """Distinct achievable-by-rule vectors, rule order first, default last."""
-        seen: list[tuple[Fraction, ...]] = []
-        for rule in self.rules:
-            if rule.vector not in seen:
-                seen.append(rule.vector)
-        if self.default not in seen:
-            seen.append(self.default)
-        return seen
+        return list(dict.fromkeys(self.outcomes))
+
+
+@dataclass(frozen=True)
+class Colors:
+    """The vertices split so that the payoff depends only on which parts
+    recur: each payoff atom is a color of its own and every other vertex
+    shares one color.  Colors are numbered by their first vertex and a set
+    of colors is a bitmask.  `rule[mask]` is the index of the payoff rule
+    that decides the set (`PayoffSpec.first_match`), and `shared` is the
+    bitmask of the shared color (0 if every vertex is an atom)."""
+
+    classes: tuple[tuple[str, ...], ...]  # color -> its vertices
+    of: dict[str, int]  # vertex -> color
+    rule: tuple[int, ...]
+    shared: int
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +257,22 @@ class ConcurrentGame:
     @cached_property
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def colors(self) -> Colors:
+        """The game's color partition; the payoff rule deciding each set of
+        colors is found once per game."""
+        atoms = self.payoff.atoms()
+        rest = tuple(v for v in self.vertices if v not in atoms)
+        classes = [(v,) for v in self.vertices if v in atoms] + ([rest] if rest else [])
+        classes.sort(key=lambda cls: self.vertex_index[cls[0]])
+        of = {v: c for c, cls in enumerate(classes) for v in cls}
+        union = [frozenset()]  # bitmask -> vertices of those colors
+        for mask in range(1, 1 << len(classes)):
+            low = mask & -mask
+            union.append(union[mask ^ low] | frozenset(classes[low.bit_length() - 1]))
+        rule = tuple(map(self.payoff.first_match, union))
+        return Colors(tuple(classes), of, rule, 1 << of[rest[0]] if rest else 0)
 
     @cached_property
     def action_index(self) -> dict[str, int]:

@@ -74,11 +74,18 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# The deepest nesting of parentheses and negations an expression may have.
+# The parser recurses once per level, so a fixed bound keeps it far below
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _TokenStream:
     def __init__(self, tokens: list[str], source: str):
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -119,15 +126,21 @@ def _parse_and(ts: _TokenStream, atom_parser):
 
 
 def _parse_unary(ts: _TokenStream, atom_parser):
-    if ts.peek() == "!":
-        ts.next()
-        return Not(_parse_unary(ts, atom_parser))
-    if ts.peek() == "(":
-        ts.next()
+    tok = ts.peek()
+    if tok not in ("!", "("):
+        return atom_parser(ts)
+    ts.next()
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        raise InvalidInput(
+            f"expression nests parentheses and negations deeper than {MAX_NESTING} levels")
+    if tok == "!":
+        node = Not(_parse_unary(ts, atom_parser))
+    else:
         node = _parse_or(ts, atom_parser)
         ts.expect(")")
-        return node
-    return atom_parser(ts)
+    ts.depth -= 1
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +243,7 @@ def _parse_query_atom(ts: _TokenStream):
     nxt = ts.next()
     if nxt == "[":
         idx_tok = ts.next()
-        if not idx_tok.isdigit():
+        if not (idx_tok.isascii() and idx_tok.isdigit()):
             raise InvalidInput(f"bad component index {idx_tok!r}")
         ts.expect("]")
         op = ts.next()

@@ -4,32 +4,34 @@ coalition can lock in, together with the strategy that enforces it.
 For a candidate vector p the deviated region is solved as a zero-sum game
 where the protagonist must keep every surviving suspect at or below its
 component of p on the recurring vertices.  Suspect sets only shrink, so the
-region splits into layers ordered by the suspect set.  A layer's objective
-is a Muller condition on color classes taken from the game's vertices, not
-the layer's: each payoff atom is its own color and every other vertex of the
-game shares one color.  The payoff rule that decides each nonempty class
-set is tabulated once per punishment region, and each layer compares the
-rules' vectors with p, so a layer's classes and tree depend only on the
-game, p and its suspects, and a pruned build (`epistemic.build_reachable`)
-gives the same trees, and the same meaning to a profile's leaves, as the
-full one.  Each layer becomes a parity game through its product with the
-Zielonka tree of that table, whose leaves are the only memory the
-punishment needs; with one leaf the product is the layer itself.  Exits
-to smaller layers are sinks whose winner is already known.
+region splits into layers ordered by the suspect set.  Each layer becomes a
+parity game through its product with the Zielonka tree of its Muller
+condition, whose leaves are the only memory the punishment needs; with one
+leaf the product is the layer itself.  Exits to smaller layers are sinks
+whose winner is already known.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
 lasso over p-safe moves whose recurring vertex set evaluates to exactly p.
-Lasso candidates are color sets, not state subsets: each payoff atom is its
-own color and every other vertex shares one color (with a required
-recurring set, every vertex is its own color and that set is the only
-candidate).  There is no size cap: each candidate costs one SCC
-decomposition of the reachable p-safe graph.
-
 `model_check_strategy` re-verifies any strategy against the epistemic game:
-the unique complying outcome must pay exactly p, and every recurring color
-set reachable in the deviated product must satisfy the bound for every
-surviving suspect.  A strategy is any object with the policy protocol:
+the unique complying outcome must pay exactly p, and no recurring set
+reachable in the deviated product may pay a surviving suspect more.
+
+All three read one coloring, `ConcurrentGame.colors`: each payoff atom is
+its own color, every other vertex of the game shares one, and the payoff
+rule deciding each set of colors is found once per game.  A layer compares
+the rules' vectors with p, so its classes and tree depend only on the game,
+p and its suspects, and a pruned build (`epistemic.build_reachable`) gives
+the same trees, and leaves, as the full one.  The lasso search and the
+model check take from `recurring_sets` the color sets that pay exactly p,
+or some suspect more, in an order vertex names do not change.  A set CC
+can recur iff, restricted to CC-colored nodes, some strongly connected part
+with an edge still shows every color of CC (`recurring_witness`, the
+SCC-restriction step of Emerson-Lei emptiness checks): one SCC
+decomposition per candidate, and no size cap.  With a required recurring
+set, every vertex is its own color and that set is the only candidate.
+
+A strategy is any object with the policy protocol:
 
     initial()                            -> memory at the initial Eve state
     action(eve_id, mem)                  -> the Adam id Eve chooses
@@ -53,19 +55,14 @@ payoff and rows that name their state by `state_key`, never by Eve id: the
 complying rows give an action, the punishment rows a tree leaf and an
 action.  `EveStrategy.from_dict` rebuilds everything else, each layer's
 color classes and tree included, from the game, the payoff and the suspects.
-
-Both searches share `recurring_witness`: a color set CC can recur iff, after
-restricting the graph to CC-colored nodes, some strongly connected part with
-an edge still shows every color of CC (the SCC-restriction step of generic
-Emerson-Lei emptiness checks).
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .epistemic import EpistemicGame, EpistemicView, EveAction, state_key
 from .errors import (
@@ -152,27 +149,36 @@ def strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[in
     return comps
 
 
-def recurring_witness(nodes, succ, color, cc) -> Optional[list]:
+def recurring_witness(nodes, succ, color, cc: int) -> Optional[list]:
     """Nodes of a strongly connected part with an edge, inside the nodes whose
     color lies in `cc`, that shows every color of `cc`; None if there is none.
 
-    `succ[v]` and `color[v]` give a node's successors and color; successors
-    outside `nodes` are ignored."""
-    keep = [v for v in nodes if color[v] in cc]
+    `succ[v]` and `color[v]` give a node's successors and int color, and `cc`
+    is a bitmask of colors; successors outside `nodes` are ignored."""
+    keep = [v for v in nodes if cc >> color[v] & 1]
     ids = {v: i for i, v in enumerate(keep)}
     adj = [[ids[t] for t in succ[v] if t in ids] for v in keep]
     for comp in strongly_connected_components(len(keep), adj):
         if len(comp) == 1 and comp[0] not in adj[comp[0]]:
             continue
-        if len({color[keep[i]] for i in comp}) == len(cc):
+        if len({color[keep[i]] for i in comp}) == cc.bit_count():
             return [keep[i] for i in comp]
     return None
 
 
-def _color_sets(colors: Sequence) -> Iterable[frozenset]:
-    """Nonempty subsets of `colors`, in binary-counting order."""
-    for mask in range(1, 1 << len(colors)):
-        yield frozenset(c for k, c in enumerate(colors) if mask >> k & 1)
+def recurring_sets(nodes, succ, color, shared: int, accept):
+    """Yield (color set, witness) for every set of the colors on `nodes` that
+    `accept` takes and that can recur (`recurring_witness`).  The sets come
+    in binary-counting order over the atoms by position, with the `shared`
+    color (`Colors.shared`) as the top digit."""
+    sets = [0]
+    for c in {color[v] for v in nodes}:
+        sets += [cc | 1 << c for cc in sets]
+    for cc in sorted(sets[1:], key=lambda cc: (cc & shared, cc)):
+        if accept(cc):
+            witness = recurring_witness(nodes, succ, color, cc)
+            if witness is not None:
+                yield cc, witness
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +247,6 @@ class LayerTable:
     classes: tuple[tuple[str, ...], ...]  # color id -> vertices of that class
     tree: Tree
     entries: dict[tuple[int, int], int]  # (eve id, leaf) -> adam id
-    class_of: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.class_of = {v: ci for ci, cls in enumerate(self.classes) for v in cls}
 
 
 @dataclass
@@ -261,66 +263,37 @@ def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
     return groups
 
 
-def _game_color_classes(game: ConcurrentGame):
-    """Partition the game's vertices so that the payoff depends only on which
-    classes recur; return the classes in vertex order and, per bitmask of a
-    set of class ids, the index of the payoff rule that decides it
-    (`PayoffSpec.first_match`).
-
-    Each payoff atom is a class of its own and all other vertices share one
-    class.  The payoff depends only on the atoms that recur, so it is
-    evaluated once per set of classes.  The table depends only on the game;
-    the layers of one payoff query share it.
-    """
-    payoff = game.payoff
-    atoms = payoff.atoms()
-    vorder = game.vertex_index
-
-    classes = [(v,) for v in game.vertices if v in atoms]
-    rest = tuple(v for v in game.vertices if v not in atoms)
-    if rest:
-        classes.append(rest)
-    classes.sort(key=lambda cls: vorder[cls[0]])
-    union = [frozenset()]  # bitmask -> vertices of those classes
-    for mask in range(1, 1 << len(classes)):
-        low = mask & -mask
-        union.append(union[mask ^ low] | frozenset(classes[low.bit_length() - 1]))
-    return tuple(classes), [payoff.first_match(vs) for vs in union]
-
-
-def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey, colors):
-    """The color classes of the layer with suspects `dev` and its acceptance
-    table, indexed by the bitmask of a nonempty set of class ids: the
-    outcome of each rule is compared with p once, and each set of classes
-    reads the verdict of its rule in `colors` (`_game_color_classes`)."""
-    classes, first = colors
+def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
+    """The color classes of the layer with suspects `dev`, which are the
+    game's (`ConcurrentGame.colors`), and its acceptance table per bitmask
+    of classes: each rule's vector is compared with p once, and each set of
+    classes reads the verdict of its rule."""
+    colors = game.colors
     dev_idx = [game.player_index[d] for d in dev]
-    payoff = game.payoff
-    outcomes = [rule.vector for rule in payoff.rules] + [payoff.default]
-    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in outcomes]
-    return classes, [ok[k] for k in first]
+    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in game.payoff.outcomes]
+    return colors.classes, [ok[k] for k in colors.rule]
 
 
-def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey, colors):
+def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
     """The color classes and the Zielonka tree of the layer with suspects
     `dev`."""
-    classes, accepted = _layer_color_classes(game, p, dev, colors)
+    classes, accepted = _layer_color_classes(game, p, dev)
     return classes, zielonka_tree(len(classes), accepted)
 
 
 def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],
-                 global_win: set[int], lar_cap: int, colors) -> LayerTable:
+                 global_win: set[int], lar_cap: int) -> LayerTable:
     """Solve one layer as a parity game on its product with the Zielonka tree.
 
     An Eve node is (Eve id, leaf before the state's own color is read), an
     Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
     Entering the layer starts at leaf 0; exits to smaller layers are sinks
-    whose winner is already known.  `colors` is `_game_color_classes` of
-    the game."""
-    classes, tree = _layer_setup(eg.game, p, dev, colors)
+    whose winner is already known."""
+    classes, tree = _layer_setup(eg.game, p, dev)
     table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
-    color = {e: table.class_of[eg.eve_states[e].vertex] for e in layer_eves}
+    of = eg.game.colors.of
+    color = {e: of[eg.eve_states[e].vertex] for e in layer_eves}
 
     WIN, LOSE = 0, 1
     owner, priority, succ = [0, 1], [0, 1], [[WIN], [LOSE]]
@@ -377,11 +350,10 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> P
     """Deviated Eve states from which the coalition can bound every surviving
     suspect by p on every outcome, with the enforcing strategy tables."""
     groups = _layer_groups(eg)
-    colors = _game_color_classes(eg.game)
     global_win: set[int] = set()
     layers: dict[DevKey, LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
-        table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap, colors)
+        table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap)
         layers[dev] = table
         # Every layer state is interned at leaf 0, so it is won iff it has an
         # entry there.
@@ -447,7 +419,7 @@ class EveStrategy:
             return pos if pos < len(self.prefix) + len(self.cycle) else len(self.prefix)
         if len(nxt.situations) == len(state.situations):
             table = self.layers[state.deviators()]
-            return table.tree[mem][table.class_of[state.vertex]][0]
+            return table.tree[mem][self.eg.game.colors.of[state.vertex]][0]
         return 0
 
     # -- serialization ----------------------------------------------------
@@ -538,7 +510,6 @@ class EveStrategy:
         cycle = comply_of(data["comply"]["cycle"])
         if not cycle:
             raise InvalidInput("profile complying cycle is empty")
-        colors = _game_color_classes(eg.game)
         layers: dict[DevKey, LayerTable] = {}
         for row in data["punish"]:
             e = eve_of(row)
@@ -550,7 +521,7 @@ class EveStrategy:
             table = layers.get(dev)
             if table is None:
                 table = layers[dev] = LayerTable(
-                    dev, *_layer_setup(eg.game, payoff, dev, colors), entries={})
+                    dev, *_layer_setup(eg.game, payoff, dev), entries={})
             leaf = row["leaf"]
             if isinstance(leaf, bool) or not isinstance(leaf, int):
                 raise InvalidInput(f"profile leaf {leaf!r} is not a JSON integer")
@@ -656,22 +627,19 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
                 seen.add(t)
                 queue.append(t)
 
-    verts = {e: states[e].vertex for e in reach}
     if main_inf is not None:
-        color, candidates = verts, [main_inf]
+        index = eg.game.vertex_index
+        color = {e: index[states[e].vertex] for e in reach}
+        witness = recurring_witness(
+            reach, safe_succ, color, sum(1 << index[v] for v in main_inf))
     else:
-        atoms = eg.game.payoff.atoms()
-        color = {e: v if v in atoms else None for e, v in verts.items()}
-        colors = sorted(set(color.values()), key=lambda c: (c is None, c))
-        candidates = (
-            cc for cc in _color_sets(colors)
-            if eg.game.payoff.value(c for c in cc if c is not None) == p
-        )
-    for cc in candidates:
-        witness = recurring_witness(reach, safe_succ, color, cc)
-        if witness is not None:
-            return _build_lasso(eg, safe_succ, set(witness))
-    return None
+        colors = eg.game.colors
+        pays = [vec == p for vec in eg.game.payoff.outcomes]
+        color = {e: colors.of[states[e].vertex] for e in reach}
+        found = recurring_sets(reach, safe_succ, color, colors.shared,
+                               lambda cc: pays[colors.rule[cc]])
+        witness = next((w for _cc, w in found), None)
+    return None if witness is None else _build_lasso(eg, safe_succ, set(witness))
 
 
 def _bfs_path(src: int, dst, succ_of) -> list[int]:
@@ -802,9 +770,8 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
         )
 
     # Deviated product region: exact recurring-color-set analysis.
-    atoms = eg.game.payoff.atoms()
-    vertex = [states[eve_id].vertex for eve_id, _mem in nodes]
-    color = [v if v in atoms else None for v in vertex]
+    colors, outcomes = eg.game.colors, eg.game.payoff.outcomes
+    color = [colors.of[states[eve_id].vertex] for eve_id, _mem in nodes]
     deviated = [i for i in range(len(nodes)) if states[nodes[i][0]].deviated]
     dev_ids = {i: n for n, i in enumerate(deviated)}
     sub_adj = [
@@ -814,23 +781,21 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
         comp_nodes = [deviated[i] for i in comp]
         dev = states[nodes[comp_nodes[0]][0]].deviators()
         dev_idx = [eg.game.player_index[d] for d in dev]
-        colors = sorted({color[i] for i in comp_nodes}, key=lambda c: (c is None, c))
-        for cc in _color_sets(colors):
-            if recurring_witness(comp_nodes, succ, color, cc) is None:
-                continue
-            verts = frozenset(c for c in cc if c is not None)
-            vec = eg.game.payoff.value(verts)
-            bad = [
-                dev[k] for k, i in enumerate(dev_idx) if vec[i] > p[i]
-            ]
-            if bad:
-                violations.append(
-                    "recurring vertices "
-                    + "{" + ",".join(sorted(verts)) + "}"
-                    + f" with suspects {{{','.join(dev)}}} pay "
-                    + f"({','.join(str(q) for q in vec)})"
-                    + f" exceeding the bound for {{{','.join(bad)}}}"
-                )
+        # Per payoff rule, the suspects its vector pays more than p.
+        bad = [[dev[k] for k, i in enumerate(dev_idx) if vec[i] > p[i]]
+               for vec in outcomes]
+        for cc, _witness in recurring_sets(comp_nodes, succ, color, colors.shared,
+                                           lambda cc: bad[colors.rule[cc]]):
+            rule = colors.rule[cc]
+            verts = sorted(cls[0] for c, cls in enumerate(colors.classes)
+                           if (cc & ~colors.shared) >> c & 1)
+            violations.append(
+                "recurring vertices "
+                + "{" + ",".join(verts) + "}"
+                + f" with suspects {{{','.join(dev)}}} pay "
+                + f"({','.join(str(q) for q in outcomes[rule])})"
+                + f" exceeding the bound for {{{','.join(bad[rule])}}}"
+            )
 
     return ModelCheckReport(
         ok=not violations,

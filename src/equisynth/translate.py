@@ -372,17 +372,6 @@ class DeviationScript:
     step: int
     actions: tuple[str, ...]
 
-    @staticmethod
-    def from_dict(data: dict) -> "DeviationScript":
-        try:
-            return DeviationScript(
-                deviator=str(data["deviator"]),
-                step=int(data["step"]),
-                actions=tuple(str(x) for x in data["actions"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed deviation script: {exc}") from exc
-
 
 @dataclass
 class SimulationResult:
@@ -408,31 +397,6 @@ class SimulationResult:
                 f"{{{','.join(sorted(set(cyc)))}}} payoff ({pay})"
             )
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        steps = [
-            {
-                "vertex": self.history.vertices[i],
-                "move": list(mv),
-                "messages": [m if m is not None else "" for m in msgs],
-            }
-            for i, (mv, msgs) in enumerate(
-                zip(self.history.moves, self.history.messages)
-            )
-        ]
-        out = {
-            "steps": steps,
-            "final_vertex": self.history.vertices[-1],
-            "deviator": self.deviator,
-            "diverged_at": self.diverged_at,
-        }
-        if self.cycle_start is not None:
-            out["lasso"] = {
-                "start": self.cycle_start,
-                "vertices": list(self.history.vertices[self.cycle_start : -1]),
-                "payoff": [str(q) for q in self.payoff],
-            }
-        return out
 
 
 def simulate(

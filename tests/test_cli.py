@@ -227,6 +227,46 @@ def test_bad_predicate_syntax(capsys):
     assert err.startswith("error:")
 
 
+def test_predicate_index_takes_ascii_digits_only(capsys):
+    # str.isdigit accepts superscripts and other scripts' digits, some of
+    # which int() then rejects.
+    for index in ("\u00b2", "\u0663"):
+        code, out, err = run(capsys, "solve", "--game", GAME, "--comm", G1,
+                             "--predicate", f"p[{index}]=1")
+        assert (code, out, err) == (2, "", f"error: bad component index {index!r}\n")
+
+
+def test_expression_nesting_is_bounded(capsys, tmp_path):
+    deep = "expression nests parentheses and negations deeper than 100 levels"
+    data = json.loads(asset_path("five_player_game.json").read_text())
+    rules = data["payoff"]["rules"]
+
+    def solve_with(condition: str, predicate: str):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({**data, "payoff": {**data["payoff"], "rules": [
+            {**rules[0], "if": condition}, *rules[1:]]}}))
+        code, out, err = run(capsys, "solve", "--game", str(path), "--comm", G1,
+                             "--predicate", predicate, "--format", "json")
+        report = json.loads(out) if out else {}
+        report.pop("game", None), report.pop("predicate", None)
+        return code, report, err
+
+    for predicate in ("(" * 2000 + REPORT_PREDICATE + ")" * 2000,
+                      "!" * 101 + REPORT_PREDICATE):
+        assert solve_with("inf(v1)", predicate) == (2, {}, f"error: {deep}\n")
+    nested_400 = "(" * 400 + "inf(v1)" + ")" * 400
+    assert solve_with(nested_400, REPORT_PREDICATE) == (2, {}, f"error: {deep}\n")
+    path = tmp_path / "game.json"
+    code, out, err = run(capsys, "build", "--game", str(path), "--comm", G1)
+    assert (code, out, err) == (2, "", f"error: {deep}\n")
+    # At the bound, the condition and the predicate read as without the
+    # parentheses.
+    plain = solve_with("inf(v1)", REPORT_PREDICATE)
+    assert (plain[0], plain[1]["status"]) == (0, "found")
+    assert solve_with("(" * 100 + "inf(v1)" + ")" * 100,
+                      "(" * 100 + REPORT_PREDICATE + ")" * 100) == plain
+
+
 def test_unknown_main_inf_vertex(capsys):
     code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--main-inf", "v0,zz")
     assert code == 2

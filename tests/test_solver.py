@@ -3,7 +3,9 @@ search, strategy serialization, and the product model check."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,11 @@ from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded
 from equisynth.parsing import parse_query
 from equisynth.solver import (
     EveStrategy,
-    _game_color_classes,
     _layer_color_classes,
     candidate_payoffs,
     model_check_strategy,
     punishment_region,
+    recurring_sets,
     recurring_witness,
     solve,
     strongly_connected_components,
@@ -73,13 +75,20 @@ def test_recurring_sets_and_color_classes_match_enumeration():
         color = [rng.choice(palette) for _ in range(n)]
         oracle = brute_force_recurring_color_sets(range(n), succ, color)
         for mask in range(1, 1 << len(palette)):
-            cc = frozenset(c for c in palette if mask >> c & 1)
-            witness = recurring_witness(range(n), succ, color, cc)
-            assert (witness is not None) == (cc in oracle), (succ, color, cc)
+            witness = recurring_witness(range(n), succ, color, mask)
+            assert (witness is not None) == (color_set(mask) in oracle), (succ, color, mask)
             if witness is not None:
                 witnessed += 1
                 assert strongly_connected_with_edge(set(witness), succ)
-                assert {color[v] for v in witness} == cc
+                assert {color[v] for v in witness} == color_set(mask)
+        # The one search yields exactly the recurring sets it accepts, in
+        # binary-counting order with the shared color as the top digit.
+        shared = 1 << rng.choice(palette)
+        accept = rng.choice([lambda cc: True, lambda cc: cc % 3 != 1])
+        got = [cc for cc, _ in recurring_sets(range(n), succ, color, shared, accept)]
+        want = [mask for mask in range(1, 1 << len(palette))
+                if color_set(mask) in oracle and accept(mask)]
+        assert got == sorted(want, key=lambda cc: (cc & shared, cc)), (succ, color)
     assert witnessed > 200
 
     # A layer's classes come from the game's vertices, whichever of them
@@ -90,9 +99,12 @@ def test_recurring_sets_and_color_classes_match_enumeration():
         dev = tuple(sorted(rng.sample(game.players, rng.randint(1, len(game.players))),
                            key=game.player_index.__getitem__))
         seed = seed_color_classes(game, game.vertices)
-        colors = _game_color_classes(game)
+        colors = game.colors
+        assert colors.of == {v: c for c, cls in enumerate(seed) for v in cls}
+        rest = [c for c, cls in enumerate(seed) if cls[0] not in game.payoff.atoms()]
+        assert colors.shared == sum(1 << c for c in rest)
         for p in candidate_payoffs(game):
-            classes, table = _layer_color_classes(game, p, dev, colors)
+            classes, table = _layer_color_classes(game, p, dev)
             assert classes == tuple(map(tuple, seed))
             assert {color_set(mask): table[mask] for mask in range(1, len(table))} == \
                 vertex_subset_table(game, p, dev, game.vertices, seed)
@@ -387,3 +399,48 @@ def test_pruned_build_gives_the_full_answers(pruned_pairs, pruned_solves):
         assert check_normed(game, graph, profile).ok
         assert check_deviation_resistance(full, profile, got.payoff).ok
     assert found >= 50
+
+
+def _unnamed(result, game) -> tuple:
+    """The lasso of a solve as vertex positions and its profile with every
+    vertex and action name replaced by its position in the game's lists."""
+    vpos, apos = game.vertex_index, game.action_index
+
+    def action(raw):
+        if isinstance(raw, dict):
+            return {d: action(m) for d, m in raw.items()}
+        return [apos[a] for a in raw]
+
+    def row(r: dict) -> dict:
+        vertex, rest = r["key"].split("|", 1)
+        return {**r, "key": f"{vpos[vertex]}|{rest}", "action": action(r["action"])}
+
+    profile = result.strategy.to_dict()
+    profile["comply"] = {part: list(map(row, rows))
+                         for part, rows in profile["comply"].items()}
+    profile["punish"] = list(map(row, profile["punish"]))
+    lasso = [[vpos[v] for v in part] for part in (result.lasso_prefix, result.lasso_cycle)]
+    return lasso, profile
+
+
+def test_renaming_leaves_the_answer_as_it_is():
+    # Two renamings of every `wide` and `branchy` structure, drawn as the
+    # benchmark draws them, solve to the same lasso and profile up to the
+    # names.  Under seeds 1 and 6 a search that tried color sets in name
+    # order would pick different lassos on four `branchy` structures.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    varying = []
+    for family in ("wide", "branchy"):
+        for i, structure in enumerate(workloads.family(family)):
+            answers = []
+            for seed in (1, 6):
+                rng = random.Random(f"{family}:{seed}:{i}")
+                vperm = rng.sample(range(structure.vertices), structure.vertices)
+                aperm = rng.sample(range(structure.actions), structure.actions)
+                game, graph = workloads.materialize(structure, vperm, aperm)
+                answers.append(_unnamed(solve(build_reachable(game, graph, pruned=True)), game))
+            if answers[0] != answers[1]:
+                varying.append(f"{family}-{i:02d}")
+    assert not varying

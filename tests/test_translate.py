@@ -145,12 +145,6 @@ def test_simulate_trace_rendering(game5, g1, profile1):
     lines = sim.text.splitlines()
     assert lines[0] == "v0 | a a a b a | - - - 3 -"
     assert lines[1].startswith("v1p |")
-    data = sim.to_json()
-    assert data["steps"][0]["vertex"] == "v0"
-    assert data["steps"][0]["messages"] == ["", "", "", "3", ""]
-    assert data["deviator"] == "3"
-    assert data["lasso"]["vertices"] == ["v3"]
-    assert data["lasso"]["payoff"] == ["0", "0", "2", "0", "2"]
 
 
 def test_simulate_validates_scripts(game5, g1, profile1):
@@ -160,13 +154,6 @@ def test_simulate_validates_scripts(game5, g1, profile1):
         simulate(game5, g1, profile1, DeviationScript("3", 99, ("b",)))
     with pytest.raises(InvalidInput):
         simulate(game5, g1, profile1, DeviationScript("3", 0, ("z",)))
-
-
-def test_deviation_script_from_dict():
-    s = DeviationScript.from_dict({"deviator": "3", "step": 2, "actions": ["b", "a"]})
-    assert s == DeviationScript("3", 2, ("b", "a"))
-    with pytest.raises(InvalidInput):
-        DeviationScript.from_dict({"deviator": "3"})
 
 
 def test_check_normed_passes(game5, g1, profile1):
