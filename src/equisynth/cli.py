@@ -17,6 +17,7 @@ exceeded, 4 verification or invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -86,6 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("profile", help="report or profile file produced by solve")
     v.set_defaults(func=cmd_verify)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, made once per process: parsing leaves it as it was."""
+    return build_parser()
 
 
 def _parse(args):
@@ -365,8 +372,7 @@ def main(argv=None) -> int:
             level=level if isinstance(level, int) else logging.INFO,
             format="%(asctime)s %(name)s %(levelname)s %(message)s",
         )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag in ("state_cap", "lar_cap"):
             value = getattr(args, flag, None)

@@ -58,8 +58,14 @@ hypotheses j with t in reach[j], and every action of the state gives them
 the same grown masks.  So if reach2[j] ⊆ reach1[j] for every j, each
 successor (t, S2) of the second action has a successor (t, S1) of the
 first with S2 ⊆ S1.  Fewer hypotheses only make Eve's objective easier:
-she restricts her strategy from S1 to S2.  Keeping only the ⊆-minimal
-reach tuples of each state, each with the full build's action, therefore
+she restricts her strategy from S1 to S2.  At a state without suspects
+every player is a fresh hypothesis with the same grown mask under every
+move, and the same holds at every target but the complying one, which
+continues with no hypothesis.  So of two moves with the same complying
+target the one with the smaller reach tuple is p-safe whenever the other
+is, and both lead to the same complying successor.  Keeping only the
+⊆-minimal reach tuples of each state with suspects, and of each complying
+target of a state without, each with the full build's action, therefore
 keeps every win region, verdict and lasso (every other tuple lies above a
 kept one), and every strategy of the pruned game is one of the full game.
 The Adam nodes a strategy picks have the same successors in both builds.
@@ -500,14 +506,20 @@ def _distinct_actions(enc: Encoding, key: StateKey):
     strictly within x iff a move's reads have, for every suspect j, an option
     ⊆ x_j and, for some j, one ⊊ x_j: iff AND_j sub & OR_j strict is not 0.
     A dropped tuple is dominated by a kept one (see the module docstring).
-    States without suspects are never pruned: the lasso reads their
-    complying targets."""
+    Without suspects a pruned build keeps, per complying target, only the
+    ⊆-minimal reach tuples of the moves leading there: every target keeps a
+    move, and the lasso reads only the complying targets."""
     v, pairs = key
     if not pairs:
-        seen = set()
+        distinct: dict[tuple[int, tuple[int, ...]], Move] = {}
         for move, (target, reach) in enc.moves(v).items():
-            if (target, reach) not in seen:
-                seen.add((target, reach))
+            distinct.setdefault((target, reach), move)
+        by_target: dict[int, list[tuple[int, ...]]] = {}
+        for target, reach in distinct if enc.pruned else ():
+            by_target.setdefault(target, []).append(reach)
+        for (target, reach), move in distinct.items():
+            if not any(other != reach and all(o & ~r == 0 for o, r in zip(other, reach))
+                       for other in by_target.get(target, ())):
                 yield move, reach, target
         return
     # (the moves where every suspect so far has its option and none a

@@ -64,34 +64,61 @@ class Not:
         return self.operand.atoms()
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class _Chain:
+    """A binary connective; `_op` is its text between the operands.  Every
+    method reads a chain of one connective as its list of operands, and
+    equality, hashing and repr are written out to do the same."""
+
     left: "Condition"
     right: "Condition"
+    _op = ""
 
-    def holds(self, inf: frozenset[str]) -> bool:
-        return self.left.holds(inf) and self.right.holds(inf)
-
-    def text(self) -> str:
-        return f"({self.left.text()} & {self.right.text()})"
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Condition"
-    right: "Condition"
-
-    def holds(self, inf: frozenset[str]) -> bool:
-        return self.left.holds(inf) or self.right.holds(inf)
+    def operands(self) -> list["Condition"]:
+        """The operands of the chain of this connective down the left side,
+        leftmost first.  The parser folds `a & b & c` into ((a & b) & c),
+        so a long chain is deep on the left only; it is read without
+        recursing."""
+        node, rights = self, []
+        while type(node) is type(self):
+            rights.append(node.right)
+            node = node.left
+        rights.append(node)
+        rights.reverse()
+        return rights
 
     def text(self) -> str:
-        return f"({self.left.text()} | {self.right.text()})"
+        first, *rest = self.operands()
+        return "(" * len(rest) + first.text() + "".join(
+            f" {self._op} {c.text()})" for c in rest)
 
     def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
+        return frozenset().union(*(c.atoms() for c in self.operands()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.operands() == other.operands()
+
+    def __hash__(self) -> int:
+        return hash((self._op, *self.operands()))
+
+    def __repr__(self) -> str:
+        first, *rest = self.operands()
+        return f"{type(self).__name__}(left=" * len(rest) + repr(first) + "".join(
+            f", right={c!r})" for c in rest)
+
+
+class And(_Chain):
+    _op = "&"
+
+    def holds(self, inf: frozenset[str]) -> bool:
+        return all(c.holds(inf) for c in self.operands())
+
+
+class Or(_Chain):
+    _op = "|"
+
+    def holds(self, inf: frozenset[str]) -> bool:
+        return any(c.holds(inf) for c in self.operands())
 
 
 Condition = InfAtom | Not | And | Or

@@ -230,6 +230,10 @@ class WinningQuery:
 
 
 def parse_rational(token: str) -> Fraction:
+    """`token` as a fraction.  `Fraction` also reads non-ASCII digits, so
+    those are refused first."""
+    if not token.isascii():
+        raise InvalidInput(f"bad rational {token!r}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -58,11 +58,12 @@ color classes and tree included, from the game, the payoff and the suspects.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .epistemic import EpistemicGame, EpistemicView, EveAction, state_key
 from .errors import (
@@ -188,7 +189,8 @@ def recurring_sets(nodes, succ, color, shared: int, accept):
 Tree = tuple[tuple[tuple[int, int], ...], ...]  # [leaf][color] -> (leaf, priority)
 
 
-def zielonka_tree(colors: int, acc: Sequence[bool]) -> Tree:
+@functools.lru_cache(maxsize=128)
+def zielonka_tree(colors: int, acc: tuple[bool, ...]) -> Tree:
     """The Zielonka-tree parity automaton (Zielonka, TCS 1998; Casares,
     Colcombet, Fijalkow, ICALP 2021) of the Muller condition `acc`, a verdict
     for every nonempty set of colors in range(colors), indexed by its bitmask.
@@ -204,7 +206,10 @@ def zielonka_tree(colors: int, acc: Sequence[bool]) -> Tree:
     exactly where n accepts: the shallowest node met infinitely often holds
     the recurring colors and no child does, so it accepts iff they do.
 
-    Returns the (next leaf, priority) pair per leaf and color."""
+    Returns the (next leaf, priority) pair per leaf and color.  The tree is
+    immutable and depends on nothing else, so it is made once per process
+    and table: the layers of a game, and the games of a run, share few
+    acceptance tables."""
     def children(top: int) -> list[int]:
         # Subsets in decreasing order: a strict superset comes first.
         kids: list[int] = []
@@ -278,7 +283,7 @@ def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
     """The color classes and the Zielonka tree of the layer with suspects
     `dev`."""
     classes, accepted = _layer_color_classes(game, p, dev)
-    return classes, zielonka_tree(len(classes), accepted)
+    return classes, zielonka_tree(len(classes), tuple(accepted))
 
 
 def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],

@@ -196,8 +196,9 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
     choice keep only their ⊆-minimal reach masks.  Replacing a suspect's move by one of the same
     shared choice with a smaller reach mask leaves the move function enabled
     and shrinks its reach tuple, so every dropped move function is dominated
-    by a kept one (see the module docstring).  States without suspects are
-    never pruned: the lasso reads their complying targets.
+    by a kept one (see the module docstring).  Without suspects a pruned
+    build keeps, per complying target, the moves with no other reach tuple
+    of that target strictly within theirs.
 
     The pruned output is then filtered, in order, to the reach tuples with
     no other tuple of the state strictly within them.  Each of those is
@@ -208,9 +209,16 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
     table = enc.moves(v)
     if not pairs:
         seen = set()
+        found = []
         for move, (target, reach) in table.items():
             if (target, reach) not in seen:
                 seen.add((target, reach))
+                found.append((move, reach, target))
+        for move, reach, target in found:
+            if not enc.pruned or not any(
+                    t == target and other != reach
+                    and all(o & ~r == 0 for o, r in zip(other, reach))
+                    for _move, other, t in found):
                 yield move, reach, target
         return
     game = enc.game

@@ -13,7 +13,7 @@ import pytest
 from equisynth import asset_path
 from equisynth.cli import _verify_profile, main
 from equisynth.errors import InvalidInput
-from equisynth.parsing import parse_query
+from equisynth.parsing import parse_game, parse_query, serialize_game
 from equisynth.solver import punishment_region, solve
 
 from conftest import complete_strategy, tamper_punishment
@@ -236,17 +236,41 @@ def test_predicate_index_takes_ascii_digits_only(capsys):
         assert (code, out, err) == (2, "", f"error: bad component index {index!r}\n")
 
 
-def test_expression_nesting_is_bounded(capsys, tmp_path):
-    deep = "expression nests parentheses and negations deeper than 100 levels"
+def _first_rule_as(tmp_path, condition: str) -> str:
+    """The path of a copy of the bundled game whose first payoff rule has
+    the condition `condition`."""
     data = json.loads(asset_path("five_player_game.json").read_text())
     rules = data["payoff"]["rules"]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({**data, "payoff": {**data["payoff"], "rules": [
+        {**rules[0], "if": condition}, *rules[1:]]}}))
+    return str(path)
+
+
+def test_rationals_take_ascii_digits_only(capsys, tmp_path):
+    # Fraction() reads other scripts' digits too: p=(0,0,\u0663,\u0663,\u0663)
+    # would ask for (0,0,3,3,3).  Predicate values and a game file's string
+    # rationals are refused alike.
+    for predicate, token in (("p=(0,0,\u0663,\u0663,\u0663)", "\u0663"),
+                             ("p[2]>=\u0661/\u0662", "\u0661/\u0662")):
+        code, out, err = run(capsys, "solve", "--game", GAME, "--comm", G1,
+                             "--predicate", predicate)
+        assert (code, out, err) == (2, "", f"error: bad rational {token!r}\n")
+    data = json.loads(asset_path("five_player_game.json").read_text())
+    data["payoff"]["default"] = [0, 0, 0, 0, "\u0661/3"]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(data))
+    for command in ("build", "solve"):
+        code, out, err = run(capsys, command, "--game", str(path), "--comm", G1)
+        assert (code, out, err) == (2, "", "error: bad rational '\u0661/3'\n")
+
+
+def test_expression_nesting_is_bounded(capsys, tmp_path):
+    deep = "expression nests parentheses and negations deeper than 100 levels"
 
     def solve_with(condition: str, predicate: str):
-        path = tmp_path / "game.json"
-        path.write_text(json.dumps({**data, "payoff": {**data["payoff"], "rules": [
-            {**rules[0], "if": condition}, *rules[1:]]}}))
-        code, out, err = run(capsys, "solve", "--game", str(path), "--comm", G1,
-                             "--predicate", predicate, "--format", "json")
+        code, out, err = run(capsys, "solve", "--game", _first_rule_as(tmp_path, condition),
+                             "--comm", G1, "--predicate", predicate, "--format", "json")
         report = json.loads(out) if out else {}
         report.pop("game", None), report.pop("predicate", None)
         return code, report, err
@@ -265,6 +289,31 @@ def test_expression_nesting_is_bounded(capsys, tmp_path):
     assert (plain[0], plain[1]["status"]) == (0, "found")
     assert solve_with("(" * 100 + "inf(v1)" + ")" * 100,
                       "(" * 100 + REPORT_PREDICATE + ")" * 100) == plain
+
+
+def test_flat_chains_read_without_recursion(capsys, tmp_path):
+    # The parser folds a chain of `&` or `|` into a tree as deep as the
+    # chain is long, on its left side.  A chain of 1,500 operands, in a
+    # payoff condition or in the predicate, answers as its one operand
+    # does, and the game file written back keeps the condition's text.
+    def solve_with(condition: str, predicate: str):
+        code, out, err = run(capsys, "solve", "--game", _first_rule_as(tmp_path, condition),
+                             "--comm", G1, "--predicate", predicate, "--format", "json")
+        report = json.loads(out)
+        report.pop("game"), report.pop("predicate")
+        return code, report, err
+
+    plain = solve_with("inf(v1)", "p[2]=1")
+    assert (plain[0], plain[1]["status"]) == (0, "found")
+    for op in ("&", "|"):
+        condition = f" {op} ".join(["inf(v1)"] * 1500)
+        assert solve_with(condition, "p[2]=1") == plain
+        assert solve_with("inf(v1)", f" {op} ".join(["p[2]=1"] * 1500)) == plain
+        text = "inf(v1)"
+        for _ in range(1499):
+            text = f"({text} {op} inf(v1))"
+        game = json.loads(serialize_game(parse_game(_first_rule_as(tmp_path, condition))))
+        assert game["payoff"]["rules"][0]["if"] == text
 
 
 def test_unknown_main_inf_vertex(capsys):
@@ -605,7 +654,7 @@ def test_solve_product_cap(capsys):
     assert "resource cap" in err
     # The message names the stage, the layer and how far it got.
     assert "punishment product exceeded 30 nodes in the layer with suspects {2,3}" in err
-    for progress in ("1 tree leaf", "11 Eve states and 47 Adam nodes in the layer",
+    for progress in ("1 tree leaf", "9 Eve states and 33 Adam nodes in the layer",
                      "30 product nodes made"):
         assert progress in err
 
@@ -696,7 +745,7 @@ def test_verify_rejects_v1_profile(capsys, tmp_path, main_inf_report):
 def test_logging_stays_on_stderr():
     # In a fresh process so the environment variable governs the logging
     # setup.  The log names the epistemic game each command builds.
-    for command, built in (("build", "full"), ("solve", "pruned")):
+    for command, built, eves in (("build", "full", 85), ("solve", "pruned", 80)):
         argv = [sys.executable, "-m", "equisynth", command, "--game", GAME, "--comm", G1]
         quiet = subprocess.run(argv, capture_output=True, text=True, env={**os.environ})
         assert quiet.returncode == 0
@@ -705,10 +754,10 @@ def test_logging_stays_on_stderr():
         loud = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert loud.returncode == 0
         assert loud.stdout == quiet.stdout
-        assert f"built {built} epistemic game: 85 protagonist" in loud.stderr
+        assert f"built {built} epistemic game: {eves} protagonist" in loud.stderr
         # An upper-case name of `logging` that is no level logs INFO.
         env = {**os.environ, "EQUISYNTH_LOG": "basic_format"}
         other = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert other.returncode == 0, other.stderr
         assert other.stdout == quiet.stdout
-        assert f"built {built} epistemic game: 85 protagonist" in other.stderr
+        assert f"built {built} epistemic game: {eves} protagonist" in other.stderr

@@ -325,12 +325,13 @@ def _within(small, large) -> bool:
 
 
 def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
-    # At a state with suspects the pruned build keeps, in the full build's
-    # order, exactly the actions whose reach tuples have no other tuple of
-    # the state strictly within them, and every dropped one is dominated: a
-    # kept one reaches a subset of its vertices under every hypothesis.
-    # States without suspects keep all their actions.  A kept action has the
-    # same successors in both builds, and a dropped one is not enabled.
+    # The pruned build keeps, in the full build's order and with its
+    # actions, exactly the actions whose reach tuples have no other tuple of
+    # the state with the same complying target strictly within them (every
+    # action of a state with suspects has none), and every dropped one is
+    # dominated: a kept one with its complying target reaches a subset of
+    # its vertices under every hypothesis.  A kept action has the same
+    # successors in both builds, and a dropped one is not enabled.
     # Games above 5,000 Adam nodes are left to the answer comparison in
     # test_solver.py.
     pairs = [(game5, g1, eg1, build_reachable(game5, g1, pruned=True))] + pruned_pairs
@@ -344,19 +345,17 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
         for eid, key in enumerate(keys):
             fid = full_of[key]
             want, got = _adam_by_reach(full, fid), _adam_by_reach(pruned, eid)
-            assert set(got) <= set(want)
-            if not pruned.eve_states[eid].deviated:
-                assert [pruned.adam_action[aid] for aid in got.values()] == \
-                    [full.adam_action[aid] for aid in want.values()]
-            else:
-                assert list(got) == [
-                    (reach, comply) for reach, comply in want
-                    if not any(other != reach and _within(other, reach) for other, _ in want)]
+            assert list(got) == [
+                (reach, comply) for reach, comply in want
+                if not any(c == comply and other != reach and _within(other, reach)
+                           for other, c in want)]
+            assert [pruned.adam_action[aid] for aid in got.values()] == \
+                [full.adam_action[want[reach]] for reach in got]
             for reach, aid in got.items():
                 assert [full_keys[s] for s in full.adam_succ[want[reach]]] == \
                     [keys[s] for s in pruned.adam_succ[aid]]
             for reach, comply in want.keys() - got.keys():
-                assert any(_within(kept, reach) for kept, _ in got)
+                assert any(c == comply and _within(kept, reach) for kept, c in got)
                 dropped += 1
                 with pytest.raises(InvalidInput):
                     pruned.adam_for_action(eid, full.adam_action[want[reach, comply]])

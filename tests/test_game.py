@@ -64,6 +64,28 @@ def test_condition_connectives():
     assert spec.value({"x", "y"}) == F(0)
 
 
+def test_long_chains_are_read_without_recursion():
+    # The parser folds a chain of 1,500 operands into a tree as deep as the
+    # chain is long.  It compares, hashes and prints as the dataclass
+    # methods would, without recursing once per operand.
+    for op in ("&", "|"):
+        text = f" {op} ".join(f"inf(v{i % 3})" for i in range(1500))
+        chain = parse_condition(text)
+        assert chain == parse_condition(text)
+        assert hash(chain) == hash(parse_condition(text))
+        assert chain != parse_condition(f"{text} {op} inf(v0)")
+        assert chain.atoms() == {"v0", "v1", "v2"}
+        assert chain.holds(frozenset({"v0", "v1", "v2"}))
+        assert chain.holds(frozenset({"v1"})) == (op == "|")
+        assert repr(chain).startswith(
+            f"{type(chain).__name__}(left=" * 1499
+            + "InfAtom(vertex='v0'), right=InfAtom(vertex='v1'))")
+    assert repr(parse_condition("(inf(a) & inf(b)) | !inf(c)")) == (
+        "Or(left=And(left=InfAtom(vertex='a'), right=InfAtom(vertex='b')), "
+        "right=Not(operand=InfAtom(vertex='c')))")
+    assert parse_condition("inf(a) & inf(b)") != parse_condition("inf(a) | inf(b)")
+
+
 def test_comm_graph_neighbourhoods(g1):
     assert g1.vois["0"] == ("0", "1", "4")
     assert g1.vois["4"] == ("3", "4")

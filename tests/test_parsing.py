@@ -126,8 +126,9 @@ def test_comm_graph_rejects_self_loop_and_unknown():
 def test_parse_rational():
     assert parse_rational("2/3") == Fraction(2, 3)
     assert parse_rational("4") == Fraction(4)
-    with pytest.raises(InvalidInput):
-        parse_rational("0.5x")
+    for token in ("0.5x", "\u0663", "1/\u0662", "\uff14"):
+        with pytest.raises(InvalidInput):
+            parse_rational(token)
 
 
 def test_query_matching():

@@ -102,7 +102,7 @@ PINNED: dict[str, tuple[int, str]] = {
     'solve g1 p=(0,0,1,1,1) v0,v1': (0, '553386642770a562a7f9dbbfacb8b45d9fdf32849bc6576a94efd57b470d8b17'),
     'answer g1 p=(0,0,1,1,1) v0,v1': (0, '9ec7439957f90bbefda3d076db975241afbff258c093273b1e2df285c41605ca'),
     'verify g1 p=(0,0,1,1,1) v0,v1': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,3,3,3) -': (0, 'f366b7d89e8ae8daf1814b784d15e333294d8c34bf396d061e1fc066b9441d13'),
+    'solve g1 p=(0,0,3,3,3) -': (0, 'a43f716bf3a28f273f8b7f312b3f5e342146dfdd612e1c10d4cd690e199643eb'),
     'answer g1 p=(0,0,3,3,3) -': (0, 'd202dad8c7ceef9781e053c6242e75fe623055a0f8d68fd7ac7b21083ad6dded'),
     'verify g1 p=(0,0,3,3,3) -': (0, '8cc812390aa7ebe369cc2e95cda19e707cd87bc1357804019b0c3614887904c4'),
     'solve g1 p=(0,0,3,3,3) v0,v1': (1, '14432069fd57f0773fad51170d5d401b34d3951d0c78edc35a3e77c770c3c3b3'),
@@ -111,19 +111,19 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g2 text': (0, 'dc5063a250002e38fa75ed206ebcace91bd6a06179e3716e91db70753db752ed'),
     'build g2 json': (0, '06e4cd7ea89d3dc42f9c905eee0c53a8dc542752510b8b2736a1dccec151a93c'),
     'build g2 dot': (0, '3e8acbc2066856057dc9834ce9d2c67948adff33b5f66a503d3b28ac9d03e383'),
-    'solve g2 - -': (0, 'db34708175e95ffe4bb22887a593903f788f1abb1a306e780ae58ed49cb64bfc'),
+    'solve g2 - -': (0, 'dfa7fbbb4173c10caf667a0b42b1f9533b31bb5bddec047f6c9f8e164aa5beda'),
     'answer g2 - -': (0, 'd8b59cd442bf2d450b3892389292c763da5c44e07743f0b469972897ea5fe4ba'),
     'verify g2 - -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 - v0,v1': (0, 'da8d4b789cdf509d1caa06a15c78441106d66e95245c2dd621a1955ee06266bf'),
+    'solve g2 - v0,v1': (0, '4bdd976d91ea886fc68a63c3f101927f5008a4c8f20b32eb8d7e862683fd11dd'),
     'answer g2 - v0,v1': (0, 'd701a8917eaad13cbd8cdce1627056a73907d472c00af2f4803abf426603b9ea'),
     'verify g2 - v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) -': (0, '53179a82f5f0e20d70b622d59130856f087c2499c5faa9f3d1f9e853c88647d4'),
+    'solve g2 p=(0,0,1,1,1) -': (0, '260680c9dcc7cf7249232967bfc1a79442467eeeae4527ca31e05fcbacefbe3c'),
     'answer g2 p=(0,0,1,1,1) -': (0, 'ea7052eac8c27d851d9c0a2cb0472397dcb1b450c325bac4d2da8afd7398ebb7'),
     'verify g2 p=(0,0,1,1,1) -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'ea6c627e1bf05a71e6d51f24f4580101d197168560ebd8f47bd9038ea66a6a03'),
+    'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'e94cc55dcc1cfe42b75ac078dae04ff33dbc9410afa5c473ba237a77c22876e3'),
     'answer g2 p=(0,0,1,1,1) v0,v1': (0, 'fa6ec334c23eeb2a80b5d874011a61bb43f0b4301a558c908caf46d4930df85d'),
     'verify g2 p=(0,0,1,1,1) v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,3,3,3) -': (0, '76d8b0f32600f8b231c68210ef97d2b19ac0aaf7dc286ce8371c44e38c9af709'),
+    'solve g2 p=(0,0,3,3,3) -': (0, '49e027d3e1f45d82fb337e9d9321fc8e3393b46a17250a17799d688df9ae2638'),
     'answer g2 p=(0,0,3,3,3) -': (0, '1d6d9c32ecde7e0aea20f5b5aa35435edb671f52b5254e9db6e750d869da052f'),
     'verify g2 p=(0,0,3,3,3) -': (0, '0a97f0ca4586618758659a748ba033770978f564a734ecfea69e45ffb20a3948'),
     'solve g2 p=(0,0,3,3,3) v0,v1': (1, '1d4951ff202f8ec06be33815ad95c0756c128a6c92b7609c8cddb2b2df94f6ce'),
@@ -138,7 +138,7 @@ PINNED: dict[str, tuple[int, str]] = {
     'solve g3 - v0,v1': (1, 'b55218513ab380ec9e7c0dfc003eefe36759be6adc601fe3f49700ec714236f7'),
     'solve g3 p=(0,0,1,1,1) -': (1, '4e0b873458657be41988abf7f04eabbffac7b599bef38b192bc2f71bdbf2c3f5'),
     'solve g3 p=(0,0,1,1,1) v0,v1': (1, '51274a5050e85faafb638a9dfafc4ab5e8b7700ec88cd118d2c4edd7bb2505cd'),
-    'solve g3 p=(0,0,3,3,3) -': (0, '1347062ab93efc0e3facdf0c652d33bc52de78785d57d970e8a144f452bf4741'),
+    'solve g3 p=(0,0,3,3,3) -': (0, '96d858f9f1b3749b1902e2a9ef4a6c5ea218ab05c2808a472039f10a9954fc10'),
     'answer g3 p=(0,0,3,3,3) -': (0, '6f5a7785ac79dc4f39e849b00fd98f35d24f54746d126ef8f761278c9cf3f57b'),
     'verify g3 p=(0,0,3,3,3) -': (0, 'ac9223145ef40aef8e9614abd739a4bbc6d44ac2af5552c649ad66b0b1ac15b7'),
     'solve g3 p=(0,0,3,3,3) v0,v1': (1, '3c9540c333689051cc2785042def4b361ece3109ff5d74a797e4da922db704b5'),

@@ -115,8 +115,8 @@ def color_set(mask: int) -> frozenset[int]:
     return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
-def full_table(color_count, accept) -> list[bool]:
-    return [False] + [accept(color_set(mask)) for mask in range(1, 1 << color_count)]
+def full_table(color_count, accept) -> tuple[bool, ...]:
+    return (False, *(accept(color_set(mask)) for mask in range(1, 1 << color_count)))
 
 
 def tree_accepts_lasso(prefix, cycle, tree) -> bool:
