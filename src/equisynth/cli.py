@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="search for an enforceable payoff vector")
     _add_common(s)
     _add_checks(s)
-    s.add_argument("--lar-cap", type=int, default=LAR_CAP, help="node cap of each punishment layer's parity product")
+    s.add_argument("--lar-cap", type=int, default=LAR_CAP, help="cap on the product nodes each punishment layer with a multi-leaf Zielonka tree adds to the parity game (one-leaf layers add none)")
     s.set_defaults(func=cmd_solve)
     v = sub.add_parser("verify", help="re-verify a solve report's strategy profile")
     _add_common(v)

@@ -7,8 +7,9 @@ component of p on the recurring vertices.  Suspect sets only shrink, so the
 region splits into layers ordered by the suspect set.  Each layer becomes a
 parity game through its product with the Zielonka tree of its Muller
 condition, whose leaves are the only memory the punishment needs; with one
-leaf the product is the layer itself.  Exits to smaller layers are sinks
-whose winner is already known.
+leaf the product is the layer itself.  Every play ends in one layer, whose
+priorities alone recur, so the products of all layers form one parity game
+on the epistemic game's own nodes (`_RegionGame`), solved once.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
@@ -60,7 +61,9 @@ from __future__ import annotations
 
 import functools
 import logging
+from array import array
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -80,7 +83,8 @@ from .parsing import _as_rational
 Vector = tuple[Fraction, ...]
 DevKey = tuple[str, ...]
 
-# Default node cap of each punishment layer's parity product (`--lar-cap`).
+# Default cap on the product nodes each punishment layer adds to the region's
+# parity game (`--lar-cap`); a layer with a one-leaf tree adds none.
 LAR_CAP = 500_000
 # Node cap of the searches that re-verify a strategy (exit 3 above it).
 VERIFY_NODE_CAP = 1_000_000
@@ -183,7 +187,7 @@ def recurring_sets(nodes, succ, color, shared: int, accept):
 
 
 # ---------------------------------------------------------------------------
-# Punishment region, layer by layer.
+# Punishment region: the suspect-set layers as one parity game.
 
 
 Tree = tuple[tuple[tuple[int, int], ...], ...]  # [leaf][color] -> (leaf, priority)
@@ -286,84 +290,113 @@ def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
     return classes, zielonka_tree(len(classes), tuple(accepted))
 
 
-def _solve_layer(eg: EpistemicGame, p: Vector, dev: DevKey, layer_eves: list[int],
-                 global_win: set[int], lar_cap: int) -> LayerTable:
-    """Solve one layer as a parity game on its product with the Zielonka tree.
+class _RegionGame:
+    """The punishment region of one candidate as one parity game.  The tree
+    product's node (id, leaf) is, at leaf 0, the epistemic game's own node:
+    Eve id e is node e and Adam id a node E + a, for E Eve states.  An Adam
+    node at leaf 0 leads to Eve nodes at leaf 0, of its layer or a smaller
+    one, so it keeps `eg.adam_succ`.  Only multi-leaf layers add nodes, one
+    per (id, leaf >= 1) reached.  States without suspects and their Adam
+    nodes get no successors, and no deviated node leads to them: the parity
+    solver settles them as stuck, outside the region."""
 
-    An Eve node is (Eve id, leaf before the state's own color is read), an
-    Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
-    Entering the layer starts at leaf 0; exits to smaller layers are sinks
-    whose winner is already known."""
+    def __init__(self, eg: EpistemicGame, lar_cap: int):
+        self.eg, self.lar_cap = eg, lar_cap
+        self.eves = eves = eg.eve_count()
+        self.base = eves + eg.adam_count()
+        self.owner = bytearray(eves) + b"\x01" * eg.adam_count()
+        self.priority = bytearray(self.base)
+        self.succ: list = [()] * eves + eg.adam_succ
+        for e in range(eves):
+            if not eg.eve_states[e].deviated:
+                for aid in eg.eve_succ[e]:
+                    self.succ[eves + aid] = ()
+        # Added node - base -> its Eve or Adam id, and its leaf.
+        self.ids, self.leaf = array("i"), array("i")
+        # Per layer: its table, its Eve ids and the nodes it added.
+        self.layers: list[tuple[LayerTable, list[int], range]] = []
+
+    def key(self, node: int) -> tuple[int, int]:
+        if node < self.eves:
+            return node, 0
+        if node < self.base:
+            return node - self.eves, 0
+        return self.ids[node - self.base], self.leaf[node - self.base]
+
+
+def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[int]) -> LayerTable:
+    """Add the layer with suspects `dev`, as its product with its Zielonka
+    tree, to the region game, and return its table for `punishment_region`
+    to fill in.  An Eve node is (Eve id, leaf before the state's own color
+    is read), an Adam node (Adam id, leaf after it).  Entering the layer
+    starts at leaf 0, which a one-leaf tree never leaves."""
+    eg = region.eg
     classes, tree = _layer_setup(eg.game, p, dev)
-    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
-    adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
+    eves, base = region.eves, region.base
+    owner, priority, succ = region.owner, region.priority, region.succ
+    adam_succ, eve_succ, states = eg.adam_succ, eg.eve_succ, eg.eve_states
     of = eg.game.colors.of
-    color = {e: of[eg.eve_states[e].vertex] for e in layer_eves}
+    index: dict[tuple[int, int, int], int] = {}  # (id, leaf, owner) -> added node
+    first = len(owner)
 
-    WIN, LOSE = 0, 1
-    owner, priority, succ = [0, 1], [0, 1], [[WIN], [LOSE]]
-    keys = [-1, -1]  # node -> key
-    eve_index: dict[int, int] = {}  # key -> node
-    adam_index: dict[int, int] = {}
-
-    def intern(index: dict, ident: int, leaf: int, is_eve: bool) -> int:
-        key = ident * leaves + leaf
-        node = index.get(key)
+    def node_of(ident: int, leaf: int, player: int) -> int:
+        if leaf == 0:
+            return ident + eves * player
+        node = index.get((ident, leaf, player))
         if node is None:
             node = len(owner)
-            if node >= lar_cap:
+            if node - first >= region.lar_cap:
                 raise LarCapExceeded(
-                    f"punishment product exceeded {lar_cap} nodes in the layer with "
-                    f"suspects {{{','.join(dev)}}}: {leaves} tree "
-                    f"{'leaf' if leaves == 1 else 'leaves'}, {len(layer_eves)} Eve "
-                    f"states and {sum(len(eve_succ[e]) for e in layer_eves)} Adam "
-                    f"nodes in the layer, {node} product nodes made"
+                    f"punishment product exceeded {region.lar_cap} nodes in the layer "
+                    f"with suspects {{{','.join(dev)}}}: {len(tree)} tree leaves, "
+                    f"{len(layer_eves)} Eve states and "
+                    f"{sum(len(eve_succ[e]) for e in layer_eves)} Adam nodes in the "
+                    f"layer, {node - first} product nodes made"
                 )
-            index[key] = node
-            owner.append(0 if is_eve else 1)
-            priority.append(tree[leaf][color[ident]][1] if is_eve else 0)
-            succ.append([])
-            keys.append(key)
+            index[ident, leaf, player] = node
+            owner.append(player)
+            priority.append(0 if player else tree[leaf][of[states[ident].vertex]][1])
+            succ.append(())
+            region.ids.append(ident)
+            region.leaf.append(leaf)
         return node
 
     for e in layer_eves:
-        intern(eve_index, e, 0, True)
-    node = 2
+        nxt, priority[e] = tree[0][of[states[e].vertex]]
+        r = eve_succ[e]
+        succ[e] = (range(eves + r.start, eves + r.stop) if nxt == 0
+                   else [node_of(aid, nxt, 1) for aid in r])
+    layer = set(layer_eves) if len(owner) > first else ()
+    node = first
     while node < len(owner):  # the product grows while it is read
-        ident, leaf = divmod(keys[node], leaves)
-        out = succ[node]
+        ident, leaf = region.ids[node - base], region.leaf[node - base]
         if owner[node] == 0:
-            nxt = tree[leaf][color[ident]][0]
-            for aid in eve_succ[ident]:
-                out.append(intern(adam_index, aid, nxt, False))
+            nxt = tree[leaf][of[states[ident].vertex]][0]
+            succ[node] = [node_of(aid, nxt, 1) for aid in eve_succ[ident]]
         else:
-            for sid in adam_succ[ident]:
-                if sid in color:
-                    out.append(intern(eve_index, sid, leaf, True))
-                else:
-                    out.append(WIN if sid in global_win else LOSE)
+            succ[node] = [node_of(sid, leaf, 0) if sid in layer else sid
+                          for sid in adam_succ[ident]]
         node += 1
-
-    w0, _w1, s0, _s1 = solve_parity(ParityGame(owner, priority, succ))
-    for key, node in eve_index.items():
-        if node in w0:
-            table.entries[divmod(key, leaves)] = keys[s0[node]] // leaves
+    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
+    region.layers.append((table, layer_eves, range(first, len(owner))))
     return table
 
 
 def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> PunishmentSolution:
     """Deviated Eve states from which the coalition can bound every surviving
     suspect by p on every outcome, with the enforcing strategy tables."""
+    region = _RegionGame(eg, lar_cap)
     groups = _layer_groups(eg)
-    global_win: set[int] = set()
     layers: dict[DevKey, LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
-        table = _solve_layer(eg, p, dev, groups[dev], global_win, lar_cap)
-        layers[dev] = table
-        # Every layer state is interned at leaf 0, so it is won iff it has an
-        # entry there.
-        global_win.update(e for e, leaf in table.entries if leaf == 0)
-    return PunishmentSolution(win=frozenset(global_win), layers=layers)
+        layers[dev] = _solve_layer(region, p, dev, groups[dev])
+    winner, move = solve_parity(ParityGame(region.owner, region.priority, region.succ))
+    for table, layer_eves, added in region.layers:
+        for node in chain(layer_eves, added):
+            if winner[node] == 0 and region.owner[node] == 0:
+                table.entries[region.key(node)] = region.key(move[node])[0]
+    win = frozenset(e for e in eg.deviated_ids() if winner[e] == 0)
+    return PunishmentSolution(win=win, layers=layers)
 
 
 # ---------------------------------------------------------------------------

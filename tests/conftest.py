@@ -186,15 +186,31 @@ def random_instances():
     return out
 
 
+def benchmark_workloads():
+    """The benchmark's `workloads` module, whose generators draw the `wide`,
+    `branchy` and dense games."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def two_leaf_game() -> tuple[ConcurrentGame, CommGraph]:
+    """`branchy` game 8 (3 players, 6 vertices): its only candidate payoff
+    is found, and four of its punishment layers have two-leaf Zielonka
+    trees, the first of them the layer with suspects {2}: 12 Eve states
+    and 34 Adam nodes, which add 29 product nodes to the region game."""
+    workloads = benchmark_workloads()
+    return workloads.materialize(workloads.family("branchy")[8])
+
+
 @pytest.fixture(scope="session")
 def pruned_pairs(random_instances):
     """(game, graph, full build, pruned build) for the random instances with
     at most 20,000 Adam nodes, the 20 `wide` and `branchy` benchmark games
     and dense 3/8 and 4/4.  The two random instances above 20,000 Adam
     nodes take seconds each to solve twice."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
+    workloads = benchmark_workloads()
     games = [(game, graph, eg) for game, graph, eg in random_instances
              if eg.adam_count() <= 20_000]
     structures = workloads.family("wide") + workloads.family("branchy")

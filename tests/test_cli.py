@@ -13,10 +13,10 @@ import pytest
 from equisynth import asset_path
 from equisynth.cli import _verify_profile, main
 from equisynth.errors import InvalidInput
-from equisynth.parsing import parse_game, parse_query, serialize_game
+from equisynth.parsing import parse_game, parse_query, serialize_comm_graph, serialize_game
 from equisynth.solver import punishment_region, solve
 
-from conftest import complete_strategy, tamper_punishment
+from conftest import complete_strategy, tamper_punishment, two_leaf_game
 from oracles import full_build_verify, verify_outcome
 
 GAME = str(asset_path("five_player_game.json"))
@@ -648,24 +648,40 @@ def test_predicate_arity_is_checked_before_any_work(capsys, report_path, monkeyp
         assert (code, out, err) == (2, "", message), (command, options)
 
 
-def test_solve_product_cap(capsys):
-    code, _, err = run(capsys, "solve", "--game", GAME, "--comm", G1, "--lar-cap", "30")
+def test_solve_product_cap(capsys, tmp_path):
+    # Only layers with two or more tree leaves add product nodes; the first
+    # such layer of this game adds 29.
+    game, graph = two_leaf_game()
+    (tmp_path / "game.json").write_text(serialize_game(game))
+    (tmp_path / "comm.json").write_text(serialize_comm_graph(graph))
+    files = ["--game", str(tmp_path / "game.json"), "--comm", str(tmp_path / "comm.json")]
+    code, _, err = run(capsys, "solve", *files, "--lar-cap", "20")
     assert code == 3
     assert "resource cap" in err
     # The message names the stage, the layer and how far it got.
-    assert "punishment product exceeded 30 nodes in the layer with suspects {2,3}" in err
-    for progress in ("1 tree leaf", "9 Eve states and 33 Adam nodes in the layer",
-                     "30 product nodes made"):
+    assert "punishment product exceeded 20 nodes in the layer with suspects {2}" in err
+    for progress in ("2 tree leaves", "12 Eve states and 34 Adam nodes in the layer",
+                     "20 product nodes made"):
         assert progress in err
 
 
+def test_solve_one_leaf_layers_ignore_the_product_cap(capsys):
+    # Every punishment layer of the bundled game under g1 has a one-leaf
+    # tree, so no product node is made and the smallest cap changes nothing.
+    default = run(capsys, "solve", "--game", GAME, "--comm", G1, "--format", "json")
+    capped = run(capsys, "solve", "--game", GAME, "--comm", G1, "--format", "json",
+                 "--lar-cap", "1")
+    assert default[0] == 0
+    assert capped == default
+
+
 def test_verify_message_rule_cap(capsys, report_path, monkeypatch):
-    # The payoff contract's product (15 nodes) fits under the cap; the
+    # The payoff contract's product (9 nodes) fits under the cap; the
     # message-rule check's does not.
-    monkeypatch.setattr("equisynth.solver.VERIFY_NODE_CAP", 16)
+    monkeypatch.setattr("equisynth.solver.VERIFY_NODE_CAP", 10)
     code, out, err = run(capsys, "verify", "--game", GAME, "--comm", G1, str(report_path))
     assert (code, out) == (3, "")
-    assert err == "resource cap: message-rule check exceeded 16 nodes: 12 nodes explored\n"
+    assert err == "resource cap: message-rule check exceeded 10 nodes: 6 nodes explored\n"
 
 
 def test_nonpositive_limits_are_input_errors(capsys, monkeypatch):

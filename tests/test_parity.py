@@ -10,6 +10,7 @@ from equisynth.parity import ParityGame, solve_parity
 from oracles import (
     brute_force_parity_regions,
     check_positional_strategy,
+    parity_regions,
     random_parity_game,
     reference_solve_parity,
 )
@@ -17,14 +18,14 @@ from oracles import (
 
 def test_single_even_self_loop():
     pg = ParityGame([0], [2], [[0]])
-    w0, w1, s0, _ = solve_parity(pg)
+    w0, w1, s0, _ = parity_regions(pg)
     assert w0 == {0} and not w1
     assert s0 == {0: 0}
 
 
 def test_single_odd_self_loop():
     pg = ParityGame([0], [1], [[0]])
-    w0, w1, _, _ = solve_parity(pg)
+    w0, w1, _, _ = parity_regions(pg)
     assert w1 == {0} and not w0
 
 
@@ -32,17 +33,17 @@ def test_dead_end_loses_for_owner():
     # Node 0 (player 0) can only move to node 1, which is stuck and owned
     # by player 1: getting stuck loses, so player 0 wins both nodes.
     pg = ParityGame([0, 1], [1, 1], [[1], []])
-    w0, w1, _, _ = solve_parity(pg)
+    w0, w1, _, _ = parity_regions(pg)
     assert w0 == {0, 1} and not w1
     pg = ParityGame([1, 0], [2, 2], [[1], []])
-    w0, w1, _, _ = solve_parity(pg)
+    w0, w1, _, _ = parity_regions(pg)
     assert w1 == {0, 1} and not w0
 
 
 def test_choice_matters():
     # Player 0 at node 0 picks between an odd loop and an even loop.
     pg = ParityGame([0, 1, 1], [0, 1, 2], [[1, 2], [1], [2]])
-    w0, _, s0, _ = solve_parity(pg)
+    w0, _, s0, _ = parity_regions(pg)
     assert w0 == {0, 2}
     assert s0[0] == 2
 
@@ -51,7 +52,10 @@ def test_regions_partition_all_nodes():
     rng = random.Random(11)
     for _ in range(50):
         pg = random_parity_game(rng)
-        w0, w1, s0, s1 = solve_parity(pg)
+        winner, move = solve_parity(pg)
+        assert len(winner) == len(move) == pg.node_count()
+        assert set(winner) <= {0, 1}
+        w0, w1, s0, s1 = parity_regions(pg)
         assert w0 | w1 == set(range(pg.node_count()))
         assert not (w0 & w1)
         assert all(pg.owner[v] == 0 for v in s0)
@@ -66,7 +70,7 @@ def test_against_positional_enumeration():
     while games < 200:
         pg = random_parity_game(rng, max_nodes=8)
         expected0, expected1 = brute_force_parity_regions(pg)
-        w0, w1, s0, _s1 = solve_parity(pg)
+        w0, w1, s0, _s1 = parity_regions(pg)
         assert w0 == expected0, (pg, sorted(w0), sorted(expected0))
         assert w1 == expected1
         assert check_positional_strategy(pg, w0, s0), (pg, s0)
@@ -78,7 +82,7 @@ def test_against_reference_solver():
     small = 0
     for k in range(600):
         pg = random_parity_game(rng, max_nodes=8 if k % 3 == 0 else 60, max_priority=9)
-        w0, w1, s0, s1 = solve_parity(pg)
+        w0, w1, s0, s1 = parity_regions(pg)
         ref0, ref1, _, _ = reference_solve_parity(pg)
         assert (w0, w1) == (ref0, ref1), pg
         for player, won, strategy in ((0, w0, s0), (1, w1, s1)):
@@ -105,7 +109,7 @@ def test_deep_chain_leaves_the_recursion_limit_alone():
     )
     limit = sys.getrecursionlimit()
     assert limit < n
-    w0, w1, s0, s1 = solve_parity(pg)
+    w0, w1, s0, s1 = parity_regions(pg)
     assert w0 == set(range(n)) and not w1
     assert s0 == {v: v + 1 for v in range(0, n - 1, 2)}
     assert sys.getrecursionlimit() == limit

@@ -90,16 +90,16 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g1 text': (0, '304028bac5954733c9c58610787bd9b272e721f2aaad4c8dfdb37c01aa412d8d'),
     'build g1 json': (0, '737ab6d3c5b83dbd95c4829a803d97af4fa568f2767c2eee4aadf181220319ce'),
     'build g1 dot': (0, 'a26e1a466daab28276928d84bbd74fa77a456d6ce1a9f39c53fa696d6ba38079'),
-    'solve g1 - -': (0, 'ebd84a97ac7f8263a4356bc659090d6e37864b7a7b58f55342602adcc2746c97'),
+    'solve g1 - -': (0, 'abe696ffe02a813c0914a48e34066c2895a7d0e60328a3d0cafab3a7ddc72e90'),
     'answer g1 - -': (0, 'b6635e0729aa726e25ac738c94465874cb8a766c23334bc1c375a37875f05808'),
     'verify g1 - -': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 - v0,v1': (0, '7ea143f6b1497107cd3c481944b9b39f70f37cab17c2f53a45dbe115bb6ffc4a'),
+    'solve g1 - v0,v1': (0, 'fa964b49fcab5110fa4e3fc255e97ae4d688284d408ee2ac500b4d3790f77928'),
     'answer g1 - v0,v1': (0, '9f2d84833883a651008f550f01d976dcd9870696d4fd64b683cd9701cdc27023'),
     'verify g1 - v0,v1': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,1,1,1) -': (0, '24b41625b86b6c86df2a3750243a0da8cf71cf7ff5f5ac406ee08cf2c6fa1099'),
+    'solve g1 p=(0,0,1,1,1) -': (0, 'ff4dee368530c1c6ce4727f5af1b34ba91aabfef513f219ce9994b9ca4503f86'),
     'answer g1 p=(0,0,1,1,1) -': (0, '859c167a54588a804fe81d53c6463ea1baf21f8002173f742b02f944a8dacb31'),
     'verify g1 p=(0,0,1,1,1) -': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
-    'solve g1 p=(0,0,1,1,1) v0,v1': (0, '553386642770a562a7f9dbbfacb8b45d9fdf32849bc6576a94efd57b470d8b17'),
+    'solve g1 p=(0,0,1,1,1) v0,v1': (0, '2ad76d9d360230fc26c8b6b5e54a41a693fd4823e71ea8d504aa1ddf055f55cb'),
     'answer g1 p=(0,0,1,1,1) v0,v1': (0, '9ec7439957f90bbefda3d076db975241afbff258c093273b1e2df285c41605ca'),
     'verify g1 p=(0,0,1,1,1) v0,v1': (0, '34c6e0d1f6c82aec2d871c08f1de9453ff69e948851c8066474da17be8f61a25'),
     'solve g1 p=(0,0,3,3,3) -': (0, 'a43f716bf3a28f273f8b7f312b3f5e342146dfdd612e1c10d4cd690e199643eb'),
@@ -111,16 +111,16 @@ PINNED: dict[str, tuple[int, str]] = {
     'build g2 text': (0, 'dc5063a250002e38fa75ed206ebcace91bd6a06179e3716e91db70753db752ed'),
     'build g2 json': (0, '06e4cd7ea89d3dc42f9c905eee0c53a8dc542752510b8b2736a1dccec151a93c'),
     'build g2 dot': (0, '3e8acbc2066856057dc9834ce9d2c67948adff33b5f66a503d3b28ac9d03e383'),
-    'solve g2 - -': (0, 'dfa7fbbb4173c10caf667a0b42b1f9533b31bb5bddec047f6c9f8e164aa5beda'),
+    'solve g2 - -': (0, '6fc9ba8882becdb5cacc32b6d9f1a1a14d001f1ad4b18d714e35d1c46fd7ff97'),
     'answer g2 - -': (0, 'd8b59cd442bf2d450b3892389292c763da5c44e07743f0b469972897ea5fe4ba'),
     'verify g2 - -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 - v0,v1': (0, '4bdd976d91ea886fc68a63c3f101927f5008a4c8f20b32eb8d7e862683fd11dd'),
+    'solve g2 - v0,v1': (0, '1d51261a8d61666040fe2712cae396762bf9edc07b9ccd6b19507511342351aa'),
     'answer g2 - v0,v1': (0, 'd701a8917eaad13cbd8cdce1627056a73907d472c00af2f4803abf426603b9ea'),
     'verify g2 - v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) -': (0, '260680c9dcc7cf7249232967bfc1a79442467eeeae4527ca31e05fcbacefbe3c'),
+    'solve g2 p=(0,0,1,1,1) -': (0, '5aa8e71df3d6a4d9087653c8a531b6cad6e6bce5e4056ba0734f1b87f586f852'),
     'answer g2 p=(0,0,1,1,1) -': (0, 'ea7052eac8c27d851d9c0a2cb0472397dcb1b450c325bac4d2da8afd7398ebb7'),
     'verify g2 p=(0,0,1,1,1) -': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
-    'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'e94cc55dcc1cfe42b75ac078dae04ff33dbc9410afa5c473ba237a77c22876e3'),
+    'solve g2 p=(0,0,1,1,1) v0,v1': (0, 'b910e4e62e4cc04ff99a22dc99ce5fd88eb6de76d6fa14eb5ff102c0d147eaa9'),
     'answer g2 p=(0,0,1,1,1) v0,v1': (0, 'fa6ec334c23eeb2a80b5d874011a61bb43f0b4301a558c908caf46d4930df85d'),
     'verify g2 p=(0,0,1,1,1) v0,v1': (0, 'd4b1ddd6705fed02c5f09113b3f49e78bdeb4e5af94a570094dd0e2b84a77084'),
     'solve g2 p=(0,0,3,3,3) -': (0, '49e027d3e1f45d82fb337e9d9321fc8e3393b46a17250a17799d688df9ae2638'),

@@ -15,6 +15,7 @@ from equisynth.parsing import parse_query
 from equisynth.solver import (
     EveStrategy,
     _layer_color_classes,
+    _solve_layer,
     candidate_payoffs,
     model_check_strategy,
     punishment_region,
@@ -26,9 +27,16 @@ from equisynth.solver import (
 )
 from equisynth.translate import check_deviation_resistance, check_normed, omega
 
-from conftest import complete_strategy, random_comm, random_game, tamper_punishment
+from conftest import (
+    complete_strategy,
+    random_comm,
+    random_game,
+    tamper_punishment,
+    two_leaf_game,
+)
 from oracles import (
     brute_force_recurring_color_sets,
+    layered_punishment_region,
     muller_accepts_lasso,
     random_lasso,
     record_punishment_win,
@@ -188,6 +196,26 @@ def test_punishment_region_matches_record_oracle(eg1, eg2, eg3, random_instances
     assert layers > 700
 
 
+def test_region_game_matches_layered_reference(eg1, eg2, eg3, pruned_pairs):
+    # One parity game for the whole region against one product per layer:
+    # the bundled games, the full and pruned builds of the random instances
+    # with at most 20,000 Adam nodes, of `wide`, of `branchy` (whose layers
+    # include two-leaf trees) and of dense 3/8 and 4/4.  Win regions are
+    # unique; the strategies may differ.
+    games = [eg1, eg2, eg3] + [eg for *_, full, pruned in pruned_pairs for eg in (full, pruned)]
+    multi_leaf = 0
+    for eg in games:
+        for p in candidate_payoffs(eg.game):
+            got, want = punishment_region(eg, p), layered_punishment_region(eg, p)
+            assert got.win == want.win, (eg.game, p)
+            assert got.layers.keys() == want.layers.keys()
+            for dev, table in got.layers.items():
+                assert {key for key in table.entries if key[1] == 0} == \
+                    {(e, 0) for e in got.win if eg.eve_states[e].deviators() == dev}
+                multi_leaf += len(table.tree) > 1
+    assert multi_leaf > 100
+
+
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
     golden = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     sol1 = punishment_region(eg1, P_MAIN)
@@ -267,8 +295,37 @@ def test_solve_records_candidates(eg1, game5):
 
 
 def test_lar_cap_enforced(eg1):
-    with pytest.raises(LarCapExceeded):
-        solve(eg1, lar_cap=3)
+    # Only the layers whose trees have two or more leaves add nodes to the
+    # region game; the cap bounds those nodes, per layer.
+    eg = build_reachable(*two_leaf_game(), pruned=True)
+    with pytest.raises(LarCapExceeded, match=r"suspects \{2\}: 2 tree leaves"):
+        solve(eg, lar_cap=3)
+    # Its largest layer, with suspects {0,1,2}, adds 158 nodes.
+    assert solve(eg, lar_cap=158) is not None
+    with pytest.raises(LarCapExceeded, match=r"suspects \{0,1,2\}"):
+        solve(eg, lar_cap=157)
+    # Every layer of the bundled game under g1 has a one-leaf tree.
+    assert solve(eg1, lar_cap=1).strategy.to_dict() == solve(eg1).strategy.to_dict()
+
+
+def test_one_leaf_layers_add_no_product_node(eg1, monkeypatch):
+    # A layer whose Zielonka tree has one leaf is solved on the epistemic
+    # game's own nodes: Eve id e is node e and Adam id a node E + a.
+    added: dict[int, int] = {}  # leaves -> nodes added by layers of that many
+
+    def counted(region, *args):
+        before = len(region.owner)
+        table = _solve_layer(region, *args)
+        leaves = len(table.tree)
+        added[leaves] = added.get(leaves, 0) + len(region.owner) - before
+        return table
+
+    monkeypatch.setattr("equisynth.solver._solve_layer", counted)
+    for eg in (eg1, build_reachable(*two_leaf_game(), pruned=True)):
+        for p in candidate_payoffs(eg.game):
+            punishment_region(eg, p)
+    assert added[1] == 0
+    assert added[2] > 0
 
 
 def test_model_check_accepts_solution(eg1):

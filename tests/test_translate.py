@@ -159,7 +159,7 @@ def test_simulate_validates_scripts(game5, g1, profile1):
 def test_check_normed_passes(game5, g1, profile1):
     report = check_normed(game5, g1, profile1)
     assert report.ok, report.violations
-    assert report.explored == 24
+    assert report.explored == 16
 
 
 class LateSelfReport:
@@ -305,7 +305,7 @@ def test_check_normed_catches_stopped_relay(game5, g1, profile1):
         "rule 2: deviator '4', step 1, player '0' sent None, expected '4'",
         "rule 3: deviator '3', step 2, player '0' sent None, expected '3'",
     ]
-    assert report.explored == 17
+    assert report.explored == 11
 
 
 def test_check_normed_catches_denunciation_outside_audience(game5, g1, profile1):
@@ -349,11 +349,11 @@ def test_check_normed_reports_rejected_continuations(game5, g1, profile1):
 # only what the Eve state does not say tells apart exactly the plays that a
 # memory also holding the phase and the suspects would.
 PRODUCT_NODES = {
-    ("g1", None): (15, 15),
-    ("g1", "p=(0,0,1,1,1)"): (15, 15),
+    ("g1", None): (9, 9),
+    ("g1", "p=(0,0,1,1,1)"): (9, 9),
     ("g1", "p=(0,0,3,3,3)"): (9, 9),
-    ("g2", None): (15, 15),
-    ("g2", "p=(0,0,1,1,1)"): (15, 15),
+    ("g2", None): (9, 9),
+    ("g2", "p=(0,0,1,1,1)"): (9, 9),
     ("g2", "p=(0,0,3,3,3)"): (8, 8),
     ("g3", None): (6, 6),
     ("g3", "p=(0,0,3,3,3)"): (8, 8),
