@@ -45,11 +45,17 @@ moves that differ only in that player's action) and one options table per
 else of the state but the actions of the players it leaves uninformed, and
 the table holds them as bitmasks over the vertex's moves.  Both are built on
 first use, an options table in one pass over the move table, since the
-enumeration reads all of it.  Per expanded state the grown informed masks
-are computed once, each distinct reach tuple is found once, as a nonzero
-AND of its suspects' option bitmasks, and the successor id is memoised per
-(target, surviving hypotheses).  The string `EveState` that solver,
-translation and reports read is made once, when a new key is interned.
+enumeration reads all of it.  Both find groups of moves by index
+arithmetic, not by comparing action tuples: move i is the mixed-radix
+number whose digits are its actions' positions in the allowed lists, the
+first player's the most significant, so the moves that differ only in
+player a's action are the ones whose indices differ only in a's digit, a
+run of indices spaced by the product of the later players' action counts.
+Per expanded state the grown informed masks are computed once, each
+distinct reach tuple is found once, as a nonzero AND of its suspects'
+option bitmasks, and the successor id is memoised per (target, surviving
+hypotheses).  The string `EveState` that solver, translation and reports
+read is made once, when a new key is interned.
 
 The build `solve` uses is dominance-pruned (antichains for games of
 imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
@@ -253,25 +259,38 @@ class Encoding:
         own action in the move (the suggested action included).
 
         The moves that differ only in d's action form one group, and d's
-        reach mask is the union of the group's targets."""
+        reach mask is the union of the group's targets.  Groups are found by
+        the moves' indices (see the module docstring)."""
         table = self._moves.get(v)
         if table is None:
             game = self.game
             name = game.vertices[v]
             row, vidx = game.tab[name], game.vertex_index
-            targets = {move: vidx[row[move]] for move in game.moves(name)}
-            groups: list[dict[Move, int]] = [{} for _ in game.players]
-            for move, t in targets.items():
-                for i, group in enumerate(groups):
-                    rest = move[:i] + move[i + 1:]
-                    group[rest] = group.get(rest, 0) | 1 << t
-            table = {
-                move: (t, tuple(group[move[:i] + move[i + 1:]]
-                                for i, group in enumerate(groups)))
-                for move, t in targets.items()
-            }
+            moves = list(game.moves(name))
+            targets = [vidx[row[move]] for move in moves]
+            bits = [1 << t for t in targets]
+            # Per player, last first: `stride` is the product of the later
+            # players' action counts.  A block of `stride * k` moves, k the
+            # player's action count, holds k runs of `stride` moves, one per
+            # action: the moves at the same offset in each run form one
+            # group, and its reach mask, the OR of the runs' target bits,
+            # fills that offset of every run.
+            reach: list[list[int]] = []
+            stride = 1
+            for a in reversed(game.players):
+                k = len(game.allow[name][a])
+                block, col = stride * k, []
+                for hi in range(0, len(moves), block):
+                    masks = bits[hi:hi + stride]
+                    for lo in range(hi + stride, hi + block, stride):
+                        masks = list(map(int.__or__, masks, bits[lo:lo + stride]))
+                    col += masks * k
+                reach.append(col)
+                stride = block
+            reach.reverse()
+            table = dict(zip(moves, zip(targets, zip(*reach))))
             self._moves[v] = table
-            self._move_lists[v] = list(table)
+            self._move_lists[v] = moves
         return table
 
     def move_list(self, v: int) -> list[Move]:
@@ -297,9 +316,8 @@ class Encoding:
         if table is None:
             game = self.game
             allow = game.allow[game.vertices[v]]
-            # Move i is the mixed-radix number of its actions' positions, the
-            # first player's the most significant digit.  So the moves of one
-            # read are its lowest move (its base) plus the offsets the
+            # By the moves' numbering (see the module docstring), the moves of
+            # one read are its lowest move (its base) plus the offsets the
             # informed players' actions span.
             bases = offsets = [0]
             stride = 1

@@ -327,7 +327,8 @@ def _is_catch_all(pattern) -> bool:
 
 
 def _pattern_matcher(pattern, players, actions, allow_at, vertex):
-    """Compile one pattern entry into a per-player allowed-set list."""
+    """Compile one pattern entry into the actions it matches per player, in
+    the vertex's allowed order: the moves it matches are their product."""
     if pattern == "*":
         pattern = {}
     if not isinstance(pattern, dict):
@@ -339,7 +340,7 @@ def _pattern_matcher(pattern, players, actions, allow_at, vertex):
     for a in players:
         spec = pattern.get(a, "*")
         if spec == "*":
-            sets.append(None)  # wildcard
+            sets.append(allow_at[a])
             continue
         opts = spec if isinstance(spec, list) else [spec]
         for act in opts:
@@ -351,7 +352,7 @@ def _pattern_matcher(pattern, players, actions, allow_at, vertex):
                 raise InvalidInput(
                     f"pattern at {vertex!r} uses action {act!r} not allowed for {a!r}"
                 )
-        sets.append(frozenset(opts))
+        sets.append(tuple(act for act in allow_at[a] if act in opts))
     return sets
 
 
@@ -405,17 +406,15 @@ def game_from_dict(data: dict) -> ConcurrentGame:
             compiled.append(
                 (_pattern_matcher(entry["pattern"], players, actions, allow[v], v), target)
             )
-        row: dict[Move, str] = {}
-        for move in product(*(allow[v][a] for a in players)):
-            for sets, target in compiled:
-                if all(s is None or act in s for s, act in zip(sets, move)):
-                    row[move] = target
-                    break
-            else:
-                raise InvalidInput(
-                    f"no transition pattern matches move {move} at vertex {v!r}"
-                )
-        tab[v] = row
+        # First match wins: each pattern claims the moves it matches that no
+        # earlier one claimed, and the closing catch-all takes the rest.
+        claimed: dict[Move, str] = {}
+        for sets, target in compiled[:-1]:
+            for move in product(*sets):
+                claimed.setdefault(move, target)
+        default = compiled[-1][1]
+        tab[v] = {move: claimed.get(move, default)
+                  for move in product(*(allow[v][a] for a in players))}
 
     payoff_in = data["payoff"]
     if "default" not in payoff_in:

@@ -815,13 +815,16 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
     sub_adj = [
         [dev_ids[t] for t in succ[i] if t in dev_ids] for i in deviated
     ]
+    # Per suspect set, per payoff rule, the suspects its vector pays more than p.
+    index = eg.game.player_index
+    bad_by_dev: dict[DevKey, list[list[str]]] = {}
     for comp in strongly_connected_components(len(deviated), sub_adj):
         comp_nodes = [deviated[i] for i in comp]
         dev = states[nodes[comp_nodes[0]][0]].deviators()
-        dev_idx = [eg.game.player_index[d] for d in dev]
-        # Per payoff rule, the suspects its vector pays more than p.
-        bad = [[dev[k] for k, i in enumerate(dev_idx) if vec[i] > p[i]]
-               for vec in outcomes]
+        bad = bad_by_dev.get(dev)
+        if bad is None:
+            bad = bad_by_dev[dev] = [[d for d in dev if vec[index[d]] > p[index[d]]]
+                                     for vec in outcomes]
         for cc, _witness in recurring_sets(comp_nodes, succ, color, colors.shared,
                                            lambda cc: bad[colors.rule[cc]]):
             rule = colors.rule[cc]

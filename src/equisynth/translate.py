@@ -7,7 +7,12 @@ machine tracks the epistemic state the observed play corresponds to, plus
 the deviator this player currently believes in: the received id when one
 arrived, otherwise the least tracked suspect that would not have informed
 this player yet (any such choice suggests the same action, so the tie-break
-is sound).  A player broadcasts the believed id exactly while it belongs to
+is sound).  The (Eve id, strategy memory) part is the same in every
+player's machine, so the step it takes is made once for all players: the
+strategy's Adam node per (Eve id, memory), and the successor and next
+memory per (Eve id, memory, next vertex), are kept per profile.  Only what
+each player observes (its messages and believed deviator) is worked out per
+player.  A player broadcasts the believed id exactly while it belongs to
 the informed set of that suspect's situation.  Inputs whose message pattern
 cannot arise from an honest single deviation are rejected rather than
 guessed at; the one benign special case is a player voluntarily outing
@@ -72,6 +77,32 @@ class OmegaProfile:
         self.eg = eg
         self.zeta = zeta
         self.players = eg.game.players
+        # The step all machines share (see the module docstring).  Only
+        # successful steps are stored, so an input the strategy or the game
+        # rejects raises on every call.
+        self._choice: dict = {}  # (Eve id, memory) -> Adam id
+        self._step: dict = {}  # (Eve id, memory, vertex) -> (Eve id, memory)
+
+    def _adam(self, eve_id: int, zmem) -> int:
+        aid = self._choice.get((eve_id, zmem))
+        if aid is None:
+            aid = self._choice[eve_id, zmem] = self.zeta.action(eve_id, zmem)
+        return aid
+
+    def _next(self, eve_id: int, zmem, next_vertex: str):
+        step = self._step.get((eve_id, zmem, next_vertex))
+        if step is None:
+            eg = self.eg
+            sid = next((s for s in eg.adam_succ[self._adam(eve_id, zmem)]
+                        if eg.eve_states[s].vertex == next_vertex), None)
+            if sid is None:
+                raise ProfileInputRejected(
+                    f"vertex {next_vertex!r} unreachable from "
+                    f"{state_key(eg.eve_states[eve_id])} under the suggested move"
+                )
+            step = self._step[eve_id, zmem, next_vertex] = (
+                sid, self.zeta.advance(zmem, eve_id, sid))
+        return step
 
     def initial(self, player: str):
         return (self.eg.init, self.zeta.initial(), None)
@@ -79,7 +110,7 @@ class OmegaProfile:
     def output(self, player: str, mstate) -> tuple[str, Message]:
         eve_id, zmem, believed = mstate
         state = self.eg.eve_states[eve_id]
-        action = self.eg.adam_action[self.zeta.action(eve_id, zmem)]
+        action = self.eg.adam_action[self._adam(eve_id, zmem)]
         idx = self.eg.game.player_index[player]
         if not state.deviated:
             return action[idx], None
@@ -95,13 +126,7 @@ class OmegaProfile:
         eve_id, zmem, believed = mstate
         eg = self.eg
         state = eg.eve_states[eve_id]
-        sid = next((s for s in eg.adam_succ[self.zeta.action(eve_id, zmem)]
-                    if eg.eve_states[s].vertex == next_vertex), None)
-        if sid is None:
-            raise ProfileInputRejected(
-                f"vertex {next_vertex!r} unreachable from {state_key(state)} "
-                "under the suggested move"
-            )
+        sid, zmem2 = self._next(eve_id, zmem, next_vertex)
         nxt = eg.eve_states[sid]
         ids = {m for m in visible_messages.values() if m is not None}
         if len(ids) > 1:
@@ -142,7 +167,6 @@ class OmegaProfile:
                         f"silence although every suspect informed {player!r}"
                     )
                 believed2 = cands[0]
-        zmem2 = self.zeta.advance(zmem, eve_id, sid)
         return (sid, zmem2, believed2)
 
 

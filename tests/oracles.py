@@ -9,9 +9,10 @@ package's checks on the full epistemic game.  The exceptions to "slow and
 obvious" are the package's earlier algorithms, kept unchanged as references:
 `per_state_distinct_actions` with `per_move_table`, the build's earlier
 enumeration of Eve actions, which a test swaps into the package's
-`Encoding` to compare the games it builds; and `layered_punishment_region`,
-the punishment solve one suspect-set layer at a time, each layer copied
-into its own tree product.
+`Encoding` to compare the games it builds; `sliced_move_table`, the move
+table made by grouping moves with one action cut out; and
+`layered_punishment_region`, the punishment solve one suspect-set layer at a
+time, each layer copied into its own tree product.
 """
 from __future__ import annotations
 
@@ -180,6 +181,49 @@ def per_move_table(self, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
             table[move] = (vidx[row[move]], reach)
         self._moves[v] = table
     return table
+
+
+def sliced_move_table(enc: Encoding, v: int) -> dict[Move, tuple[int, tuple[int, ...]]]:
+    """The table `Encoding.moves(v)` returns, made as it was before moves
+    were numbered: per player, the moves that differ only in its action are
+    grouped by the move with that action cut out, and its reach mask is the
+    union of the group's targets."""
+    game = enc.game
+    name = game.vertices[v]
+    row, vidx = game.tab[name], game.vertex_index
+    targets = {move: vidx[row[move]] for move in game.moves(name)}
+    groups: list[dict[Move, int]] = [{} for _ in game.players]
+    for move, t in targets.items():
+        for i, group in enumerate(groups):
+            rest = move[:i] + move[i + 1:]
+            group[rest] = group.get(rest, 0) | 1 << t
+    return {
+        move: (t, tuple(group[move[:i] + move[i + 1:]]
+                        for i, group in enumerate(groups)))
+        for move, t in targets.items()
+    }
+
+
+def first_match_tab(game: ConcurrentGame, transitions: dict) -> dict[str, dict[Move, str]]:
+    """The transition table a game file's `transitions` give on `game`'s
+    allowed moves: per vertex, each move in canonical order mapped to the
+    target of the first entry whose pattern matches it, every entry tried
+    against every move."""
+
+    def matches(pattern, move: Move) -> bool:
+        if pattern == "*":
+            return True
+        for a, act in zip(game.players, move):
+            spec = pattern.get(a, "*")
+            if spec != "*" and act not in (spec if isinstance(spec, list) else [spec]):
+                return False
+        return True
+
+    return {
+        v: {move: next(e["to"] for e in transitions[v] if matches(e["pattern"], move))
+            for move in game.moves(v)}
+        for v in game.vertices
+    }
 
 
 def _minimal(options: dict[int, Move]) -> dict[int, Move]:

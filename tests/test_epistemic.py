@@ -39,6 +39,7 @@ from oracles import (
     per_move_table,
     per_state_distinct_actions,
     reference_build_reachable,
+    sliced_move_table,
     successor_map,
 )
 
@@ -385,6 +386,49 @@ def test_tabled_options_build_the_per_state_game(
     for game, graph, full, pruned in cases:
         assert _layout(build(game, graph)) == _layout(full)
         assert _layout(build(game, graph, pruned=True)) == _layout(pruned)
+
+
+def test_move_table_matches_sliced_reference(random_instances):
+    # `Encoding.moves` finds each player's group of a move by index
+    # arithmetic over the moves' numbering; the reference groups moves by
+    # cutting that player's action out.  Besides the random suite, a game
+    # whose players have 1, 2 and 3 actions at one vertex, and allowed sets
+    # that differ between vertices.
+    uneven = game_from_dict({
+        "players": ["0", "1", "2"],
+        "actions": ["a", "b", "c"],
+        "vertices": ["s", "t", "u"],
+        "init": "s",
+        "allow": {"s": {"0": ["b"], "1": ["a", "c"]},
+                  "t": {"0": ["a", "c"], "1": ["b"], "2": ["a", "b"]},
+                  "u": {"2": ["c"]}},
+        "transitions": {
+            "s": [{"pattern": {"1": "c", "2": ["a", "c"]}, "to": "t"},
+                  {"pattern": {"2": "b"}, "to": "u"},
+                  {"pattern": "*", "to": "s"}],
+            "t": [{"pattern": {"0": "c", "2": "b"}, "to": "s"},
+                  {"pattern": {"2": "a"}, "to": "u"},
+                  {"pattern": "*", "to": "t"}],
+            "u": [{"pattern": {"0": "a", "1": "b"}, "to": "s"},
+                  {"pattern": {"0": ["b", "c"]}, "to": "t"},
+                  {"pattern": "*", "to": "u"}],
+        },
+        "payoff": {"rules": [], "default": [0, 0, 0]},
+    })
+    assert [len(uneven.allow["s"][a]) for a in uneven.players] == [1, 2, 3]
+    checked = 0
+    for game in [game for game, _graph, _eg in random_instances] + [uneven]:
+        enc = Encoding(game, edgeless_graph(game.players))
+        for v in range(len(game.vertices)):
+            want = sliced_move_table(enc, v)
+            assert list(enc.moves(v).items()) == list(want.items())
+            assert enc.move_list(v) == list(want)
+            checked += 1
+    assert checked > 250
+    # Every vertex of the uneven game has moves whose reach masks join
+    # several targets.
+    for v in range(3):
+        assert any(r & (r - 1) for _t, reach in enc.moves(v).values() for r in reach)
 
 
 def test_random_enabled_counts_agree(random_instances):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from equisynth.parsing import (
     parse_query,
     parse_rational,
 )
+
+from oracles import first_match_tab
 
 
 def small_game_dict():
@@ -54,6 +57,79 @@ def test_first_match_pattern_order():
     assert game.successor("s", ("a", "a")) == "t"
     assert game.successor("s", ("a", "b")) == "s"
     assert game.successor("s", ("b", "a")) == "s"
+
+
+def _assert_first_match(data):
+    game = game_from_dict(data)
+    want = first_match_tab(game, data["transitions"])
+    for v in game.vertices:
+        assert list(game.tab[v].items()) == list(want[v].items())
+    return game
+
+
+def test_transition_table_matches_first_match_reference():
+    # Overlapping patterns: a wildcard over players 1 and 2 before
+    # single-move patterns it covers, list-valued actions, omitted players,
+    # a spelled-out catch-all and a vertex with only a catch-all.
+    data = {
+        "players": ["0", "1", "2"],
+        "actions": ["a", "b", "c"],
+        "vertices": ["s", "t", "u"],
+        "init": "s",
+        "allow": {"t": {"1": ["a", "c"]}},
+        "transitions": {
+            "s": [{"pattern": {"0": "b"}, "to": "u"},
+                  {"pattern": {"0": "b", "1": "a", "2": "a"}, "to": "t"},
+                  {"pattern": {"0": "a", "1": "a", "2": "a"}, "to": "t"},
+                  {"pattern": {"1": ["c", "a"], "2": ["b", "c"]}, "to": "u"},
+                  {"pattern": {"0": ["a", "c"], "1": "*", "2": "c"}, "to": "s"},
+                  {"pattern": "*", "to": "t"}],
+            "t": [{"pattern": {"1": ["c"], "2": ["a", "b"]}, "to": "s"},
+                  {"pattern": {"0": "c"}, "to": "u"},
+                  {"pattern": {"0": "*", "1": "*", "2": "*"}, "to": "t"}],
+            "u": [{"pattern": "*", "to": "s"}],
+        },
+        "payoff": {"rules": [], "default": [0, 0, 0]},
+    }
+    game = _assert_first_match(data)
+    assert game.successor("s", ("b", "a", "a")) == "u"
+    assert game.successor("s", ("a", "a", "a")) == "t"
+    assert game.successor("s", ("c", "c", "b")) == "u"
+    assert game.successor("s", ("c", "b", "c")) == "s"
+    assert game.successor("s", ("c", "b", "a")) == "t"
+    assert set(game.tab["u"].values()) == {"s"}
+
+
+def test_random_transition_tables_match_first_match_reference():
+    rng = random.Random(7)
+    for _ in range(200):
+        players = [str(i) for i in range(rng.randint(1, 3))]
+        actions = ["a", "b", "c"][:rng.randint(1, 3)]
+        allow = {a: sorted(rng.sample(actions, rng.randint(1, len(actions))))
+                 for a in players}
+
+        def spec(a):
+            pick = rng.random()
+            if pick < 0.3:
+                return "*"
+            if pick < 0.6:
+                return rng.choice(allow[a])
+            return rng.sample(allow[a], rng.randint(1, len(allow[a])))
+
+        entries = [{"pattern": {a: spec(a) for a in players if rng.random() < 0.7},
+                    "to": rng.choice(["s", "t"])}
+                   for _ in range(rng.randint(0, 5))]
+        closing = rng.choice(["*", {}, {a: "*" for a in players}])
+        _assert_first_match({
+            "players": players,
+            "actions": actions,
+            "vertices": ["s", "t"],
+            "init": "s",
+            "allow": {"s": allow},
+            "transitions": {"s": entries + [{"pattern": closing, "to": "t"}],
+                            "t": [{"pattern": "*", "to": "s"}]},
+            "payoff": {"rules": [], "default": [0] * len(players)},
+        })
 
 
 def test_missing_catch_all_rejected():

@@ -2,6 +2,8 @@
 the reconstruction back into a protagonist strategy."""
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from equisynth.errors import (
     NormednessViolation,
     ProfileInputRejected,
     StateCapExceeded,
+    StrategyUndefined,
 )
 from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
@@ -87,6 +90,56 @@ def test_machines_reject_impossible_vertex(game5, profile1):
     ms = profile1.initial("0")
     with pytest.raises(ProfileInputRejected):
         profile1.advance("0", ms, {"0": None, "1": None, "4": None}, "v3")
+
+
+class CountingStrategy:
+    """Wrap a protagonist strategy, counting its `action` calls per (Eve id,
+    memory)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def initial(self):
+        return self.inner.initial()
+
+    def action(self, eve_id, mem):
+        self.calls[eve_id, mem] += 1
+        return self.inner.action(eve_id, mem)
+
+    def advance(self, mem, eve_id, next_eve_id):
+        return self.inner.advance(mem, eve_id, next_eve_id)
+
+
+def test_machines_share_one_strategy_step(game5, g1, eg1, solved1):
+    # Every player's machine tracks the same (Eve id, memory): the strategy
+    # picks its Adam node once per pair, over both checks of the profile.
+    zeta = CountingStrategy(solved1.strategy)
+    profile = omega(eg1, zeta)
+    assert check_normed(game5, g1, profile).explored == 16
+    assert check_deviation_resistance(eg1, profile, solved1.payoff).product_nodes == 9
+    assert len(zeta.calls) > 1
+    assert set(zeta.calls.values()) == {1}
+
+
+def test_rejected_machine_inputs_raise_on_every_call(game5, g1, eg1, solved1):
+    silent = {b: None for b in g1.vois["0"]}
+    # Without punishment tables the strategy is undefined once a suspect is
+    # tracked.
+    zeta = CountingStrategy(dataclasses.replace(solved1.strategy, layers={}))
+    profile = omega(eg1, zeta)
+    ms = profile.initial("0")
+    for _ in range(3):
+        with pytest.raises(ProfileInputRejected, match="'v3' unreachable"):
+            profile.advance("0", ms, silent, "v3")
+        with pytest.raises(ProfileInputRejected, match="distinct ids"):
+            profile.advance("0", ms, {"0": None, "1": "1", "4": "4"}, "v1p")
+    deviated = profile.advance("0", ms, silent, "v1p")
+    assert state_key(eg1.eve_states[deviated[0]]) == "v1p|2:2;3:3,4;4:0,4"
+    for _ in range(3):
+        with pytest.raises(StrategyUndefined):
+            profile.output("0", deviated)
+    assert zeta.calls[deviated[:2]] == 3
 
 
 def test_simulate_without_script(game5, g1, profile1):
