@@ -138,7 +138,10 @@ def _main_inf(args, game) -> Optional[frozenset[str]]:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -163,15 +166,7 @@ def cmd_build(args) -> int:
         "command": "build",
         "game": args.game,
         "comm": args.comm,
-        "stats": {
-            "eve_states": bounds["eve_states"],
-            "eve_bound": bounds["eve_bound"],
-            "adam_states": bounds["adam_states"],
-            "adam_bound": bounds["adam_bound"],
-            "diameter": bounds["diameter"],
-            "tab_entries": bounds["tab_entries"],
-            "deviated_states": len(eg.deviated_ids()),
-        },
+        "stats": {**bounds, "deviated_states": len(eg.deviated_ids())},
         "violations": violations,
     }
     if args.format == "json":

@@ -208,13 +208,6 @@ class CommGraph:
                 raise InvalidInput(f"edge ({a}, {b}) mentions unknown player")
 
     @cached_property
-    def _succ(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {a: [] for a in self.players}
-        for a, b in self.edges:
-            out[a].append(b)
-        return {a: tuple(sorted(bs, key=self.players.index)) for a, bs in out.items()}
-
-    @cached_property
     def vois(self) -> dict[str, tuple[str, ...]]:
         """vois[b]: players whose actions/messages b observes (incl. b)."""
         incoming: dict[str, set[str]] = {b: {b} for b in self.players}
@@ -241,7 +234,7 @@ class CommGraph:
             queue = deque([src])
             while queue:
                 cur = queue.popleft()
-                for nxt in self._succ[cur]:
+                for nxt in self.informed_by[cur]:
                     if nxt not in dist:
                         dist[nxt] = dist[cur] + 1
                         queue.append(nxt)

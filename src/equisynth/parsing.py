@@ -230,9 +230,9 @@ class WinningQuery:
 
 
 def parse_rational(token: str) -> Fraction:
-    """`token` as a fraction.  `Fraction` also reads non-ASCII digits, so
-    those are refused first."""
-    if not token.isascii():
+    """`token` as a fraction.  `Fraction` also reads non-ASCII digits, and
+    from Python 3.11 on `_` between digits, so those are refused first."""
+    if not token.isascii() or "_" in token:
         raise InvalidInput(f"bad rational {token!r}")
     try:
         return Fraction(token)

@@ -9,11 +9,13 @@ parity game through its product with the Zielonka tree of its Muller
 condition, whose leaves are the only memory the punishment needs; with one
 leaf the product is the layer itself.  Every play ends in one layer, whose
 priorities alone recur, so the products of all layers form one parity game
-on the epistemic game's own nodes (`_RegionGame`), solved once.
+on the epistemic game's own nodes (`_RegionGame`), solved once, in which
+the states without suspects are stuck.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
-lasso over p-safe moves whose recurring vertex set evaluates to exactly p.
+lasso over p-safe moves, found at the states they reach from the initial one,
+whose recurring vertex set evaluates to exactly p.
 `model_check_strategy` re-verifies any strategy against the epistemic game:
 the unique complying outcome must pay exactly p, and no recurring set
 reachable in the deviated product may pay a surviving suspect more.
@@ -252,7 +254,6 @@ def zielonka_tree(colors: int, acc: tuple[bool, ...]) -> Tree:
 
 @dataclass
 class LayerTable:
-    dev: DevKey
     classes: tuple[tuple[str, ...], ...]  # color id -> vertices of that class
     tree: Tree
     entries: dict[tuple[int, int], int]  # (eve id, leaf) -> adam id
@@ -296,9 +297,10 @@ class _RegionGame:
     Eve id e is node e and Adam id a node E + a, for E Eve states.  An Adam
     node at leaf 0 leads to Eve nodes at leaf 0, of its layer or a smaller
     one, so it keeps `eg.adam_succ`.  Only multi-leaf layers add nodes, one
-    per (id, leaf >= 1) reached.  States without suspects and their Adam
-    nodes get no successors, and no deviated node leads to them: the parity
-    solver settles them as stuck, outside the region."""
+    per (id, leaf >= 1) reached.  States without suspects get no successors,
+    and no deviated node leads to them or their Adam nodes; each of those Adam
+    nodes leads to its stuck complying successor, so the parity solver's
+    stuck-node pass takes both out of the region."""
 
     def __init__(self, eg: EpistemicGame, lar_cap: int):
         self.eg, self.lar_cap = eg, lar_cap
@@ -307,10 +309,6 @@ class _RegionGame:
         self.owner = bytearray(eves) + b"\x01" * eg.adam_count()
         self.priority = bytearray(self.base)
         self.succ: list = [()] * eves + eg.adam_succ
-        for e in range(eves):
-            if not eg.eve_states[e].deviated:
-                for aid in eg.eve_succ[e]:
-                    self.succ[eves + aid] = ()
         # Added node - base -> its Eve or Adam id, and its leaf.
         self.ids, self.leaf = array("i"), array("i")
         # Per layer: its table, its Eve ids and the nodes it added.
@@ -377,7 +375,7 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
             succ[node] = [node_of(sid, leaf, 0) if sid in layer else sid
                           for sid in adam_succ[ident]]
         node += 1
-    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
+    table = LayerTable(classes=classes, tree=tree, entries={})
     region.layers.append((table, layer_eves, range(first, len(owner))))
     return table
 
@@ -559,7 +557,7 @@ class EveStrategy:
             table = layers.get(dev)
             if table is None:
                 table = layers[dev] = LayerTable(
-                    dev, *_layer_setup(eg.game, payoff, dev), entries={})
+                    *_layer_setup(eg.game, payoff, dev), entries={})
             leaf = row["leaf"]
             if isinstance(leaf, bool) or not isinstance(leaf, int):
                 raise InvalidInput(f"profile leaf {leaf!r} is not a JSON integer")
@@ -640,27 +638,22 @@ def _reached(strategy: EveStrategy) -> EveStrategy:
 def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
                 main_inf: Optional[frozenset[str]]):
     states = eg.eve_states
-    # p-safe complying edges: every visible deviation falls into the won region.
+    # Reachable part of the p-safe graph: a complying edge is p-safe when
+    # every visible deviation falls into the won region.
     safe_succ: dict[int, dict[int, int]] = {}
-    for e in range(eg.eve_count()):
-        if states[e].deviated:
-            continue
-        row: dict[int, int] = {}
-        for aid in eg.eve_succ[e]:
-            succ = eg.adam_succ[aid]
-            if all(sid in punish.win for sid in succ if states[sid].deviated):
-                # The complying successor is the one non-deviated successor.
-                row.setdefault(next(sid for sid in succ if not states[sid].deviated), aid)
-        safe_succ[e] = row
-
-    # Reachable part of the p-safe graph.
     reach: list[int] = []
     seen = {eg.init}
     queue = deque([eg.init])
     while queue:
         e = queue.popleft()
         reach.append(e)
-        for t in safe_succ[e]:
+        row = safe_succ[e] = {}
+        for aid in eg.eve_succ[e]:
+            succ = eg.adam_succ[aid]
+            if all(sid in punish.win for sid in succ if states[sid].deviated):
+                # The complying successor is the one non-deviated successor.
+                row.setdefault(next(sid for sid in succ if not states[sid].deviated), aid)
+        for t in row:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
@@ -680,9 +673,8 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
     return None if witness is None else _build_lasso(eg, safe_succ, set(witness))
 
 
-def _bfs_path(src: int, dst, succ_of) -> list[int]:
-    """Vertex path src..dst (dst may be a set); deterministic BFS."""
-    targets = dst if isinstance(dst, set) else {dst}
+def _bfs_path(src: int, targets: set[int], succ_of) -> list[int]:
+    """Vertex path from src to the first of `targets` found; deterministic BFS."""
     prev = {src: None}
     queue = deque([src])
     found = src if src in targets else None
@@ -715,7 +707,7 @@ def _build_lasso(eg: EpistemicGame, safe_succ, sub: set[int]):
     walk = [s0]
     cur = s0
     for target in [e for e in order if e != s0] + [s0]:
-        leg = _bfs_path(cur, target, inside)
+        leg = _bfs_path(cur, {target}, inside)
         walk.extend(leg[1:])
         cur = target
     if len(walk) == 1:  # single state: use its self-loop

@@ -76,7 +76,6 @@ class OmegaProfile:
     def __init__(self, eg: EpistemicView, zeta):
         self.eg = eg
         self.zeta = zeta
-        self.players = eg.game.players
         # The step all machines share (see the module docstring).  Only
         # successful steps are stored, so an input the strategy or the game
         # rejects raises on every call.
@@ -170,9 +169,7 @@ class OmegaProfile:
         return (sid, zmem2, believed2)
 
 
-def omega(eg: EpistemicView, zeta) -> OmegaProfile:
-    """Distributed strategy profile equivalent to the protagonist strategy."""
-    return OmegaProfile(eg, zeta)
+omega = OmegaProfile  # the distributed profile equivalent to a protagonist strategy
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,8 @@ def _advance_all(game, graph, profile, mstates, msgs, next_vertex):
 
 class UpsilonPolicy:
     """Protagonist strategy that consults a distributed profile through the
-    per-suspect reconstructed local histories.
+    per-suspect reconstructed local histories; the message discipline is
+    validated lazily along every queried branch.
 
     Memory: the machine states of every player on the complying history at
     a state without suspects, else one such vector per suspect, in the
@@ -273,10 +271,7 @@ class UpsilonPolicy:
         return tuple(out)
 
 
-def upsilon(eg: EpistemicView, profile) -> UpsilonPolicy:
-    """Protagonist strategy reading the profile; message discipline is
-    validated lazily along every queried branch."""
-    return UpsilonPolicy(eg, profile)
+upsilon = UpsilonPolicy  # the protagonist strategy that reads a profile
 
 
 # ---------------------------------------------------------------------------

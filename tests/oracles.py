@@ -1,11 +1,12 @@
 """Reference implementations the tests check the package against.
 
 Everything here is deliberately written the slow, obvious way.  Beyond
-public data types, only three helpers use package code: `successor_map` takes
+public data types, only four helpers use package code: `successor_map` takes
 one step through the package's successor function,
 `literal_knowledge_violations` checks its literal recomputation with the
-package's knowledge characterization, and `full_build_verify` runs the
-package's checks on the full epistemic game.  The exceptions to "slow and
+package's knowledge characterization, `full_build_verify` runs the
+package's checks on the full epistemic game, and `nash_violations` finds
+recurring vertex sets with `solver.recurring_sets`.  The exceptions to "slow and
 obvious" are the package's earlier algorithms, kept unchanged as references:
 `per_state_distinct_actions` with `per_move_table`, the build's earlier
 enumeration of Eve actions, which a test swaps into the package's
@@ -34,7 +35,7 @@ from equisynth.epistemic import (
     state_key,
     successors,
 )
-from equisynth.errors import CapExceeded, InvalidInput, LarCapExceeded
+from equisynth.errors import CapExceeded, InvalidInput, LarCapExceeded, ProfileInputRejected
 from equisynth.game import CommGraph, ConcurrentGame, FullHistory, Message, Move, substitute
 from equisynth.parity import ParityGame, solve_parity
 from equisynth.solver import (
@@ -44,6 +45,7 @@ from equisynth.solver import (
     PunishmentSolution,
     _layer_groups,
     _layer_setup,
+    recurring_sets,
 )
 
 
@@ -1076,7 +1078,7 @@ def _layered_solve(eg, p, dev, layer_eves, global_win: set[int], lar_cap: int) -
     Entering the layer starts at leaf 0; exits to smaller layers are sinks
     whose winner is already known."""
     classes, tree = _layer_setup(eg.game, p, dev)
-    table = LayerTable(dev=dev, classes=classes, tree=tree, entries={})
+    table = LayerTable(classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     of = eg.game.colors.of
     color = {e: of[eg.eve_states[e].vertex] for e in layer_eves}
@@ -1266,3 +1268,99 @@ def verify_outcome(verify, *args):
     except _CHECK_ERRORS as exc:
         return 4, type(exc), str(exc)
     return 4 if failures else 0, checks, failures
+
+
+# ---------------------------------------------------------------------------
+# Nash equilibrium of a profile, checked on the concurrent game.
+
+
+def nash_violations(game: ConcurrentGame, graph: CommGraph, profile, p) -> list[str]:
+    """Why the machines of `profile` are no Nash equilibrium with payoff `p`
+    (empty if they are one), under the deviation model of
+    `translate.check_normed` and `simulate`: a deviator d follows its
+    machine up to a visible deviation, the onset, and from then on plays any
+    allowed action and broadcasts its own id.
+
+    Each d is explored over the product of vertex, machine states, last
+    messages and onset flag.  Before the onset that product is the
+    complying outcome, which every d shares; after it, keys are
+    deduplicated, so the search needs no depth bound.  A violation is a
+    complying outcome that does not pay exactly p, a vertex set that can
+    recur after the onset and pays d more than p[d] (found with
+    `solver.recurring_sets`), or a machine that rejects its input
+    (`ProfileInputRejected`)."""
+    players, index = game.players, game.player_index
+    colors, outcomes = game.colors, game.payoff.outcomes
+
+    def outputs(mstates):
+        outs = [profile.output(a, ms) for a, ms in zip(players, mstates)]
+        return tuple(o[0] for o in outs), tuple(o[1] for o in outs)
+
+    def advance(mstates, msgs, v2):
+        return tuple(
+            profile.advance(a, ms, {b: msgs[index[b]] for b in graph.vois[a]}, v2)
+            for a, ms in zip(players, mstates))
+
+    # The complying outcome: (vertex, machine states, move, messages) per step.
+    comply: list = []
+    pos: dict = {}
+    v, mstates = game.init_vertex, tuple(profile.initial(a) for a in players)
+    try:
+        while (v, mstates) not in pos:
+            pos[v, mstates] = len(comply)
+            move, msgs = outputs(mstates)
+            comply.append((v, mstates, move, msgs))
+            v2 = game.successor(v, move)
+            v, mstates = v2, advance(mstates, msgs, v2)
+    except ProfileInputRejected as exc:
+        return [f"complying outcome: machines rejected their input: {exc}"]
+    violations = []
+    pay = game.payoff.value(frozenset(step[0] for step in comply[pos[v, mstates]:]))
+    if pay != tuple(p):
+        violations.append(f"complying outcome pays ({','.join(map(str, pay))}), "
+                          f"expected ({','.join(map(str, p))})")
+
+    for d in players:
+        i = index[d]
+        keys: dict = {}  # (vertex, machine states, last messages) -> node
+        nodes: list = []
+        succ: list[list[int]] = []
+
+        def visit(mstates, msgs, v2, where: str) -> Optional[int]:
+            sent = substitute(msgs, i, d)
+            try:
+                key = (v2, advance(mstates, sent, v2), sent)
+            except ProfileInputRejected as exc:
+                violations.append(f"deviator {d!r}, {where} to {v2!r}: {exc}")
+                return None
+            node = keys.get(key)
+            if node is None:
+                node = keys[key] = len(nodes)
+                nodes.append(key)
+                succ.append([])
+            return node
+
+        for v, mstates, move, msgs in comply:
+            target = game.successor(v, move)
+            for delta in game.allow[v][d]:
+                v2 = game.successor(v, substitute(move, i, delta))
+                if v2 != target:
+                    visit(mstates, msgs, v2, f"onset at {v!r}")
+        for node, (v, mstates, _last) in enumerate(nodes):  # grows while it is read
+            try:
+                move, msgs = outputs(mstates)
+            except ProfileInputRejected as exc:
+                violations.append(f"deviator {d!r}, at {v!r}: {exc}")
+                continue
+            for delta in game.allow[v][d]:
+                nxt = visit(mstates, msgs, game.successor(v, substitute(move, i, delta)),
+                            f"step from {v!r}")
+                if nxt is not None:
+                    succ[node].append(nxt)
+        color = [colors.of[key[0]] for key in nodes]
+        for cc, witness in recurring_sets(range(len(nodes)), succ, color, colors.shared,
+                                          lambda cc: outcomes[colors.rule[cc]][i] > p[i]):
+            verts = sorted({nodes[n][0] for n in witness})
+            violations.append(f"deviator {d!r} gets {outcomes[colors.rule[cc]][i]} > {p[i]} "
+                              f"by recurring on {{{','.join(verts)}}}")
+    return violations

@@ -358,6 +358,19 @@ def report_path(capsys, tmp_path):
     return path
 
 
+def test_unwritable_out_is_an_input_error(capsys, report_path, tmp_path):
+    # The solve finds a profile, so exit 1 ("not found") would misreport it.
+    missing = tmp_path / "no" / "such" / "dir" / "report.txt"
+    predicate = ["--predicate", REPORT_PREDICATE]
+    for command, extra, out in (("build", [], tmp_path), ("solve", predicate, tmp_path),
+                                ("verify", [str(report_path)], tmp_path),
+                                ("solve", predicate, missing)):
+        code, stdout, err = run(capsys, command, "--game", GAME, "--comm", G1,
+                                *extra, "--out", str(out))
+        assert (code, stdout) == (2, ""), (command, err)
+        assert err.startswith(f"error: cannot write {out}: "), (command, err)
+
+
 def test_verify_solve_report(capsys, report_path):
     code, out, _ = run(capsys, "verify", "--game", GAME, "--comm", G1, str(report_path))
     assert code == 0

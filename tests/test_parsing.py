@@ -207,6 +207,20 @@ def test_parse_rational():
             parse_rational(token)
 
 
+def test_game_file_rationals_take_no_underscores():
+    # Fraction("1_0") is 10 from Python 3.11 on and an error before it.
+    data = small_game_dict()
+    data["payoff"]["rules"][0]["then"] = ["1_0", 1]
+    with pytest.raises(InvalidInput, match="bad rational '1_0'"):
+        game_from_dict(data)
+
+
+def test_predicate_rationals_take_no_underscores():
+    for text in ("p[0]<=1_0", "p=(1_0,0)", "p[1]=1/2_0"):
+        with pytest.raises(InvalidInput, match="bad rational"):
+            parse_query(text)
+
+
 def test_query_matching():
     q = parse_query("p[2]=1 & p[3]>=1 & p[4]=1")
     assert q.matches(tuple(Fraction(x) for x in (0, 0, 1, 1, 1)))

@@ -237,7 +237,6 @@ def test_punishment_region_vacuous_bound(eg1):
 def test_punishment_layers_shrink(eg1):
     sol = punishment_region(eg1, P_MAIN)
     for dev, table in sol.layers.items():
-        assert table.dev == dev
         for (eid, _rec) in table.entries:
             state = eg1.eve_states[eid]
             assert tuple(state.deviators()) == dev

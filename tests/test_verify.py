@@ -2,7 +2,9 @@
 (`EpistemicView`).  On every found profile it must give what the full-build
 verify of `oracles.full_build_verify` gives: the same checks and failures,
 or the same error.  A found profile holds exactly the punishment rows its
-play reaches, and reading it back gives the checks `solve` reported."""
+play reaches, and reading it back gives the checks `solve` reported.  Its
+machines are a Nash equilibrium of the concurrent game itself
+(`oracles.nash_violations`)."""
 from __future__ import annotations
 
 import random
@@ -15,9 +17,10 @@ from equisynth.cli import _verify_profile, _verify_strategy
 from equisynth.epistemic import EpistemicView, state_key
 from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
+from equisynth.translate import omega
 
-from conftest import build_reachable, complete_strategy
-from oracles import full_build_verify, verify_outcome
+from conftest import build_reachable, complete_strategy, tamper_punishment
+from oracles import full_build_verify, nash_violations, verify_outcome
 
 PREDICATES = (None, "p=(0,0,1,1,1)", "p=(0,0,3,3,3)")
 MAIN_INF = (None, frozenset({"v0", "v1"}))
@@ -142,3 +145,22 @@ def test_view_resolves_every_action_as_the_full_game(eg1, eg2, eg3):
         assert (len(view.eve_states), len(view.adam_succ)) == \
             (full.eve_count(), full.adam_count())
 
+
+def test_found_profiles_are_nash_equilibria(found_solves):
+    # The machines of every found profile, played on the concurrent game
+    # itself, pay exactly the found payoff on the complying outcome, and no
+    # single deviator gains by any honest visible deviation.
+    for full, pruned, result in found_solves:
+        machines = omega(pruned, result.strategy)
+        assert nash_violations(full.game, full.graph, machines, result.payoff) == []
+
+
+def test_nash_oracle_finds_the_gain_a_tampered_profile_leaves(eg1):
+    # With every punishment row playing the complying move, each of the
+    # players 2, 3 and 4 gains by deviating into v1p, and the oracle says so.
+    result = solve(eg1, query=parse_query("p[2]=1 & p[3]=1 & p[4]=1"))
+    strategy = EveStrategy.from_dict(
+        eg1, tamper_punishment(complete_strategy(eg1, result).to_dict()))
+    machines = omega(eg1, strategy)
+    assert nash_violations(eg1.game, eg1.graph, machines, result.payoff) == [
+        f"deviator {d!r} gets 2 > 1 by recurring on {{v0,v1p}}" for d in "234"]
