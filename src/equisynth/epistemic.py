@@ -55,7 +55,8 @@ Per expanded state the grown informed masks are computed once, each
 distinct reach tuple is found once, as a nonzero AND of its suspects'
 option bitmasks, and the successor id is memoised per (target, surviving
 hypotheses).  The string `EveState` that solver, translation and reports
-read is made once, when a new key is interned.
+read is made once, when a new key is interned, and its `Situation`s once
+per (suspect, informed mask) and encoding: states share equal situations.
 
 The build `solve` uses is dominance-pruned (antichains for games of
 imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
@@ -244,6 +245,7 @@ class Encoding:
         # Set by `build_reachable`: one encoding serves one build.
         self.pruned = False
         self._options: dict[tuple[int, int, int], list[tuple]] = {}
+        self._situations: dict[tuple[int, int], Situation] = {}
         self._by_radius: Optional[list[tuple[tuple[str, tuple[int, int]], ...]]] = None
 
     def grow(self, mask: int) -> int:
@@ -356,10 +358,11 @@ class Encoding:
 
     def state(self, key: StateKey) -> EveState:
         v, pairs = key
-        players = self.game.players
-        return EveState(self.game.vertices[v], tuple(
-            Situation(players[d], tuple(players[b] for b in _bits(m))) for d, m in pairs
-        ))
+        players, situations = self.game.players, self._situations
+        for d, m in pairs:
+            if (d, m) not in situations:
+                situations[d, m] = Situation(players[d], tuple(players[b] for b in _bits(m)))
+        return EveState(self.game.vertices[v], tuple(map(situations.__getitem__, pairs)))
 
     def key_of_text(self, text: str) -> Optional[StateKey]:
         """The key whose `state_key` is `text`, if a reachable state can have

@@ -316,16 +316,9 @@ class ConcurrentGame:
         return sum(len(self.tab[v]) for v in self.vertices)
 
     def validate(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInput("duplicate vertex ids")
-        if len(set(self.players)) != len(self.players):
-            raise InvalidInput("duplicate player ids")
-        if len(set(self.actions)) != len(self.actions):
-            raise InvalidInput("duplicate action ids")
-        if self.init_vertex not in self.vertices:
-            raise InvalidInput(f"init vertex {self.init_vertex!r} unknown")
-        if not self.players or not self.actions or not self.vertices:
-            raise InvalidInput("players, actions and vertices must be nonempty")
+        """`validate_declarations` and a walk over the allow and transition
+        tables, for games built in code."""
+        self.validate_declarations()
         for v in self.vertices:
             if v not in self.allow or v not in self.tab:
                 raise InvalidInput(f"vertex {v!r} lacks allow/tab entries")
@@ -350,12 +343,26 @@ class ConcurrentGame:
             for m, target in self.tab[v].items():
                 if target not in self.allow:
                     raise InvalidInput(f"tab({v!r}, {m}) -> unknown vertex {target!r}")
+
+    def validate_declarations(self) -> None:
+        """Distinct nonempty name lists, a known init vertex, and payoff
+        vectors of the players' arity whose atoms are vertices."""
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InvalidInput("duplicate vertex ids")
+        if len(set(self.players)) != len(self.players):
+            raise InvalidInput("duplicate player ids")
+        if len(set(self.actions)) != len(self.actions):
+            raise InvalidInput("duplicate action ids")
+        if self.init_vertex not in self.vertices:
+            raise InvalidInput(f"init vertex {self.init_vertex!r} unknown")
+        if not self.players or not self.actions or not self.vertices:
+            raise InvalidInput("players, actions and vertices must be nonempty")
         n = len(self.players)
         for rule in self.payoff.rules:
             if len(rule.vector) != n:
                 raise InvalidInput("payoff rule vector arity mismatch")
             for atom in rule.condition.atoms():
-                if atom not in self.allow:
+                if atom not in self.vertex_index:
                     raise InvalidInput(f"payoff condition uses unknown vertex {atom!r}")
         if len(self.payoff.default) != n:
             raise InvalidInput("payoff default vector arity mismatch")

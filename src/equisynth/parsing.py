@@ -437,7 +437,8 @@ def game_from_dict(data: dict) -> ConcurrentGame:
         tab=tab,
         payoff=payoff,
     )
-    game.validate()
+    # The tables above are checked as they are built.
+    game.validate_declarations()
     return game
 
 

@@ -593,11 +593,16 @@ def solve(
     tables the lasso's safety relies on.  `main_inf` additionally requires
     the complying outcome to visit infinitely often exactly that vertex set,
     so a candidate that set does not pay is tried without a punishment solve.
+    Without it, so is a candidate no nonempty color set pays (its rules are
+    shadowed by earlier ones): `_find_lasso` accepts only sets that pay p.
     """
+    payoff = eg.game.payoff
+    paid = {payoff.outcomes[r] for r in eg.game.colors.rule[1:]}
     tried: list[Vector] = []
     for p in candidate_payoffs(eg.game, query):
         tried.append(p)
-        if main_inf is not None and eg.game.payoff.value(main_inf) != p:
+        pays = payoff.value(main_inf) == p if main_inf is not None else p in paid
+        if not pays:
             continue
         punish = punishment_region(eg, p, lar_cap)
         result = _find_lasso(eg, p, punish, main_inf)

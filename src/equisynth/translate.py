@@ -40,7 +40,10 @@ The check explores the whole finite product of the profile and the game in
 one breadth-first search, so it is exact; only a node cap ends it early.
 `simulate` produces a single scripted trace, and
 `check_deviation_resistance` verifies the payoff contract of the
-reconstructed protagonist strategy.
+reconstructed protagonist strategy.  All of them step a `Profile` through
+its `outputs` and `round`, which make one output vector and one round of
+all players' machines per distinct input and profile, so the resistance
+check replays the rounds the message-rule check made.
 """
 from __future__ import annotations
 
@@ -64,7 +67,46 @@ from .solver import ModelCheckReport, Vector, model_check_strategy
 # Distributed profile machines driven by a protagonist strategy.
 
 
-class OmegaProfile:
+class Profile:
+    """One deterministic machine per player of `players`, defined by
+    `initial(player)`, `output(player, mstate)` -> (action, message) and
+    `advance(player, mstate, visible_messages, next_vertex)`.  `outputs` and
+    `round` step all players at once, made once per profile: one output
+    vector per machine-state vector, and one round per (machine states,
+    messages, next vertex), kept for the last graph stepped under only.  An
+    input a machine rejects is not kept: it raises on every call."""
+
+    def __init__(self, players: tuple[str, ...]):
+        self.players = players
+        self._outputs: dict = {}
+        self._graph: Optional[CommGraph] = None
+        self._rounds: dict = {}
+
+    def outputs(self, mstates) -> tuple[tuple[str, Message], ...]:
+        """Every player's (action, message) at `mstates`, in player order."""
+        outs = self._outputs.get(mstates)
+        if outs is None:
+            outs = self._outputs[mstates] = tuple(map(self.output, self.players, mstates))
+        return outs
+
+    def round(self, graph: CommGraph, mstates, msgs, next_vertex: str):
+        """Every player's machine stepped to `next_vertex`, each seeing the
+        messages `msgs` (one per player, in player order) of the players it
+        observes in `graph`."""
+        if graph is not self._graph:
+            self._graph, self._rounds = graph, {}
+        key = (mstates, msgs, next_vertex)
+        nstates = self._rounds.get(key)
+        if nstates is None:
+            sent = dict(zip(self.players, msgs))
+            nstates = self._rounds[key] = tuple(
+                self.advance(a, ms, {b: sent[b] for b in graph.vois[a]}, next_vertex)
+                for a, ms in zip(self.players, mstates)
+            )
+        return nstates
+
+
+class OmegaProfile(Profile):
     """One deterministic machine per player, all sharing the same core.
 
     Machine state: (epistemic Eve id, strategy memory, believed deviator).
@@ -74,6 +116,7 @@ class OmegaProfile:
     """
 
     def __init__(self, eg: EpistemicView, zeta):
+        super().__init__(eg.game.players)
         self.eg = eg
         self.zeta = zeta
         # The step all machines share (see the module docstring).  Only
@@ -173,22 +216,6 @@ omega = OmegaProfile  # the distributed profile equivalent to a protagonist stra
 
 
 # ---------------------------------------------------------------------------
-# Synchronous execution of a profile.
-
-
-def _advance_all(game, graph, profile, mstates, msgs, next_vertex):
-    """Step every player's machine to `next_vertex`, each seeing the messages
-    `msgs` (one per player, in player order) of the players it observes."""
-    msg_map = dict(zip(game.players, msgs))
-    return tuple(
-        profile.advance(
-            a, ms, {b: msg_map[b] for b in graph.vois[a]}, next_vertex
-        )
-        for a, ms in zip(game.players, mstates)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Profile -> protagonist strategy.
 
 
@@ -202,18 +229,15 @@ class UpsilonPolicy:
     state's suspect order.
     """
 
-    def __init__(self, eg: EpistemicView, profile):
+    def __init__(self, eg: EpistemicView, profile: Profile):
         self.eg = eg
         self.profile = profile
-        self.players = eg.game.players
 
     def initial(self):
-        return tuple(self.profile.initial(a) for a in self.players)
+        return tuple(map(self.profile.initial, self.profile.players))
 
     def _joint_move(self, states) -> Move:
-        return tuple(
-            self.profile.output(a, ms)[0] for a, ms in zip(self.players, states)
-        )
+        return tuple(act for act, _msg in self.profile.outputs(states))
 
     def action(self, eve_id: int, mem) -> int:
         """The Adam id of the profile's suggestion; a per-suspect suggestion
@@ -234,14 +258,13 @@ class UpsilonPolicy:
         eg = self.eg
         state = eg.eve_states[eve_id]
         nxt = eg.eve_states[next_eve_id]
-        players = self.players
+        players = self.profile.players
 
         def step(states, msgs):
-            return _advance_all(eg.game, eg.graph, self.profile, states, msgs, nxt.vertex)
+            return self.profile.round(eg.graph, states, msgs, nxt.vertex)
 
         if not state.deviated:
-            for a, ms in zip(players, mem):
-                msg = self.profile.output(a, ms)[1]
+            for a, (_act, msg) in zip(players, self.profile.outputs(mem)):
                 if msg is not None:
                     raise NormednessViolation(
                         f"{a!r} sent {msg!r} while the play tracked the main outcome"
@@ -258,8 +281,7 @@ class UpsilonPolicy:
             states = hyp[d]
             informed = set(state.informed(d))
             msgs = []
-            for a, ms in zip(players, states):
-                msg = self.profile.output(a, ms)[1]
+            for a, (_act, msg) in zip(players, self.profile.outputs(states)):
                 expected = d if a in informed else None
                 if a != d and msg != expected:
                     raise NormednessViolation(
@@ -285,7 +307,7 @@ class NormedReport:
     explored: int
 
 
-def check_normed(game: ConcurrentGame, graph: CommGraph, profile) -> NormedReport:
+def check_normed(game: ConcurrentGame, graph: CommGraph, profile: Profile) -> NormedReport:
     """Drive the profile against every honest visible single-player deviation
     and check the three message rules.
 
@@ -310,7 +332,7 @@ def check_normed(game: ConcurrentGame, graph: CommGraph, profile) -> NormedRepor
         """Queue the machines' step to v2 as a node at `step`; if they reject
         it, record the violation `rejected` names instead."""
         try:
-            nstates = _advance_all(game, graph, profile, mstates, msgs, v2)
+            nstates = profile.round(graph, mstates, msgs, v2)
         except ProfileInputRejected as exc:
             if rejected is None:
                 raise
@@ -329,7 +351,7 @@ def check_normed(game: ConcurrentGame, graph: CommGraph, profile) -> NormedRepor
     while queue:
         (v, mstates, last, d, phase), step = queue.popleft()
         explored += 1
-        outs = [profile.output(a, ms) for a, ms in zip(players, mstates)]
+        outs = profile.outputs(mstates)
         bad = False
         for a, (_act, msg) in zip(players, outs):
             if phase == 0:
@@ -421,7 +443,7 @@ class SimulationResult:
 def simulate(
     game: ConcurrentGame,
     graph: CommGraph,
-    profile,
+    profile: Profile,
     script: Optional[DeviationScript],
     steps: int = 64,
 ) -> SimulationResult:
@@ -460,7 +482,7 @@ def simulate(
             payoff = game.payoff.value(frozenset(cyc))
             break
         seen[key] = step
-        outs = [profile.output(a, ms) for a, ms in zip(game.players, mstates)]
+        outs = profile.outputs(mstates)
         move = list(o[0] for o in outs)
         msgs = list(o[1] for o in outs)
         if scripted:
@@ -477,7 +499,7 @@ def simulate(
         move_t = tuple(move)
         msgs_t = tuple(msgs)
         v2 = game.successor(v, move_t)
-        mstates = _advance_all(game, graph, profile, mstates, msgs_t, v2)
+        mstates = profile.round(graph, mstates, msgs_t, v2)
         verts.append(v2)
         moves.append(move_t)
         messages.append(msgs_t)
@@ -492,7 +514,7 @@ def simulate(
     )
 
 
-def check_deviation_resistance(eg: EpistemicView, profile, p: Vector) -> ModelCheckReport:
+def check_deviation_resistance(eg: EpistemicView, profile: Profile, p: Vector) -> ModelCheckReport:
     """Payoff-contract verdict for the strategy reconstructed from the
     profile: complying outcome exactly p, every deviation bounded by p."""
     return model_check_strategy(eg, upsilon(eg, profile), p)

@@ -576,3 +576,24 @@ def test_keys_read_back_with_separators_in_names():
     for state in eg.eve_states:
         assert view.eve_states[view.eve_for_key(state_key(state))] == state
     assert view.eve_for_key("s|t|0:0") is None
+
+
+def test_builds_share_equal_situations(eg1, eg2, eg3, random_instances):
+    # Within a build, equal (suspect, informed mask) pairs are one Situation;
+    # every state is still equal to one made afresh from its key, with the
+    # same hash and text key.
+    situations = distinct = 0
+    for eg in [eg1, eg2, eg3] + [eg for _game, _graph, eg in random_instances]:
+        players = eg.game.players
+        shared: dict[tuple[int, int], Situation] = {}
+        for (v, pairs), state in zip(eg._keys, eg.eve_states):
+            fresh = EveState(eg.game.vertices[v], tuple(
+                Situation(players[d], tuple(b for i, b in enumerate(players) if m >> i & 1))
+                for d, m in pairs))
+            assert state == fresh and hash(state) == hash(fresh), state_key(fresh)
+            assert state_key(state) == state_key(fresh)
+            for pair, situation in zip(pairs, state.situations):
+                assert shared.setdefault(pair, situation) is situation
+        situations += sum(len(pairs) for _v, pairs in eg._keys)
+        distinct += len(shared)
+    assert distinct < situations / 10

@@ -153,6 +153,40 @@ def test_payoff_arity_rejected():
         game_from_dict(data)
 
 
+def _broken(**changes):
+    data = small_game_dict()
+    data.update(changes)
+    return data
+
+
+# The declarations `game_from_dict` leaves to
+# `ConcurrentGame.validate_declarations`, each broken once, and the message
+# a game file breaking it gets.
+DECLARATION_ERRORS = [
+    (_broken(vertices=["s", "t", "s"]), "duplicate vertex ids"),
+    (_broken(players=["0", "1", "0"],
+             payoff={"rules": [{"if": "inf(t)", "then": [1, 0, 0]}], "default": [0, 1, 0]}),
+     "duplicate player ids"),
+    (_broken(actions=["a", "b", "a"]), "duplicate action ids"),
+    (_broken(init="u"), "init vertex 'u' unknown"),
+    (_broken(players=[], payoff={"rules": [], "default": []},
+             transitions={v: [{"pattern": "*", "to": v}] for v in "st"}),
+     "players, actions and vertices must be nonempty"),
+    (_broken(payoff={"rules": [{"if": "inf(t)", "then": [1, 0, 0]}], "default": [0, 1]}),
+     "payoff rule vector arity mismatch"),
+    (_broken(payoff={"rules": [{"if": "inf(u)", "then": [1, 0]}], "default": [0, 1]}),
+     "payoff condition uses unknown vertex 'u'"),
+]
+
+
+@pytest.mark.parametrize("data, message", DECLARATION_ERRORS,
+                         ids=[message for _data, message in DECLARATION_ERRORS])
+def test_declaration_errors_keep_their_messages(data, message):
+    with pytest.raises(InvalidInput) as exc:
+        game_from_dict(data)
+    assert str(exc.value) == message
+
+
 def test_float_payoffs_rejected():
     data = small_game_dict()
     data["payoff"]["rules"][0]["then"] = [0.25, 1]

@@ -11,7 +11,8 @@ import pytest
 
 from equisynth.epistemic import EveState, build_reachable, state_key
 from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded
-from equisynth.parsing import parse_query
+from equisynth.game import CommGraph
+from equisynth.parsing import game_from_dict, parse_query
 from equisynth.solver import (
     EveStrategy,
     _layer_color_classes,
@@ -284,6 +285,34 @@ def test_solve_skips_candidates_main_inf_cannot_pay(eg3, game5, monkeypatch):
     assert solve(eg3, main_inf=inf) is None
     assert calls == [game5.payoff.value(inf)]
     assert len(candidate_payoffs(game5)) == 7
+
+
+def test_solve_skips_candidates_no_color_set_pays(monkeypatch):
+    # Every set that meets inf(a) & inf(b) meets the first rule, so no color
+    # set pays (2,2): it is tried without a punishment solve.  a and b are
+    # unreachable, so (1,1) is solved and lost, and the default is found.
+    game = game_from_dict({
+        "players": ["0", "1"], "actions": ["x"], "vertices": ["c", "a", "b"],
+        "init": "c",
+        "transitions": {"c": [{"pattern": "*", "to": "c"}],
+                        "a": [{"pattern": "*", "to": "b"}],
+                        "b": [{"pattern": "*", "to": "a"}]},
+        "payoff": {"rules": [{"if": "inf(a) | inf(b)", "then": [1, 1]},
+                             {"if": "inf(a) & inf(b)", "then": [2, 2]}],
+                   "default": [0, 0]},
+    })
+    calls = []
+
+    def counted(eg, p, *rest):
+        calls.append(p)
+        return punishment_region(eg, p, *rest)
+
+    monkeypatch.setattr("equisynth.solver.punishment_region", counted)
+    eg = build_reachable(game, CommGraph(game.players, frozenset()), pruned=True)
+    result = solve(eg)
+    assert result.payoff == F(0, 0)
+    assert result.candidates_tried == candidate_payoffs(game) == [F(1, 1), F(2, 2), F(0, 0)]
+    assert calls == [F(1, 1), F(0, 0)]
 
 
 def test_solve_records_candidates(eg1, game5):

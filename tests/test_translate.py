@@ -20,6 +20,8 @@ from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
 from equisynth.translate import (
     DeviationScript,
+    OmegaProfile,
+    Profile,
     check_deviation_resistance,
     check_normed,
     omega,
@@ -52,10 +54,11 @@ def profile1(eg1, solved1):
     return omega(eg1, solved1.strategy)
 
 
-class MessageOverride:
+class MessageOverride(Profile):
     """Wrap a profile, rewriting one player's outgoing message."""
 
     def __init__(self, inner, player, rewrite):
+        super().__init__(inner.players)
         self.inner = inner
         self.player = player
         self.rewrite = rewrite
@@ -111,15 +114,50 @@ class CountingStrategy:
         return self.inner.advance(mem, eve_id, next_eve_id)
 
 
+class CountingMachines(OmegaProfile):
+    """`omega`'s machines, counting each player's `output` and `advance`
+    calls and recording the distinct output vectors and rounds asked for."""
+
+    def __init__(self, eg, zeta):
+        super().__init__(eg, zeta)
+        self.calls = Counter()
+        self.vectors = set()
+        self.rounds = set()
+
+    def outputs(self, mstates):
+        self.vectors.add(mstates)
+        return super().outputs(mstates)
+
+    def round(self, graph, mstates, msgs, next_vertex):
+        self.rounds.add((mstates, msgs, next_vertex))
+        return super().round(graph, mstates, msgs, next_vertex)
+
+    def output(self, player, mstate):
+        self.calls["output", player] += 1
+        return super().output(player, mstate)
+
+    def advance(self, player, mstate, visible_messages, next_vertex):
+        self.calls["advance", player] += 1
+        return super().advance(player, mstate, visible_messages, next_vertex)
+
+
 def test_machines_share_one_strategy_step(game5, g1, eg1, solved1):
     # Every player's machine tracks the same (Eve id, memory): the strategy
     # picks its Adam node once per pair, over both checks of the profile.
+    # Each player's machine makes one output per distinct vector and one
+    # step per distinct round, and the resistance check only replays rounds
+    # of the message-rule check.
     zeta = CountingStrategy(solved1.strategy)
-    profile = omega(eg1, zeta)
+    profile = CountingMachines(eg1, zeta)
     assert check_normed(game5, g1, profile).explored == 16
+    rounds = set(profile.rounds)
     assert check_deviation_resistance(eg1, profile, solved1.payoff).product_nodes == 9
+    assert profile.rounds == rounds
     assert len(zeta.calls) > 1
     assert set(zeta.calls.values()) == {1}
+    assert profile.calls == Counter(
+        {("output", a): len(profile.vectors) for a in game5.players}
+        | {("advance", a): len(profile.rounds) for a in game5.players})
 
 
 def test_rejected_machine_inputs_raise_on_every_call(game5, g1, eg1, solved1):
@@ -140,6 +178,41 @@ def test_rejected_machine_inputs_raise_on_every_call(game5, g1, eg1, solved1):
         with pytest.raises(StrategyUndefined):
             profile.output("0", deviated)
     assert zeta.calls[deviated[:2]] == 3
+    # Through the caches of all players' steps the same holds.
+    states = tuple(map(profile.initial, game5.players))
+    quiet = (None,) * len(game5.players)
+    for _ in range(3):
+        with pytest.raises(ProfileInputRejected, match="'v3' unreachable"):
+            profile.round(g1, states, quiet, "v3")
+    states = profile.round(g1, states, quiet, "v1p")
+    for _ in range(3):
+        with pytest.raises(StrategyUndefined):
+            profile.outputs(states)
+    assert zeta.calls[deviated[:2]] == 6
+
+
+class Observers(Profile):
+    """Machines whose state is the players they last observed."""
+
+    def initial(self, player):
+        return ()
+
+    def output(self, player, mstate):
+        return "a", None
+
+    def advance(self, player, mstate, visible_messages, next_vertex):
+        return tuple(visible_messages)
+
+
+def test_rounds_answer_only_for_their_graph(game5, g1, g2):
+    # A round depends on who observes whom, so the same input under another
+    # graph is stepped anew.
+    profile = Observers(game5.players)
+    states, quiet = ((),) * 5, (None,) * 5
+    for graph in (g1, g2, g1):
+        assert profile.round(graph, states, quiet, "v0") == \
+            tuple(graph.vois[a] for a in game5.players)
+    assert g1.vois != g2.vois
 
 
 def test_simulate_without_script(game5, g1, profile1):
@@ -215,11 +288,12 @@ def test_check_normed_passes(game5, g1, profile1):
     assert report.explored == 16
 
 
-class LateSelfReport:
+class LateSelfReport(Profile):
     """Wrap a profile with a step counter that stops at `at`; from then on
     `player` names itself.  The wrapper stays finite-state."""
 
     def __init__(self, inner, player, at):
+        super().__init__(inner.players)
         self.inner = inner
         self.player = player
         self.at = at
@@ -282,7 +356,7 @@ def test_upsilon_flags_muted_profile(eg1, solved1, profile1):
         check_deviation_resistance(eg1, muted, solved1.payoff)
 
 
-class ActionIsState:
+class ActionIsState(Profile):
     """A profile whose machine state is the action it suggests."""
 
     def output(self, player, mstate):
@@ -295,7 +369,7 @@ def test_upsilon_rejects_suspects_disagreeing_for_uninformed(eg1):
     eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
     mem = (("a",) * 5, ("b",) + ("a",) * 4)  # under suspects 2 and 3
     with pytest.raises(NormednessViolation, match="do not form a valid move function") as exc:
-        upsilon(eg1, ActionIsState()).action(eid, mem)
+        upsilon(eg1, ActionIsState(eg1.game.players)).action(eid, mem)
     assert "components for '0' differ between hypotheses '2' and '3'" in str(exc.value)
 
 
@@ -326,11 +400,12 @@ class Denounce(MessageOverride):
         return act, msg
 
 
-class RejectAfterId:
+class RejectAfterId(Profile):
     """Wrap a profile whose machines refuse a step: on hearing an id
     (`onset=True`), or on any step after one was heard (`onset=False`)."""
 
     def __init__(self, inner, onset):
+        super().__init__(inner.players)
         self.inner = inner
         self.onset = onset
 

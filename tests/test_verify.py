@@ -9,18 +9,25 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from equisynth.cli import _verify_profile, _verify_strategy
+from equisynth.cli import _CHECK_ERRORS, _verify_profile, _verify_strategy
 from equisynth.epistemic import EpistemicView, state_key
 from equisynth.parsing import parse_query
 from equisynth.solver import EveStrategy, model_check_strategy, solve
-from equisynth.translate import omega
+from equisynth.translate import (
+    Profile,
+    check_deviation_resistance,
+    check_normed,
+    omega,
+)
 
 from conftest import build_reachable, complete_strategy, tamper_punishment
 from oracles import full_build_verify, nash_violations, verify_outcome
+from test_translate import Denounce, LateSelfReport, MessageOverride, RejectAfterId
 
 PREDICATES = (None, "p=(0,0,1,1,1)", "p=(0,0,3,3,3)")
 MAIN_INF = (None, frozenset({"v0", "v1"}))
@@ -164,3 +171,66 @@ def test_nash_oracle_finds_the_gain_a_tampered_profile_leaves(eg1):
     machines = omega(eg1, strategy)
     assert nash_violations(eg1.game, eg1.graph, machines, result.payoff) == [
         f"deviator {d!r} gets 2 > 1 by recurring on {{v0,v1p}}" for d in "234"]
+
+
+def _plain_outputs(profile, mstates):
+    return tuple(profile.output(a, ms) for a, ms in zip(profile.players, mstates))
+
+
+def _plain_round(profile, graph, mstates, msgs, next_vertex):
+    sent = dict(zip(profile.players, msgs))
+    return tuple(
+        profile.advance(a, ms, {b: sent[b] for b in graph.vois[a]}, next_vertex)
+        for a, ms in zip(profile.players, mstates)
+    )
+
+
+def _both_checks(eg, make_profile, p):
+    """What the message-rule and deviation-resistance checks report on one
+    profile, run in that order as `verify` runs them, or what they raise."""
+    profile = make_profile()
+
+    def normed():
+        report = check_normed(eg.game, eg.graph, profile)
+        return report.ok, report.violations, report.explored
+
+    def resist():
+        report = check_deviation_resistance(eg, profile, p)
+        return report.ok, report.complying_cycle, report.violations, report.product_nodes
+
+    out = []
+    for check in (normed, resist):
+        try:
+            out.append(check())
+        except _CHECK_ERRORS as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_machine_caches_answer_as_the_plain_path(eg1, found_solves, monkeypatch):
+    # Both checks give the same reports, or raise the same error, whether
+    # each round and output vector is made once per profile or every time.
+    result = solve(eg1, query=parse_query("p[2]=1 & p[3]=1 & p[4]=1"))
+    tampered = EveStrategy.from_dict(
+        eg1, tamper_punishment(complete_strategy(eg1, result).to_dict()))
+    found = partial(omega, eg1, result.strategy)
+    cases = [(pruned, partial(omega, pruned, r.strategy), r.payoff)
+             for _full, pruned, r in found_solves]
+    tampered_cases = [(eg1, make, result.payoff) for make in (
+        partial(omega, eg1, tampered),
+        lambda: MessageOverride(found(), "2", lambda m: "2"),
+        lambda: MessageOverride(found(), "4", lambda m: None),
+        lambda: MessageOverride(found(), "0", lambda m: None),
+        lambda: Denounce(found(), "0", None),
+        lambda: LateSelfReport(found(), "2", 20),
+        lambda: RejectAfterId(found(), onset=True),
+        lambda: RejectAfterId(found(), onset=False),
+    )]
+    cached = [_both_checks(*case) for case in cases + tampered_cases]
+    monkeypatch.setattr(Profile, "outputs", _plain_outputs)
+    monkeypatch.setattr(Profile, "round", _plain_round)
+    plain = [_both_checks(*case) for case in cases + tampered_cases]
+    assert cached == plain
+    # Every found profile passes both checks, and every tampered one fails one.
+    assert all(normed[0] is resist[0] is True for normed, resist in cached[:len(cases)])
+    assert not any(normed[0] is resist[0] is True for normed, resist in cached[len(cases):])
