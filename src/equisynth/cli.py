@@ -17,6 +17,7 @@ exceeded, 4 verification or invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -358,31 +359,46 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-def main(argv=None) -> int:
+@contextlib.contextmanager
+def _log_to_stderr():
+    """While the body runs, send the `equisynth` loggers' records to stderr
+    at the level EQUISYNTH_LOG names; the root logger is left alone."""
     name = os.environ.get("EQUISYNTH_LOG", "").upper()
-    if name:
-        # Only the level names of `logging` are ints; anything else logs INFO.
-        level = getattr(logging, name, None)
-        logging.basicConfig(
-            level=level if isinstance(level, int) else logging.INFO,
-            format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        )
-    args = _parser().parse_args(argv)
+    if not name:
+        yield
+        return
+    # Only the level names of `logging` are ints; anything else logs INFO.
+    level = getattr(logging, name, None)
+    handler, saved = logging.StreamHandler(), log.level
+    handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(level if isinstance(level, int) else logging.INFO)
     try:
-        for flag in ("state_cap", "lar_cap"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise InvalidInput(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
-        return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceeded as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except _CHECK_ERRORS as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved)
+
+
+def main(argv=None) -> int:
+    with _log_to_stderr():
+        args = _parser().parse_args(argv)
+        try:
+            for flag in ("state_cap", "lar_cap"):
+                value = getattr(args, flag, None)
+                if value is not None and value < 1:
+                    raise InvalidInput(
+                        f"--{flag.replace('_', '-')} must be at least 1, got {value}")
+            return args.func(args)
+        except InvalidInput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except CapExceeded as exc:
+            print(f"resource cap: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except _CHECK_ERRORS as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
 
 
 if __name__ == "__main__":

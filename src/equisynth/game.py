@@ -64,61 +64,42 @@ class Not:
         return self.operand.atoms()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False)
 class _Chain:
-    """A binary connective; `_op` is its text between the operands.  Every
-    method reads a chain of one connective as its list of operands, and
-    equality, hashing and repr are written out to do the same."""
+    """A chain of one connective over its operands, leftmost first; `_op`
+    is its text between the operands.  A first operand of the same
+    connective is absorbed, so `(a & b) & c` is the chain a, b, c and
+    equals `a & b & c`, while `a & (b & c)` is the chain a, (b & c).  The
+    operands are stored flat, so no method recurses along a chain."""
 
-    left: "Condition"
-    right: "Condition"
+    operands: tuple["Condition", ...]
     _op = ""
 
-    def operands(self) -> list["Condition"]:
-        """The operands of the chain of this connective down the left side,
-        leftmost first.  The parser folds `a & b & c` into ((a & b) & c),
-        so a long chain is deep on the left only; it is read without
-        recursing."""
-        node, rights = self, []
-        while type(node) is type(self):
-            rights.append(node.right)
-            node = node.left
-        rights.append(node)
-        rights.reverse()
-        return rights
+    def __init__(self, first: "Condition", *rest: "Condition"):
+        head = first.operands if type(first) is type(self) else (first,)
+        object.__setattr__(self, "operands", head + rest)
 
     def text(self) -> str:
-        first, *rest = self.operands()
+        first, *rest = self.operands
         return "(" * len(rest) + first.text() + "".join(
             f" {self._op} {c.text()})" for c in rest)
 
     def atoms(self) -> frozenset[str]:
-        return frozenset().union(*(c.atoms() for c in self.operands()))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.operands() == other.operands()
-
-    def __hash__(self) -> int:
-        return hash((self._op, *self.operands()))
-
-    def __repr__(self) -> str:
-        first, *rest = self.operands()
-        return f"{type(self).__name__}(left=" * len(rest) + repr(first) + "".join(
-            f", right={c!r})" for c in rest)
+        return frozenset().union(*(c.atoms() for c in self.operands))
 
 
 class And(_Chain):
     _op = "&"
 
     def holds(self, inf: frozenset[str]) -> bool:
-        return all(c.holds(inf) for c in self.operands())
+        return all(c.holds(inf) for c in self.operands)
 
 
 class Or(_Chain):
     _op = "|"
 
     def holds(self, inf: frozenset[str]) -> bool:
-        return any(c.holds(inf) for c in self.operands())
+        return any(c.holds(inf) for c in self.operands)
 
 
 Condition = InfAtom | Not | And | Or

@@ -110,19 +110,19 @@ class _TokenStream:
 
 
 def _parse_or(ts: _TokenStream, atom_parser):
-    node = _parse_and(ts, atom_parser)
+    operands = [_parse_and(ts, atom_parser)]
     while ts.peek() == "|":
         ts.next()
-        node = Or(node, _parse_and(ts, atom_parser))
-    return node
+        operands.append(_parse_and(ts, atom_parser))
+    return Or(*operands) if len(operands) > 1 else operands[0]
 
 
 def _parse_and(ts: _TokenStream, atom_parser):
-    node = _parse_unary(ts, atom_parser)
+    operands = [_parse_unary(ts, atom_parser)]
     while ts.peek() == "&":
         ts.next()
-        node = And(node, _parse_unary(ts, atom_parser))
-    return node
+        operands.append(_parse_unary(ts, atom_parser))
+    return And(*operands) if len(operands) > 1 else operands[0]
 
 
 def _parse_unary(ts: _TokenStream, atom_parser):
@@ -224,7 +224,7 @@ class WinningQuery:
             if isinstance(node, Not):
                 nodes.append(node.operand)
             elif isinstance(node, (And, Or)):
-                nodes += (node.right, node.left)
+                nodes += reversed(node.operands)
             else:
                 node.check_arity(players)
 

@@ -597,7 +597,7 @@ def solve(
     shadowed by earlier ones): `_find_lasso` accepts only sets that pay p.
     """
     payoff = eg.game.payoff
-    paid = {payoff.outcomes[r] for r in eg.game.colors.rule[1:]}
+    paid = {payoff.outcomes[r] for r in set(eg.game.colors.rule[1:])}
     tried: list[Vector] = []
     for p in candidate_payoffs(eg.game, query):
         tried.append(p)

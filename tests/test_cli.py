@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -292,10 +293,10 @@ def test_expression_nesting_is_bounded(capsys, tmp_path):
 
 
 def test_flat_chains_read_without_recursion(capsys, tmp_path):
-    # The parser folds a chain of `&` or `|` into a tree as deep as the
-    # chain is long, on its left side.  A chain of 1,500 operands, in a
-    # payoff condition or in the predicate, answers as its one operand
-    # does, and the game file written back keeps the condition's text.
+    # The parser builds a chain of `&` or `|` as one node that holds its
+    # operands flat.  A chain of 1,500 operands, in a payoff condition or in
+    # the predicate, answers as its one operand does, and the game file
+    # written back keeps the condition's left-nested text.
     def solve_with(condition: str, predicate: str):
         code, out, err = run(capsys, "solve", "--game", _first_rule_as(tmp_path, condition),
                              "--comm", G1, "--predicate", predicate, "--format", "json")
@@ -506,10 +507,10 @@ def _leaves_0_uninformed(key: str) -> bool:
 
 
 def rejected_profiles(profile) -> dict:
-    """Label -> (a copy of `profile` with a row the game cannot place or an
-    action that is no enabled Eve action, the reason `verify` gives).  The
-    edited punishment row is the first one with suspects 2 and 3 that
-    leaves player 0 uninformed of both."""
+    """Label -> (a copy of `profile` with a row the game cannot place, an
+    action that is no enabled Eve action or no complying cycle, the reason
+    `verify` gives).  The edited punishment row is the first one with
+    suspects 2 and 3 that leaves player 0 uninformed of both."""
     edited = functools.partial(_edited, profile)
     pair = next(i for i, r in enumerate(profile["punish"]) if _leaves_0_uninformed(r["key"]))
     key = profile["punish"][pair]["key"]
@@ -548,6 +549,9 @@ def rejected_profiles(profile) -> dict:
         "non-suspect key": (
             pair_action(lambda a: a.update({"0": ["z"]})),
             f"profile action at {key} names non-suspects ['0']"),
+        "empty complying cycle": (
+            edited(lambda p: p["comply"].update(cycle=[])),
+            "profile complying cycle is empty"),
     }
 
 
@@ -790,3 +794,28 @@ def test_logging_stays_on_stderr():
         assert other.returncode == 0, other.stderr
         assert other.stdout == quiet.stdout
         assert f"built {built} epistemic game: {eves} protagonist" in other.stderr
+
+
+def test_logging_leaves_the_callers_loggers_alone(capsys, monkeypatch):
+    # In process, as the benchmark calls `main`: EQUISYNTH_LOG sends the log
+    # to stderr for that call only, and the root and `equisynth` loggers
+    # are as they were once it returns, also when it exits by argparse.
+    # The root logger starts without handlers, as in a fresh process.
+    root, package = logging.getLogger(), logging.getLogger("equisynth")
+    monkeypatch.setattr(root, "handlers", [])
+
+    def loggers():
+        return [(lg.handlers[:], lg.level, lg.propagate) for lg in (root, package)]
+
+    before = loggers()
+    monkeypatch.setenv("EQUISYNTH_LOG", "info")
+    code, _, err = run(capsys, "build", "--game", GAME, "--comm", G1)
+    assert code == 0
+    assert "equisynth INFO built full epistemic game: 85 protagonist" in err
+    assert loggers() == before
+    with pytest.raises(SystemExit):
+        main(["build", "--no-such-option"])
+    capsys.readouterr()
+    assert loggers() == before
+    monkeypatch.delenv("EQUISYNTH_LOG")
+    assert run(capsys, "build", "--game", GAME, "--comm", G1)[2] == ""

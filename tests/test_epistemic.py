@@ -12,6 +12,7 @@ import pytest
 from equisynth import epistemic
 from equisynth.epistemic import (
     Encoding,
+    EpistemicView,
     EveState,
     Situation,
     action_reach,
@@ -86,6 +87,16 @@ def test_complying_step_keeps_no_suspects(game5, g1):
 
 def test_unreachable_target_rejected(game5, g1):
     assert "v3" not in successor_map(game5, g1, AT_V0, ALL_A)
+
+
+def test_graph_players_must_be_the_game_players(game5, g1):
+    # The command line reads a graph over the game's players; a graph built
+    # in code over other players, or in another order, is refused.
+    for players in (game5.players[:4], game5.players[::-1]):
+        with pytest.raises(InvalidInput) as exc:
+            EpistemicView(game5, CommGraph(players, frozenset()))
+        assert str(exc.value) == "comm graph players must match game players"
+    EpistemicView(game5, g1)
 
 
 def test_informed_sets_grow_one_hop(game5, g1, golden_state):

@@ -1,6 +1,7 @@
 """Game arena, payoff evaluation, communication graph, history projection."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from equisynth.errors import InvalidInput
-from equisynth.game import CommGraph, FullHistory, PayoffRule, PayoffSpec
+from equisynth.game import (
+    And, CommGraph, FullHistory, InfAtom, Not, Or, PayoffRule, PayoffSpec)
 from equisynth.parsing import parse_condition
 
 from conftest import random_comm
@@ -55,6 +57,41 @@ def test_payoff_of_lasso(game5):
         payoff_of_lasso(game5.payoff, ("v0",), ())
 
 
+def _with_v0(game, allow=(), tab=None):
+    """`game` with v0's allow row updated by `allow` and, if given, its
+    transition table replaced by `tab`."""
+    return dataclasses.replace(
+        game, allow={**game.allow, "v0": {**game.allow["v0"], **dict(allow)}},
+        tab={**game.tab, "v0": game.tab["v0"] if tab is None else tab})
+
+
+A5 = ("a",) * 5
+
+# The tables of a game built in code, each broken once, and the message of
+# `ConcurrentGame.validate`.  A game file never reaches these: its tables
+# are checked as they are built.
+TABLE_ERRORS = [
+    (lambda g: dataclasses.replace(g, allow={v: r for v, r in g.allow.items() if v != "v0"}),
+     "vertex 'v0' lacks allow/tab entries"),
+    (lambda g: _with_v0(g, allow={"0": ()}), "allow('v0', '0') is empty"),
+    (lambda g: _with_v0(g, allow={"0": ("a", "z")}),
+     "allow('v0', '0') uses unknown action 'z'"),
+    (lambda g: _with_v0(g, tab={m: v for m, v in g.tab["v0"].items() if m != A5}),
+     "tab at 'v0' does not match allowed moves (missing [('a', 'a', 'a', 'a', 'a')], extra [])"),
+    (lambda g: _with_v0(g, tab={**g.tab["v0"], A5: "zz"}),
+     "tab('v0', ('a', 'a', 'a', 'a', 'a')) -> unknown vertex 'zz'"),
+]
+
+
+@pytest.mark.parametrize("change, message", TABLE_ERRORS,
+                         ids=[message for _change, message in TABLE_ERRORS])
+def test_table_errors_keep_their_messages(game5, change, message):
+    game5.validate()
+    with pytest.raises(InvalidInput) as exc:
+        change(game5).validate()
+    assert str(exc.value) == message
+
+
 def test_condition_connectives():
     spec = PayoffSpec(
         (PayoffRule(parse_condition("inf(x) & !inf(y)"), F(1)),),
@@ -64,10 +101,32 @@ def test_condition_connectives():
     assert spec.value({"x", "y"}) == F(0)
 
 
+def test_chains_absorb_a_first_operand_of_their_connective():
+    # `(a & b) & c` is the chain a, b, c, as the parser reads `a & b & c`;
+    # `a & (b & c)` keeps its right operand whole.
+    a, b, c = InfAtom("a"), InfAtom("b"), InfAtom("c")
+    for chain, op in ((And, "&"), (Or, "|")):
+        left = chain(chain(a, b), c)
+        assert left.operands == (a, b, c)
+        assert left == chain(a, b, c) == parse_condition(
+            f"inf(a) {op} inf(b) {op} inf(c)")
+        assert left == parse_condition(f"(inf(a) {op} inf(b)) {op} inf(c)")
+        right = chain(a, chain(b, c))
+        assert right.operands == (a, chain(b, c))
+        assert right != left
+        assert right == parse_condition(f"inf(a) {op} (inf(b) {op} inf(c))")
+        assert left.text() == f"((inf(a) {op} inf(b)) {op} inf(c))"
+        assert right.text() == f"(inf(a) {op} (inf(b) {op} inf(c)))"
+        # Only the first operand, and only of the same connective.
+        assert chain(Not(chain(a, b)), c).operands == (Not(chain(a, b)), c)
+    assert Or(And(a, b), c).operands == (And(a, b), c)
+    assert And(a, b) != Or(a, b)
+
+
 def test_long_chains_are_read_without_recursion():
-    # The parser folds a chain of 1,500 operands into a tree as deep as the
-    # chain is long.  It compares, hashes and prints as the dataclass
-    # methods would, without recursing once per operand.
+    # The parser builds a chain of 1,500 operands as one node that holds
+    # them flat, so comparing, hashing and printing it with the dataclass
+    # methods never recurses once per operand.
     for op in ("&", "|"):
         text = f" {op} ".join(f"inf(v{i % 3})" for i in range(1500))
         chain = parse_condition(text)
@@ -78,11 +137,11 @@ def test_long_chains_are_read_without_recursion():
         assert chain.holds(frozenset({"v0", "v1", "v2"}))
         assert chain.holds(frozenset({"v1"})) == (op == "|")
         assert repr(chain).startswith(
-            f"{type(chain).__name__}(left=" * 1499
-            + "InfAtom(vertex='v0'), right=InfAtom(vertex='v1'))")
+            f"{type(chain).__name__}(operands=(InfAtom(vertex='v0'), "
+            "InfAtom(vertex='v1'), InfAtom(vertex='v2'), InfAtom(vertex='v0'), ")
     assert repr(parse_condition("(inf(a) & inf(b)) | !inf(c)")) == (
-        "Or(left=And(left=InfAtom(vertex='a'), right=InfAtom(vertex='b')), "
-        "right=Not(operand=InfAtom(vertex='c')))")
+        "Or(operands=(And(operands=(InfAtom(vertex='a'), InfAtom(vertex='b'))), "
+        "Not(operand=InfAtom(vertex='c'))))")
     assert parse_condition("inf(a) & inf(b)") != parse_condition("inf(a) | inf(b)")
 
 
@@ -133,6 +192,8 @@ def test_history_shape_and_validation(game5):
     validate_history(h, game5)
     with pytest.raises(InvalidInput):
         FullHistory(("v0",), ((("a",) * 5),), ())
+    with pytest.raises(InvalidInput, match="^one message vector per move required$"):
+        FullHistory(("v0", "v1"), ((("a",) * 5),), ())
     bad = FullHistory(
         ("v0", "v3"),
         ((("a",) * 5),),

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from equisynth import asset_path
+from equisynth.cli import main
 from equisynth.errors import InvalidInput
 from equisynth.parsing import (
     comm_graph_from_dict,
     game_from_dict,
     game_to_dict,
     parse_comm_graph,
+    parse_condition,
     parse_game,
     parse_query,
     parse_rational,
@@ -185,6 +187,86 @@ def test_declaration_errors_keep_their_messages(data, message):
     with pytest.raises(InvalidInput) as exc:
         game_from_dict(data)
     assert str(exc.value) == message
+
+
+def _game(change):
+    data = small_game_dict()
+    change(data)
+    return data
+
+
+def _transitions_at_s(*entries):
+    """The small game with `entries` and then a catch-all at vertex s."""
+    return _game(lambda d: d["transitions"].update(s=[*entries, {"pattern": "*", "to": "s"}]))
+
+
+# Input errors: (kind, input, message).  The input of a "condition" or a
+# "query" row is the text of the small game's first payoff condition or of
+# the predicate, a "game" row's is its game file's JSON and a "comm" row's
+# its comm graph file's JSON (None: no such file).  `{game}` and `{comm}`
+# in a message stand for the files' paths.
+INPUT_ERRORS = [
+    ("condition", "inf(a) $ inf(b)", "unexpected character '$' in expression 'inf(a) $ inf(b)'"),
+    ("condition", "inf(a]", "expected ')' but found ']' in 'inf(a]'"),
+    ("condition", "inf(a) inf(b)", "trailing tokens ['inf', '(', 'b', ')'] in 'inf(a) inf(b)'"),
+    ("condition", "sup(a)", "expected inf(...) atom, found 'sup' in 'sup(a)'"),
+    ("query", "p[0] & 1", "bad comparison operator '&'"),
+    ("query", "p(0)", "expected '[' or '=' after p, found '('"),
+    ("game", _transitions_at_s({"pattern": ["0"], "to": "t"}), "bad pattern ['0'] at vertex 's'"),
+    ("game", _transitions_at_s({"pattern": {"9": "a"}, "to": "t"}),
+     "pattern at 's' names unknown player '9'"),
+    ("game", _transitions_at_s({"pattern": {"0": "z"}, "to": "t"}),
+     "pattern at 's' uses unknown action 'z'"),
+    ("game", _game(lambda d: d.update(allow={"s": {"0": ["a"]}}, transitions={
+        **d["transitions"], "s": [{"pattern": {"0": "b"}, "to": "t"}, {"pattern": "*", "to": "s"}]})),
+     "pattern at 's' uses action 'b' not allowed for '0'"),
+    ("game", _transitions_at_s({"to": "t"}), "transition entry at 's' needs pattern and to"),
+    ("game", _game(lambda d: d.pop("init")), "game file missing 'init'"),
+    ("game", _game(lambda d: d.update(allow={"s": {"0": ["a", "a"]}})),
+     "allow('s', '0') mentions unknown or duplicate actions"),
+    ("game", _game(lambda d: d.update(allow={"s": {"0": ["z"]}})),
+     "allow('s', '0') mentions unknown or duplicate actions"),
+    ("game", _game(lambda d: d["transitions"].update(t=[])), "vertex 't' has no transition entries"),
+    ("game", _game(lambda d: d["payoff"].pop("default")), "payoff block missing default vector"),
+    ("game", _game(lambda d: d["payoff"]["rules"][0].pop("then")),
+     "payoff rule needs 'if' and 'then'"),
+    ("game", _game(lambda d: d["payoff"].update(default=[True, 0])), "bad rational True"),
+    ("game", _game(lambda d: d["payoff"].update(default=[None, 0])), "bad rational None"),
+    ("game", [], "game file {game} must hold a JSON object"),
+    ("comm", None,
+     "cannot read comm graph file {comm}: [Errno 2] No such file or directory: '{comm}'"),
+    ("comm", [], "comm graph file {comm} must hold a JSON object"),
+]
+
+
+@pytest.mark.parametrize("kind, data, message", INPUT_ERRORS,
+                         ids=[message for _kind, _data, message in INPUT_ERRORS])
+def test_input_errors_keep_their_messages(capsys, tmp_path, kind, data, message):
+    # The reader raises the message, and the command line that reads the
+    # input prints it and exits 2.
+    game, comm = tmp_path / "game.json", tmp_path / "comm.json"
+    game_data = data if kind == "game" else small_game_dict()
+    if kind == "condition":
+        game_data["payoff"]["rules"][0]["if"] = data
+    game.write_text(json.dumps(game_data))
+    comm.write_text(json.dumps({"edges": []}))
+    if kind == "comm" and data is None:
+        comm = tmp_path / "missing.json"
+    elif kind == "comm":
+        comm.write_text(json.dumps(data))
+    message = message.format(game=game, comm=comm)
+    read = {
+        "condition": lambda: parse_condition(data),
+        "query": lambda: parse_query(data),
+        "game": lambda: parse_game(game),
+        "comm": lambda: parse_comm_graph(comm, ("0", "1")),
+    }[kind]
+    with pytest.raises(InvalidInput) as exc:
+        read()
+    assert str(exc.value) == message
+    command = ["solve", "--predicate", data] if kind == "query" else ["build"]
+    code = main([*command, "--game", str(game), "--comm", str(comm)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_float_payoffs_rejected():

@@ -42,6 +42,10 @@ def F(*xs):
 P_MAIN = F(0, 0, 1, 1, 1)
 
 
+# What player 0 observes under g1: the messages of players 0, 1 and 4.
+QUIET = {"0": None, "1": None, "4": None}
+
+
 @pytest.fixture(scope="module")
 def solved1(eg1):
     res = solve(eg1, main_inf=MAIN_INF)
@@ -93,6 +97,36 @@ def test_machines_reject_impossible_vertex(game5, profile1):
     ms = profile1.initial("0")
     with pytest.raises(ProfileInputRejected):
         profile1.advance("0", ms, {"0": None, "1": None, "4": None}, "v3")
+
+
+def _id_stops_arriving(profile):
+    """Player 0 told by 4 that 4 deviated to v1p, and then silence."""
+    ms = profile.advance("0", profile.initial("0"), {**QUIET, "4": "4"}, "v1p")
+    succ = profile.eg.adam_succ[profile.zeta.action(*ms[:2])]
+    return profile.advance("0", ms, QUIET, profile.eg.eve_states[succ[0]].vertex)
+
+
+# Inputs to player 0's machine that no play of g1 gives it, and the
+# rejection each gets.
+MACHINE_REJECTIONS = [
+    (lambda p: p.output("0", p.advance("0", p.initial("0"), QUIET, "v1p")[:2] + (None,)),
+     "no believed deviator for '0' at v1p|2:2;3:3,4;4:0,4"),
+    (lambda p: p.advance("0", p.initial("0"), {**QUIET, "1": "4"}, "v1"),
+     "id '4' from ['1'] while the play complies"),
+    (lambda p: p.advance("0", p.initial("0"), {**QUIET, "1": "1"}, "v1p"),
+     "received id '1' inconsistent with suspects {2,3,4}"),
+    (_id_stops_arriving, "'0' was informed of '4' but the id stopped arriving"),
+    (lambda p: p.advance("0", p.initial("0"), QUIET, "v2"),
+     "silence although every suspect informed '0'"),
+]
+
+
+@pytest.mark.parametrize("feed, message", MACHINE_REJECTIONS,
+                         ids=[message for _feed, message in MACHINE_REJECTIONS])
+def test_machine_rejections_keep_their_messages(profile1, feed, message):
+    with pytest.raises(ProfileInputRejected) as exc:
+        feed(profile1)
+    assert str(exc.value) == message
 
 
 class CountingStrategy:
