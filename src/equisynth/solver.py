@@ -9,8 +9,10 @@ parity game through its product with the Zielonka tree of its Muller
 condition, whose leaves are the only memory the punishment needs; with one
 leaf the product is the layer itself.  Every play ends in one layer, whose
 priorities alone recur, so the products of all layers form one parity game
-on the epistemic game's own nodes (`_RegionGame`), solved once, in which
-the states without suspects are stuck.
+on the epistemic game's own nodes (`_RegionGame`), in which the states
+without suspects are stuck.  It is solved layer by layer in one call: each
+layer is a block of `parity.solve_parity`, smallest suspect sets first, so
+a layer's exits into smaller layers already have their winners.
 
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
@@ -297,10 +299,16 @@ class _RegionGame:
     Eve id e is node e and Adam id a node E + a, for E Eve states.  An Adam
     node at leaf 0 leads to Eve nodes at leaf 0, of its layer or a smaller
     one, so it keeps `eg.adam_succ`.  Only multi-leaf layers add nodes, one
-    per (id, leaf >= 1) reached.  States without suspects get no successors,
-    and no deviated node leads to them or their Adam nodes; each of those Adam
-    nodes leads to its stuck complying successor, so the parity solver's
-    stuck-node pass takes both out of the region."""
+    per (id, leaf >= 1) reached; in a one-leaf layer the Adam nodes take
+    the layer's one priority, so its block has one priority.  States without
+    suspects get no successors, and no deviated node leads to them or their
+    Adam nodes.  They and their Adam nodes form the last block (`blocks`),
+    where each Adam node leads to its stuck complying successor, which loses
+    for Eve, so the parity solver settles both as lost.
+
+    `suspects` weighs the exits for `solve_parity`: where Eve can leave a
+    layer for won states only, she takes the Adam node whose successors
+    have the fewest suspects in all."""
 
     def __init__(self, eg: EpistemicGame, lar_cap: int):
         self.eg, self.lar_cap = eg, lar_cap
@@ -313,6 +321,8 @@ class _RegionGame:
         self.ids, self.leaf = array("i"), array("i")
         # Per layer: its table, its Eve ids and the nodes it added.
         self.layers: list[tuple[LayerTable, list[int], range]] = []
+        # Eve id -> its number of suspects.
+        self.suspects = [len(s.situations) for s in eg.eve_states]
 
     def key(self, node: int) -> tuple[int, int]:
         if node < self.eves:
@@ -320,6 +330,20 @@ class _RegionGame:
         if node < self.base:
             return node - self.eves, 0
         return self.ids[node - self.base], self.leaf[node - self.base]
+
+    def blocks(self):
+        """The nodes of each layer, in the order the layers were added, and
+        then those of the states without suspects: every edge stays in its
+        block or leads to an earlier one."""
+        eves, eve_succ = self.eves, self.eg.eve_succ
+
+        def with_adam(ids: list[int]):
+            return chain(ids, chain.from_iterable(
+                range(eves + eve_succ[e].start, eves + eve_succ[e].stop) for e in ids))
+
+        for _table, layer_eves, added in self.layers:
+            yield chain(with_adam(layer_eves), added)
+        yield with_adam([e for e, s in enumerate(self.eg.eve_states) if not s.deviated])
 
 
 def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[int]) -> LayerTable:
@@ -362,6 +386,8 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
     for e in layer_eves:
         nxt, priority[e] = tree[0][of[states[e].vertex]]
         r = eve_succ[e]
+        if len(tree) == 1:
+            priority[eves + r.start:eves + r.stop] = bytes((priority[e],)) * len(r)
         succ[e] = (range(eves + r.start, eves + r.stop) if nxt == 0
                    else [node_of(aid, nxt, 1) for aid in r])
     layer = set(layer_eves) if len(owner) > first else ()
@@ -388,7 +414,8 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> P
     layers: dict[DevKey, LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
         layers[dev] = _solve_layer(region, p, dev, groups[dev])
-    winner, move = solve_parity(ParityGame(region.owner, region.priority, region.succ))
+    winner, move = solve_parity(ParityGame(region.owner, region.priority, region.succ),
+                                region.blocks(), region.suspects)
     for table, layer_eves, added in region.layers:
         for node in chain(layer_eves, added):
             if winner[node] == 0 and region.owner[node] == 0:

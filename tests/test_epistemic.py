@@ -68,6 +68,13 @@ def test_visible_deviation_situations(game5, g1, golden_state):
     assert state_key(golden_state) == "v1p|2:2;3:3,4;4:0,4"
 
 
+def test_informed_of_a_non_suspect_is_a_key_error(golden_state):
+    # Only a suspect has an informed set: asking for another player's is the
+    # caller's fault, not an empty set.
+    with pytest.raises(KeyError):
+        golden_state.informed("0")
+
+
 def test_derived_knowledge_table(golden_state):
     for d, per in GOLDEN_KNOWLEDGE.items():
         for a, expected in per.items():

@@ -1,5 +1,5 @@
 """Zero-sum max-parity solving against exhaustive positional enumeration
-and the plain recursive solver."""
+and the plain recursive solver, and block by block against one block."""
 from __future__ import annotations
 
 import random
@@ -96,6 +96,52 @@ def test_against_reference_solver():
                               pg.succ)
             assert check_positional_strategy(dual, w1, s1), pg
     assert small >= 150
+
+
+def random_block_game(rng: random.Random, max_nodes: int, max_priority: int = 5):
+    """A random game whose nodes fall into blocks, with every edge inside its
+    block or into an earlier one, and a weight per node.  Node ids are dealt
+    to the blocks at random, about a third of the blocks have one priority,
+    and about one node in six is stuck."""
+    n = rng.randint(1, max_nodes)
+    rank = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    blocks = [b for b in ([v for v in range(n) if rank[v] == r] for r in range(n)) if b]
+    rank = {v: i for i, b in enumerate(blocks) for v in b}
+    shared = [rng.randint(0, max_priority) if rng.random() < 0.3 else None for _ in blocks]
+    priority = [rng.randint(0, max_priority) if shared[rank[v]] is None else shared[rank[v]]
+                for v in range(n)]
+    succ = []
+    for v in range(n):
+        allowed = [w for w in range(n) if rank[w] <= rank[v]]
+        deg = 0 if rng.random() < 1 / 6 else rng.randint(1, 3)
+        succ.append(sorted(rng.sample(allowed, min(deg, len(allowed)))))
+    pg = ParityGame([rng.randint(0, 1) for _ in range(n)], priority, succ)
+    return pg, blocks, [rng.randint(0, 3) for _ in range(n)]
+
+
+def test_block_solve_matches_the_one_block_solve():
+    rng = random.Random(20261020)
+    small = one_priority = stuck = 0
+    for k in range(600):
+        pg, blocks, weight = random_block_game(rng, 8 if k % 3 == 0 else 40)
+        winner, move = solve_parity(pg, blocks, weight)
+        assert winner == solve_parity(pg)[0], (pg, blocks)
+        n = pg.node_count()
+        won = [{v for v in range(n) if winner[v] == player} for player in (0, 1)]
+        strategy = [{v: move[v] for v in won[player] if pg.owner[v] == player}
+                    for player in (0, 1)]
+        for player in (0, 1):
+            assert all(w in pg.succ[v] and winner[w] == player
+                       for v, w in strategy[player].items()), (pg, blocks)
+        if n <= 8:
+            small += 1
+            assert check_positional_strategy(pg, won[0], strategy[0]), (pg, blocks)
+            dual = ParityGame([1 - o for o in pg.owner], [p + 1 for p in pg.priority],
+                              pg.succ)
+            assert check_positional_strategy(dual, won[1], strategy[1]), (pg, blocks)
+        one_priority += sum(len({pg.priority[v] for v in b}) == 1 < len(b) for b in blocks)
+        stuck += sum(not s for s in pg.succ)
+    assert small >= 150 and one_priority >= 100 and stuck >= 100
 
 
 def test_deep_chain_leaves_the_recursion_limit_alone():

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from equisynth.epistemic import EveState, build_reachable, state_key
-from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded
+from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
 from equisynth.game import CommGraph
 from equisynth.parsing import game_from_dict, parse_query
 from equisynth.solver import (
     EveStrategy,
+    _bfs_path,
     _layer_color_classes,
     _solve_layer,
     candidate_payoffs,
@@ -410,6 +411,51 @@ class StationaryAllA:
 
     def advance(self, mem, eve_id, next_eve_id):
         return mem
+
+
+class LeavesTheComplyingRegion:
+    """Choose everywhere an Adam node of a deviated state, so the complying
+    outcome has nowhere to go after the initial state."""
+
+    def __init__(self, eg):
+        self.aid = eg.eve_succ[eg.deviated_ids()[0]][0]
+
+    def initial(self):
+        return 0
+
+    def action(self, eve_id, mem):
+        return self.aid
+
+    def advance(self, mem, eve_id, next_eve_id):
+        return mem
+
+
+def test_model_check_complying_outcome_must_stay_complying(eg1):
+    # Every successor of a deviated state's Adam node has suspects, so the
+    # policy's own play leaves the states without suspects: no payoff can be
+    # read off it, and the check raises instead of reporting a violation.
+    with pytest.raises(StrategyUndefined, match="complying outcome left the complying region"):
+        model_check_strategy(eg1, LeavesTheComplyingRegion(eg1), P_MAIN)
+
+
+def test_strategy_is_undefined_off_its_complying_track(eg1):
+    # At a state without suspects a strategy answers only where its lasso
+    # is at that position; another complying state there is outside it.
+    strategy = solve(eg1, main_inf=frozenset({"v0", "v1"})).strategy
+    on_track, aid = (strategy.prefix or strategy.cycle)[0]
+    off = next(e for e, s in enumerate(eg1.eve_states) if not s.deviated and e != on_track)
+    assert strategy.action(on_track, 0) == aid
+    with pytest.raises(StrategyUndefined, match="complying track expected state"):
+        strategy.action(off, 0)
+
+
+def test_bfs_path_without_a_path_is_an_error():
+    # The lasso search asks only for targets the p-safe graph reaches; a
+    # missing path is a fault in the search, not a verdict.
+    succ = {0: [1], 1: [0], 2: []}
+    assert _bfs_path(0, {1}, succ.__getitem__) == [0, 1]
+    with pytest.raises(RuntimeError, match="no path in p-safe graph"):
+        _bfs_path(0, {2}, succ.__getitem__)
 
 
 def test_model_check_rejects_bad_stationary_strategy(eg1):

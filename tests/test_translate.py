@@ -129,6 +129,24 @@ def test_machine_rejections_keep_their_messages(profile1, feed, message):
     assert str(exc.value) == message
 
 
+class RejectsEveryRound:
+    """A profile whose machines reject every round they are fed."""
+
+    def __init__(self, profile):
+        self.initial, self.outputs = profile.initial, profile.outputs
+
+    def round(self, *_args):
+        raise ProfileInputRejected("rejects every round")
+
+
+def test_check_normed_raises_a_rejection_on_the_main_outcome(game5, g1, profile1):
+    # A rejected deviation is a violation the report lists; a machine that
+    # rejects the main outcome itself is not a profile at all, so the check
+    # raises.
+    with pytest.raises(ProfileInputRejected, match="rejects every round"):
+        check_normed(game5, g1, RejectsEveryRound(profile1))
+
+
 class CountingStrategy:
     """Wrap a protagonist strategy, counting its `action` calls per (Eve id,
     memory)."""
