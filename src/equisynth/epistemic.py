@@ -51,12 +51,16 @@ number whose digits are its actions' positions in the allowed lists, the
 first player's the most significant, so the moves that differ only in
 player a's action are the ones whose indices differ only in a's digit, a
 run of indices spaced by the product of the later players' action counts.
-Per expanded state the grown informed masks are computed once, each
+Per expanded state the grown informed masks are computed once, and each
 distinct reach tuple is found once, as a nonzero AND of its suspects'
-option bitmasks, and the successor id is memoised per (target, surviving
-hypotheses).  The string `EveState` that solver, translation and reports
-read is made once, when a new key is interned, and its `Situation`s once
-per (suspect, informed mask) and encoding: states share equal situations.
+option bitmasks.  A successor's key, its target and the grown masks of the
+hypotheses that survive there, depends on nothing else of the state or the
+action, so a view resolves keys through one table per grown-mask tuple,
+shared by every state and action lookup with that tuple: informed masks
+saturate within the graph's diameter, so few tuples serve many states.
+The string `EveState` that solver, translation and reports read is made
+once, when a new key is interned, and its `Situation`s once per (suspect,
+informed mask) and encoding: states share equal situations.
 
 The build `solve` uses is dominance-pruned (antichains for games of
 imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
@@ -422,13 +426,13 @@ def _match_situations(text: str, situations, first: int):
 # Successors.
 
 
-def expand(enc: Encoding, key: StateKey) -> list[tuple[int, int]]:
+def expand(enc: Encoding, key: StateKey) -> tuple[tuple[int, int], ...]:
     """The hypotheses the successors of `key` continue: each deviator with
     its informed mask grown by one communication step.  At a non-deviated
     state every player is a fresh hypothesis informed only of itself, so one
     step informs exactly its direct observers."""
-    return [(d, enc.grow(m))
-            for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))]]
+    return tuple((d, enc.grow(m))
+                 for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))])
 
 
 def action_reach(enc: Encoding, key: StateKey, action: EveAction):
@@ -475,9 +479,12 @@ def successors(enc: Encoding, grown, reach, comply: int, resolve, memo=None):
     A target keeps the hypotheses that reach it, with their grown masks.
     `comply`, the vertex index the suggested move leads to at a non-deviated
     state (-1 elsewhere), is followed by the non-deviated state, since no
-    deviation that ends there is visible.  `memo` maps a target and its
-    surviving hypotheses to the resolved successor; it may be shared by the
-    calls for one state."""
+    deviation that ends there is visible.  `memo` maps the slot `target +
+    |V| * survivor mask` to the resolved successor.  Survivor mask 0 occurs
+    only at the complying target, whose successor is `(target, ())` from
+    any state, so the key depends only on `grown` and the slot, and one
+    memo may serve every call with equal `grown`.  A resolve that raises
+    stores nothing."""
     if memo is None:
         memo = {}
     nv = len(enc.game.vertices)
@@ -607,6 +614,8 @@ class EpistemicView:
         self._keys: list[StateKey] = []
         self._key_index: dict[StateKey, int] = {}
         self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
+        # Grown-mask tuple -> its successor memo (see `successors`).
+        self._tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
         self.init = self._intern((game.vertex_index[game.init_vertex], ()))
 
     def _intern(self, key: StateKey) -> int:
@@ -643,7 +652,9 @@ class EpistemicView:
         first use.  An action that is not enabled there raises InvalidInput
         (see `action_reach`)."""
         enc, key = self._encoding, self._keys[eve_id]
-        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), self._intern)
+        grown = expand(enc, key)
+        sig = successors(enc, grown, *action_reach(enc, key, action), self._intern,
+                         self._tables.setdefault(grown, {}))
         aid = self._adam_index.get((eve_id, sig))
         if aid is None:
             aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
@@ -678,7 +689,9 @@ class EpistemicGame(EpistemicView):
                 raise InvalidInput("successor state not present in the built game")
             return sid
 
-        sig = successors(enc, expand(enc, key), *action_reach(enc, key, action), resolve)
+        grown = expand(enc, key)
+        sig = successors(enc, grown, *action_reach(enc, key, action), resolve,
+                         self._tables.setdefault(grown, {}))
         ids = self.eve_succ[eve_id]
         try:
             return self.adam_succ.index(sig, ids.start, ids.stop)
@@ -735,7 +748,7 @@ def build_reachable(
     while len(eve_succ) < len(keys):
         key = keys[len(eve_succ)]
         grown = expand(enc, key)
-        memo: dict[int, int] = {}
+        memo = eg._tables.setdefault(grown, {})
         first = len(adam_succ)
         for action, reach, comply in _distinct_actions(enc, key):
             adam_action.append(action)

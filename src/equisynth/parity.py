@@ -220,7 +220,11 @@ def solve_parity(pg: ParityGame, blocks: Optional[Iterable[Iterable[int]]] = Non
         # that are not exits won by its opponent: the live count for the
         # opponent's attractor.  A node with an exit its owner won is
         # attracted by its owner, moving there; one whose every successor is
-        # an exit won by the opponent, or with none, by the opponent.
+        # an exit won by the opponent, or with none, by the opponent.  A
+        # block with one priority, of parity i (else i is -1), reads only
+        # the opponent's seeds: i's stay in the part i wins, whose closing
+        # loop gives i's nodes their moves.
+        i = next(iter(tops)) & 1 if len(tops) == 1 else -1
         seeds: tuple[list[int], list[int]] = ([], [])
         for v in nodes:
             o = owner[v]
@@ -237,12 +241,12 @@ def solve_parity(pg: ParityGame, blocks: Optional[Iterable[Iterable[int]]] = Non
                         out = w
             live[v] = d
             if out >= 0:
-                move[v] = out
-                seeds[o].append(v)
-            elif not d:
+                if o != i:
+                    move[v] = out
+                    seeds[o].append(v)
+            elif not d and 1 - o != i:
                 seeds[1 - o].append(v)
-        if len(tops) == 1:
-            i = tops.pop() & 1
+        if i >= 0:
             if seeds[1 - i]:
                 link(nodes)
                 attract_exits(seeds[1 - i], 1 - i)

@@ -10,8 +10,10 @@ recurring vertex sets with `solver.recurring_sets`.  The exceptions to "slow and
 obvious" are the package's earlier algorithms, kept unchanged as references:
 `per_state_distinct_actions` with `per_move_table`, the build's earlier
 enumeration of Eve actions, which a test swaps into the package's
-`Encoding` to compare the games it builds; `sliced_move_table`, the move
-table made by grouping moves with one action cut out; and
+`Encoding` to compare the games it builds; `per_state_memo_build`, the
+build with one successor memo per state instead of one per grown-mask
+tuple; `sliced_move_table`, the move table made by grouping moves with one
+action cut out; and
 `layered_punishment_region`, the punishment solve one suspect-set layer at a
 time, each layer copied into its own tree product.
 """
@@ -25,10 +27,12 @@ from typing import Optional
 
 from equisynth.epistemic import (
     Encoding,
+    EpistemicGame,
     EveAction,
     EveState,
     Situation,
     StateKey,
+    _distinct_actions,
     action_reach,
     expand,
     knowledge_violations,
@@ -321,6 +325,25 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
                 other != reach and all(o & ~r == 0 for o, r in zip(other, reach))
                 for _action, other, _comply in found):
             yield action, reach, comply
+
+
+def per_state_memo_build(game: ConcurrentGame, graph: CommGraph,
+                         pruned: bool = False) -> EpistemicGame:
+    """`build_reachable` with a fresh successor memo for every expanded
+    state, instead of one resolution table per grown-mask tuple."""
+    eg = EpistemicGame(game, graph)
+    enc = eg._encoding
+    enc.pruned = pruned
+    while len(eg.eve_succ) < len(eg._keys):
+        key = eg._keys[len(eg.eve_succ)]
+        grown = expand(enc, key)
+        memo: dict[int, int] = {}
+        first = eg.adam_count()
+        for action, reach, comply in _distinct_actions(enc, key):
+            eg.adam_action.append(action)
+            eg.adam_succ.append(successors(enc, grown, reach, comply, eg._intern, memo))
+        eg.eve_succ.append(range(first, eg.adam_count()))
+    return eg
 
 
 @dataclass

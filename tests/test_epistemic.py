@@ -20,12 +20,16 @@ from equisynth.epistemic import (
     check_distance_characterization,
     check_knowledge_invariant,
     derive_knowledge,
+    expand,
     knowledge_violations,
     state_key,
+    successors,
 )
+from equisynth.cli import _verify_strategy
 from equisynth.errors import InvalidInput, StateCapExceeded
 from equisynth.game import CommGraph, ConcurrentGame, PayoffSpec
 from equisynth.parsing import game_from_dict
+from equisynth.solver import EveStrategy
 
 from conftest import random_comm, random_game
 from oracles import (
@@ -39,6 +43,7 @@ from oracles import (
     literal_knowledge_violations,
     per_move_table,
     per_state_distinct_actions,
+    per_state_memo_build,
     reference_build_reachable,
     sliced_move_table,
     successor_map,
@@ -385,25 +390,128 @@ def _layout(eg):
     return eg._keys, eg.adam_action, eg.adam_succ, eg.eve_succ
 
 
-def test_tabled_options_build_the_per_state_game(
-        random_instances, pruned_pairs, game5, g1, g2, g3, eg1, eg2, eg3, monkeypatch):
+# `build_reachable` without the tests' literal knowledge walk.
+_build = getattr(epistemic.build_reachable, "__wrapped__", epistemic.build_reachable)
+
+
+@pytest.fixture(scope="module")
+def build_cases(random_instances, pruned_pairs, game5, g1, g2, g3, eg1, eg2, eg3):
+    """(game, graph, full build, pruned build) for the random suite, the 20
+    `wide` and `branchy` games, dense 3/8 and 4/4 and the bundled example
+    under g1/g2/g3."""
+    cases = pruned_pairs + [(game, graph, eg, _build(game, graph, pruned=True))
+                            for game, graph, eg in random_instances
+                            if eg.adam_count() > 20_000]
+    cases += [(game5, graph, eg, _build(game5, graph, pruned=True))
+              for graph, eg in ((g1, eg1), (g2, eg2), (g3, eg3))]
+    assert len(cases) == 125
+    return cases
+
+
+def test_tabled_options_build_the_per_state_game(build_cases, monkeypatch):
     # The build reads each suspect's options from one table per (vertex,
     # suspect, informed mask) and each move's reach masks from grouped
     # moves.  Swapping in the enumeration that rebuilt them at every state
-    # gives the same game, full and pruned, on the random suite, the 20
-    # `wide` and `branchy` games, dense 3/8 and 4/4 and the bundled example.
-    build = getattr(epistemic.build_reachable, "__wrapped__", epistemic.build_reachable)
-    cases = pruned_pairs + [(game, graph, eg, build(game, graph, pruned=True))
-                            for game, graph, eg in random_instances
-                            if eg.adam_count() > 20_000]
-    cases += [(game5, graph, eg, build(game5, graph, pruned=True))
-              for graph, eg in ((g1, eg1), (g2, eg2), (g3, eg3))]
-    assert len(cases) == 125
+    # gives the same game, full and pruned.
     monkeypatch.setattr(epistemic, "_distinct_actions", per_state_distinct_actions)
     monkeypatch.setattr(Encoding, "moves", per_move_table)
-    for game, graph, full, pruned in cases:
-        assert _layout(build(game, graph)) == _layout(full)
-        assert _layout(build(game, graph, pruned=True)) == _layout(pruned)
+    for game, graph, full, pruned in build_cases:
+        assert _layout(_build(game, graph)) == _layout(full)
+        assert _layout(_build(game, graph, pruned=True)) == _layout(pruned)
+
+
+def test_shared_tables_build_the_per_state_memo_game(build_cases):
+    # Every state's successors are resolved through the table of its grown
+    # masks, shared with every other state that has them.  A fresh memo per
+    # state gives the same keys, in the same order, and the same Adam nodes,
+    # full and pruned.
+    for game, graph, full, pruned in build_cases:
+        assert _layout(per_state_memo_build(game, graph)) == _layout(full)
+        assert _layout(per_state_memo_build(game, graph, pruned=True)) == _layout(pruned)
+
+
+def _check_tables(eg) -> int:
+    """Assert that every entry of `eg`'s resolution tables is the id of the
+    key its slot names; returns the number of entries."""
+    nv = len(eg.game.vertices)
+    entries = 0
+    for grown, table in eg._tables.items():
+        for slot, sid in table.items():
+            t, survivors = slot % nv, slot // nv
+            key = (t, tuple(grown[j] for j in epistemic._bits(survivors)))
+            assert eg._key_index[key] == sid
+        entries += len(table)
+    return entries
+
+
+def test_table_entries_name_their_successors(build_cases):
+    # A table entry maps (target, surviving hypotheses) to the Eve id of the
+    # target with those hypotheses' grown masks, and a build keeps one table
+    # per grown-mask tuple of its states.  The tables hold far fewer
+    # entries than the build has Adam nodes.
+    entries = adam = 0
+    for _game, _graph, full, pruned in build_cases:
+        for eg in (full, pruned):
+            enc = eg._encoding
+            assert eg._tables.keys() == {expand(enc, key) for key in eg._keys}
+            entries += _check_tables(eg)
+            adam += eg.adam_count()
+    assert entries < adam / 3
+
+
+def _memo_free(enc, grown, reach, comply, resolve, memo=None):
+    return successors(enc, grown, reach, comply, resolve)
+
+
+def test_view_lookups_resolve_like_fresh_memos(pruned_pairs, pruned_solves, monkeypatch):
+    # Reading a found profile on an EpistemicView and re-checking it resolves
+    # every row and every policy action through the view's tables.  Without
+    # any memo the view interns the same keys and makes the same Adam nodes,
+    # in the same order, and the checks report the same.
+    def replay(game, graph, data):
+        view = EpistemicView(game, graph)
+        strategy = EveStrategy.from_dict(view, data)
+        return _layout(view), _verify_strategy(game, graph, view, strategy)
+
+    profiles = [(game, graph, result.strategy.to_dict())
+                for (game, graph, _full, _pruned), result in zip(pruned_pairs, pruned_solves)
+                if result is not None]
+    assert len(profiles) >= 30
+    shared = [replay(*profile) for profile in profiles]
+    monkeypatch.setattr(epistemic, "successors", _memo_free)
+    assert [replay(*profile) for profile in profiles] == shared
+
+
+def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
+    # An action the pruned build dropped can lead to a state the build never
+    # made.  Looking it up raises on every call and stores nothing for that
+    # successor: the first call keeps every entry and may add only the
+    # successors it resolved before the missing one, each with its right
+    # id, and every later call leaves the tables unchanged.
+    found = grew = 0
+    for game, graph, full, _pruned in pruned_pairs:
+        if full.adam_count() > 5_000:
+            continue
+        pruned = _build(game, graph, pruned=True)
+        full_of = {key: eid for eid, key in enumerate(full._keys)}
+        for eid, key in enumerate(pruned._keys):
+            for aid in full.eve_succ[full_of[key]]:
+                if all(full._keys[s] in pruned._key_index for s in full.adam_succ[aid]):
+                    continue
+                before = copy.deepcopy(pruned._tables)
+                for call in range(3):
+                    with pytest.raises(InvalidInput, match="not present in the built game"):
+                        pruned.adam_for_action(eid, full.adam_action[aid])
+                    if call:
+                        assert pruned._tables == before
+                    else:
+                        assert all(pruned._tables[grown].items() >= table.items()
+                                   for grown, table in before.items())
+                        grew += pruned._tables != before
+                        _check_tables(pruned)
+                        before = copy.deepcopy(pruned._tables)
+                found += 1
+    assert found > 100 and grew
 
 
 def test_move_table_matches_sliced_reference(random_instances):
