@@ -81,15 +81,31 @@ keeps every win region, verdict and lasso (every other tuple lies above a
 kept one), and every strategy of the pruned game is one of the full game.
 The Adam nodes a strategy picks have the same successors in both builds.
 
+The pruned build also leaves *split* states unexpanded.  Two suspects of a
+state are coupled when some player is uninformed under both: the
+move-function rule ties exactly their moves.  The components are the
+classes of the transitive closure of coupling, and a state with two or more
+offers the product of its component states' actions (same vertex, one
+component's hypotheses and masks).  Masks only grow, so components only
+split, never merge: a play from a split state, cut down to a component, is
+a play of that component's state while any of its hypotheses survives, and
+a layer's condition bounds each surviving suspect, so a split state is won
+iff each of its component states is (compositional synthesis of
+conjunctions, Filiot, Jin and Raskin, ATVA 2010).  The pruned build interns
+a split state's component states, which sit in smaller suspect sets,
+instead of its successors (`EpistemicView.split`); `expand_split` expands
+the split states after all.
+
 `verify` builds neither: a finite-memory strategy is checked on its product
 with the epistemic game, and only the reachable part of that product
 matters.  `EpistemicView` makes only the states and Adam nodes that profile
 rows and checks name (on-the-fly exploration, as in explicit-state model
 checkers), and `Encoding.key_of_text` checks a row's key without a build.
 A built game (`EpistemicGame`) is a view in which every reachable state has
-been expanded: both intern states through one routine under one state cap,
-and strategies, profile rows and checks read either through the view's
-members.
+been expanded, but for the split states of a pruned build, whose Adam nodes
+it makes on demand as a view does: both intern states through one routine
+under one state cap, and strategies, profile rows and checks read either
+through the view's members.
 """
 from __future__ import annotations
 
@@ -435,6 +451,36 @@ def expand(enc: Encoding, key: StateKey) -> tuple[tuple[int, int], ...]:
                  for d, m in key[1] or [(i, 1 << i) for i in range(len(enc.observers))])
 
 
+def components(enc: Encoding, key: StateKey) -> tuple[StateKey, ...]:
+    """The component states of `key`, in the order of their first
+    hypotheses, if its suspects fall into two or more components (see the
+    module docstring), else ().  Two suspects are coupled iff the OR of
+    their informed masks misses some player."""
+    v, pairs = key
+    everyone = (1 << len(enc.observers)) - 1
+    union = 0
+    for _d, m in pairs:
+        union |= m
+    if len(pairs) < 2 or union != everyone:  # one player uninformed under all
+        return ()
+    # per hypothesis j, the hypotheses coupled with j, as a bitmask
+    coupled = [sum(1 << i for i, (_d2, m2) in enumerate(pairs) if m | m2 != everyone)
+               for _d, m in pairs]
+    parts = []
+    left = (1 << len(pairs)) - 1
+    while left:
+        part, grown = 0, left & -left
+        while grown != part:
+            part = grown
+            for j in _bits(part):
+                grown |= coupled[j]
+        parts.append(part)
+        left &= ~part
+    if len(parts) < 2:
+        return ()
+    return tuple((v, tuple(pairs[j] for j in _bits(part))) for part in parts)
+
+
 def action_reach(enc: Encoding, key: StateKey, action: EveAction):
     """(reach masks, complying target or -1) of an action at `key`: a joint
     move at a non-deviated state, else a move function in hypothesis order.
@@ -609,13 +655,19 @@ class EpistemicView:
         self.adam_action: list[EveAction] = []  # Adam id -> the action producing it
         # Adam id -> successor Eve ids, in vertex order
         self.adam_succ: list[tuple[int, ...]] = []
+        # Unexpanded split Eve id -> its component states' Eve ids: filled in
+        # only by a pruned build, which interns a state's components with it.
+        self.split: dict[int, tuple[int, ...]] = {}
+        self._splits = False
         self._encoding = Encoding(game, graph)
         self._state_cap = state_cap
         self._keys: list[StateKey] = []
         self._key_index: dict[StateKey, int] = {}
         self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
-        # Grown-mask tuple -> its successor memo (see `successors`).
+        # Grown-mask tuple -> its successor memo (see `successors`); what is
+        # made on demand resolves through `_on_demand`, here the same tables.
         self._tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        self._on_demand = self._tables
         self.init = self._intern((game.vertex_index[game.init_vertex], ()))
 
     def _intern(self, key: StateKey) -> int:
@@ -630,6 +682,10 @@ class EpistemicView:
             i = self._key_index[key] = len(self._keys)
             self._keys.append(key)
             self.eve_states.append(self._encoding.state(key))
+            if self._splits and len(key[1]) > 1:
+                parts = components(self._encoding, key)
+                if parts:
+                    self.split[i] = tuple(map(self._intern, parts))
         return i
 
     def eve_count(self) -> int:
@@ -654,7 +710,7 @@ class EpistemicView:
         enc, key = self._encoding, self._keys[eve_id]
         grown = expand(enc, key)
         sig = successors(enc, grown, *action_reach(enc, key, action), self._intern,
-                         self._tables.setdefault(grown, {}))
+                         self._on_demand.setdefault(grown, {}))
         aid = self._adam_index.get((eve_id, sig))
         if aid is None:
             aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
@@ -665,11 +721,59 @@ class EpistemicView:
 
 class EpistemicGame(EpistemicView):
     """The reachable epistemic game: a view in which `build_reachable` has
-    expanded every state, so `eve_succ[eid]` is the block of Adam ids of
-    every Eve id.  Queries never grow it: a key or a successor the build
-    did not reach is not in it."""
+    expanded every state but the split states of a pruned build (`split`),
+    so `eve_succ[eid]` is the block of Adam ids of every Eve id it made,
+    empty at a split state.  Queries never grow what it expanded: a key or
+    a successor the build did not reach from there is not in it.  At the
+    states it did not expand, `adam_for_action` makes Adam nodes and states
+    on demand, as a view does, with ids after the `built` ones."""
 
     _stage = "epistemic build"
+
+    def __init__(self, game: ConcurrentGame, graph: CommGraph, state_cap: int = STATE_CAP):
+        super().__init__(game, graph, state_cap)
+        self.built = (0, 0)  # (Eve states, Adam nodes) the build made
+        self._on_demand = {}  # apart from the build's, so `expand_split` can drop it
+
+    def _grow(self, redo: list[int]) -> None:
+        """Make the Adam nodes of the states `redo`, from its end, and then
+        expand the interned states from `len(eve_succ)` on, in id order,
+        each successor interned as it is met; a split state gets an empty
+        block."""
+        enc, keys, tables, intern = self._encoding, self._keys, self._tables, self._intern
+        eve_succ, split, adam_action, adam_succ = (
+            self.eve_succ, self.split, self.adam_action, self.adam_succ)
+        while redo or len(eve_succ) < len(keys):
+            e = redo.pop() if redo else len(eve_succ)
+            first = len(adam_succ)
+            if e not in split:
+                key = keys[e]
+                grown = expand(enc, key)
+                memo = tables.setdefault(grown, {})
+                for action, reach, comply in _distinct_actions(enc, key):
+                    adam_action.append(action)
+                    adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
+            if e < len(eve_succ):
+                eve_succ[e] = range(first, len(adam_succ))
+            else:
+                eve_succ.append(range(first, len(adam_succ)))
+        self.built = (len(keys), len(adam_succ))
+
+    def expand_split(self) -> None:
+        """Expand every split state after all, and every new state that
+        leads to, so that no state is left unexpanded.  What was made on
+        demand is dropped first, so a strategy made on this game before may
+        name ids that no longer hold; each split state keeps its id, and its
+        block of Adam ids follows the build's."""
+        eves, adams = self.built
+        for key in self._keys[eves:]:
+            del self._key_index[key]
+        del self._keys[eves:], self.eve_states[eves:]
+        del self.adam_action[adams:], self.adam_succ[adams:]
+        self._adam_index.clear()
+        self._on_demand.clear()
+        split, self.split, self._splits = self.split, {}, False
+        self._grow(sorted((e for e in split if e < eves), reverse=True))
 
     def eve_for_key(self, text: str) -> Optional[int]:
         """The Eve id of the state whose `state_key` is `text`, or None."""
@@ -677,10 +781,13 @@ class EpistemicGame(EpistemicView):
 
     def adam_for_action(self, eve_id: int, action: EveAction) -> int:
         """Resolve any enabled action to the Adam node of `eve_id` with the
-        same successors, looked up by its successor tuple within the state's
-        range of Adam ids.  An action that is not enabled there raises
-        InvalidInput (see `action_reach`), and so does one whose successors
-        the build did not make."""
+        same successors, looked up by its successor signature within the
+        state's range of Adam ids, or at a state the build did not expand
+        made on demand.  An action that is not enabled there raises
+        InvalidInput (see `action_reach`), and so does one of an expanded
+        state whose successors the build did not make."""
+        if eve_id in self.split or eve_id >= len(self.eve_succ):
+            return super().adam_for_action(eve_id, action)
         enc, key = self._encoding, self._keys[eve_id]
 
         def resolve(successor: StateKey) -> int:
@@ -734,26 +841,16 @@ def build_reachable(
     (see the module docstring), so nothing is merged, and the nodes of one
     state get consecutive ids.
 
-    `pruned` builds the dominance-pruned game `solve` uses (see the module
-    docstring for why it is exact); states reached only through dropped
-    actions are never built.  The full game is the paper's construction,
-    which `build` reports; `verify` reads only its part a profile reaches
-    (`EpistemicView`).
+    `pruned` builds the dominance-pruned game `solve` uses, which leaves
+    split states unexpanded and interns their component states instead (see
+    the module docstring for why both are exact); states reached only
+    through dropped actions or split states are never built.  The full game
+    is the paper's construction, which `build` reports; `verify` reads only
+    its part a profile reaches (`EpistemicView`).
     """
     eg = EpistemicGame(game, graph, state_cap)
-    enc = eg._encoding
-    enc.pruned = pruned
-    keys, eve_succ, intern = eg._keys, eg.eve_succ, eg._intern
-    adam_action, adam_succ = eg.adam_action, eg.adam_succ
-    while len(eve_succ) < len(keys):
-        key = keys[len(eve_succ)]
-        grown = expand(enc, key)
-        memo = eg._tables.setdefault(grown, {})
-        first = len(adam_succ)
-        for action, reach, comply in _distinct_actions(enc, key):
-            adam_action.append(action)
-            adam_succ.append(successors(enc, grown, reach, comply, intern, memo))
-        eve_succ.append(range(first, len(adam_succ)))
+    eg._encoding.pruned = eg._splits = pruned
+    eg._grow([])
     return eg
 
 

@@ -14,6 +14,13 @@ without suspects are stuck.  It is solved layer by layer in one call: each
 layer is a block of `parity.solve_parity`, smallest suspect sets first, so
 a layer's exits into smaller layers already have their winners.
 
+A split state of a pruned build (see `epistemic`) is won iff each of its
+component states is: masks only grow, so components only split, and a
+layer's condition bounds each surviving suspect.  The region game makes it
+an Adam node whose successors are its component states, in smaller layers,
+so its block's exit pass settles it with no product node and no Zielonka
+work.
+
 On top of the punished region, a complying move is p-safe when every visible
 deviation it admits lands in the won region.  The main outcome is then a
 lasso over p-safe moves, found at the states they reach from the initial one,
@@ -46,6 +53,13 @@ Eve moves by choosing an Adam state, so a choice travels as an Adam id.
 Action tuples are resolved only where they arrive from outside: the rows of
 a profile file (`EveStrategy.from_dict`) and the suggestions of profile
 machines (`translate.UpsilonPolicy`).
+
+At a split state the found strategy joins its component states' moves,
+which never conflict, and makes the Adam node on demand
+(`EveStrategy._joined`).  A row holds one tree leaf, so where a split state
+the play reaches has a component whose layer's tree has more, `solve`
+expands every split state (`EpistemicGame.expand_split`) and solves the
+payoff again, on a region game with no AND node.
 
 A policy's memory holds only what the Eve state does not say: whether the
 play deviated, and which suspects it tracks, are read off the state.
@@ -268,10 +282,12 @@ class PunishmentSolution:
 
 
 def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
-    """Deviated Eve ids grouped by suspect set."""
+    """The deviated Eve ids the build made, grouped by suspect set."""
     groups: dict[DevKey, list[int]] = {}
-    for eid in eg.deviated_ids():
-        groups.setdefault(eg.eve_states[eid].deviators(), []).append(eid)
+    states = eg.eve_states
+    for eid in range(eg.built[0]):
+        if states[eid].deviated:
+            groups.setdefault(states[eid].deviators(), []).append(eid)
     return groups
 
 
@@ -296,11 +312,14 @@ def _layer_setup(game: ConcurrentGame, p: Vector, dev: DevKey):
 class _RegionGame:
     """The punishment region of one candidate as one parity game.  The tree
     product's node (id, leaf) is, at leaf 0, the epistemic game's own node:
-    Eve id e is node e and Adam id a node E + a, for E Eve states.  An Adam
-    node at leaf 0 leads to Eve nodes at leaf 0, of its layer or a smaller
-    one, so it keeps `eg.adam_succ`.  Only multi-leaf layers add nodes, one
-    per (id, leaf >= 1) reached; in a one-leaf layer the Adam nodes take
-    the layer's one priority, so its block has one priority.  States without
+    Eve id e is node e and Adam id a node E + a, for E Eve states the build
+    made.  An Adam node at leaf 0 leads to Eve nodes at leaf 0, of its layer
+    or a smaller one, so it keeps `eg.adam_succ`.  Only multi-leaf layers
+    add nodes, one per (id, leaf >= 1) reached; in a one-leaf layer the Adam
+    nodes take the layer's one priority, so its block has one priority.  A
+    split state (`eg.split`) is one Adam node at every leaf, an AND node
+    whose successors are its component states, in smaller layers, with the
+    priority an Eve node of its layer would take.  States without
     suspects get no successors, and no deviated node leads to them or their
     Adam nodes.  They and their Adam nodes form the last block (`blocks`),
     where each Adam node leads to its stuck complying successor, which loses
@@ -312,17 +331,18 @@ class _RegionGame:
 
     def __init__(self, eg: EpistemicGame, lar_cap: int):
         self.eg, self.lar_cap = eg, lar_cap
-        self.eves = eves = eg.eve_count()
-        self.base = eves + eg.adam_count()
-        self.owner = bytearray(eves) + b"\x01" * eg.adam_count()
+        eves, adams = eg.built
+        self.eves = eves
+        self.base = eves + adams
+        self.owner = bytearray(eves) + b"\x01" * adams
         self.priority = bytearray(self.base)
-        self.succ: list = [()] * eves + eg.adam_succ
+        self.succ: list = [()] * eves + eg.adam_succ[:adams]
         # Added node - base -> its Eve or Adam id, and its leaf.
         self.ids, self.leaf = array("i"), array("i")
         # Per layer: its table, its Eve ids and the nodes it added.
         self.layers: list[tuple[LayerTable, list[int], range]] = []
         # Eve id -> its number of suspects.
-        self.suspects = [len(s.situations) for s in eg.eve_states]
+        self.suspects = [len(s.situations) for s in eg.eve_states[:eves]]
 
     def key(self, node: int) -> tuple[int, int]:
         if node < self.eves:
@@ -343,7 +363,7 @@ class _RegionGame:
 
         for _table, layer_eves, added in self.layers:
             yield chain(with_adam(layer_eves), added)
-        yield with_adam([e for e, s in enumerate(self.eg.eve_states) if not s.deviated])
+        yield with_adam([e for e, s in enumerate(self.eg.eve_states[:eves]) if not s.deviated])
 
 
 def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[int]) -> LayerTable:
@@ -351,12 +371,13 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
     tree, to the region game, and return its table for `punishment_region`
     to fill in.  An Eve node is (Eve id, leaf before the state's own color
     is read), an Adam node (Adam id, leaf after it).  Entering the layer
-    starts at leaf 0, which a one-leaf tree never leaves."""
+    starts at leaf 0, which a one-leaf tree never leaves.  A split state
+    becomes its AND node (see `_RegionGame`)."""
     eg = region.eg
     classes, tree = _layer_setup(eg.game, p, dev)
     eves, base = region.eves, region.base
     owner, priority, succ = region.owner, region.priority, region.succ
-    adam_succ, eve_succ, states = eg.adam_succ, eg.eve_succ, eg.eve_states
+    adam_succ, eve_succ, states, split = eg.adam_succ, eg.eve_succ, eg.eve_states, eg.split
     of = eg.game.colors.of
     index: dict[tuple[int, int, int], int] = {}  # (id, leaf, owner) -> added node
     first = len(owner)
@@ -385,12 +406,15 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
 
     for e in layer_eves:
         nxt, priority[e] = tree[0][of[states[e].vertex]]
+        if e in split:
+            owner[e], succ[e] = 1, split[e]
+            continue
         r = eve_succ[e]
         if len(tree) == 1:
             priority[eves + r.start:eves + r.stop] = bytes((priority[e],)) * len(r)
         succ[e] = (range(eves + r.start, eves + r.stop) if nxt == 0
                    else [node_of(aid, nxt, 1) for aid in r])
-    layer = set(layer_eves) if len(owner) > first else ()
+    layer = {e for e in layer_eves if e not in split} if len(owner) > first else ()
     node = first
     while node < len(owner):  # the product grows while it is read
         ident, leaf = region.ids[node - base], region.leaf[node - base]
@@ -420,7 +444,7 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> P
         for node in chain(layer_eves, added):
             if winner[node] == 0 and region.owner[node] == 0:
                 table.entries[region.key(node)] = region.key(move[node])[0]
-    win = frozenset(e for e in eg.deviated_ids() if winner[e] == 0)
+    win = frozenset(e for eves in groups.values() for e in eves if winner[e] == 0)
     return PunishmentSolution(win=win, layers=layers)
 
 
@@ -468,10 +492,36 @@ class EveStrategy:
         dev = state.deviators()
         table = self.layers.get(dev)
         aid = None if table is None else table.entries.get((eve_id, mem))
+        if aid is None and eve_id in self.eg.split:
+            aid = self._joined(eve_id, mem)
         if aid is None:
             raise StrategyUndefined(
                 f"punishment table for {dev} undefined at {state_key(state)} with leaf {mem}"
             )
+        return aid
+
+    def _joined(self, eve_id: int, mem: int) -> Optional[int]:
+        """At the split state `eve_id`, the Adam node that joins its
+        component states' moves at leaf 0, made on demand and kept as the
+        entry at `mem`.  Components never share a player uninformed under
+        both, so the moves never conflict.  None where a component has no
+        entry, or its layer's tree more than one leaf: it needs memory of
+        its own, which no row can hold."""
+        eg = self.eg
+        state = eg.eve_states[eve_id]
+        moves: dict[str, tuple[str, ...]] = {}
+        for c in eg.split[eve_id]:
+            dev = eg.eve_states[c].deviators()
+            table = self.layers.get(dev)
+            aid = None if table is None or len(table.tree) > 1 else table.entries.get((c, 0))
+            if aid is None:
+                return None
+            moves.update(zip(dev, eg.adam_action[aid]))
+        dev = state.deviators()
+        aid = eg.adam_for_action(eve_id, tuple(map(moves.__getitem__, dev)))
+        if dev not in self.layers:
+            self.layers[dev] = LayerTable(*_layer_setup(eg.game, self.payoff, dev), entries={})
+        self.layers[dev].entries[eve_id, mem] = aid
         return aid
 
     def advance(self, mem: int, eve_id: int, next_eve_id: int) -> int:
@@ -639,6 +689,14 @@ def solve(
             strategy = _reached(EveStrategy(
                 eg=eg, payoff=p, prefix=prefix, cycle=cycle, layers=punish.layers
             ))
+            if strategy is None:
+                log.info("expanding %d split states: the profile needs memory per component",
+                         len(eg.split))
+                eg.expand_split()
+                strategy = _reached(EveStrategy(
+                    eg=eg, payoff=p, prefix=prefix, cycle=cycle,
+                    layers=punishment_region(eg, p, lar_cap).layers,
+                ))
             return SolveResult(
                 payoff=p,
                 strategy=strategy,
@@ -649,13 +707,20 @@ def solve(
     return None
 
 
-def _reached(strategy: EveStrategy) -> EveStrategy:
+def _reached(strategy: EveStrategy) -> Optional[EveStrategy]:
     """`strategy` with only the punishment entries met on its product with
-    the game (`_product`, the walk `model_check_strategy` checks).  Every
-    check, and `omega`'s machines, read a strategy only at nodes of that
-    product.  A node where the strategy is undefined is kept as it is, for
-    the checks to report."""
-    seen = set(_product(strategy.eg, strategy, partial=True)[0])
+    the game (`_product`, the walk `model_check_strategy` checks), the
+    joined entries of the split states it meets included.  Every check, and
+    `omega`'s machines, read a strategy only at nodes of that product.  A
+    node where the strategy is undefined is kept as it is, for the checks to
+    report.  None if a split state it meets has a component whose layer's
+    tree has more than one leaf (see `EveStrategy._joined`)."""
+    eg = strategy.eg
+    seen = set(_product(eg, strategy, partial=True)[0])
+    leaves = {dev: len(table.tree) for dev, table in strategy.layers.items()}
+    if eg.split and any(leaves.get(eg.eve_states[c].deviators(), 1) > 1
+                        for e, _mem in seen if e in eg.split for c in eg.split[e]):
+        return None
     layers = {}
     for dev, table in strategy.layers.items():
         entries = {key: aid for key, aid in table.entries.items() if key in seen}

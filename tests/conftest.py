@@ -225,10 +225,14 @@ def pruned_pairs(random_instances):
 
 @pytest.fixture(scope="session")
 def pruned_solves(pruned_pairs):
-    """`solver.solve` of each pruned build of `pruned_pairs`, in that order
-    (None where it finds no profile): solved once for the tests that read
-    the results."""
-    return [solve(pruned) for _game, _graph, _full, pruned in pruned_pairs]
+    """`solver.solve` of a pruned build of each game of `pruned_pairs`, in
+    that order (None where it finds no profile): solved once for the tests
+    that read the results.  Each solve has its own build (its strategy's
+    `eg`), since a solve makes states and Adam nodes on demand and may
+    expand split states, and the builds of `pruned_pairs` stay as built."""
+    build = build_reachable.__wrapped__
+    return [solve(build(game, graph, pruned=True))
+            for game, graph, _full, _pruned in pruned_pairs]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

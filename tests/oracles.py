@@ -12,10 +12,12 @@ obvious" are the package's earlier algorithms, kept unchanged as references:
 enumeration of Eve actions, which a test swaps into the package's
 `Encoding` to compare the games it builds; `per_state_memo_build`, the
 build with one successor memo per state instead of one per grown-mask
-tuple; `sliced_move_table`, the move table made by grouping moves with one
-action cut out; and
+tuple, which with `plain_pruned_build` also gives the pruned build that
+expands split states; `sliced_move_table`, the move table made by grouping
+moves with one action cut out; and
 `layered_punishment_region`, the punishment solve one suspect-set layer at a
-time, each layer copied into its own tree product.
+time, each layer copied into its own tree product.  `check_parity_certificate`
+checks a parity solver's answer without trusting the solver.
 """
 from __future__ import annotations
 
@@ -328,22 +330,36 @@ def per_state_distinct_actions(enc: Encoding, key: StateKey):
 
 
 def per_state_memo_build(game: ConcurrentGame, graph: CommGraph,
-                         pruned: bool = False) -> EpistemicGame:
+                         pruned: bool = False, split: bool = False) -> EpistemicGame:
     """`build_reachable` with a fresh successor memo for every expanded
-    state, instead of one resolution table per grown-mask tuple."""
+    state, instead of one resolution table per grown-mask tuple.  Split
+    states are left unexpanded only under `split`: `build_reachable(...,
+    pruned=True)` is `pruned=True, split=True`, and `pruned=True` alone is
+    the plain pruned build, every state expanded and no AND node in its
+    region games (`plain_pruned_build`)."""
     eg = EpistemicGame(game, graph)
     enc = eg._encoding
     enc.pruned = pruned
+    eg._splits = split
     while len(eg.eve_succ) < len(eg._keys):
-        key = eg._keys[len(eg.eve_succ)]
+        eid = len(eg.eve_succ)
+        key = eg._keys[eid]
         grown = expand(enc, key)
         memo: dict[int, int] = {}
         first = eg.adam_count()
-        for action, reach, comply in _distinct_actions(enc, key):
+        for action, reach, comply in () if eid in eg.split else _distinct_actions(enc, key):
             eg.adam_action.append(action)
             eg.adam_succ.append(successors(enc, grown, reach, comply, eg._intern, memo))
         eg.eve_succ.append(range(first, eg.adam_count()))
+    eg.built = (eg.eve_count(), eg.adam_count())
     return eg
+
+
+def plain_pruned_build(game: ConcurrentGame, graph: CommGraph) -> EpistemicGame:
+    """The dominance-pruned build with every state expanded, split ones
+    included: the game `solve` read before split states became AND nodes
+    of its region games."""
+    return per_state_memo_build(game, graph, pruned=True)
 
 
 @dataclass
@@ -497,7 +513,9 @@ def _literal_walk(eg) -> list[str]:
     move per suspect of its state are reported too.  The walk does not
     update the successors of such a move function, nor those of a state
     never reached or whose knowledge names a player it does not suspect
-    (which the characterization check reports)."""
+    (which the characterization check reports).  A split state of a pruned
+    build hands each component state its own suspects' knowledge: a player
+    uninformed under a suspect suspects only players of its component."""
     game, graph = eg.game, eg.graph
     known: list = [None] * eg.eve_count()
     out: list[str] = []
@@ -513,6 +531,8 @@ def _literal_walk(eg) -> list[str]:
         if state.deviated and (known[eid] is None or any(
                 not sus <= suspects for per in known[eid].values() for sus in per.values())):
             continue
+        for c in eg.split.get(eid, ()):
+            record(c, {d: known[eid][d] for d in eg.eve_states[c].deviators()})
         v = state.vertex
         for aid in eg.eve_succ[eid]:
             if state.deviated:
@@ -844,6 +864,93 @@ def reference_solve_parity(pg: ParityGame):
     return w0, w1, s0, s1
 
 
+def _cycle_parts(nodes: list[int], succ) -> list[list[int]]:
+    """The strongly connected parts that hold a cycle of the graph `succ`
+    induces on `nodes` (Kosaraju: finishing order forward, then the parts
+    backward in reverse finishing order)."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    adj = [[pos[w] for w in succ[v] if w in pos] for v in nodes]
+    radj: list[list[int]] = [[] for _ in nodes]
+    for i, ws in enumerate(adj):
+        for j in ws:
+            radj[j].append(i)
+    order: list[int] = []
+    seen = [False] * len(nodes)
+    for root in range(len(nodes)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    part = [-1] * len(nodes)
+    out = []
+    for root in reversed(order):
+        if part[root] >= 0:
+            continue
+        part[root] = root
+        comp, stack = [root], [root]
+        while stack:
+            for w in radj[stack.pop()]:
+                if part[w] < 0:
+                    part[w] = root
+                    comp.append(w)
+                    stack.append(w)
+        if len(comp) > 1 or root in adj[root]:
+            out.append([nodes[i] for i in comp])
+    return out
+
+
+def check_parity_certificate(pg: ParityGame, winner, move) -> list[str]:
+    """Why `winner` and `move`, as `solve_parity` returns them, are no
+    certificate of who wins each node of `pg` (empty if they are one): a
+    positional strategy of each player that wins on its region.
+
+    For each player i, fix i's moves on the nodes i wins and keep every
+    opponent move there.  Closure: each fixed move is a successor of its
+    node and is won by i, and every opponent successor is won by i too.
+    Cycles: every cycle of that graph has a top priority of i's parity.
+    Peeling checks it: in each strongly connected part with a cycle, the
+    top priority must be i's, since a cycle of the part goes through a top
+    node; the cycles that avoid the top nodes are those of the part without
+    them, checked the same way.  Every play from i's region then stays in
+    it, and either ends at a stuck opponent node or wins for i."""
+    out: list[str] = []
+    owner, priority, succ = pg.owner, pg.priority, pg.succ
+    for i in (0, 1):
+        region = [v for v in range(pg.node_count()) if winner[v] == i]
+        fixed: dict[int, list[int]] = {}
+        for v in region:
+            if owner[v] == i:
+                fixed[v] = [move[v]]
+                if move[v] not in succ[v]:
+                    out.append(f"player {i}: move {move[v]} of node {v} is no successor")
+                elif winner[move[v]] != i:
+                    out.append(f"player {i}: move of node {v} leaves the region")
+            else:
+                fixed[v] = list(succ[v])
+                if any(winner[w] != i for w in succ[v]):
+                    out.append(f"player {i}: the opponent leaves the region at node {v}")
+        parts = _cycle_parts(region, fixed)
+        while parts:
+            part = parts.pop()
+            top = max(priority[v] for v in part)
+            if top % 2 != i:
+                out.append(f"player {i}: a cycle through node {part[0]} has top "
+                           f"priority {top}")
+                continue
+            parts += _cycle_parts([v for v in part if priority[v] != top], fixed)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Muller-to-parity reduction through latest appearance records.
 #
@@ -1160,12 +1267,17 @@ def layered_punishment_region(eg, p, lar_cap: int = LAR_CAP) -> PunishmentSoluti
     its Zielonka tree, at every leaf count, and solved as its own parity
     game, with exits to smaller layers as sinks.  This is how
     `solver.punishment_region` worked before it solved the whole region as
-    one game; `lar_cap` bounds each layer's product."""
+    one game; `lar_cap` bounds each layer's product.  A split state of a
+    pruned build is won iff its component states, in smaller layers, are,
+    and is an exit of its own layer."""
     groups = _layer_groups(eg)
     global_win: set[int] = set()
     layers: dict[tuple[str, ...], LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
-        table = _layered_solve(eg, p, dev, groups[dev], global_win, lar_cap)
+        global_win.update(e for e in groups[dev] if e in eg.split
+                          and all(c in global_win for c in eg.split[e]))
+        table = _layered_solve(eg, p, dev, [e for e in groups[dev] if e not in eg.split],
+                               global_win, lar_cap)
         layers[dev] = table
         # Every layer state is interned at leaf 0, so it is won iff it has an
         # entry there.

@@ -348,6 +348,18 @@ def _within(small, large) -> bool:
     return all(s & ~l == 0 for s, l in zip(small, large))
 
 
+def _joint_reaches(pruned, eid) -> set:
+    """The reach tuples of the split state `eid` that join one kept reach
+    tuple of each of its component states."""
+    pairs = pruned._keys[eid][1]
+    joins = [{}]  # per join so far: hypothesis position -> reach mask
+    for c in pruned.split[eid]:
+        at = [pairs.index(pair) for pair in pruned._keys[c][1]]
+        kept = [reach for reach, _comply in _adam_by_reach(pruned, c)]
+        joins = [{**join, **dict(zip(at, reach))} for join in joins for reach in kept]
+    return {tuple(join[j] for j in range(len(pairs))) for join in joins}
+
+
 def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
     # The pruned build keeps, in the full build's order and with its
     # actions, exactly the actions whose reach tuples have no other tuple of
@@ -355,20 +367,38 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
     # action of a state with suspects has none), and every dropped one is
     # dominated: a kept one with its complying target reaches a subset of
     # its vertices under every hypothesis.  A kept action has the same
-    # successors in both builds, and a dropped one is not enabled.
+    # successors in both builds, and a dropped one is not enabled.  A split
+    # state keeps no action: the ⊆-minimal reach tuples of the full build's
+    # state are exactly the joins of its component states' kept tuples.  A
+    # state the full build lacks is a component state of a split one.
     # Games above 5,000 Adam nodes are left to the answer comparison in
     # test_solver.py.
     pairs = [(game5, g1, eg1, build_reachable(game5, g1, pruned=True))] + pruned_pairs
-    dropped = 0
+    dropped = joins = 0
     for _game, _graph, full, pruned in pairs:
         if full.adam_count() > 5_000:
             continue
         full_keys = [state_key(s) for s in full.eve_states]
-        keys = [state_key(s) for s in pruned.eve_states]
+        keys = [state_key(s) for s in pruned.eve_states[:pruned.built[0]]]
         full_of = {k: e for e, k in enumerate(full_keys)}
+        enc = pruned._encoding
+        parts = {state_key(enc.state(part)) for key in pruned._keys
+                 for part in epistemic.components(enc, key)}
         for eid, key in enumerate(keys):
-            fid = full_of[key]
+            fid = full_of.get(key)
+            if fid is None:
+                assert key in parts, key
+                continue
             want, got = _adam_by_reach(full, fid), _adam_by_reach(pruned, eid)
+            if eid in pruned.split:
+                assert not got
+                minimal = {reach for reach, _comply in want
+                           if not any(other != reach and _within(other, reach)
+                                      for other, _c in want)}
+                assert minimal == _joint_reaches(pruned, eid), key
+                joins += 1
+                dropped += len(want) - len(minimal)
+                continue
             assert list(got) == [
                 (reach, comply) for reach, comply in want
                 if not any(c == comply and other != reach and _within(other, reach)
@@ -383,7 +413,7 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
                 dropped += 1
                 with pytest.raises(InvalidInput):
                     pruned.adam_for_action(eid, full.adam_action[want[reach, comply]])
-    assert dropped > 1000
+    assert dropped > 1000 and joins > 100
 
 
 def _layout(eg):
@@ -424,10 +454,11 @@ def test_shared_tables_build_the_per_state_memo_game(build_cases):
     # Every state's successors are resolved through the table of its grown
     # masks, shared with every other state that has them.  A fresh memo per
     # state gives the same keys, in the same order, and the same Adam nodes,
-    # full and pruned.
+    # full and pruned (split states left unexpanded).
     for game, graph, full, pruned in build_cases:
         assert _layout(per_state_memo_build(game, graph)) == _layout(full)
-        assert _layout(per_state_memo_build(game, graph, pruned=True)) == _layout(pruned)
+        assert _layout(per_state_memo_build(game, graph, pruned=True, split=True)) == \
+            _layout(pruned)
 
 
 def _check_tables(eg) -> int:
@@ -447,13 +478,15 @@ def _check_tables(eg) -> int:
 def test_table_entries_name_their_successors(build_cases):
     # A table entry maps (target, surviving hypotheses) to the Eve id of the
     # target with those hypotheses' grown masks, and a build keeps one table
-    # per grown-mask tuple of its states.  The tables hold far fewer
-    # entries than the build has Adam nodes.
+    # per grown-mask tuple of the states it expanded.  The tables hold far
+    # fewer entries than the build has Adam nodes.
     entries = adam = 0
     for _game, _graph, full, pruned in build_cases:
         for eg in (full, pruned):
             enc = eg._encoding
-            assert eg._tables.keys() == {expand(enc, key) for key in eg._keys}
+            expanded = [key for e, key in enumerate(eg._keys[:eg.built[0]])
+                        if e not in eg.split]
+            assert eg._tables.keys() == {expand(enc, key) for key in expanded}
             entries += _check_tables(eg)
             adam += eg.adam_count()
     assert entries < adam / 3
@@ -484,19 +517,29 @@ def test_view_lookups_resolve_like_fresh_memos(pruned_pairs, pruned_solves, monk
 
 def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
     # An action the pruned build dropped can lead to a state the build never
-    # made.  Looking it up raises on every call and stores nothing for that
-    # successor: the first call keeps every entry and may add only the
-    # successors it resolved before the missing one, each with its right
-    # id, and every later call leaves the tables unchanged.
-    found = grew = 0
+    # made.  Looking it up at an expanded state raises on every call and
+    # stores nothing for that successor: the first call keeps every entry
+    # and may add only the successors it resolved before the missing one,
+    # each with its right id, and every later call leaves the tables
+    # unchanged.  At a split state, which the build did not expand, the
+    # lookup makes the Adam node and its successors on demand instead, with
+    # the full build's successors, and leaves the build's tables as they
+    # are.
+    found = grew = made = 0
     for game, graph, full, _pruned in pruned_pairs:
         if full.adam_count() > 5_000:
             continue
         pruned = _build(game, graph, pruned=True)
         full_of = {key: eid for eid, key in enumerate(full._keys)}
+        splits = []
         for eid, key in enumerate(pruned._keys):
+            if key not in full_of:
+                continue  # a component state (see the dominance test)
             for aid in full.eve_succ[full_of[key]]:
                 if all(full._keys[s] in pruned._key_index for s in full.adam_succ[aid]):
+                    continue
+                if eid in pruned.split:
+                    splits.append((eid, aid))
                     continue
                 before = copy.deepcopy(pruned._tables)
                 for call in range(3):
@@ -511,7 +554,15 @@ def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
                         _check_tables(pruned)
                         before = copy.deepcopy(pruned._tables)
                 found += 1
-    assert found > 100 and grew
+        tables = copy.deepcopy(pruned._tables)
+        for eid, aid in splits:
+            got = pruned.adam_for_action(eid, full.adam_action[aid])
+            assert got >= pruned.built[1]
+            assert [pruned._keys[s] for s in pruned.adam_succ[got]] == \
+                [full._keys[s] for s in full.adam_succ[aid]]
+            made += 1
+        assert pruned._tables == tables
+    assert found > 100 and grew and made > 100
 
 
 def test_move_table_matches_sliced_reference(random_instances):

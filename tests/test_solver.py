@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import random
 import sys
+from array import array
+from itertools import chain
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from equisynth.epistemic import EveState, build_reachable, state_key
+from equisynth import epistemic
+from equisynth.epistemic import EveState, build_reachable, components, state_key
 from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
 from equisynth.game import CommGraph
+from equisynth.parity import ParityGame, solve_parity
 from equisynth.parsing import game_from_dict, parse_query
 from equisynth.solver import (
     EveStrategy,
@@ -30,6 +34,7 @@ from equisynth.solver import (
 from equisynth.translate import check_deviation_resistance, check_normed, omega
 
 from conftest import (
+    benchmark_workloads,
     complete_strategy,
     random_comm,
     random_game,
@@ -38,8 +43,10 @@ from conftest import (
 )
 from oracles import (
     brute_force_recurring_color_sets,
+    check_parity_certificate,
     layered_punishment_region,
     muller_accepts_lasso,
+    plain_pruned_build,
     random_lasso,
     record_punishment_win,
     strongly_connected_with_edge,
@@ -56,6 +63,9 @@ def F(*xs):
 
 
 P_MAIN = F(0, 0, 1, 1, 1)
+
+# `build_reachable` without the tests' literal knowledge walk.
+_build = getattr(epistemic.build_reachable, "__wrapped__", epistemic.build_reachable)
 
 
 def test_candidate_payoffs_order_and_filter(game5):
@@ -203,7 +213,8 @@ def test_region_game_matches_layered_reference(eg1, eg2, eg3, pruned_pairs):
     # the bundled games, the full and pruned builds of the random instances
     # with at most 20,000 Adam nodes, of `wide`, of `branchy` (whose layers
     # include two-leaf trees) and of dense 3/8 and 4/4.  Win regions are
-    # unique; the strategies may differ.
+    # unique; the strategies may differ.  A split state has no entry: Eve
+    # does not move there.
     games = [eg1, eg2, eg3] + [eg for *_, full, pruned in pruned_pairs for eg in (full, pruned)]
     multi_leaf = 0
     for eg in games:
@@ -213,7 +224,8 @@ def test_region_game_matches_layered_reference(eg1, eg2, eg3, pruned_pairs):
             assert got.layers.keys() == want.layers.keys()
             for dev, table in got.layers.items():
                 assert {key for key in table.entries if key[1] == 0} == \
-                    {(e, 0) for e in got.win if eg.eve_states[e].deviators() == dev}
+                    {(e, 0) for e in got.win
+                     if eg.eve_states[e].deviators() == dev and e not in eg.split}
                 multi_leaf += len(table.tree) > 1
     assert multi_leaf > 100
 
@@ -503,18 +515,28 @@ def test_strategy_tamper_changes_verdict(eg1):
 
 def test_pruned_build_gives_the_full_answers(pruned_pairs, pruned_solves):
     # Dominance pruning keeps every win region, verdict and lasso, and its
-    # profiles pass every check on the full build.
+    # profiles pass every check on the full build.  Every state of the
+    # pruned build is one of the full build's, or a component state of a
+    # split one, which the full game need not reach.
     found = 0
     for (game, graph, full, pruned), solved in zip(pruned_pairs, pruned_solves):
         full_keys = list(map(state_key, full.eve_states))
-        keys = list(map(state_key, pruned.eve_states))
-        assert set(keys) <= set(full_keys)
+        keys = list(map(state_key, pruned.eve_states[:pruned.built[0]]))
+        enc = pruned._encoding
+        parts = {state_key(enc.state(part)) for key in pruned._keys
+                 for part in components(enc, key)}
+        assert set(keys) - set(full_keys) <= parts
         for p in candidate_payoffs(game):
             want, got = punishment_region(full, p), punishment_region(pruned, p)
-            assert {keys[e] for e in got.win} == \
+            assert {keys[e] for e in got.win} & set(full_keys) == \
                 {full_keys[e] for e in want.win} & set(keys), (game, p)
-            # Classes and trees come from the game, not from the layer's states.
+            # Classes and trees come from the game, not from the layer's
+            # states.  A layer of component states only is not in the full
+            # build.
             for dev, table in got.layers.items():
+                if dev not in want.layers:
+                    assert all(keys[e] in parts for e, _leaf in table.entries)
+                    continue
                 assert (table.classes, table.tree) == \
                     (want.layers[dev].classes, want.layers[dev].tree)
         want, got = solve(full), solved
@@ -575,3 +597,109 @@ def test_renaming_leaves_the_answer_as_it_is():
             if answers[0] != answers[1]:
                 varying.append(f"{family}-{i:02d}")
     assert not varying
+
+
+def _certified(captured: list):
+    """`solve_parity` that also checks its answer with the certificate
+    oracle, and counts in `captured` each game it solved."""
+    def solve_and_check(pg, blocks=None, weight=None):
+        blocks = [list(block) for block in blocks]
+        winner, move = solve_parity(pg, blocks, weight)
+        assert sorted(chain.from_iterable(blocks)) == list(range(pg.node_count()))
+        assert check_parity_certificate(pg, winner, move) == []
+        captured.append((pg, winner, move))
+        return winner, move
+
+    return solve_and_check
+
+
+def test_punishment_solves_are_certified(pruned_pairs, monkeypatch):
+    # Both players' positional strategies of every candidate's region game
+    # win on their regions: closed, and every cycle with the right top
+    # priority.  The full and pruned builds of `pruned_pairs`, which hold
+    # the random suite but for its two games above 20,000 Adam nodes (their
+    # certificates alone take 1.8 s), AND nodes included.
+    captured: list = []
+    monkeypatch.setattr("equisynth.solver.solve_parity", _certified(captured))
+    and_nodes = 0
+    for eg in [eg for *_, full, pruned in pruned_pairs for eg in (full, pruned)]:
+        for p in candidate_payoffs(eg.game):
+            punishment_region(eg, p)
+            and_nodes += len(eg.split)
+    assert len(captured) > 500 and and_nodes > 500
+
+
+def test_certificate_catches_a_flipped_winner_or_move(monkeypatch):
+    # On the region games of the two-leaf `branchy` game, flipping the
+    # winner of any node, or sending a move to a successor its player
+    # loses, fails the certificate.
+    captured: list = []
+    monkeypatch.setattr("equisynth.solver.solve_parity", _certified(captured))
+    eg = build_reachable(*two_leaf_game(), pruned=True)
+    for p in candidate_payoffs(eg.game):
+        punishment_region(eg, p)
+    flips = moves = 0
+    for pg, winner, move in captured:
+        for v in range(0, pg.node_count(), 7):
+            flipped = bytearray(winner)
+            flipped[v] ^= 1
+            assert check_parity_certificate(pg, flipped, move), v
+            flips += 1
+            lost = [w for w in pg.succ[v] if winner[w] != winner[v]]
+            if winner[v] == pg.owner[v] and lost:
+                bad = array("i", move)
+                bad[v] = lost[0]
+                assert check_parity_certificate(pg, winner, bad), v
+                moves += 1
+    assert flips > 100 and moves > 10
+
+
+def _seed_one(family: str) -> list:
+    """The (game, graph) pairs of a benchmark family, named as the
+    benchmark names them under seed 1."""
+    workloads = benchmark_workloads()
+    games = []
+    for i, structure in enumerate(workloads.family(family)):
+        rng = random.Random(f"{family}:1:{i}")
+        vperm = rng.sample(range(structure.vertices), structure.vertices)
+        aperm = rng.sample(range(structure.actions), structure.actions)
+        games.append(workloads.materialize(structure, vperm, aperm))
+    return games
+
+
+def test_split_states_answer_as_the_plain_build(random_instances, game5, g1, g2, g3):
+    # A split state's winner comes from its components' (an AND node), and
+    # the build does not expand it.  On every candidate the winners equal
+    # those of the plain pruned build, which expands every state and has no
+    # AND node, on every state both builds have: the random suite, `wide`
+    # and `branchy` at seed 1 and the bundled game under g1-g3.
+    games = [(game, graph) for game, graph, _eg in random_instances]
+    games += _seed_one("wide") + _seed_one("branchy")
+    games += [(game5, graph) for graph in (g1, g2, g3)]
+    checked = 0
+    for game, graph in games:
+        split, plain = _build(game, graph, pruned=True), plain_pruned_build(game, graph)
+        keys = list(map(state_key, split.eve_states))
+        plain_of = {state_key(s): e for e, s in enumerate(plain.eve_states)}
+        both = [(e, plain_of[key]) for e, key in enumerate(keys) if key in plain_of]
+        for p in candidate_payoffs(game):
+            got, want = punishment_region(split, p).win, punishment_region(plain, p).win
+            assert [e in got for e, _ in both] == [f in want for _, f in both], (game, p)
+            checked += sum(e in split.split for e, _ in both)
+    assert checked > 1000
+
+
+def test_certificate_peels_to_a_losing_cycle():
+    # Node 0 (Eve, priority 1) loops or moves to node 1 (Eve, priority 2),
+    # which loops: Eve wins both by moving on, and staying put is closed in
+    # her region but loops on an odd top priority.  With node 0 Adam's,
+    # Adam wins both by looping at 0: the part {0, 1} has an even top, and
+    # the cycle found once node 1 is peeled off has an odd one.
+    pg = ParityGame(owner=[0, 0], priority=[1, 2], succ=[[0, 1], [1]])
+    assert check_parity_certificate(pg, bytearray(2), array("i", [1, 1])) == []
+    assert check_parity_certificate(pg, bytearray(2), array("i", [0, 1])) == \
+        ["player 0: a cycle through node 0 has top priority 1"]
+    pg = ParityGame(owner=[1, 0], priority=[1, 2], succ=[[0, 1], [0]])
+    assert check_parity_certificate(pg, bytearray(2), array("i", [-1, 0])) == \
+        ["player 0: a cycle through node 0 has top priority 1"]
+    assert check_parity_certificate(pg, bytearray(b"\x01\x01"), array("i", [0, -1])) == []

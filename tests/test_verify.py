@@ -58,9 +58,9 @@ def found_solves(eg1, eg2, eg3, pruned_pairs, pruned_solves):
                 result = solve(pruned, query=query, main_inf=main_inf)
                 if result is not None:
                     out.append((full, pruned, result))
-    for (_game, _graph, full, pruned), result in zip(pruned_pairs, pruned_solves):
+    for (_game, _graph, full, _pruned), result in zip(pruned_pairs, pruned_solves):
         if result is not None:
-            out.append((full, pruned, result))
+            out.append((full, result.strategy.eg, result))
     game, graph, full = _dense(4, 6)
     pruned = build_reachable(game, graph, pruned=True)
     result = solve(pruned)
@@ -234,3 +234,55 @@ def test_machine_caches_answer_as_the_plain_path(eg1, found_solves, monkeypatch)
     # Every found profile passes both checks, and every tampered one fails one.
     assert all(normed[0] is resist[0] is True for normed, resist in cached[:len(cases)])
     assert not any(normed[0] is resist[0] is True for normed, resist in cached[len(cases):])
+
+
+def _seed_one(family: str, i: int):
+    """Game `i` of a benchmark family, named as the benchmark names it
+    under seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    structure = workloads.family(family)[i]
+    rng = random.Random(f"{family}:1:{i}")
+    vperm = rng.sample(range(structure.vertices), structure.vertices)
+    aperm = rng.sample(range(structure.actions), structure.actions)
+    return workloads.materialize(structure, vperm, aperm)
+
+
+def _passes_verify_and_nash(game, graph, result) -> None:
+    strategy, _checks, failures = _verify_profile(game, graph, result.strategy.to_dict())
+    assert failures == []
+    assert nash_violations(game, graph, omega(strategy.eg, strategy), result.payoff) == []
+
+
+def test_split_states_play_their_components_joined_moves():
+    # `wide` game 7's profile names four split states.  Each row there joins
+    # its component states' moves, and its Adam node is made on demand.
+    # Three of them the build never made: the play meets them as successors
+    # of split states, and they split in turn.  No fallback is needed.
+    game, graph = _seed_one("wide", 7)
+    eg = build_reachable(game, graph, pruned=True)
+    built = eg.built
+    result = solve(eg)
+    assert eg.built == built
+    split = [(e, aid) for table in result.strategy.layers.values()
+             for (e, _leaf), aid in table.entries.items() if e in eg.split]
+    assert len(split) == 4 and sum(e >= built[0] for e, _aid in split) == 3
+    assert all(aid >= built[1] for _e, aid in split)
+    _passes_verify_and_nash(game, graph, result)
+
+
+def test_components_with_multi_leaf_trees_expand_the_split_states():
+    # On `branchy` games 6 and 8 a split state the play reaches has a
+    # component whose layer's Zielonka tree has two leaves, and a row holds
+    # one leaf: `solve` expands every split state and solves again.
+    for i in (6, 8):
+        game, graph = _seed_one("branchy", i)
+        eg = build_reachable(game, graph, pruned=True)
+        assert eg.split
+        built = eg.built
+        result = solve(eg)
+        assert not eg.split and eg.built > built
+        assert all(e < eg.built[0] for table in result.strategy.layers.values()
+                   for e, _leaf in table.entries)
+        _passes_verify_and_nash(game, graph, result)
