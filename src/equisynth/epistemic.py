@@ -102,10 +102,14 @@ matters.  `EpistemicView` makes only the states and Adam nodes that profile
 rows and checks name (on-the-fly exploration, as in explicit-state model
 checkers), and `Encoding.key_of_text` checks a row's key without a build.
 A built game (`EpistemicGame`) is a view in which every reachable state has
-been expanded, but for the split states of a pruned build, whose Adam nodes
-it makes on demand as a view does: both intern states through one routine
-under one state cap, and strategies, profile rows and checks read either
-through the view's members.
+been expanded, but for the split states of a pruned build, and it answers
+lookups as a view does.  A key or successor it lacks is interned after the
+built states.  An action resolves to the Adam node with its successors in
+the state's block, and where there is none, at a split state or for an
+action the pruned build dropped, to one made on demand with the full game's
+successors.  Both intern states through one routine under one state cap,
+and strategies, profile rows and checks read either through the view's
+members.
 """
 from __future__ import annotations
 
@@ -664,10 +668,8 @@ class EpistemicView:
         self._keys: list[StateKey] = []
         self._key_index: dict[StateKey, int] = {}
         self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
-        # Grown-mask tuple -> its successor memo (see `successors`); what is
-        # made on demand resolves through `_on_demand`, here the same tables.
+        # Grown-mask tuple -> its successor memo (see `successors`)
         self._tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-        self._on_demand = self._tables
         self.init = self._intern((game.vertex_index[game.init_vertex], ()))
 
     def _intern(self, key: StateKey) -> int:
@@ -704,13 +706,20 @@ class EpistemicView:
         return None if key is None else self._intern(key)
 
     def adam_for_action(self, eve_id: int, action: EveAction) -> int:
-        """The Adam node an enabled action of `eve_id` leads to, made on
-        first use.  An action that is not enabled there raises InvalidInput
-        (see `action_reach`)."""
+        """The Adam node an enabled action of `eve_id` leads to: the node
+        with its successors in the state's block if it was expanded, else
+        one made on first use.  An action that is not enabled there raises
+        InvalidInput (see `action_reach`)."""
         enc, key = self._encoding, self._keys[eve_id]
         grown = expand(enc, key)
         sig = successors(enc, grown, *action_reach(enc, key, action), self._intern,
-                         self._on_demand.setdefault(grown, {}))
+                         self._tables.setdefault(grown, {}))
+        if eve_id < len(self.eve_succ):
+            ids = self.eve_succ[eve_id]
+            try:
+                return self.adam_succ.index(sig, ids.start, ids.stop)
+            except ValueError:
+                pass
         aid = self._adam_index.get((eve_id, sig))
         if aid is None:
             aid = self._adam_index[eve_id, sig] = len(self.adam_succ)
@@ -723,17 +732,15 @@ class EpistemicGame(EpistemicView):
     """The reachable epistemic game: a view in which `build_reachable` has
     expanded every state but the split states of a pruned build (`split`),
     so `eve_succ[eid]` is the block of Adam ids of every Eve id it made,
-    empty at a split state.  Queries never grow what it expanded: a key or
-    a successor the build did not reach from there is not in it.  At the
-    states it did not expand, `adam_for_action` makes Adam nodes and states
-    on demand, as a view does, with ids after the `built` ones."""
+    empty at a split state.  Its lookups are the view's: a key, a
+    successor or an Adam node the build did not make is made on demand,
+    with ids after the `built` ones."""
 
     _stage = "epistemic build"
 
     def __init__(self, game: ConcurrentGame, graph: CommGraph, state_cap: int = STATE_CAP):
         super().__init__(game, graph, state_cap)
         self.built = (0, 0)  # (Eve states, Adam nodes) the build made
-        self._on_demand = {}  # apart from the build's, so `expand_split` can drop it
 
     def _grow(self, redo: list[int]) -> None:
         """Make the Adam nodes of the states `redo`, from its end, and then
@@ -771,43 +778,9 @@ class EpistemicGame(EpistemicView):
         del self._keys[eves:], self.eve_states[eves:]
         del self.adam_action[adams:], self.adam_succ[adams:]
         self._adam_index.clear()
-        self._on_demand.clear()
+        self._tables.clear()
         split, self.split, self._splits = self.split, {}, False
         self._grow(sorted((e for e in split if e < eves), reverse=True))
-
-    def eve_for_key(self, text: str) -> Optional[int]:
-        """The Eve id of the state whose `state_key` is `text`, or None."""
-        return self._key_index.get(self._encoding.key_of_text(text))
-
-    def adam_for_action(self, eve_id: int, action: EveAction) -> int:
-        """Resolve any enabled action to the Adam node of `eve_id` with the
-        same successors, looked up by its successor signature within the
-        state's range of Adam ids, or at a state the build did not expand
-        made on demand.  An action that is not enabled there raises
-        InvalidInput (see `action_reach`), and so does one of an expanded
-        state whose successors the build did not make."""
-        if eve_id in self.split or eve_id >= len(self.eve_succ):
-            return super().adam_for_action(eve_id, action)
-        enc, key = self._encoding, self._keys[eve_id]
-
-        def resolve(successor: StateKey) -> int:
-            sid = self._key_index.get(successor)
-            if sid is None:
-                raise InvalidInput("successor state not present in the built game")
-            return sid
-
-        grown = expand(enc, key)
-        sig = successors(enc, grown, *action_reach(enc, key, action), resolve,
-                         self._tables.setdefault(grown, {}))
-        ids = self.eve_succ[eve_id]
-        try:
-            return self.adam_succ.index(sig, ids.start, ids.stop)
-        except ValueError:
-            state = self.eve_states[eve_id]
-            raise InvalidInput(
-                f"action {action_key(state, action)} at {state_key(state)} "
-                "resolves to an unknown successor signature"
-            ) from None
 
     def size_bounds(self) -> dict:
         g = self.game

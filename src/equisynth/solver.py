@@ -567,10 +567,13 @@ class EveStrategy:
         """Read a profile back on a built game or an `EpistemicView`.  Each
         row names its state by key, and a punishment row belongs to the
         layer of its state's suspects, whose color classes and tree are
-        rebuilt from the game, the payoff and the suspects.  A profile with
-        a key `eg` lacks (see `eve_for_key`), an action not enabled at its
-        state, a punishment row at a state without suspects, a leaf outside
-        its layer's tree, or two rows for one state and leaf is rejected."""
+        rebuilt from the game, the payoff and the suspects.  A state or an
+        Adam node `eg` lacks is made on demand (see `eve_for_key` and
+        `adam_for_action`), so the rows may come in any order.  A profile
+        with a key no reachable state can have, an action not enabled at
+        its state, a punishment row at a state without suspects, a leaf
+        outside its layer's tree, or two rows for one state and leaf is
+        rejected."""
         if data.get("format") != PROFILE_FORMAT:
             raise InvalidInput(
                 f"unsupported profile format {data.get('format')!r}: expected "

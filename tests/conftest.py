@@ -57,6 +57,31 @@ if not hasattr(equisynth.epistemic.build_reachable, "__wrapped__"):
 build_reachable = equisynth.epistemic.build_reachable
 
 
+# The games the session fixtures build.  Each test must leave them as built:
+# a lookup of a key, successor or action one of them lacks makes it on demand,
+# and every test that reads the game after would read a grown one.  A test
+# that looks such a thing up uses its own build.
+SHARED_BUILDS: list = []
+
+
+def _shared(eg):
+    SHARED_BUILDS.append(eg)
+    return eg
+
+
+def _sizes(games) -> list:
+    return [(eg.eve_count(), eg.adam_count()) for eg in games]
+
+
+@pytest.fixture(autouse=True)
+def _shared_builds_stay_as_built():
+    before = _sizes(SHARED_BUILDS)
+    yield
+    before += [eg.built for eg in SHARED_BUILDS[len(before):]]
+    grown = sum(map(tuple.__ne__, before, _sizes(SHARED_BUILDS)))
+    assert not grown, f"the test grew {grown} games of the session fixtures"
+
+
 @pytest.fixture(scope="session")
 def game5() -> ConcurrentGame:
     return parse_game(asset_path("five_player_game.json"))
@@ -83,17 +108,17 @@ def g3(game5):
 
 @pytest.fixture(scope="session")
 def eg1(game5, g1):
-    return build_reachable(game5, g1)
+    return _shared(build_reachable(game5, g1))
 
 
 @pytest.fixture(scope="session")
 def eg2(game5, g2):
-    return build_reachable(game5, g2)
+    return _shared(build_reachable(game5, g2))
 
 
 @pytest.fixture(scope="session")
 def eg3(game5, g3):
-    return build_reachable(game5, g3)
+    return _shared(build_reachable(game5, g3))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +207,7 @@ def random_instances():
             eg = build_reachable(game, graph, state_cap=50_000)
         except StateCapExceeded:
             continue
-        out.append((game, graph, eg))
+        out.append((game, graph, _shared(eg)))
     return out
 
 
@@ -218,8 +243,8 @@ def pruned_pairs(random_instances):
                    for players, vertices in ((3, 8), (4, 4))]
     for structure in structures:
         game, graph = workloads.materialize(structure)
-        games.append((game, graph, build_reachable(game, graph)))
-    return [(game, graph, eg, build_reachable(game, graph, pruned=True))
+        games.append((game, graph, _shared(build_reachable(game, graph))))
+    return [(game, graph, eg, _shared(build_reachable(game, graph, pruned=True)))
             for game, graph, eg in games]
 
 
@@ -233,6 +258,13 @@ def pruned_solves(pruned_pairs):
     build = build_reachable.__wrapped__
     return [solve(build(game, graph, pruned=True))
             for game, graph, _full, _pruned in pruned_pairs]
+
+
+def family_solves(pruned_pairs, pruned_solves) -> list:
+    """The (pair, solve) entries of `pruned_pairs` and `pruned_solves` for
+    the 20 `wide` and `branchy` games, which come after the random instances
+    and before dense 3/8 and 4/4."""
+    return list(zip(pruned_pairs, pruned_solves))[-22:-2]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -13,11 +13,11 @@ import pytest
 
 from equisynth import asset_path
 from equisynth.cli import _verify_profile, main
-from equisynth.errors import InvalidInput
+from equisynth.epistemic import state_key
 from equisynth.parsing import parse_game, parse_query, serialize_comm_graph, serialize_game
 from equisynth.solver import punishment_region, solve
 
-from conftest import complete_strategy, tamper_punishment, two_leaf_game
+from conftest import build_reachable, complete_strategy, tamper_punishment, two_leaf_game
 from oracles import full_build_verify, verify_outcome
 
 GAME = str(asset_path("five_player_game.json"))
@@ -609,12 +609,18 @@ UNREACHED = "v1p|3:3,4"
 def test_verify_accepts_unreached_valid_row(capsys, tmp_path, report_path, eg1):
     # `verify` checks a row no play reaches without building the game: its
     # key parses and passes the distance characterization, and its action is
-    # enabled.  The full-build verify rejected such a row.
-    assert eg1.eve_for_key(UNREACHED) is None
+    # enabled.  A built game reads the row as a view does, interning its
+    # state after the built ones, so the full-build verify passes it too.
+    # Reading it grows the game, so the test has its own build.
+    full = build_reachable(eg1.game, eg1.graph)
+    assert UNREACHED not in {state_key(s) for s in full.eve_states}
     report = json.loads(report_path.read_text())
     row = {"key": UNREACHED, "leaf": 0, "action": {"3": ["a"] * 5}}
     report["profile"]["punish"].append(row)
-    assert verify_outcome(full_build_verify, eg1, report["profile"])[:2] == (2, InvalidInput)
+    passed = verify_outcome(full_build_verify, full, report["profile"])
+    assert (passed[0], passed[2]) == (0, [])
+    assert verify_outcome(_verify_profile, full.game, full.graph, report["profile"]) == passed
+    assert full.eve_for_key(UNREACHED) == full.built[0]
     path = tmp_path / "extra_row.json"
     path.write_text(json.dumps(report))
     code, out, _ = run(capsys, "verify", "--game", GAME, "--comm", G1, str(path))

@@ -31,7 +31,7 @@ from equisynth.game import CommGraph, ConcurrentGame, PayoffSpec
 from equisynth.parsing import game_from_dict
 from equisynth.solver import EveStrategy
 
-from conftest import random_comm, random_game
+from conftest import family_solves, random_comm, random_game
 from oracles import (
     AdamNode,
     brute_force_devfunctions,
@@ -44,6 +44,7 @@ from oracles import (
     per_move_table,
     per_state_distinct_actions,
     per_state_memo_build,
+    plain_pruned_build,
     reference_build_reachable,
     sliced_move_table,
     successor_map,
@@ -367,17 +368,20 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
     # action of a state with suspects has none), and every dropped one is
     # dominated: a kept one with its complying target reaches a subset of
     # its vertices under every hypothesis.  A kept action has the same
-    # successors in both builds, and a dropped one is not enabled.  A split
-    # state keeps no action: the ⊆-minimal reach tuples of the full build's
-    # state are exactly the joins of its component states' kept tuples.  A
-    # state the full build lacks is a component state of a split one.
-    # Games above 5,000 Adam nodes are left to the answer comparison in
-    # test_solver.py.
-    pairs = [(game5, g1, eg1, build_reachable(game5, g1, pruned=True))] + pruned_pairs
+    # successors in both builds, and a dropped one resolves to an Adam node
+    # made on demand, after the built ones, with the full build's
+    # successors.  A split state keeps no action: the ⊆-minimal reach tuples
+    # of the full build's state are exactly the joins of its component
+    # states' kept tuples.  A state the full build lacks is a component
+    # state of a split one.  Games above 5,000 Adam nodes are left to the
+    # answer comparison in test_solver.py.  The lookups grow the pruned
+    # game, so each is the test's own build.
+    pairs = [(game5, g1, eg1)] + [(game, graph, full) for game, graph, full, _ in pruned_pairs]
     dropped = joins = 0
-    for _game, _graph, full, pruned in pairs:
+    for game, graph, full in pairs:
         if full.adam_count() > 5_000:
             continue
+        pruned = _build(game, graph, pruned=True)
         full_keys = [state_key(s) for s in full.eve_states]
         keys = [state_key(s) for s in pruned.eve_states[:pruned.built[0]]]
         full_of = {k: e for e, k in enumerate(full_keys)}
@@ -411,8 +415,11 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
             for reach, comply in want.keys() - got.keys():
                 assert any(c == comply and _within(kept, reach) for kept, c in got)
                 dropped += 1
-                with pytest.raises(InvalidInput):
-                    pruned.adam_for_action(eid, full.adam_action[want[reach, comply]])
+                aid = want[reach, comply]
+                made = pruned.adam_for_action(eid, full.adam_action[aid])
+                assert made >= pruned.built[1]
+                assert [pruned._keys[s] for s in pruned.adam_succ[made]] == \
+                    [full._keys[s] for s in full.adam_succ[aid]]
     assert dropped > 1000 and joins > 100
 
 
@@ -515,54 +522,100 @@ def test_view_lookups_resolve_like_fresh_memos(pruned_pairs, pruned_solves, monk
     assert [replay(*profile) for profile in profiles] == shared
 
 
+def _copy_tables(eg) -> dict:
+    return {grown: dict(table) for grown, table in eg._tables.items()}
+
+
 def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
     # An action the pruned build dropped can lead to a state the build never
-    # made.  Looking it up at an expanded state raises on every call and
-    # stores nothing for that successor: the first call keeps every entry
-    # and may add only the successors it resolved before the missing one,
-    # each with its right id, and every later call leaves the tables
-    # unchanged.  At a split state, which the build did not expand, the
-    # lookup makes the Adam node and its successors on demand instead, with
-    # the full build's successors, and leaves the build's tables as they
-    # are.
-    found = grew = made = 0
+    # made, and so can an action of a split state, which the build did not
+    # expand.  The lookup makes that state on demand, so the one resolve
+    # that raises is the interning of a new state at the state cap.  On a
+    # build capped at its own size the lookup raises on every call and
+    # stores nothing for the missing successor: the first call keeps every
+    # entry and may add only the successors it resolved before the missing
+    # one, each with its right id, and every later call leaves the tables
+    # unchanged.  Uncapped, the lookup makes the Adam node and the missing
+    # states, with ids after the built ones and the full build's successors.
+    found = grew = splits = 0
     for game, graph, full, _pruned in pruned_pairs:
         if full.adam_count() > 5_000:
             continue
         pruned = _build(game, graph, pruned=True)
+        capped = _build(game, graph, state_cap=pruned.eve_count(), pruned=True)
         full_of = {key: eid for eid, key in enumerate(full._keys)}
-        splits = []
-        for eid, key in enumerate(pruned._keys):
+        for eid, key in enumerate(capped._keys):
             if key not in full_of:
                 continue  # a component state (see the dominance test)
             for aid in full.eve_succ[full_of[key]]:
-                if all(full._keys[s] in pruned._key_index for s in full.adam_succ[aid]):
+                if all(full._keys[s] in capped._key_index for s in full.adam_succ[aid]):
                     continue
-                if eid in pruned.split:
-                    splits.append((eid, aid))
-                    continue
-                before = copy.deepcopy(pruned._tables)
+                before = _copy_tables(capped)
                 for call in range(3):
-                    with pytest.raises(InvalidInput, match="not present in the built game"):
-                        pruned.adam_for_action(eid, full.adam_action[aid])
+                    with pytest.raises(StateCapExceeded):
+                        capped.adam_for_action(eid, full.adam_action[aid])
                     if call:
-                        assert pruned._tables == before
+                        assert capped._tables == before
                     else:
-                        assert all(pruned._tables[grown].items() >= table.items()
+                        assert all(capped._tables[grown].items() >= table.items()
                                    for grown, table in before.items())
-                        grew += pruned._tables != before
-                        _check_tables(pruned)
-                        before = copy.deepcopy(pruned._tables)
+                        grew += capped._tables != before
+                        _check_tables(capped)
+                        before = _copy_tables(capped)
+                assert capped.built == (capped.eve_count(), capped.adam_count())
+                got = pruned.adam_for_action(eid, full.adam_action[aid])
+                assert got >= pruned.built[1]
+                assert [pruned._keys[s] for s in pruned.adam_succ[got]] == \
+                    [full._keys[s] for s in full.adam_succ[aid]]
                 found += 1
-        tables = copy.deepcopy(pruned._tables)
-        for eid, aid in splits:
-            got = pruned.adam_for_action(eid, full.adam_action[aid])
-            assert got >= pruned.built[1]
-            assert [pruned._keys[s] for s in pruned.adam_succ[got]] == \
-                [full._keys[s] for s in full.adam_succ[aid]]
-            made += 1
-        assert pruned._tables == tables
-    assert found > 100 and grew and made > 100
+                splits += eid in pruned.split
+        _check_tables(pruned)
+    assert found - splits > 100 and splits > 100 and grew, (found, splits, grew)
+
+
+def _assert_expanded_as_plain(eg, game, graph) -> int:
+    """Assert that the pruned build `eg`, its split states expanded, holds
+    every state of the plain pruned build with the same set of successor-key
+    tuples, that every other state of it is a component state of one of its
+    states, and that it holds nothing made on demand; returns the number of
+    those other states."""
+    plain = plain_pruned_build(game, graph)
+    assert not eg.split and eg.built == (eg.eve_count(), eg.adam_count())
+    for p, key in enumerate(plain._keys):
+        e = eg._key_index[key]
+        assert {tuple(eg._keys[s] for s in eg.adam_succ[a]) for a in eg.eve_succ[e]} == \
+            {tuple(plain._keys[s] for s in plain.adam_succ[a]) for a in plain.eve_succ[p]}
+    enc = eg._encoding
+    parts = {part for key in eg._keys for part in epistemic.components(enc, key)}
+    others = set(eg._keys) - set(plain._keys)
+    assert others <= parts
+    _check_tables(eg)
+    return len(others)
+
+
+def test_expand_split_gives_the_plain_pruned_game(pruned_pairs, pruned_solves):
+    # On the 20 `wide` and `branchy` games, `expand_split` drops what was
+    # made on demand (here the Adam nodes of every full-build action of
+    # every split state) and expands the split states: the game then holds
+    # the plain pruned build, which expands every state, with the same
+    # successors at each state, and only component states besides.  So do
+    # the games `solve` expanded after its strategy had made nodes on demand
+    # (`branchy` 6 and 8).
+    with_others = fell_back = 0
+    for (game, graph, full, pruned), result in family_solves(pruned_pairs, pruned_solves):
+        eg = _build(game, graph, pruned=True)
+        full_of = {key: e for e, key in enumerate(full._keys)}
+        for e in list(eg.split):
+            for aid in full.eve_succ[full_of[eg._keys[e]]]:
+                eg.adam_for_action(e, full.adam_action[aid])
+        assert eg.eve_count() > eg.built[0]
+        eg.expand_split()
+        with_others += _assert_expanded_as_plain(eg, game, graph) > 0
+        if not result.strategy.eg.split:
+            assert pruned.split
+            fell_back += 1
+            _assert_expanded_as_plain(result.strategy.eg, game, graph)
+    assert (with_others, fell_back) == (7, 2)
 
 
 def test_move_table_matches_sliced_reference(random_instances):

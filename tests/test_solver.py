@@ -554,6 +554,52 @@ def test_pruned_build_gives_the_full_answers(pruned_pairs, pruned_solves):
     assert found >= 50
 
 
+def _p_safe_graph(eg, win) -> dict[int, set[int]]:
+    """The p-safe graph of the build `eg` under the won deviated states
+    `win`, rebuilt from the build alone: the states without suspects that
+    complying edges reach from `eg.init`, each mapped to its successors.  An
+    Adam node of such a state is a complying edge to its non-deviated
+    successor when all of its deviated successors lie in `win`."""
+    states = eg.eve_states
+    graph: dict[int, set[int]] = {}
+    todo = [eg.init]
+    while todo:
+        e = todo.pop()
+        if e in graph:
+            continue
+        graph[e] = set()
+        for aid in eg.eve_succ[e]:
+            succ = eg.adam_succ[aid]
+            if all(s in win for s in succ if states[s].deviated):
+                graph[e].update(s for s in succ if not states[s].deviated)
+        todo.extend(graph[e])
+    return graph
+
+
+def test_not_found_candidates_have_no_paying_p_safe_cycle(pruned_pairs, pruned_solves):
+    # A candidate is ruled out when its punishment solve ran and the lasso
+    # search found no lasso.  For each such candidate of the random suite
+    # and the `wide` and `branchy` games, no set of vertices that a path of
+    # the rebuilt p-safe graph can visit forever pays p: the complying states
+    # are one per vertex, so every subset of them is tried.  For the found
+    # candidate some set pays p.
+    ruled_out = found = 0
+    for (game, _graph, _full, eg), result in list(zip(pruned_pairs, pruned_solves))[:-2]:
+        paid = {game.payoff.outcomes[r] for r in set(game.colors.rule[1:])}
+        tried = candidate_payoffs(game) if result is None else result.candidates_tried
+        for p in tried:
+            if p not in paid:
+                continue  # ruled out before any punishment solve
+            graph = _p_safe_graph(eg, punishment_region(eg, p).win)
+            vertex = {e: eg.eve_states[e].vertex for e in graph}
+            recurring = brute_force_recurring_color_sets(graph, graph, vertex)
+            pays = any(game.payoff.value(inf) == p for inf in recurring)
+            assert pays == (result is not None and p == result.payoff), (game, p)
+            ruled_out += not pays
+            found += pays
+    assert ruled_out > 25 and found > 50, (ruled_out, found)
+
+
 def _unnamed(result, game) -> tuple:
     """The lasso of a solve as vertex positions and its profile with every
     vertex and action name replaced by its position in the game's lists."""

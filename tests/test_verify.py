@@ -25,7 +25,7 @@ from equisynth.translate import (
     omega,
 )
 
-from conftest import build_reachable, complete_strategy, tamper_punishment
+from conftest import build_reachable, complete_strategy, family_solves, tamper_punishment
 from oracles import full_build_verify, nash_violations, verify_outcome
 from test_translate import Denounce, LateSelfReport, MessageOverride, RejectAfterId
 
@@ -286,3 +286,19 @@ def test_components_with_multi_leaf_trees_expand_the_split_states():
         assert all(e < eg.built[0] for table in result.strategy.layers.values()
                    for e, _leaf in table.entries)
         _passes_verify_and_nash(game, graph, result)
+
+
+def test_reversed_punishment_rows_read_back_on_a_pruned_build(pruned_pairs, pruned_solves):
+    # A row at a split state makes its Adam node and its successors on
+    # demand, and a later row may name one of those successors.  A built
+    # game resolves keys and actions as a view does, so the rows may come in
+    # any order: each `wide` and `branchy` profile, its punishment rows
+    # reversed, reads back on a fresh pruned build and passes every check.
+    games = family_solves(pruned_pairs, pruned_solves)
+    assert len(games) == 20
+    for (game, graph, _full, _pruned), result in games:
+        data = result.strategy.to_dict()
+        data["punish"].reverse()
+        eg = build_reachable(game, graph, pruned=True)
+        strategy = EveStrategy.from_dict(eg, data)
+        assert _verify_strategy(game, graph, eg, strategy)[1] == [], game
