@@ -205,38 +205,27 @@ def _verify_strategy(game, graph, eg, strategy) -> tuple[dict, list[str]]:
     not crash it."""
     failures: list[str] = []
     p = strategy.payoff
-    comply_cycle: list[str] = []
-    payoff_ok = False
-    try:
-        mc = model_check_strategy(eg, strategy, p)
-        comply_cycle = list(mc.complying_cycle)
-        payoff_ok = mc.ok
-        if not mc.ok:
-            failures += [f"payoff contract: {v}" for v in mc.violations]
-    except _CHECK_ERRORS as exc:
-        failures.append(f"payoff contract: {exc}")
-    norm_ok = False
     profile = omega(eg, strategy)
-    try:
-        norm = check_normed(game, graph, profile)
-        norm_ok = norm.ok
-        if not norm.ok:
-            failures += [f"message rules: {v}" for v in norm.violations]
-    except _CHECK_ERRORS as exc:
-        failures.append(f"message rules: {exc}")
-    resist_cycle: list[str] = []
-    try:
-        resist = check_deviation_resistance(eg, profile, p)
-        if not resist.ok:
-            failures += [f"deviation resistance: {v}" for v in resist.violations]
-        resist_cycle = list(resist.complying_cycle)
-    except _CHECK_ERRORS as exc:
-        failures.append(f"deviation resistance: {exc}")
+
+    def run(label: str, check, *args):
+        """The report of `check(*args)`, its violations added to `failures`,
+        or None, with the exception added, if the check raises."""
+        try:
+            report = check(*args)
+        except _CHECK_ERRORS as exc:
+            failures.append(f"{label}: {exc}")
+            return None
+        failures.extend(f"{label}: {v}" for v in report.violations)
+        return report
+
+    mc = run("payoff contract", model_check_strategy, eg, strategy, p)
+    norm = run("message rules", check_normed, game, graph, profile)
+    resist = run("deviation resistance", check_deviation_resistance, eg, profile, p)
     checks = {
-        "payoff_contract": payoff_ok,
-        "complying_cycle": comply_cycle,
-        "message_rules": norm_ok,
-        "deviation_resistance_cycle": resist_cycle,
+        "payoff_contract": mc is not None and mc.ok,
+        "complying_cycle": list(mc.complying_cycle) if mc else [],
+        "message_rules": norm is not None and norm.ok,
+        "deviation_resistance_cycle": list(resist.complying_cycle) if resist else [],
     }
     return checks, failures
 
@@ -310,7 +299,7 @@ def _verify_profile(game, graph, data, state_cap: int = STATE_CAP):
     checks, failures = _verify_strategy(game, graph, eg, strategy)
     log.info(
         "verified on %d protagonist / %d antagonist states of the epistemic game in %.3fs",
-        len(eg.eve_states), len(eg.adam_succ), time.perf_counter() - t0,
+        eg.eve_count(), eg.adam_count(), time.perf_counter() - t0,
     )
     return strategy, checks, failures
 

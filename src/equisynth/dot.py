@@ -42,20 +42,24 @@ def _comm_dot(graph: CommGraph) -> str:
 
 
 def _epistemic_dot(eg: EpistemicGame) -> str:
+    """The states and Adam nodes the build made, not those a lookup made
+    on demand after it."""
     lines = ["digraph epistemic {", "  rankdir=LR;"]
-    for eid, state in enumerate(eg.eve_states):
+    eves, adams = eg.built
+    states = [eg.state(eid) for eid in range(eves)]
+    for eid, state in enumerate(states):
         lines.append(f"  e{eid} [shape=box, label={_quote(state_key(state))}];")
-    for eid, state in enumerate(eg.eve_states):
+    for eid, state in enumerate(states):
         for aid in eg.eve_succ[eid]:
             label = action_key(state, eg.adam_action[aid])
             lines.append(f"  a{aid} [shape=circle, label={_quote(label)}];")
-    for eid in range(eg.eve_count()):
+    for eid in range(eves):
         for aid in eg.eve_succ[eid]:
             lines.append(f"  e{eid} -> a{aid};")
     # The bold edge is the complying one: the only non-deviated successor.
-    for aid, succ in enumerate(eg.adam_succ):
-        for sid in succ:
-            state = eg.eve_states[sid]
+    for aid in range(adams):
+        for sid in eg.adam_succ[aid]:
+            state = states[sid]
             style = "" if state.deviated else ", style=bold"
             lines.append(f"  a{aid} -> e{sid} [label={_quote(state.vertex)}{style}];")
     lines.append("}")

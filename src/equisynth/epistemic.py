@@ -17,7 +17,7 @@ sets against it.
 Eve states are (vertex, situations); Adam states pair an Eve state with a
 suggested joint move (no suspects) or with a move function (suspects
 present): one joint move per suspect, in the state's suspect order, so the
-suspects' names are kept only in the Eve state.  Move functions must suggest
+suspects are kept only in the Eve state.  Move functions must suggest
 the same action to any player uninformed under both of two hypotheses.
 Actions with the same successors share one Adam node, and there is nothing
 left to merge once the actions are enumerated one per distinct (reach
@@ -58,9 +58,10 @@ hypotheses that survive there, depends on nothing else of the state or the
 action, so a view resolves keys through one table per grown-mask tuple,
 shared by every state and action lookup with that tuple: informed masks
 saturate within the graph's diameter, so few tuples serve many states.
-The string `EveState` that solver, translation and reports read is made
-once, when a new key is interned, and its `Situation`s once per (suspect,
-informed mask) and encoding: states share equal situations.
+The key is a state's only form inside the engine: the solver and the
+translation read its vertex, suspects and masks.  Names appear only in text:
+`Encoding.key_of_text` matches a profile row's key, and `EpistemicView.state`
+renders a key's `EveState` for reports, DOT and the paper-level checks.
 
 The build `solve` uses is dominance-pruned (antichains for games of
 imperfect information, De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  At
@@ -114,7 +115,7 @@ members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidInput, StateCapExceeded
@@ -138,18 +139,13 @@ class Situation:
 class EveState:
     vertex: str
     situations: tuple[Situation, ...]
-    # The suspects in situation order, made once: every strategy step reads them.
-    _deviators: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_deviators", tuple(s.deviator for s in self.situations))
 
     @property
     def deviated(self) -> bool:
         return bool(self.situations)
 
     def deviators(self) -> tuple[str, ...]:
-        return self._deviators
+        return tuple(s.deviator for s in self.situations)
 
     def informed(self, deviator: str) -> tuple[str, ...]:
         for s in self.situations:
@@ -245,6 +241,11 @@ def knowledge_violations(state: EveState, players, knowledge=None) -> list[str]:
 StateKey = tuple[int, tuple[tuple[int, int], ...]]
 
 
+def suspects(key: StateKey) -> tuple[int, ...]:
+    """The deviator indices of `key`, in its hypothesis order."""
+    return next(zip(*key[1]), ())
+
+
 def _bits(mask: int):
     """Positions of the set bits of `mask`, lowest first."""
     while mask:
@@ -269,7 +270,6 @@ class Encoding:
         # Set by `build_reachable`: one encoding serves one build.
         self.pruned = False
         self._options: dict[tuple[int, int, int], list[tuple]] = {}
-        self._situations: dict[tuple[int, int], Situation] = {}
         self._by_radius: Optional[list[tuple[tuple[str, tuple[int, int]], ...]]] = None
 
     def grow(self, mask: int) -> int:
@@ -382,11 +382,9 @@ class Encoding:
 
     def state(self, key: StateKey) -> EveState:
         v, pairs = key
-        players, situations = self.game.players, self._situations
-        for d, m in pairs:
-            if (d, m) not in situations:
-                situations[d, m] = Situation(players[d], tuple(players[b] for b in _bits(m)))
-        return EveState(self.game.vertices[v], tuple(map(situations.__getitem__, pairs)))
+        players = self.game.players
+        return EveState(self.game.vertices[v], tuple(
+            Situation(players[d], tuple(players[b] for b in _bits(m))) for d, m in pairs))
 
     def key_of_text(self, text: str) -> Optional[StateKey]:
         """The key whose `state_key` is `text`, if a reachable state can have
@@ -636,7 +634,8 @@ STATE_CAP = 1_000_000
 class EpistemicView:
     """The part of the full epistemic game that is read, made as it is read.
     Its members are all that strategies, profile rows and checks read of an
-    epistemic game, built (`EpistemicGame`) or not.
+    epistemic game, built (`EpistemicGame`) or not: `keys[eid]` is Eve id
+    eid's key, and `state(eid)` renders it with names for text.
 
     An Eve state is interned when a profile row names its key
     (`eve_for_key`) or an action resolved to an Adam node
@@ -654,7 +653,7 @@ class EpistemicView:
             raise InvalidInput("comm graph players must match game players")
         self.game = game
         self.graph = graph
-        self.eve_states: list[EveState] = []
+        self.keys: list[StateKey] = []  # Eve id -> its key
         self.eve_succ: list[range] = []  # expanded Eve id -> its block of Adam ids
         self.adam_action: list[EveAction] = []  # Adam id -> the action producing it
         # Adam id -> successor Eve ids, in vertex order
@@ -665,7 +664,6 @@ class EpistemicView:
         self._splits = False
         self._encoding = Encoding(game, graph)
         self._state_cap = state_cap
-        self._keys: list[StateKey] = []
         self._key_index: dict[StateKey, int] = {}
         self._adam_index: dict[tuple[int, tuple[int, ...]], int] = {}
         # Grown-mask tuple -> its successor memo (see `successors`)
@@ -675,29 +673,32 @@ class EpistemicView:
     def _intern(self, key: StateKey) -> int:
         i = self._key_index.get(key)
         if i is None:
-            if len(self._keys) >= self._state_cap:
+            if len(self.keys) >= self._state_cap:
                 raise StateCapExceeded(
                     f"{self._stage} exceeded {self._state_cap} Eve states: "
-                    f"{len(self._keys)} states interned, {len(self.eve_succ)} states "
+                    f"{len(self.keys)} states interned, {len(self.eve_succ)} states "
                     f"expanded, {len(self.adam_succ)} Adam nodes made"
                 )
-            i = self._key_index[key] = len(self._keys)
-            self._keys.append(key)
-            self.eve_states.append(self._encoding.state(key))
+            i = self._key_index[key] = len(self.keys)
+            self.keys.append(key)
             if self._splits and len(key[1]) > 1:
                 parts = components(self._encoding, key)
                 if parts:
                     self.split[i] = tuple(map(self._intern, parts))
         return i
 
+    def state(self, eid: int) -> EveState:
+        """Eve id `eid`'s state, with names: for text and checks only."""
+        return self._encoding.state(self.keys[eid])
+
     def eve_count(self) -> int:
-        return len(self.eve_states)
+        return len(self.keys)
 
     def adam_count(self) -> int:
         return len(self.adam_succ)
 
     def deviated_ids(self) -> list[int]:
-        return [i for i, s in enumerate(self.eve_states) if s.deviated]
+        return [i for i, (_v, pairs) in enumerate(self.keys) if pairs]
 
     def eve_for_key(self, text: str) -> Optional[int]:
         """The Eve id of the state whose `state_key` is `text`, interned on
@@ -710,7 +711,7 @@ class EpistemicView:
         with its successors in the state's block if it was expanded, else
         one made on first use.  An action that is not enabled there raises
         InvalidInput (see `action_reach`)."""
-        enc, key = self._encoding, self._keys[eve_id]
+        enc, key = self._encoding, self.keys[eve_id]
         grown = expand(enc, key)
         sig = successors(enc, grown, *action_reach(enc, key, action), self._intern,
                          self._tables.setdefault(grown, {}))
@@ -747,7 +748,7 @@ class EpistemicGame(EpistemicView):
         expand the interned states from `len(eve_succ)` on, in id order,
         each successor interned as it is met; a split state gets an empty
         block."""
-        enc, keys, tables, intern = self._encoding, self._keys, self._tables, self._intern
+        enc, keys, tables, intern = self._encoding, self.keys, self._tables, self._intern
         eve_succ, split, adam_action, adam_succ = (
             self.eve_succ, self.split, self.adam_action, self.adam_succ)
         while redo or len(eve_succ) < len(keys):
@@ -773,9 +774,9 @@ class EpistemicGame(EpistemicView):
         name ids that no longer hold; each split state keeps its id, and its
         block of Adam ids follows the build's."""
         eves, adams = self.built
-        for key in self._keys[eves:]:
+        for key in self.keys[eves:]:
             del self._key_index[key]
-        del self._keys[eves:], self.eve_states[eves:]
+        del self.keys[eves:]
         del self.adam_action[adams:], self.adam_succ[adams:]
         self._adam_index.clear()
         self._tables.clear()
@@ -834,8 +835,8 @@ def build_reachable(
 def check_knowledge_invariant(eg: EpistemicView) -> list[str]:
     """Knowledge characterization on every reachable deviated Eve state."""
     out: list[str] = []
-    for state in eg.eve_states:
-        out.extend(knowledge_violations(state, eg.game.players))
+    for eid in range(eg.eve_count()):
+        out.extend(knowledge_violations(eg.state(eid), eg.game.players))
     return out
 
 
@@ -845,16 +846,18 @@ def check_distance_characterization(eg: EpistemicGame) -> list[str]:
 
     The step counts r at which each deviated state occurs come from a
     breadth-first walk from the first visible deviations, saturating one past
-    any informative value (the diameter plus two)."""
+    any informative value (the diameter plus two), over the states the build
+    expanded and the Adam nodes of their blocks."""
     cap = eg.graph.diameter + 2
-    dev_steps: list[set[int]] = [set() for _ in eg.eve_states]
+    keys = eg.keys
+    dev_steps: list[set[int]] = [set() for _ in eg.eve_succ]
     queue: list[tuple[int, int]] = []
-    for eid, state in enumerate(eg.eve_states):
-        if state.deviated:
+    for eid in range(len(eg.eve_succ)):
+        if keys[eid][1]:
             continue
         for aid in eg.eve_succ[eid]:
             for sid in eg.adam_succ[aid]:
-                if eg.eve_states[sid].deviated and 1 not in dev_steps[sid]:
+                if keys[sid][1] and 1 not in dev_steps[sid]:
                     dev_steps[sid].add(1)
                     queue.append((sid, 1))
     qi = 0
@@ -870,9 +873,10 @@ def check_distance_characterization(eg: EpistemicGame) -> list[str]:
 
     out: list[str] = []
     dist = eg.graph.dist
-    for eid, state in enumerate(eg.eve_states):
-        if not state.deviated:
+    for eid in range(len(eg.eve_succ)):
+        if not keys[eid][1]:
             continue
+        state = eg.state(eid)
         informed = state.informed_map()
         for r in sorted(dev_steps[eid]):
             for d in state.deviators():

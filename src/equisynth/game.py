@@ -159,7 +159,7 @@ class Colors:
     bitmask of the shared color (0 if every vertex is an atom)."""
 
     classes: tuple[tuple[str, ...], ...]  # color -> its vertices
-    of: dict[str, int]  # vertex -> color
+    of: tuple[int, ...]  # vertex index -> color
     rule: tuple[int, ...]
     shared: int
 
@@ -267,13 +267,14 @@ class ConcurrentGame:
         rest = tuple(v for v in self.vertices if v not in atoms)
         classes = [(v,) for v in self.vertices if v in atoms] + ([rest] if rest else [])
         classes.sort(key=lambda cls: self.vertex_index[cls[0]])
-        of = {v: c for c, cls in enumerate(classes) for v in cls}
+        color = {v: c for c, cls in enumerate(classes) for v in cls}
         union = [frozenset()]  # bitmask -> vertices of those colors
         for mask in range(1, 1 << len(classes)):
             low = mask & -mask
             union.append(union[mask ^ low] | frozenset(classes[low.bit_length() - 1]))
         rule = tuple(map(self.payoff.first_match, union))
-        return Colors(tuple(classes), of, rule, 1 << of[rest[0]] if rest else 0)
+        return Colors(tuple(classes), tuple(map(color.__getitem__, self.vertices)), rule,
+                      1 << color[rest[0]] if rest else 0)
 
     @cached_property
     def action_index(self) -> dict[str, int]:

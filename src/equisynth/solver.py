@@ -62,7 +62,8 @@ expands every split state (`EpistemicGame.expand_split`) and solves the
 payoff again, on a region game with no AND node.
 
 A policy's memory holds only what the Eve state does not say: whether the
-play deviated, and which suspects it tracks, are read off the state.
+play deviated, and which suspects it tracks, are read off the state's key
+(`EpistemicView.keys`), and a layer is keyed by its suspects' indices.
 Suspect sets only shrink, so a step stays in a punishment layer iff the
 number of suspects stays the same.  `EveStrategy` keeps one int, the lasso
 position at states without suspects and the tree leaf elsewhere;
@@ -86,7 +87,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .epistemic import EpistemicGame, EpistemicView, EveAction, state_key
+from .epistemic import EpistemicGame, EpistemicView, EveAction, state_key, suspects
 from .errors import (
     InvalidInput,
     LarCapExceeded,
@@ -99,7 +100,7 @@ from .parity import ParityGame, solve_parity
 from .parsing import _as_rational
 
 Vector = tuple[Fraction, ...]
-DevKey = tuple[str, ...]
+DevKey = tuple[int, ...]  # a layer's suspects, as player indices
 
 # Default cap on the product nodes each punishment layer adds to the region's
 # parity game (`--lar-cap`); a layer with a one-leaf tree adds none.
@@ -284,11 +285,16 @@ class PunishmentSolution:
 def _layer_groups(eg: EpistemicGame) -> dict[DevKey, list[int]]:
     """The deviated Eve ids the build made, grouped by suspect set."""
     groups: dict[DevKey, list[int]] = {}
-    states = eg.eve_states
+    keys = eg.keys
     for eid in range(eg.built[0]):
-        if states[eid].deviated:
-            groups.setdefault(states[eid].deviators(), []).append(eid)
+        if keys[eid][1]:
+            groups.setdefault(suspects(keys[eid]), []).append(eid)
     return groups
+
+
+def _names(game: ConcurrentGame, dev: DevKey) -> tuple[str, ...]:
+    """The names of the suspects `dev`, for text."""
+    return tuple(game.players[d] for d in dev)
 
 
 def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
@@ -297,8 +303,7 @@ def _layer_color_classes(game: ConcurrentGame, p: Vector, dev: DevKey):
     of classes: each rule's vector is compared with p once, and each set of
     classes reads the verdict of its rule."""
     colors = game.colors
-    dev_idx = [game.player_index[d] for d in dev]
-    ok = [all(vec[i] <= p[i] for i in dev_idx) for vec in game.payoff.outcomes]
+    ok = [all(vec[i] <= p[i] for i in dev) for vec in game.payoff.outcomes]
     return colors.classes, [ok[k] for k in colors.rule]
 
 
@@ -342,7 +347,7 @@ class _RegionGame:
         # Per layer: its table, its Eve ids and the nodes it added.
         self.layers: list[tuple[LayerTable, list[int], range]] = []
         # Eve id -> its number of suspects.
-        self.suspects = [len(s.situations) for s in eg.eve_states[:eves]]
+        self.suspects = [len(pairs) for _v, pairs in eg.keys[:eves]]
 
     def key(self, node: int) -> tuple[int, int]:
         if node < self.eves:
@@ -363,7 +368,7 @@ class _RegionGame:
 
         for _table, layer_eves, added in self.layers:
             yield chain(with_adam(layer_eves), added)
-        yield with_adam([e for e, s in enumerate(self.eg.eve_states[:eves]) if not s.deviated])
+        yield with_adam([e for e, (_v, pairs) in enumerate(self.eg.keys[:eves]) if not pairs])
 
 
 def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[int]) -> LayerTable:
@@ -377,7 +382,7 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
     classes, tree = _layer_setup(eg.game, p, dev)
     eves, base = region.eves, region.base
     owner, priority, succ = region.owner, region.priority, region.succ
-    adam_succ, eve_succ, states, split = eg.adam_succ, eg.eve_succ, eg.eve_states, eg.split
+    adam_succ, eve_succ, keys, split = eg.adam_succ, eg.eve_succ, eg.keys, eg.split
     of = eg.game.colors.of
     index: dict[tuple[int, int, int], int] = {}  # (id, leaf, owner) -> added node
     first = len(owner)
@@ -390,22 +395,22 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
             node = len(owner)
             if node - first >= region.lar_cap:
                 raise LarCapExceeded(
-                    f"punishment product exceeded {region.lar_cap} nodes in the layer "
-                    f"with suspects {{{','.join(dev)}}}: {len(tree)} tree leaves, "
+                    f"punishment product exceeded {region.lar_cap} nodes in the layer with "
+                    f"suspects {{{','.join(_names(eg.game, dev))}}}: {len(tree)} tree leaves, "
                     f"{len(layer_eves)} Eve states and "
                     f"{sum(len(eve_succ[e]) for e in layer_eves)} Adam nodes in the "
                     f"layer, {node - first} product nodes made"
                 )
             index[ident, leaf, player] = node
             owner.append(player)
-            priority.append(0 if player else tree[leaf][of[states[ident].vertex]][1])
+            priority.append(0 if player else tree[leaf][of[keys[ident][0]]][1])
             succ.append(())
             region.ids.append(ident)
             region.leaf.append(leaf)
         return node
 
     for e in layer_eves:
-        nxt, priority[e] = tree[0][of[states[e].vertex]]
+        nxt, priority[e] = tree[0][of[keys[e][0]]]
         if e in split:
             owner[e], succ[e] = 1, split[e]
             continue
@@ -419,7 +424,7 @@ def _solve_layer(region: _RegionGame, p: Vector, dev: DevKey, layer_eves: list[i
     while node < len(owner):  # the product grows while it is read
         ident, leaf = region.ids[node - base], region.leaf[node - base]
         if owner[node] == 0:
-            nxt = tree[leaf][of[states[ident].vertex]][0]
+            nxt = tree[leaf][of[keys[ident][0]]][0]
             succ[node] = [node_of(aid, nxt, 1) for aid in eve_succ[ident]]
         else:
             succ[node] = [node_of(sid, leaf, 0) if sid in layer else sid
@@ -436,7 +441,7 @@ def punishment_region(eg: EpistemicGame, p: Vector, lar_cap: int = LAR_CAP) -> P
     region = _RegionGame(eg, lar_cap)
     groups = _layer_groups(eg)
     layers: dict[DevKey, LayerTable] = {}
-    for dev in sorted(groups, key=lambda d: (len(d), d)):
+    for dev in sorted(groups, key=lambda d: (len(d), _names(eg.game, d))):
         layers[dev] = _solve_layer(region, p, dev, groups[dev])
     winner, move = solve_parity(ParityGame(region.owner, region.priority, region.succ),
                                 region.blocks(), region.suspects)
@@ -480,23 +485,24 @@ class EveStrategy:
         return self.cycle[(pos - len(self.prefix)) % len(self.cycle)]
 
     def action(self, eve_id: int, mem: int) -> int:
-        state = self.eg.eve_states[eve_id]
-        if not state.deviated:
+        eg, key = self.eg, self.eg.keys[eve_id]
+        if not key[1]:
             entry_eve, aid = self._comply_entry(mem)
             if entry_eve != eve_id:
                 raise StrategyUndefined(
                     f"complying track expected state "
-                    f"{state_key(self.eg.eve_states[entry_eve])}, got {state_key(state)}"
+                    f"{state_key(eg.state(entry_eve))}, got {state_key(eg.state(eve_id))}"
                 )
             return aid
-        dev = state.deviators()
+        dev = suspects(key)
         table = self.layers.get(dev)
         aid = None if table is None else table.entries.get((eve_id, mem))
-        if aid is None and eve_id in self.eg.split:
+        if aid is None and eve_id in eg.split:
             aid = self._joined(eve_id, mem)
         if aid is None:
             raise StrategyUndefined(
-                f"punishment table for {dev} undefined at {state_key(state)} with leaf {mem}"
+                f"punishment table for {_names(eg.game, dev)} undefined at "
+                f"{state_key(eg.state(eve_id))} with leaf {mem}"
             )
         return aid
 
@@ -508,16 +514,15 @@ class EveStrategy:
         entry, or its layer's tree more than one leaf: it needs memory of
         its own, which no row can hold."""
         eg = self.eg
-        state = eg.eve_states[eve_id]
-        moves: dict[str, tuple[str, ...]] = {}
+        moves: dict[int, tuple[str, ...]] = {}
         for c in eg.split[eve_id]:
-            dev = eg.eve_states[c].deviators()
+            dev = suspects(eg.keys[c])
             table = self.layers.get(dev)
             aid = None if table is None or len(table.tree) > 1 else table.entries.get((c, 0))
             if aid is None:
                 return None
             moves.update(zip(dev, eg.adam_action[aid]))
-        dev = state.deviators()
+        dev = suspects(eg.keys[eve_id])
         aid = eg.adam_for_action(eve_id, tuple(map(moves.__getitem__, dev)))
         if dev not in self.layers:
             self.layers[dev] = LayerTable(*_layer_setup(eg.game, self.payoff, dev), entries={})
@@ -525,26 +530,25 @@ class EveStrategy:
         return aid
 
     def advance(self, mem: int, eve_id: int, next_eve_id: int) -> int:
-        state = self.eg.eve_states[eve_id]
-        nxt = self.eg.eve_states[next_eve_id]
-        if not nxt.deviated:
+        key, nxt = self.eg.keys[eve_id], self.eg.keys[next_eve_id][1]
+        if not nxt:
             pos = mem + 1
             return pos if pos < len(self.prefix) + len(self.cycle) else len(self.prefix)
-        if len(nxt.situations) == len(state.situations):
-            table = self.layers[state.deviators()]
-            return table.tree[mem][self.eg.game.colors.of[state.vertex]][0]
+        if len(nxt) == len(key[1]):
+            table = self.layers[suspects(key)]
+            return table.tree[mem][self.eg.game.colors.of[key[0]]][0]
         return 0
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
+        """The profile: punishment rows by their suspects' names, then by
+        (Eve id, leaf)."""
         eg = self.eg
 
         def row_json(e: int, aid: int, **extra):
-            state, action = eg.eve_states[e], eg.adam_action[aid]
-            if state.deviated:
-                action_json = {d: list(m) for d, m in zip(state.deviators(), action)}
-            else:
-                action_json = list(action)
+            state, action = eg.state(e), eg.adam_action[aid]
+            action_json = (dict(zip(state.deviators(), map(list, action))) if state.deviated
+                           else list(action))
             return {"key": state_key(state), **extra, "action": action_json}
 
         return {
@@ -556,8 +560,8 @@ class EveStrategy:
             },
             "punish": [
                 row_json(e, aid, leaf=leaf)
-                for _dev, table in sorted(self.layers.items())
-                for (e, leaf), aid in sorted(table.entries.items())
+                for dev in sorted(self.layers, key=lambda dev: _names(eg.game, dev))
+                for (e, leaf), aid in sorted(self.layers[dev].entries.items())
             ],
         }
 
@@ -585,20 +589,20 @@ class EveStrategy:
                 raise InvalidInput("profile action must be a JSON list of action names")
             return tuple(raw)
 
-        def action_of(raw, eve_id) -> EveAction:
-            state = eg.eve_states[eve_id]
-            if isinstance(raw, dict) != state.deviated:
-                shape = ("a JSON object keyed by suspect" if state.deviated
-                         else "a JSON list of action names")
-                raise InvalidInput(f"profile action at {state_key(state)} must be {shape}")
-            if not state.deviated:
+        def action_of(row, eve_id) -> EveAction:
+            # An Eve id read from a row has the row's key as its `state_key`.
+            raw, dev = row["action"], suspects(eg.keys[eve_id])
+            if isinstance(raw, dict) != bool(dev):
+                shape = "a JSON object keyed by suspect" if dev else "a JSON list of action names"
+                raise InvalidInput(f"profile action at {row['key']} must be {shape}")
+            if not dev:
                 return move_of(raw)
-            others = sorted(set(raw) - set(state.deviators()))
+            names = _names(eg.game, dev)
+            others = sorted(set(raw) - set(names))
             if others:
-                raise InvalidInput(
-                    f"profile action at {state_key(state)} names non-suspects {others}")
+                raise InvalidInput(f"profile action at {row['key']} names non-suspects {others}")
             try:
-                return tuple(move_of(raw[d]) for d in state.deviators())
+                return tuple(move_of(raw[d]) for d in names)
             except KeyError as exc:
                 raise InvalidInput(f"profile action misses suspect {exc}") from exc
 
@@ -614,7 +618,7 @@ class EveStrategy:
             out = []
             for row in rows:
                 e = eve_of(row)
-                out.append((e, eg.adam_for_action(e, action_of(row["action"], e))))
+                out.append((e, eg.adam_for_action(e, action_of(row, e))))
             return tuple(out)
 
         if not isinstance(data["payoff"], list):
@@ -629,11 +633,10 @@ class EveStrategy:
         layers: dict[DevKey, LayerTable] = {}
         for row in data["punish"]:
             e = eve_of(row)
-            state = eg.eve_states[e]
-            if not state.deviated:
+            dev = suspects(eg.keys[e])
+            if not dev:
                 raise InvalidInput(
                     f"profile punishment row at {row['key']}, a state without suspects")
-            dev = state.deviators()
             table = layers.get(dev)
             if table is None:
                 table = layers[dev] = LayerTable(
@@ -648,7 +651,7 @@ class EveStrategy:
                 )
             if (e, leaf) in table.entries:
                 raise InvalidInput(f"profile has two rows for {row['key']} at leaf {leaf}")
-            table.entries[(e, leaf)] = eg.adam_for_action(e, action_of(row["action"], e))
+            table.entries[(e, leaf)] = eg.adam_for_action(e, action_of(row, e))
         return EveStrategy(eg=eg, payoff=payoff, prefix=prefix, cycle=cycle, layers=layers)
 
 
@@ -688,7 +691,6 @@ def solve(
         result = _find_lasso(eg, p, punish, main_inf)
         if result is not None:
             prefix, cycle = result
-            states = eg.eve_states
             strategy = _reached(EveStrategy(
                 eg=eg, payoff=p, prefix=prefix, cycle=cycle, layers=punish.layers
             ))
@@ -700,11 +702,12 @@ def solve(
                     eg=eg, payoff=p, prefix=prefix, cycle=cycle,
                     layers=punishment_region(eg, p, lar_cap).layers,
                 ))
+            vertices, keys = eg.game.vertices, eg.keys
             return SolveResult(
                 payoff=p,
                 strategy=strategy,
-                lasso_prefix=tuple(states[e].vertex for e, _ in prefix),
-                lasso_cycle=tuple(states[e].vertex for e, _ in cycle),
+                lasso_prefix=tuple(vertices[keys[e][0]] for e, _ in prefix),
+                lasso_cycle=tuple(vertices[keys[e][0]] for e, _ in cycle),
                 candidates_tried=tried,
             )
     return None
@@ -721,7 +724,7 @@ def _reached(strategy: EveStrategy) -> Optional[EveStrategy]:
     eg = strategy.eg
     seen = set(_product(eg, strategy, partial=True)[0])
     leaves = {dev: len(table.tree) for dev, table in strategy.layers.items()}
-    if eg.split and any(leaves.get(eg.eve_states[c].deviators(), 1) > 1
+    if eg.split and any(leaves.get(suspects(eg.keys[c]), 1) > 1
                         for e, _mem in seen if e in eg.split for c in eg.split[e]):
         return None
     layers = {}
@@ -737,7 +740,7 @@ def _reached(strategy: EveStrategy) -> Optional[EveStrategy]:
 
 def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
                 main_inf: Optional[frozenset[str]]):
-    states = eg.eve_states
+    keys = eg.keys
     # Reachable part of the p-safe graph: a complying edge is p-safe when
     # every visible deviation falls into the won region.
     safe_succ: dict[int, dict[int, int]] = {}
@@ -750,9 +753,9 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
         row = safe_succ[e] = {}
         for aid in eg.eve_succ[e]:
             succ = eg.adam_succ[aid]
-            if all(sid in punish.win for sid in succ if states[sid].deviated):
+            if all(sid in punish.win for sid in succ if keys[sid][1]):
                 # The complying successor is the one non-deviated successor.
-                row.setdefault(next(sid for sid in succ if not states[sid].deviated), aid)
+                row.setdefault(next(sid for sid in succ if not keys[sid][1]), aid)
         for t in row:
             if t not in seen:
                 seen.add(t)
@@ -760,13 +763,13 @@ def _find_lasso(eg: EpistemicGame, p: Vector, punish: PunishmentSolution,
 
     if main_inf is not None:
         index = eg.game.vertex_index
-        color = {e: index[states[e].vertex] for e in reach}
+        color = {e: keys[e][0] for e in reach}
         witness = recurring_witness(
             reach, safe_succ, color, sum(1 << index[v] for v in main_inf))
     else:
         colors = eg.game.colors
         pays = [vec == p for vec in eg.game.payoff.outcomes]
-        color = {e: colors.of[states[e].vertex] for e in reach}
+        color = {e: colors.of[keys[e][0]] for e in reach}
         found = recurring_sets(reach, safe_succ, color, colors.shared,
                                lambda cc: pays[colors.rule[cc]])
         witness = next((w for _cc, w in found), None)
@@ -877,7 +880,7 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
     `policy` follows the protocol of the module docstring: `initial()`,
     `action(eve_id, mem)` returning an Adam id, and
     `advance(mem, eve_id, next_eve_id)`."""
-    states = eg.eve_states
+    keys, players = eg.keys, eg.game.players
     nodes, succ = _product(eg, policy)
 
     violations: list[str] = []
@@ -888,10 +891,10 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
     while cur not in pos:
         pos[cur] = len(pos)
         # The one successor without suspects, if any.
-        cur = next((c for c in succ[cur] if not states[nodes[c][0]].deviated), None)
+        cur = next((c for c in succ[cur] if not keys[nodes[c][0]][1]), None)
         if cur is None:
             raise StrategyUndefined("complying outcome left the complying region")
-    comply_cycle = tuple(states[nodes[i][0]].vertex for i in list(pos)[pos[cur]:])
+    comply_cycle = tuple(eg.game.vertices[keys[nodes[i][0]][0]] for i in list(pos)[pos[cur]:])
     comply_payoff = eg.game.payoff.value(frozenset(comply_cycle))
     if comply_payoff != tuple(p):
         violations.append(
@@ -901,21 +904,20 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
 
     # Deviated product region: exact recurring-color-set analysis.
     colors, outcomes = eg.game.colors, eg.game.payoff.outcomes
-    color = [colors.of[states[eve_id].vertex] for eve_id, _mem in nodes]
-    deviated = [i for i in range(len(nodes)) if states[nodes[i][0]].deviated]
+    color = [colors.of[keys[eve_id][0]] for eve_id, _mem in nodes]
+    deviated = [i for i in range(len(nodes)) if keys[nodes[i][0]][1]]
     dev_ids = {i: n for n, i in enumerate(deviated)}
     sub_adj = [
         [dev_ids[t] for t in succ[i] if t in dev_ids] for i in deviated
     ]
     # Per suspect set, per payoff rule, the suspects its vector pays more than p.
-    index = eg.game.player_index
     bad_by_dev: dict[DevKey, list[list[str]]] = {}
     for comp in strongly_connected_components(len(deviated), sub_adj):
         comp_nodes = [deviated[i] for i in comp]
-        dev = states[nodes[comp_nodes[0]][0]].deviators()
+        dev = suspects(keys[nodes[comp_nodes[0]][0]])
         bad = bad_by_dev.get(dev)
         if bad is None:
-            bad = bad_by_dev[dev] = [[d for d in dev if vec[index[d]] > p[index[d]]]
+            bad = bad_by_dev[dev] = [[players[d] for d in dev if vec[d] > p[d]]
                                      for vec in outcomes]
         for cc, _witness in recurring_sets(comp_nodes, succ, color, colors.shared,
                                            lambda cc: bad[colors.rule[cc]]):
@@ -925,7 +927,7 @@ def model_check_strategy(eg: EpistemicView, policy, p: Vector) -> ModelCheckRepo
             violations.append(
                 "recurring vertices "
                 + "{" + ",".join(verts) + "}"
-                + f" with suspects {{{','.join(dev)}}} pay "
+                + f" with suspects {{{','.join(_names(eg.game, dev))}}} pay "
                 + f"({','.join(str(q) for q in outcomes[rule])})"
                 + f" exceeding the bound for {{{','.join(bad[rule])}}}"
             )

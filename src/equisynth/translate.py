@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import solver
-from .epistemic import EpistemicView, state_key
+from .epistemic import EpistemicView, state_key, suspects
 from .errors import (
     InvalidInput,
     NormednessViolation,
@@ -135,12 +135,13 @@ class OmegaProfile(Profile):
         step = self._step.get((eve_id, zmem, next_vertex))
         if step is None:
             eg = self.eg
+            t = eg.game.vertex_index.get(next_vertex)
             sid = next((s for s in eg.adam_succ[self._adam(eve_id, zmem)]
-                        if eg.eve_states[s].vertex == next_vertex), None)
+                        if eg.keys[s][0] == t), None)
             if sid is None:
                 raise ProfileInputRejected(
                     f"vertex {next_vertex!r} unreachable from "
-                    f"{state_key(eg.eve_states[eve_id])} under the suggested move"
+                    f"{state_key(eg.state(eve_id))} under the suggested move"
                 )
             step = self._step[eve_id, zmem, next_vertex] = (
                 sid, self.zeta.advance(zmem, eve_id, sid))
@@ -151,32 +152,33 @@ class OmegaProfile(Profile):
 
     def output(self, player: str, mstate) -> tuple[str, Message]:
         eve_id, zmem, believed = mstate
-        state = self.eg.eve_states[eve_id]
-        action = self.eg.adam_action[self._adam(eve_id, zmem)]
-        idx = self.eg.game.player_index[player]
-        if not state.deviated:
+        eg, index = self.eg, self.eg.game.player_index
+        key, idx = eg.keys[eve_id], index[player]
+        action = eg.adam_action[self._adam(eve_id, zmem)]
+        if not key[1]:
             return action[idx], None
         if believed is None:
             raise ProfileInputRejected(
-                f"no believed deviator for {player!r} at {state_key(state)}"
+                f"no believed deviator for {player!r} at {state_key(eg.state(eve_id))}"
             )
-        move = action[state.deviators().index(believed)]
-        msg = believed if player in state.informed(believed) else None
-        return move[idx], msg
+        j = suspects(key).index(index[believed])
+        msg = believed if key[1][j][1] >> idx & 1 else None
+        return action[j][idx], msg
 
     def advance(self, player: str, mstate, visible_messages: dict, next_vertex: str):
         eve_id, zmem, believed = mstate
         eg = self.eg
-        state = eg.eve_states[eve_id]
+        players, index = eg.game.players, eg.game.player_index
+        bit = 1 << index[player]
         sid, zmem2 = self._next(eve_id, zmem, next_vertex)
-        nxt = eg.eve_states[sid]
+        nxt = dict(eg.keys[sid][1])  # suspect index -> informed mask
         ids = {m for m in visible_messages.values() if m is not None}
         if len(ids) > 1:
             raise ProfileInputRejected(
                 f"distinct ids {sorted(ids)} received in one step"
             )
         got = next(iter(ids)) if ids else None
-        if not nxt.deviated:
+        if not nxt:
             if got is not None:
                 senders = {b for b, m in visible_messages.items() if m is not None}
                 if senders != {got}:
@@ -184,31 +186,25 @@ class OmegaProfile(Profile):
                         f"id {got!r} from {sorted(senders)} while the play complies"
                     )
             believed2 = None
+        elif got is not None:
+            if not nxt.get(index.get(got), 0) & bit:
+                raise ProfileInputRejected(
+                    f"received id {got!r} inconsistent with suspects "
+                    f"{{{','.join(players[d] for d in nxt)}}}"
+                )
+            believed2 = got
         else:
-            devs = nxt.deviators()
-            if got is not None:
-                if got not in devs or player not in nxt.informed(got):
-                    raise ProfileInputRejected(
-                        f"received id {got!r} inconsistent with suspects "
-                        f"{{{','.join(devs)}}}"
-                    )
-                believed2 = got
-            else:
-                if (
-                    believed is not None
-                    and state.deviated
-                    and player in state.informed(believed)
-                ):
-                    raise ProfileInputRejected(
-                        f"{player!r} was informed of {believed!r} but the id "
-                        "stopped arriving"
-                    )
-                cands = [d for d in devs if player not in nxt.informed(d)]
-                if not cands:
-                    raise ProfileInputRejected(
-                        f"silence although every suspect informed {player!r}"
-                    )
-                believed2 = cands[0]
+            if believed is not None and dict(eg.keys[eve_id][1]).get(index[believed], 0) & bit:
+                raise ProfileInputRejected(
+                    f"{player!r} was informed of {believed!r} but the id "
+                    "stopped arriving"
+                )
+            cands = [players[d] for d, m in nxt.items() if not m & bit]
+            if not cands:
+                raise ProfileInputRejected(
+                    f"silence although every suspect informed {player!r}"
+                )
+            believed2 = cands[0]
         return (sid, zmem2, believed2)
 
 
@@ -242,51 +238,50 @@ class UpsilonPolicy:
     def action(self, eve_id: int, mem) -> int:
         """The Adam id of the profile's suggestion; a per-suspect suggestion
         that is no valid move function breaks the message discipline."""
-        state = self.eg.eve_states[eve_id]
-        if not state.deviated:
+        if not self.eg.keys[eve_id][1]:
             return self.eg.adam_for_action(eve_id, self._joint_move(mem))
         action = tuple(map(self._joint_move, mem))
         try:
             return self.eg.adam_for_action(eve_id, action)
         except InvalidInput as exc:
             raise NormednessViolation(
-                f"per-suspect suggestions at {state_key(state)} do not form "
+                f"per-suspect suggestions at {state_key(self.eg.state(eve_id))} do not form "
                 f"a valid move function: {exc}"
             ) from exc
 
     def advance(self, mem, eve_id: int, next_eve_id: int):
         eg = self.eg
-        state = eg.eve_states[eve_id]
-        nxt = eg.eve_states[next_eve_id]
+        key = eg.keys[eve_id]
+        v, nxt = eg.keys[next_eve_id]
         players = self.profile.players
 
         def step(states, msgs):
-            return self.profile.round(eg.graph, states, msgs, nxt.vertex)
+            return self.profile.round(eg.graph, states, msgs, eg.game.vertices[v])
 
-        if not state.deviated:
+        if not key[1]:
             for a, (_act, msg) in zip(players, self.profile.outputs(mem)):
                 if msg is not None:
                     raise NormednessViolation(
                         f"{a!r} sent {msg!r} while the play tracked the main outcome"
                     )
-            if not nxt.deviated:
+            if not nxt:
                 return step(mem, tuple(None for _ in players))
             return tuple(
-                step(mem, tuple(d if b == d else None for b in players))
-                for d in nxt.deviators()
+                step(mem, tuple(players[d] if b == d else None for b in range(len(players))))
+                for d, _m in nxt
             )
-        hyp = dict(zip(state.deviators(), mem))
+        hyp = dict(zip(suspects(key), mem))
+        informed = dict(key[1])
         out = []
-        for d in nxt.deviators():
+        for d, _m in nxt:
             states = hyp[d]
-            informed = set(state.informed(d))
             msgs = []
-            for a, (_act, msg) in zip(players, self.profile.outputs(states)):
-                expected = d if a in informed else None
-                if a != d and msg != expected:
+            for b, (_act, msg) in enumerate(self.profile.outputs(states)):
+                expected = players[d] if informed[d] >> b & 1 else None
+                if b != d and msg != expected:
                     raise NormednessViolation(
-                        f"{a!r} sent {msg!r} instead of {expected!r} under "
-                        f"hypothesis {d!r} at {state_key(state)}"
+                        f"{players[b]!r} sent {msg!r} instead of {expected!r} under "
+                        f"hypothesis {players[d]!r} at {state_key(eg.state(eve_id))}"
                     )
                 msgs.append(expected)
             out.append(step(states, tuple(msgs)))

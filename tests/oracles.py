@@ -55,6 +55,11 @@ from equisynth.solver import (
 )
 
 
+def eve_states(eg) -> list[EveState]:
+    """Every Eve state of `eg`, with names, by Eve id."""
+    return [eg.state(eid) for eid in range(eg.eve_count())]
+
+
 # ---------------------------------------------------------------------------
 # One epistemic step, outside any built game.
 
@@ -341,9 +346,9 @@ def per_state_memo_build(game: ConcurrentGame, graph: CommGraph,
     enc = eg._encoding
     enc.pruned = pruned
     eg._splits = split
-    while len(eg.eve_succ) < len(eg._keys):
+    while len(eg.eve_succ) < len(eg.keys):
         eid = len(eg.eve_succ)
-        key = eg._keys[eid]
+        key = eg.keys[eid]
         grown = expand(enc, key)
         memo: dict[int, int] = {}
         first = eg.adam_count()
@@ -524,15 +529,15 @@ def _literal_walk(eg) -> list[str]:
         if known[sid] is None:
             known[sid] = k
         elif known[sid] != k:
-            out.append(f"literal knowledge oracle diverged at {state_key(eg.eve_states[sid])}")
+            out.append(f"literal knowledge oracle diverged at {state_key(eg.state(sid))}")
 
-    for eid, state in enumerate(eg.eve_states):
+    for eid, state in enumerate(eve_states(eg)):
         suspects = set(state.deviators())
         if state.deviated and (known[eid] is None or any(
                 not sus <= suspects for per in known[eid].values() for sus in per.values())):
             continue
         for c in eg.split.get(eid, ()):
-            record(c, {d: known[eid][d] for d in eg.eve_states[c].deviators()})
+            record(c, {d: known[eid][d] for d in eg.state(c).deviators()})
         v = state.vertex
         for aid in eg.eve_succ[eid]:
             if state.deviated:
@@ -544,14 +549,14 @@ def _literal_walk(eg) -> list[str]:
                 reach = {d: deviation_reach(game, v, m, d)
                          for d, m in zip(state.deviators(), action)}
             for sid in eg.adam_succ[aid]:
-                new_state = eg.eve_states[sid]
+                new_state = eg.state(sid)
                 if not state.deviated:
                     if new_state.deviated:
                         record(sid, literal_knowledge_from_empty(game, graph, new_state))
                 else:
                     record(sid, literal_knowledge_from_nonempty(
                         game, graph, state, known[eid], reach, new_state))
-    for eid, state in enumerate(eg.eve_states):
+    for eid, state in enumerate(eve_states(eg)):
         if not state.deviated:
             continue
         if known[eid] is None:
@@ -1150,7 +1155,7 @@ def record_punishment_win(eg, p) -> frozenset[int]:
     increasing suspect sets, each reduced to max-parity by a record over its
     merged payoff-equivalence classes, exits to smaller layers as sinks."""
     game = eg.game
-    states = eg.eve_states
+    states = eve_states(eg)
     groups: dict[tuple[str, ...], list[int]] = {}
     for eid in eg.deviated_ids():
         groups.setdefault(states[eid].deviators(), []).append(eid)
@@ -1211,7 +1216,7 @@ def _layered_solve(eg, p, dev, layer_eves, global_win: set[int], lar_cap: int) -
     table = LayerTable(classes=classes, tree=tree, entries={})
     adam_succ, eve_succ, leaves = eg.adam_succ, eg.eve_succ, len(tree)
     of = eg.game.colors.of
-    color = {e: of[eg.eve_states[e].vertex] for e in layer_eves}
+    color = {e: of[eg.keys[e][0]] for e in layer_eves}
 
     WIN, LOSE = 0, 1
     owner, priority, succ = [0, 1], [0, 1], [[WIN], [LOSE]]
@@ -1227,7 +1232,7 @@ def _layered_solve(eg, p, dev, layer_eves, global_win: set[int], lar_cap: int) -
             if node >= lar_cap:
                 raise LarCapExceeded(
                     f"punishment product exceeded {lar_cap} nodes in the layer with "
-                    f"suspects {{{','.join(dev)}}}"
+                    f"suspects {{{','.join(eg.game.players[d] for d in dev)}}}"
                 )
             index[key] = node
             owner.append(0 if is_eve else 1)
@@ -1272,7 +1277,7 @@ def layered_punishment_region(eg, p, lar_cap: int = LAR_CAP) -> PunishmentSoluti
     and is an exit of its own layer."""
     groups = _layer_groups(eg)
     global_win: set[int] = set()
-    layers: dict[tuple[str, ...], LayerTable] = {}
+    layers: dict[tuple[int, ...], LayerTable] = {}
     for dev in sorted(groups, key=lambda d: (len(d), d)):
         global_win.update(e for e in groups[dev] if e in eg.split
                           and all(c in global_win for c in eg.split[e]))
@@ -1492,7 +1497,7 @@ def nash_violations(game: ConcurrentGame, graph: CommGraph, profile, p) -> list[
                             f"step from {v!r}")
                 if nxt is not None:
                     succ[node].append(nxt)
-        color = [colors.of[key[0]] for key in nodes]
+        color = [colors.of[game.vertex_index[key[0]]] for key in nodes]
         for cc, witness in recurring_sets(range(len(nodes)), succ, color, colors.shared,
                                           lambda cc: outcomes[colors.rule[cc]][i] > p[i]):
             verts = sorted({nodes[n][0] for n in witness})

@@ -38,6 +38,7 @@ from oracles import (
     complete_graph,
     edgeless_graph,
     enabled_eve_actions,
+    eve_states,
     literal_knowledge_violations,
     muller_accepts_lasso,
     parity_accepts_lasso,
@@ -214,7 +215,7 @@ def test_criterion_09_round_trip(eg1, eg2, eg3):
 @criterion(10, "edgeless and complete graph informed sets")
 def test_criterion_10_extreme_graphs(game5):
     edgeless = build_reachable(game5, edgeless_graph(game5.players))
-    deviated = [s for s in edgeless.eve_states if s.deviated]
+    deviated = [s for s in eve_states(edgeless) if s.deviated]
     assert deviated
     for state in deviated:
         for situation in state.situations:
@@ -224,7 +225,7 @@ def test_criterion_10_extreme_graphs(game5):
 
     everyone = tuple(game5.players)
     complete = build_reachable(game5, complete_graph(game5.players))
-    deviated = [s for s in complete.eve_states if s.deviated]
+    deviated = [s for s in eve_states(complete) if s.deviated]
     assert deviated
     for state in deviated:
         for situation in state.situations:

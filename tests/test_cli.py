@@ -18,7 +18,7 @@ from equisynth.parsing import parse_game, parse_query, serialize_comm_graph, ser
 from equisynth.solver import punishment_region, solve
 
 from conftest import build_reachable, complete_strategy, tamper_punishment, two_leaf_game
-from oracles import full_build_verify, verify_outcome
+from oracles import eve_states, full_build_verify, verify_outcome
 
 GAME = str(asset_path("five_player_game.json"))
 G1 = str(asset_path("comm_g1.json"))
@@ -613,7 +613,7 @@ def test_verify_accepts_unreached_valid_row(capsys, tmp_path, report_path, eg1):
     # state after the built ones, so the full-build verify passes it too.
     # Reading it grows the game, so the test has its own build.
     full = build_reachable(eg1.game, eg1.graph)
-    assert UNREACHED not in {state_key(s) for s in full.eve_states}
+    assert UNREACHED not in {state_key(s) for s in eve_states(full)}
     report = json.loads(report_path.read_text())
     row = {"key": UNREACHED, "leaf": 0, "action": {"3": ["a"] * 5}}
     report["profile"]["punish"].append(row)

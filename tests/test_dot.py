@@ -6,6 +6,10 @@ import re
 import pytest
 
 from equisynth.dot import export_dot
+from equisynth.epistemic import check_distance_characterization
+
+from conftest import build_reachable
+from oracles import eve_states
 
 
 def test_arena_dot(game5):
@@ -37,11 +41,25 @@ def test_epistemic_dot(eg1):
     assert d.count("shape=box") == eg1.eve_count()
     assert d.count("shape=circle") == eg1.adam_count()
     # One bold (complying) edge per Adam node at a non-deviated state.
-    complying = sum(len(eg1.eve_succ[e]) for e, s in enumerate(eg1.eve_states) if not s.deviated)
+    complying = sum(len(eg1.eve_succ[e]) for e, s in enumerate(eve_states(eg1)) if not s.deviated)
     assert d.count("style=bold") == complying
     edges = re.findall(r'^  a\d+ -> e(\d+) \[label="([^"]*)"', d, re.MULTILINE)
     assert len(edges) == sum(map(len, eg1.adam_succ))
-    assert all(label == eg1.eve_states[int(sid)].vertex for sid, label in edges)
+    assert all(label == eg1.state(int(sid)).vertex for sid, label in edges)
+
+
+def test_grown_build_renders_as_built(game5, g1, eg1):
+    # Lookups at the split states of a pruned build, with the full build's
+    # actions, make Adam nodes and intern states after the built ones; the
+    # DOT and the distance check read only what the build made.
+    pruned = build_reachable(game5, g1, pruned=True)
+    dot, distance = export_dot(pruned), check_distance_characterization(pruned)
+    for e in list(pruned.split):
+        for aid in eg1.eve_succ[eg1.keys.index(pruned.keys[e])]:
+            pruned.adam_for_action(e, eg1.adam_action[aid])
+    assert pruned.eve_count() > pruned.built[0] and pruned.adam_count() > pruned.built[1]
+    assert export_dot(pruned) == dot
+    assert check_distance_characterization(pruned) == distance == []
 
 
 def test_dot_is_deterministic(game5, g1, eg1):

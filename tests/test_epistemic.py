@@ -39,6 +39,7 @@ from oracles import (
     count_enabled_eve_actions,
     edgeless_graph,
     enabled_eve_actions,
+    eve_states,
     literal_knowledge_from_empty,
     literal_knowledge_violations,
     per_move_table,
@@ -157,10 +158,14 @@ def test_corrupted_informed_set_is_caught(game5, g1, golden_state, eg1):
     literal = literal_knowledge_from_empty(game5, g1, corrupted)
     assert knowledge_violations(corrupted, game5.players, literal)
     # The same corruption inside a built game: the literal walk reports it.
-    states = list(eg1.eve_states)
-    states[eg1.eve_states.index(golden_state)] = corrupted
+    eid = eve_states(eg1).index(golden_state)
+    v, pairs = eg1.keys[eid]
+    four = game5.player_index["4"]
+    keys = list(eg1.keys)
+    keys[eid] = (v, tuple((d, 1 << four if d == four else m) for d, m in pairs))
     broken = copy.copy(eg1)
-    broken.eve_states = states
+    broken.keys = keys
+    assert broken.state(eid) == corrupted
     found = literal_knowledge_violations(broken)
     assert any(v.startswith(state_key(corrupted) + ":") for v in found), found
 
@@ -169,13 +174,13 @@ def test_misaligned_move_functions_are_caught(eg1):
     # Copies of the built game whose move functions do not line up with
     # their states' suspects: the literal walk reports states, and raises
     # nothing.  In the first, one move function lost its last move.
-    eid = next(e for e in eg1.deviated_ids() if len(eg1.eve_states[e].deviators()) > 1)
+    eid = next(e for e in eg1.deviated_ids() if len(eg1.state(e).deviators()) > 1)
     actions = list(eg1.adam_action)
     actions[eg1.eve_succ[eid][0]] = actions[eg1.eve_succ[eid][0]][:-1]
     broken = copy.copy(eg1)
     broken.adam_action = actions
     found = literal_knowledge_violations(broken)
-    assert any(v.startswith(state_key(eg1.eve_states[eid]) + ":") for v in found), found
+    assert any(v.startswith(state_key(eg1.state(eid)) + ":") for v in found), found
     # In the second, every move function lists its moves in reverse order.
     actions = list(eg1.adam_action)
     for e in eg1.deviated_ids():
@@ -184,7 +189,7 @@ def test_misaligned_move_functions_are_caught(eg1):
     broken = copy.copy(eg1)
     broken.adam_action = actions
     found = literal_knowledge_violations(broken)
-    keys = tuple(state_key(state) + ":" for state in eg1.eve_states)
+    keys = tuple(state_key(state) + ":" for state in eve_states(eg1))
     assert any(v.startswith(keys) for v in found), found
 
 
@@ -245,7 +250,7 @@ def test_build_reachable_asset_counts(eg1, eg2, eg3):
 
 
 def test_build_contains_expected_states(eg1):
-    keys = {state_key(s) for s in eg1.eve_states}
+    keys = {state_key(s) for s in eve_states(eg1)}
     assert "v0|-" in keys
     assert "v1|-" in keys
     assert "v1p|2:2;3:3,4;4:0,4" in keys
@@ -253,8 +258,8 @@ def test_build_contains_expected_states(eg1):
 
 def test_build_is_deterministic(game5, g1, eg1):
     again = build_reachable(game5, g1)
-    assert [state_key(s) for s in again.eve_states] == [
-        state_key(s) for s in eg1.eve_states
+    assert [state_key(s) for s in eve_states(again)] == [
+        state_key(s) for s in eve_states(eg1)
     ]
     assert again.adam_action == eg1.adam_action
     assert again.adam_succ == eg1.adam_succ
@@ -281,7 +286,7 @@ def test_one_player_game_structure():
     )
     eg = build_reachable(game, edgeless_graph(game.players))
     for eid in eg.deviated_ids():
-        assert eg.eve_states[eid].deviators() == ("0",)
+        assert eg.state(eid).deviators() == ("0",)
     assert check_knowledge_invariant(eg) == []
     assert literal_knowledge_violations(eg) == []
     assert check_distance_characterization(eg) == []
@@ -290,9 +295,9 @@ def test_one_player_game_structure():
 def assert_one_complying_successor(eg) -> None:
     """Each Adam node at a non-deviated state has exactly one non-deviated
     successor, its complying one, and each at a deviated state has none."""
-    for eid, state in enumerate(eg.eve_states):
+    for eid, state in enumerate(eve_states(eg)):
         for aid in eg.eve_succ[eid]:
-            found = sum(not eg.eve_states[sid].deviated for sid in eg.adam_succ[aid])
+            found = sum(not eg.state(sid).deviated for sid in eg.adam_succ[aid])
             assert found == (0 if state.deviated else 1), (state_key(state), aid)
 
 
@@ -331,7 +336,7 @@ def test_adam_merging_by_successor_signature(eg1, eg2, eg3, random_instances):
 
 def test_adam_for_action_rejects_move_function_of_wrong_length(eg1):
     # A move function is its suspects' moves in the state's order, one each.
-    eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
+    eid = next(i for i, s in enumerate(eve_states(eg1)) if state_key(s) == "v1p|2:2;3:3,4")
     assert eg1.adam_for_action(eid, (ALL_A, ALL_A)) in eg1.eve_succ[eid]
     for action in ((ALL_A,), (ALL_A,) * 3):
         with pytest.raises(InvalidInput,
@@ -341,7 +346,7 @@ def test_adam_for_action_rejects_move_function_of_wrong_length(eg1):
 
 def _adam_by_reach(eg, eid) -> dict:
     """(reach tuple, complying target) -> id of each Adam node of `eid`."""
-    enc, key = eg._encoding, eg._keys[eid]
+    enc, key = eg._encoding, eg.keys[eid]
     return {action_reach(enc, key, eg.adam_action[aid]): aid for aid in eg.eve_succ[eid]}
 
 
@@ -352,10 +357,10 @@ def _within(small, large) -> bool:
 def _joint_reaches(pruned, eid) -> set:
     """The reach tuples of the split state `eid` that join one kept reach
     tuple of each of its component states."""
-    pairs = pruned._keys[eid][1]
+    pairs = pruned.keys[eid][1]
     joins = [{}]  # per join so far: hypothesis position -> reach mask
     for c in pruned.split[eid]:
-        at = [pairs.index(pair) for pair in pruned._keys[c][1]]
+        at = [pairs.index(pair) for pair in pruned.keys[c][1]]
         kept = [reach for reach, _comply in _adam_by_reach(pruned, c)]
         joins = [{**join, **dict(zip(at, reach))} for join in joins for reach in kept]
     return {tuple(join[j] for j in range(len(pairs))) for join in joins}
@@ -382,11 +387,11 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
         if full.adam_count() > 5_000:
             continue
         pruned = _build(game, graph, pruned=True)
-        full_keys = [state_key(s) for s in full.eve_states]
-        keys = [state_key(s) for s in pruned.eve_states[:pruned.built[0]]]
+        full_keys = [state_key(s) for s in eve_states(full)]
+        keys = [state_key(s) for s in eve_states(pruned)[:pruned.built[0]]]
         full_of = {k: e for e, k in enumerate(full_keys)}
         enc = pruned._encoding
-        parts = {state_key(enc.state(part)) for key in pruned._keys
+        parts = {state_key(enc.state(part)) for key in pruned.keys
                  for part in epistemic.components(enc, key)}
         for eid, key in enumerate(keys):
             fid = full_of.get(key)
@@ -418,13 +423,13 @@ def test_pruned_build_keeps_dominating_actions(eg1, pruned_pairs, game5, g1):
                 aid = want[reach, comply]
                 made = pruned.adam_for_action(eid, full.adam_action[aid])
                 assert made >= pruned.built[1]
-                assert [pruned._keys[s] for s in pruned.adam_succ[made]] == \
-                    [full._keys[s] for s in full.adam_succ[aid]]
+                assert [pruned.keys[s] for s in pruned.adam_succ[made]] == \
+                    [full.keys[s] for s in full.adam_succ[aid]]
     assert dropped > 1000 and joins > 100
 
 
 def _layout(eg):
-    return eg._keys, eg.adam_action, eg.adam_succ, eg.eve_succ
+    return eg.keys, eg.adam_action, eg.adam_succ, eg.eve_succ
 
 
 # `build_reachable` without the tests' literal knowledge walk.
@@ -491,7 +496,7 @@ def test_table_entries_name_their_successors(build_cases):
     for _game, _graph, full, pruned in build_cases:
         for eg in (full, pruned):
             enc = eg._encoding
-            expanded = [key for e, key in enumerate(eg._keys[:eg.built[0]])
+            expanded = [key for e, key in enumerate(eg.keys[:eg.built[0]])
                         if e not in eg.split]
             assert eg._tables.keys() == {expand(enc, key) for key in expanded}
             entries += _check_tables(eg)
@@ -543,12 +548,12 @@ def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
             continue
         pruned = _build(game, graph, pruned=True)
         capped = _build(game, graph, state_cap=pruned.eve_count(), pruned=True)
-        full_of = {key: eid for eid, key in enumerate(full._keys)}
-        for eid, key in enumerate(capped._keys):
+        full_of = {key: eid for eid, key in enumerate(full.keys)}
+        for eid, key in enumerate(capped.keys):
             if key not in full_of:
                 continue  # a component state (see the dominance test)
             for aid in full.eve_succ[full_of[key]]:
-                if all(full._keys[s] in capped._key_index for s in full.adam_succ[aid]):
+                if all(full.keys[s] in capped._key_index for s in full.adam_succ[aid]):
                     continue
                 before = _copy_tables(capped)
                 for call in range(3):
@@ -565,8 +570,8 @@ def test_missing_successor_raises_and_stores_nothing(pruned_pairs):
                 assert capped.built == (capped.eve_count(), capped.adam_count())
                 got = pruned.adam_for_action(eid, full.adam_action[aid])
                 assert got >= pruned.built[1]
-                assert [pruned._keys[s] for s in pruned.adam_succ[got]] == \
-                    [full._keys[s] for s in full.adam_succ[aid]]
+                assert [pruned.keys[s] for s in pruned.adam_succ[got]] == \
+                    [full.keys[s] for s in full.adam_succ[aid]]
                 found += 1
                 splits += eid in pruned.split
         _check_tables(pruned)
@@ -581,13 +586,13 @@ def _assert_expanded_as_plain(eg, game, graph) -> int:
     those other states."""
     plain = plain_pruned_build(game, graph)
     assert not eg.split and eg.built == (eg.eve_count(), eg.adam_count())
-    for p, key in enumerate(plain._keys):
+    for p, key in enumerate(plain.keys):
         e = eg._key_index[key]
-        assert {tuple(eg._keys[s] for s in eg.adam_succ[a]) for a in eg.eve_succ[e]} == \
-            {tuple(plain._keys[s] for s in plain.adam_succ[a]) for a in plain.eve_succ[p]}
+        assert {tuple(eg.keys[s] for s in eg.adam_succ[a]) for a in eg.eve_succ[e]} == \
+            {tuple(plain.keys[s] for s in plain.adam_succ[a]) for a in plain.eve_succ[p]}
     enc = eg._encoding
-    parts = {part for key in eg._keys for part in epistemic.components(enc, key)}
-    others = set(eg._keys) - set(plain._keys)
+    parts = {part for key in eg.keys for part in epistemic.components(enc, key)}
+    others = set(eg.keys) - set(plain.keys)
     assert others <= parts
     _check_tables(eg)
     return len(others)
@@ -604,9 +609,9 @@ def test_expand_split_gives_the_plain_pruned_game(pruned_pairs, pruned_solves):
     with_others = fell_back = 0
     for (game, graph, full, pruned), result in family_solves(pruned_pairs, pruned_solves):
         eg = _build(game, graph, pruned=True)
-        full_of = {key: e for e, key in enumerate(full._keys)}
+        full_of = {key: e for e, key in enumerate(full.keys)}
         for e in list(eg.split):
-            for aid in full.eve_succ[full_of[eg._keys[e]]]:
+            for aid in full.eve_succ[full_of[eg.keys[e]]]:
                 eg.adam_for_action(e, full.adam_action[aid])
         assert eg.eve_count() > eg.built[0]
         eg.expand_split()
@@ -669,7 +674,7 @@ def test_random_enabled_counts_agree(random_instances):
         if not dev_ids:
             continue
         for eid in rng.sample(dev_ids, min(3, len(dev_ids))):
-            state = eg.eve_states[eid]
+            state = eg.state(eid)
             if game.move_count(state.vertex) ** len(state.deviators()) > 50_000:
                 continue
             enabled = set(enabled_eve_actions(game, state))
@@ -724,7 +729,7 @@ def _reference_view(eg):
     the origin's suspect names, each successor labelled with its Eve state's
     vertex, the complying id as the one non-deviated successor, and per Eve
     state its nodes' signatures in id order."""
-    states = eg.eve_states
+    states = eve_states(eg)
     origin = [None] * eg.adam_count()
     for eid, outs in enumerate(eg.eve_succ):
         for aid in outs:
@@ -765,7 +770,7 @@ def test_build_matches_reference(game5, g1, g2, g3):
             continue
         ref = reference_build_reachable(game, graph)
         compared += 1
-        assert eg.eve_states == ref.eve_states
+        assert eve_states(eg) == ref.eve_states
         assert [tuple(outs) for outs in eg.eve_succ] == ref.eve_succ
         assert eg.init == ref.init
         nodes, sig_index = _reference_view(eg)
@@ -778,7 +783,7 @@ def test_every_reachable_key_reads_back(eg1, eg2, eg3, random_instances):
     # Every reachable state passes the distance characterization, so a
     # profile row can name each state a full build has.
     for eg in [eg1, eg2, eg3] + [eg for _, _, eg in random_instances]:
-        assert [eg._encoding.key_of_text(state_key(s)) for s in eg.eve_states] == eg._keys
+        assert [eg._encoding.key_of_text(state_key(s)) for s in eve_states(eg)] == eg.keys
 
 
 def test_keys_read_back_with_separators_in_names():
@@ -800,30 +805,22 @@ def test_keys_read_back_with_separators_in_names():
     )
     graph = CommGraph(tuple(players), frozenset({("0", "0;1"), ("0;1", "1,"), ("1:0", "0")}))
     eg = build_reachable(game, graph)
-    assert any(len(s.situations) > 1 for s in eg.eve_states)
-    assert [eg.eve_for_key(state_key(s)) for s in eg.eve_states] == list(range(eg.eve_count()))
+    assert any(len(s.situations) > 1 for s in eve_states(eg))
+    assert [eg.eve_for_key(state_key(s)) for s in eve_states(eg)] == list(range(eg.eve_count()))
     view = epistemic.EpistemicView(game, graph)
-    for state in eg.eve_states:
-        assert view.eve_states[view.eve_for_key(state_key(state))] == state
+    for state in eve_states(eg):
+        assert view.state(view.eve_for_key(state_key(state))) == state
     assert view.eve_for_key("s|t|0:0") is None
 
 
-def test_builds_share_equal_situations(eg1, eg2, eg3, random_instances):
-    # Within a build, equal (suspect, informed mask) pairs are one Situation;
-    # every state is still equal to one made afresh from its key, with the
-    # same hash and text key.
-    situations = distinct = 0
+def test_states_render_from_their_keys(eg1, eg2, eg3, random_instances):
+    # Every state a build renders is equal to one made afresh from its key,
+    # with the same hash and text key.
     for eg in [eg1, eg2, eg3] + [eg for _game, _graph, eg in random_instances]:
         players = eg.game.players
-        shared: dict[tuple[int, int], Situation] = {}
-        for (v, pairs), state in zip(eg._keys, eg.eve_states):
+        for (v, pairs), state in zip(eg.keys, eve_states(eg)):
             fresh = EveState(eg.game.vertices[v], tuple(
                 Situation(players[d], tuple(b for i, b in enumerate(players) if m >> i & 1))
                 for d, m in pairs))
             assert state == fresh and hash(state) == hash(fresh), state_key(fresh)
             assert state_key(state) == state_key(fresh)
-            for pair, situation in zip(pairs, state.situations):
-                assert shared.setdefault(pair, situation) is situation
-        situations += sum(len(pairs) for _v, pairs in eg._keys)
-        distinct += len(shared)
-    assert distinct < situations / 10

@@ -9,6 +9,12 @@ format re-records only the `solve` pins of found reports.  The commands
 run from a directory holding copies of the assets under fixed relative
 names, so the paths the reports echo are the same on every machine.
 
+`RENAMED_PINNED` pins the 24 `solve --format json` reports once more, on
+the same game and graphs with players 0..4 renamed e, d, c, b, a (same
+order in the game): every other game names its players so that name order
+is index order, and a report that orders anything by player index where it
+should order by name changes only these pins.
+
 To print the table for the current code (after a deliberate report change):
 
     PYTHONPATH=src python tests/test_pinned_reports.py
@@ -50,6 +56,18 @@ def _copy_assets(workdir: Path) -> None:
         shutil.copy(asset_path(f"comm_{g}.json"), workdir / f"{g}.json")
 
 
+def _queries():
+    """(case name, query arguments) per predicate and --main-inf set."""
+    for predicate in PREDICATES:
+        for main_inf in MAIN_INF:
+            query = []
+            if predicate:
+                query += ["--predicate", predicate]
+            if main_inf:
+                query += ["--main-inf", main_inf]
+            yield f"{predicate or '-'} {main_inf or '-'}", query
+
+
 def pinned_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
     """Case name -> (exit code, sha256 of stdout), run inside `workdir`."""
     _copy_assets(workdir)
@@ -62,25 +80,52 @@ def pinned_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
             for fmt in ("text", "json", "dot"):
                 code, text = _run(["build", *files, "--format", fmt])
                 out[f"build {g} {fmt}"] = (code, _digest(text))
-            for predicate in PREDICATES:
-                for main_inf in MAIN_INF:
-                    query = []
-                    if predicate:
-                        query += ["--predicate", predicate]
-                    if main_inf:
-                        query += ["--main-inf", main_inf]
-                    name = f"{g} {predicate or '-'} {main_inf or '-'}"
-                    code, text = _run(["solve", *files, *query, "--format", "json"])
-                    out[f"solve {name}"] = (code, _digest(text))
-                    if code == 0:
-                        answer = json.loads(text)
-                        del answer["profile"]
-                        out[f"answer {name}"] = (
-                            code, _digest(json.dumps(answer, indent=2, sort_keys=True)))
-                        Path("report.json").write_text(text)
-                        code, text = _run(
-                            ["verify", *files, *query, "--format", "json", "report.json"])
-                        out[f"verify {name}"] = (code, _digest(text))
+            for case, query in _queries():
+                name = f"{g} {case}"
+                code, text = _run(["solve", *files, *query, "--format", "json"])
+                out[f"solve {name}"] = (code, _digest(text))
+                if code == 0:
+                    answer = json.loads(text)
+                    del answer["profile"]
+                    out[f"answer {name}"] = (
+                        code, _digest(json.dumps(answer, indent=2, sort_keys=True)))
+                    Path("report.json").write_text(text)
+                    code, text = _run(
+                        ["verify", *files, *query, "--format", "json", "report.json"])
+                    out[f"verify {name}"] = (code, _digest(text))
+    finally:
+        os.chdir(old)
+    return out
+
+
+RENAMED = dict(zip("01234", "edcba"))
+
+
+def renamed_outputs(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Case name -> (exit code, sha256 of stdout) of the `solve` reports on
+    the bundled game with its players renamed by `RENAMED`, run inside
+    `workdir`."""
+    workdir.mkdir(exist_ok=True)
+    game = json.loads(Path(asset_path("five_player_game.json")).read_text())
+    game["players"] = [RENAMED[a] for a in game["players"]]
+    for rows in game["transitions"].values():
+        for row in rows:
+            if isinstance(row["pattern"], dict):
+                row["pattern"] = {RENAMED[a]: act for a, act in row["pattern"].items()}
+    (workdir / "game.json").write_text(json.dumps(game))
+    for g in GRAPHS:
+        comm = json.loads(Path(asset_path(f"comm_{g}.json")).read_text())
+        comm["edges"] = [[RENAMED[a], RENAMED[b]] for a, b in comm["edges"]]
+        (workdir / f"{g}.json").write_text(json.dumps(comm))
+    out: dict[str, tuple[int, str]] = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for g in GRAPHS:
+            for case, query in _queries():
+                code, text = _run(["solve", "--game", "game.json", "--comm", f"{g}.json",
+                                   *query, "--format", "json"])
+                out[f"renamed solve {g} {case}"] = (code, _digest(text))
     finally:
         os.chdir(old)
     return out
@@ -146,11 +191,45 @@ PINNED: dict[str, tuple[int, str]] = {
     'solve g3 p[0]>=1 v0,v1': (1, '5132f1457e59bb90d55ffa8e71cd5e345757c97dd4e61ff427d0cbfc8739a754'),
 }
 
+RENAMED_PINNED: dict[str, tuple[int, str]] = {
+    'renamed solve g1 - -': (0, 'cc53c37d414f2707d671c51cc23772a5e641002ee62c740174010acf12956652'),
+    'renamed solve g1 - v0,v1': (0, '4f98f13f1a54d0359947e89bfce6dd4fc469663917475ed0ed93ebc3019249ce'),
+    'renamed solve g1 p=(0,0,1,1,1) -': (0, 'c2617c7538119515797b1a9ae1fd79b2cf2585f315bd70245528fbaf47d710f7'),
+    'renamed solve g1 p=(0,0,1,1,1) v0,v1': (0, '2696643ebba74d096770ef13da50674582a91592a3da5dae7196a2046ce628ff'),
+    'renamed solve g1 p=(0,0,3,3,3) -': (0, '177552caffbe50d21a366ed468f77e92b62515401af549e3a92c33bac966ffc5'),
+    'renamed solve g1 p=(0,0,3,3,3) v0,v1': (1, '14432069fd57f0773fad51170d5d401b34d3951d0c78edc35a3e77c770c3c3b3'),
+    'renamed solve g1 p[0]>=1 -': (1, 'bbae4b667960f599166fdc3711a9221208e490f159159ec959fdb68d1fdb7759'),
+    'renamed solve g1 p[0]>=1 v0,v1': (1, '43c3af07366ce9b760129b5afe93ff2e9fc73a7ce041b4baf63754367d4c81a4'),
+    'renamed solve g2 - -': (0, '52b41162f5d427fb637e826fb2ec170ce42ca520b0539cb9680be7cc23d76f7b'),
+    'renamed solve g2 - v0,v1': (0, 'f52840773d14fb67e6fcbf11504cd2edf7592d7837c646a6cdebfb3ba34395a4'),
+    'renamed solve g2 p=(0,0,1,1,1) -': (0, '9a3aff225193b7ef64692e8a31d969858d1c4977858ce1f336a96621795082d4'),
+    'renamed solve g2 p=(0,0,1,1,1) v0,v1': (0, '940c669c32538cbf8b7474bd40a630b623ddb0f1478fc55e85892857398b33d8'),
+    'renamed solve g2 p=(0,0,3,3,3) -': (0, '67df7c57a90c83e465f84a8f1e80c17c5282ed40b6861c9b7238c458866184d9'),
+    'renamed solve g2 p=(0,0,3,3,3) v0,v1': (1, '1d4951ff202f8ec06be33815ad95c0756c128a6c92b7609c8cddb2b2df94f6ce'),
+    'renamed solve g2 p[0]>=1 -': (1, '4553355b46c5c049e0699d8d8f363d3da378b83bd04c42204513c925e10f7192'),
+    'renamed solve g2 p[0]>=1 v0,v1': (1, '4213f50efec7028b32bb706d124c6c06f10da166dbee0f6925ab79dce93e4a21'),
+    'renamed solve g3 - -': (0, 'aaa8d0ba7f4e6a12e162e82297d7d08697f9fcd0db63a33828179ce9bd1106d8'),
+    'renamed solve g3 - v0,v1': (1, 'b55218513ab380ec9e7c0dfc003eefe36759be6adc601fe3f49700ec714236f7'),
+    'renamed solve g3 p=(0,0,1,1,1) -': (1, '4e0b873458657be41988abf7f04eabbffac7b599bef38b192bc2f71bdbf2c3f5'),
+    'renamed solve g3 p=(0,0,1,1,1) v0,v1': (1, '51274a5050e85faafb638a9dfafc4ab5e8b7700ec88cd118d2c4edd7bb2505cd'),
+    'renamed solve g3 p=(0,0,3,3,3) -': (0, '95294be5a547d2ef58e657c71b60218ba65b7f75ae636346be94fd130c267d4d'),
+    'renamed solve g3 p=(0,0,3,3,3) v0,v1': (1, '3c9540c333689051cc2785042def4b361ece3109ff5d74a797e4da922db704b5'),
+    'renamed solve g3 p[0]>=1 -': (1, '9c03ead4be6b97eed5f9411a28086683a68ba82cd98fb152b65859b79752dbcc'),
+    'renamed solve g3 p[0]>=1 v0,v1': (1, '5132f1457e59bb90d55ffa8e71cd5e345757c97dd4e61ff427d0cbfc8739a754'),
+}
+
 
 def test_bundled_reports_are_pinned(tmp_path):
     got = pinned_outputs(tmp_path)
     assert sorted(got) == sorted(PINNED)
     changed = {name: got[name] for name in PINNED if got[name] != PINNED[name]}
+    assert not changed
+
+
+def test_renamed_player_reports_are_pinned(tmp_path):
+    got = renamed_outputs(tmp_path)
+    assert sorted(got) == sorted(RENAMED_PINNED)
+    changed = {name: got[name] for name in RENAMED_PINNED if got[name] != RENAMED_PINNED[name]}
     assert not changed
 
 
@@ -176,4 +255,7 @@ def test_solve_without_candidates_builds_nothing(tmp_path, monkeypatch):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, (code, digest) in pinned_outputs(Path(tmp)).items():
+            print(f"    {name!r}: ({code}, {digest!r}),")
+        print()
+        for name, (code, digest) in renamed_outputs(Path(tmp, "renamed")).items():
             print(f"    {name!r}: ({code}, {digest!r}),")

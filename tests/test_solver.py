@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from equisynth import epistemic
-from equisynth.epistemic import EveState, build_reachable, components, state_key
+from equisynth.epistemic import EveState, build_reachable, components, state_key, suspects
 from equisynth.errors import InvalidInput, LarCapExceeded, StateCapExceeded, StrategyUndefined
 from equisynth.game import CommGraph
 from equisynth.parity import ParityGame, solve_parity
@@ -44,6 +44,7 @@ from conftest import (
 from oracles import (
     brute_force_recurring_color_sets,
     check_parity_certificate,
+    eve_states,
     layered_punishment_region,
     muller_accepts_lasso,
     plain_pruned_build,
@@ -116,18 +117,21 @@ def test_recurring_sets_and_color_classes_match_enumeration():
     layers = 0
     while layers < 300:
         game = random_game(rng)
-        dev = tuple(sorted(rng.sample(game.players, rng.randint(1, len(game.players))),
-                           key=game.player_index.__getitem__))
+        dev = tuple(sorted(rng.sample(range(len(game.players)),
+                                      rng.randint(1, len(game.players)))))
         seed = seed_color_classes(game, game.vertices)
         colors = game.colors
-        assert colors.of == {v: c for c, cls in enumerate(seed) for v in cls}
+        assert len(colors.of) == len(game.vertices)
+        assert dict(zip(game.vertices, colors.of)) == \
+            {v: c for c, cls in enumerate(seed) for v in cls}
         rest = [c for c, cls in enumerate(seed) if cls[0] not in game.payoff.atoms()]
         assert colors.shared == sum(1 << c for c in rest)
         for p in candidate_payoffs(game):
             classes, table = _layer_color_classes(game, p, dev)
             assert classes == tuple(map(tuple, seed))
             assert {color_set(mask): table[mask] for mask in range(1, len(table))} == \
-                vertex_subset_table(game, p, dev, game.vertices, seed)
+                vertex_subset_table(game, p, [game.players[d] for d in dev],
+                                    game.vertices, seed)
             layers += 1
 
 
@@ -225,7 +229,7 @@ def test_region_game_matches_layered_reference(eg1, eg2, eg3, pruned_pairs):
             for dev, table in got.layers.items():
                 assert {key for key in table.entries if key[1] == 0} == \
                     {(e, 0) for e in got.win
-                     if eg.eve_states[e].deviators() == dev and e not in eg.split}
+                     if suspects(eg.keys[e]) == dev and e not in eg.split}
                 multi_leaf += len(table.tree) > 1
     assert multi_leaf > 100
 
@@ -233,12 +237,12 @@ def test_region_game_matches_layered_reference(eg1, eg2, eg3, pruned_pairs):
 def test_punishment_region_membership(game5, g1, g3, eg1, eg3):
     golden = successor_map(game5, g1, EveState("v0", ()), ALL_A)["v1p"]
     sol1 = punishment_region(eg1, P_MAIN)
-    assert eg1.eve_states.index(golden) in sol1.win
+    assert eve_states(eg1).index(golden) in sol1.win
 
     golden_g3 = successor_map(game5, g3, EveState("v0", ()), ALL_A)["v1p"]
     assert state_key(golden_g3) == "v1p|2:2;3:3;4:0,4"
     sol3 = punishment_region(eg3, P_MAIN)
-    assert eg3.eve_states.index(golden_g3) not in sol3.win
+    assert eve_states(eg3).index(golden_g3) not in sol3.win
 
 
 def test_punishment_region_vacuous_bound(eg1):
@@ -252,8 +256,8 @@ def test_punishment_layers_shrink(eg1):
     sol = punishment_region(eg1, P_MAIN)
     for dev, table in sol.layers.items():
         for (eid, _rec) in table.entries:
-            state = eg1.eve_states[eid]
-            assert tuple(state.deviators()) == dev
+            state = eg1.state(eid)
+            assert state.deviators() == tuple(eg1.game.players[d] for d in dev)
 
 
 def test_solve_example_verdicts(eg1, eg2, eg3):
@@ -416,7 +420,7 @@ class StationaryAllA:
         return ("s", None)
 
     def action(self, eve_id, mem):
-        state = self.eg.eve_states[eve_id]
+        state = self.eg.state(eve_id)
         if not state.deviated:
             return self.eg.adam_for_action(eve_id, ALL_A)
         return self.eg.adam_for_action(eve_id, (ALL_A,) * len(state.deviators()))
@@ -455,7 +459,7 @@ def test_strategy_is_undefined_off_its_complying_track(eg1):
     # is at that position; another complying state there is outside it.
     strategy = solve(eg1, main_inf=frozenset({"v0", "v1"})).strategy
     on_track, aid = (strategy.prefix or strategy.cycle)[0]
-    off = next(e for e, s in enumerate(eg1.eve_states) if not s.deviated and e != on_track)
+    off = next(e for e, s in enumerate(eve_states(eg1)) if not s.deviated and e != on_track)
     assert strategy.action(on_track, 0) == aid
     with pytest.raises(StrategyUndefined, match="complying track expected state"):
         strategy.action(off, 0)
@@ -520,10 +524,10 @@ def test_pruned_build_gives_the_full_answers(pruned_pairs, pruned_solves):
     # split one, which the full game need not reach.
     found = 0
     for (game, graph, full, pruned), solved in zip(pruned_pairs, pruned_solves):
-        full_keys = list(map(state_key, full.eve_states))
-        keys = list(map(state_key, pruned.eve_states[:pruned.built[0]]))
+        full_keys = list(map(state_key, eve_states(full)))
+        keys = list(map(state_key, eve_states(pruned)[:pruned.built[0]]))
         enc = pruned._encoding
-        parts = {state_key(enc.state(part)) for key in pruned._keys
+        parts = {state_key(enc.state(part)) for key in pruned.keys
                  for part in components(enc, key)}
         assert set(keys) - set(full_keys) <= parts
         for p in candidate_payoffs(game):
@@ -560,7 +564,7 @@ def _p_safe_graph(eg, win) -> dict[int, set[int]]:
     complying edges reach from `eg.init`, each mapped to its successors.  An
     Adam node of such a state is a complying edge to its non-deviated
     successor when all of its deviated successors lie in `win`."""
-    states = eg.eve_states
+    states = eve_states(eg)
     graph: dict[int, set[int]] = {}
     todo = [eg.init]
     while todo:
@@ -591,7 +595,7 @@ def test_not_found_candidates_have_no_paying_p_safe_cycle(pruned_pairs, pruned_s
             if p not in paid:
                 continue  # ruled out before any punishment solve
             graph = _p_safe_graph(eg, punishment_region(eg, p).win)
-            vertex = {e: eg.eve_states[e].vertex for e in graph}
+            vertex = {e: eg.state(e).vertex for e in graph}
             recurring = brute_force_recurring_color_sets(graph, graph, vertex)
             pays = any(game.payoff.value(inf) == p for inf in recurring)
             assert pays == (result is not None and p == result.payoff), (game, p)
@@ -725,8 +729,8 @@ def test_split_states_answer_as_the_plain_build(random_instances, game5, g1, g2,
     checked = 0
     for game, graph in games:
         split, plain = _build(game, graph, pruned=True), plain_pruned_build(game, graph)
-        keys = list(map(state_key, split.eve_states))
-        plain_of = {state_key(s): e for e, s in enumerate(plain.eve_states)}
+        keys = list(map(state_key, eve_states(split)))
+        plain_of = {state_key(s): e for e, s in enumerate(eve_states(plain))}
         both = [(e, plain_of[key]) for e, key in enumerate(keys) if key in plain_of]
         for p in candidate_payoffs(game):
             got, want = punishment_region(split, p).win, punishment_region(plain, p).win
@@ -749,3 +753,43 @@ def test_certificate_peels_to_a_losing_cycle():
     assert check_parity_certificate(pg, bytearray(2), array("i", [-1, 0])) == \
         ["player 0: a cycle through node 0 has top priority 1"]
     assert check_parity_certificate(pg, bytearray(b"\x01\x01"), array("i", [0, -1])) == []
+
+
+def test_engine_makes_no_eve_state(game5, g1, g2, g3, monkeypatch):
+    # The engine reads states by their keys: the pruned build, the
+    # punishment region and the model check of a found strategy make no
+    # `EveState`, on the bundled game under g1-g3 and `wide` and `branchy`
+    # at seed 1.  Writing a profile renders at most one per row, and
+    # reading one back on an `EpistemicView` at most one per row too.
+    made = []
+    init = EveState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EveState, "__init__", counting_init)
+    games = [(game5, graph) for graph in (g1, g2, g3)]
+    games += _seed_one("wide") + _seed_one("branchy")
+    found = 0
+    for game, graph in games:
+        eg = _build(game, graph, pruned=True)
+        for p in candidate_payoffs(game):
+            punishment_region(eg, p)
+        assert made == [], (game, made[:3])
+        result = solve(eg)
+        made.clear()
+        if result is None:
+            continue
+        assert model_check_strategy(eg, result.strategy, result.payoff).ok
+        assert made == [], (game, made[:3])
+        found += 1
+        profile = result.strategy.to_dict()
+        rows = sum(map(len, (profile["comply"]["prefix"], profile["comply"]["cycle"],
+                             profile["punish"])))
+        assert 0 < len(made) <= rows
+        made.clear()
+        EveStrategy.from_dict(epistemic.EpistemicView(game, graph), profile)
+        assert len(made) <= rows
+        made.clear()
+    assert found == len(games)

@@ -30,7 +30,7 @@ from equisynth.translate import (
 )
 
 from conftest import complete_strategy, tamper_punishment
-from oracles import main_outcome, validate_history
+from oracles import eve_states, main_outcome, validate_history
 
 MAIN_INF = frozenset({"v0", "v1"})
 
@@ -103,7 +103,7 @@ def _id_stops_arriving(profile):
     """Player 0 told by 4 that 4 deviated to v1p, and then silence."""
     ms = profile.advance("0", profile.initial("0"), {**QUIET, "4": "4"}, "v1p")
     succ = profile.eg.adam_succ[profile.zeta.action(*ms[:2])]
-    return profile.advance("0", ms, QUIET, profile.eg.eve_states[succ[0]].vertex)
+    return profile.advance("0", ms, QUIET, profile.eg.state(succ[0]).vertex)
 
 
 # Inputs to player 0's machine that no play of g1 gives it, and the
@@ -225,7 +225,7 @@ def test_rejected_machine_inputs_raise_on_every_call(game5, g1, eg1, solved1):
         with pytest.raises(ProfileInputRejected, match="distinct ids"):
             profile.advance("0", ms, {"0": None, "1": "1", "4": "4"}, "v1p")
     deviated = profile.advance("0", ms, silent, "v1p")
-    assert state_key(eg1.eve_states[deviated[0]]) == "v1p|2:2;3:3,4;4:0,4"
+    assert state_key(eg1.state(deviated[0])) == "v1p|2:2;3:3,4;4:0,4"
     for _ in range(3):
         with pytest.raises(StrategyUndefined):
             profile.output("0", deviated)
@@ -418,7 +418,7 @@ class ActionIsState(Profile):
 def test_upsilon_rejects_suspects_disagreeing_for_uninformed(eg1):
     # Player 0 is informed of neither suspect at this state, so both
     # hypotheses must suggest it the same action.
-    eid = next(i for i, s in enumerate(eg1.eve_states) if state_key(s) == "v1p|2:2;3:3,4")
+    eid = next(i for i, s in enumerate(eve_states(eg1)) if state_key(s) == "v1p|2:2;3:3,4")
     mem = (("a",) * 5, ("b",) + ("a",) * 4)  # under suspects 2 and 3
     with pytest.raises(NormednessViolation, match="do not form a valid move function") as exc:
         upsilon(eg1, ActionIsState(eg1.game.players)).action(eid, mem)

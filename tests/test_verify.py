@@ -26,7 +26,7 @@ from equisynth.translate import (
 )
 
 from conftest import build_reachable, complete_strategy, family_solves, tamper_punishment
-from oracles import full_build_verify, nash_violations, verify_outcome
+from oracles import eve_states, full_build_verify, nash_violations, verify_outcome
 from test_translate import Denounce, LateSelfReport, MessageOverride, RejectAfterId
 
 PREDICATES = (None, "p=(0,0,1,1,1)", "p=(0,0,3,3,3)")
@@ -113,7 +113,7 @@ def test_profile_holds_exactly_the_rows_its_play_reaches(found_solves):
         data = result.strategy.to_dict()
         policy = RecordingPolicy(result.strategy)
         assert model_check_strategy(pruned, policy, result.payoff).ok
-        states = pruned.eve_states
+        states = eve_states(pruned)
         reached = {(state_key(states[e]), mem) for e, mem in policy.nodes if states[e].deviated}
         rows = [(row["key"], row["leaf"]) for row in data["punish"]]
         assert len(rows) == len(set(rows)) and set(rows) == reached, data
@@ -132,8 +132,8 @@ def test_view_makes_only_what_the_rows_name(eg1, found_profiles):
     view = EpistemicView(eg1.game, eg1.graph)
     EveStrategy.from_dict(view, data)
     assert len(view.adam_succ) <= len(rows) < eg1.adam_count()
-    keys = {state_key(s) for s in view.eve_states}
-    assert {row["key"] for row in rows} <= keys <= {state_key(s) for s in eg1.eve_states}
+    keys = {state_key(s) for s in eve_states(view)}
+    assert {row["key"] for row in rows} <= keys <= {state_key(s) for s in eve_states(eg1)}
 
 
 def test_view_resolves_every_action_as_the_full_game(eg1, eg2, eg3):
@@ -142,14 +142,14 @@ def test_view_resolves_every_action_as_the_full_game(eg1, eg2, eg3):
     # successors; in the end the view holds the whole game.
     for full in (eg1, eg2, eg3):
         view = EpistemicView(full.game, full.graph)
-        for e, state in enumerate(full.eve_states):
+        for e, state in enumerate(eve_states(full)):
             origin = view.eve_for_key(state_key(state))
             for aid in full.eve_succ[e]:
                 got = view.adam_for_action(origin, full.adam_action[aid])
                 assert view.adam_action[got] == full.adam_action[aid]
-                assert [state_key(view.eve_states[s]) for s in view.adam_succ[got]] == \
-                    [state_key(full.eve_states[s]) for s in full.adam_succ[aid]]
-        assert (len(view.eve_states), len(view.adam_succ)) == \
+                assert [state_key(view.state(s)) for s in view.adam_succ[got]] == \
+                    [state_key(full.state(s)) for s in full.adam_succ[aid]]
+        assert (len(eve_states(view)), len(view.adam_succ)) == \
             (full.eve_count(), full.adam_count())
 
 
